@@ -4,7 +4,7 @@
 //
 //   1. Solver comparison — every query of the trace is solved by each
 //      solver in --solvers, so the span timeline carries the per-solver
-//      phase breakdown (alg2.augment / alg6.probe / alg6.capacity_step /
+//      phase breakdown (alg2.augment / alg6.probe / alg5.capacity_step /
 //      blackbox.maxflow_run / ...) and the registry carries per-solver
 //      latency histograms and operation counters.
 //   2. Stream replay — the trace's queries arrive back-to-back at a fixed

@@ -10,7 +10,6 @@
 
 #include "analysis/schedule_invariants.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "parallel/engine_base.h"
 #include "parallel/worker_pool.h"
 #include "support/timing.h"
@@ -677,13 +676,7 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem,
 void BipartiteMatcher::set_capacities_for_time(double t) {
   const auto& sys = problem_->system;
   for (std::int32_t d = 0; d < n_; ++d) {
-    const double budget = t - sys.delay_ms[d] - sys.init_load_ms[d];
-    // Same formula (and epsilon) as RetrievalNetwork::capacity_for_time so
-    // every driver probes identical capacity vectors.
-    ws_->cap[static_cast<std::size_t>(d)] =
-        budget < 0.0 ? 0
-                     : static_cast<std::int64_t>(
-                           std::floor(budget / sys.cost_ms[d] + 1e-9));
+    ws_->cap[static_cast<std::size_t>(d)] = sys.slots_within(d, t);
   }
 }
 
@@ -1179,56 +1172,8 @@ void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
                                           SolveResult& result) {
   result.clear();
   matcher_.rebind(problem, workspace_.matching);
-  const std::int64_t q = problem.query_size();
-
-  // Phase 1: the search range (Algorithm 6 lines 1-11).
-  TimeBounds bounds = compute_time_bounds(problem);
-  double tmin = bounds.tmin;
-  double tmax = bounds.tmax;
-
-  // Snapshot of the best (largest-tmin) *infeasible* matching; valid for
-  // every probe above its tmin because capacities are monotone in t.
-  matcher_.save_matching_into(saved_match_);  // all unmatched
-  std::int64_t saved_matched = 0;
-
-  // Phase 2: binary capacity scaling (lines 12-37), conserving the
-  // retained matching across probes exactly as the push-relabel driver
-  // conserves flows.
-  while (tmax - tmin >= bounds.min_speed) {
-    obs::ScopedSpan probe("matching.probe");
-    const double tmid = tmin + (tmax - tmin) * 0.5;
-    matcher_.set_capacities_for_time(tmid);
-    const std::int64_t reached = matcher_.augment_to_maximum();
-    ++result.binary_probes;
-    if (reached != q) {
-      // Infeasible: conserve this matching as the new baseline.
-      matcher_.save_matching_into(saved_match_);
-      saved_matched = reached;
-      tmin = tmid;
-    } else {
-      // Feasible: the matching may overload the smaller capacities probed
-      // next, so fall back to the last infeasible snapshot.
-      matcher_.restore_matching(saved_match_);
-      tmax = tmid;
-    }
-  }
-
-  // Phase 3: restore, retune to caps(tmin), and finish with
-  // IncrementMinCost augmentations (lines 38-42 = Algorithm 5's loop).
-  matcher_.restore_matching(saved_match_);
-  matcher_.set_capacities_for_time(tmin);
-  incrementer_.rebind(problem, matcher_.in_degrees(), matcher_.capacities());
-  std::int64_t reached = saved_matched;
-  while (reached != q) {
-    obs::ScopedSpan step("matching.capacity_step");
-    // Same batched stepping as the alg6 driver: skip Hopcroft-Karp phases
-    // that cannot complete the matching while the usable capacity is still
-    // below |Q| (identical T and capacity-step sequence).
-    incrementer_.increment_until(q);
-    reached = matcher_.augment_to_maximum();
-  }
-
-  result.capacity_steps = incrementer_.steps();
+  driver_.run(problem, matcher_.in_degrees(), *this, result,
+              "matching.probe");
   result.flow_stats.augmentations =
       static_cast<std::uint64_t>(matcher_.augmentations());
   result.flow_stats.dfs_visits =
@@ -1244,7 +1189,8 @@ void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
 
 std::size_t IntegratedMatchingSolver::retained_bytes() const {
   return workspace_.retained_bytes() + matcher_.retained_bytes() +
-         saved_match_.capacity() * sizeof(std::int32_t);
+         saved_match_.capacity() * sizeof(std::int32_t) +
+         driver_.retained_bytes();
 }
 
 }  // namespace repflow::core

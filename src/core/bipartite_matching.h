@@ -22,8 +22,8 @@
 // the candidate response time t, so a matching found under caps(t') stays
 // feasible for every t >= t', and augment_to_maximum() resumes from the
 // retained assignment, touching only the buckets still unmatched.
-// IntegratedMatchingSolver runs the full Algorithm 6 driver (binary
-// capacity scaling + IncrementMinCost finish) on this kernel.
+// IntegratedMatchingSolver runs Algorithm 6's search (BinaryScalingDriver)
+// on this kernel.
 //
 // Parallel phase engine (MatchingEngine::kParallel): each Hopcroft-Karp
 // phase runs in the bulk-synchronous style of parallel::RoundPushRelabel —
@@ -47,8 +47,8 @@
 #include <span>
 #include <vector>
 
+#include "core/binary_scaling.h"
 #include "core/engine.h"
-#include "core/increment.h"
 #include "core/problem.h"
 #include "core/schedule.h"
 #include "core/solver.h"
@@ -101,18 +101,17 @@ class BipartiteMatcher {
   void rebind(const RetrievalProblem& problem,
               graph::MatchingWorkspace& workspace);
 
-  /// Set every disk capacity from candidate response time `t`, exactly as
-  /// RetrievalNetwork::capacity_for_time: floor((t - D - X) / C + 1e-9)
-  /// clamped at zero.  Does not touch the matching: callers rely on
-  /// capacity monotonicity (only restore_matching() shrinks it).
+  /// Set every disk capacity from candidate response time `t` by the same
+  /// rule as RetrievalNetwork::capacity_for_time
+  /// (SystemConfig::slots_within).  Does not touch the matching: callers
+  /// rely on capacity monotonicity (only restore_matching() shrinks it).
   void set_capacities_for_time(double t);
 
-  /// Per-disk replica in-degrees (CapacityIncrementer's removal criterion).
+  /// Per-disk replica in-degrees.
   std::span<const std::int32_t> in_degrees() const { return ws_->in_degree; }
 
-  /// The live capacity array, mutable so CapacityIncrementer's direct mode
-  /// bumps it in place between augment_to_maximum() resumes.
-  std::vector<std::int64_t>& capacities() { return ws_->cap; }
+  /// The current per-disk capacities.
+  const std::vector<std::int64_t>& capacities() const { return ws_->cap; }
 
   /// Hopcroft-Karp phases until no augmenting path remains; returns the
   /// matched bucket count (== |Q| iff the current capacities are feasible).
@@ -173,11 +172,10 @@ class BipartiteMatcher {
   std::unique_ptr<detail::ParallelMatchState> par_;
 };
 
-/// Algorithm 6's three-phase driver (time bounds, binary capacity scaling
-/// with conserved state, IncrementMinCost finish) running on the matching
-/// kernel instead of a push-relabel engine.  Catalog entry:
-/// SolverKind::kIntegratedMatching.
-class IntegratedMatchingSolver {
+/// Algorithm 6's search (BinaryScalingDriver) running on the matching
+/// kernel instead of a push-relabel engine; the snapshot is the bucket->disk
+/// assignment.  Catalog entry: SolverKind::kIntegratedMatching.
+class IntegratedMatchingSolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   /// `engine` must be concrete (kSerial/kParallel; kAuto is resolved by
@@ -209,14 +207,21 @@ class IntegratedMatchingSolver {
   void set_degree_bucketed(bool on) { matcher_.set_degree_bucketed(on); }
 
   /// Retained working-memory footprint (workspace + snapshot buffer +
-  /// parallel phase-engine state).
+  /// candidate buffer + parallel phase-engine state).
   std::size_t retained_bytes() const;
 
  private:
+  void set_capacities_for_time(double t) override {
+    matcher_.set_capacities_for_time(t);
+  }
+  std::int64_t resume() override { return matcher_.augment_to_maximum(); }
+  void save() override { matcher_.save_matching_into(saved_match_); }
+  void restore() override { matcher_.restore_matching(saved_match_); }
+
   const RetrievalProblem* bound_problem_ = nullptr;
   graph::MaxflowWorkspace workspace_;
   BipartiteMatcher matcher_;
-  CapacityIncrementer incrementer_;
+  BinaryScalingDriver driver_;
   std::vector<std::int32_t> saved_match_;
 };
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "analysis/schedule_invariants.h"
-
 #include "obs/span.h"
 
 namespace repflow::core {
@@ -13,10 +12,15 @@ BlackBoxBinarySolver::BlackBoxBinarySolver(const RetrievalProblem& problem,
                                            graph::PushRelabelOptions pr_options)
     : bound_problem_(&problem), engine_(engine), pr_options_(pr_options) {}
 
-graph::Cap BlackBoxBinarySolver::run_probe(SolveResult& result) {
+void BlackBoxBinarySolver::set_capacities_for_time(double t) {
+  network_.set_capacities_for_time(t);
+}
+
+std::int64_t BlackBoxBinarySolver::resume() {
   // Each probe is a full from-zero max-flow — the cost the integrated
   // algorithms avoid; the span makes that visible in the timeline.
   obs::ScopedSpan span("blackbox.maxflow_run");
+  SolveResult& result = *result_;
   ++result.maxflow_runs;
   switch (engine_) {
     case BlackBoxEngine::kPushRelabel: {
@@ -53,7 +57,6 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
   result.clear();
   network_.rebuild(problem);
   auto& net = network_.net();
-  const std::int64_t q = problem.query_size();
   const graph::Vertex s = network_.source();
   const graph::Vertex t = network_.sink();
   switch (engine_) {
@@ -71,47 +74,18 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
       break;
   }
 
-  TimeBounds bounds = compute_time_bounds(problem);
-  double tmin = bounds.tmin;
-  double tmax = bounds.tmax;
-
-  // Binary capacity scaling, each probe a fresh max-flow from zero.
-  while (tmax - tmin >= bounds.min_speed) {
-    obs::ScopedSpan probe("blackbox.probe");
-    const double tmid = tmin + (tmax - tmin) * 0.5;
-    network_.set_capacities_for_time(tmid);
-    const graph::Cap reached = run_probe(result);
-    ++result.binary_probes;
-    if (reached != q) {
-      tmin = tmid;
-    } else {
-      tmax = tmid;
-    }
-  }
-
-  // Final incrementation from caps(tmin), again re-solving from zero after
-  // every capacity bump — the cost the integrated algorithm eliminates.
-  network_.set_capacities_for_time(tmin);
-  incrementer_.rebind(network_);
-  graph::Cap reached = 0;
-  // An empty query is feasible at every capacity vector, so the mandatory
-  // first increment below would ask for a live disk that cannot exist.
-  if (q > 0) {
-    do {
-      obs::ScopedSpan step("blackbox.capacity_step");
-      incrementer_.increment_min_cost();
-      reached = run_probe(result);
-    } while (reached != q);
-  }
-
-  result.capacity_steps = incrementer_.steps();
+  result_ = &result;
+  driver_.run(problem, network_.in_degrees(), *this, result,
+              "blackbox.probe");
+  result_ = nullptr;
   extract_schedule_into(network_, result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_SOLVE(problem, network_, result, "blackbox_binary.post_solve");
 }
 
 std::size_t BlackBoxBinarySolver::retained_bytes() const {
-  return network_.retained_bytes() + workspace_.retained_bytes();
+  return network_.retained_bytes() + workspace_.retained_bytes() +
+         driver_.retained_bytes();
 }
 
 }  // namespace repflow::core

@@ -1,13 +1,14 @@
 // The black-box baseline of [12] (Altiparmak & Tosun, generalized optimal
-// response time retrieval): identical binary capacity scaling and min-cost
-// incrementation as Algorithm 6, but every feasibility probe runs a fresh
-// max-flow from zero flow — no flow conservation.  This is the algorithm
-// the paper's "bb/int" ratio figures (7, 8, 9) compare against.
+// response time retrieval): the same search as Algorithm 6
+// (BinaryScalingDriver), but every feasibility probe runs a fresh max-flow
+// from zero flow — no flow conservation, so its save and restore do
+// nothing.  This is the algorithm the paper's "bb/int" ratio figures
+// (7, 8, 9) compare against.
 #pragma once
 
 #include <optional>
 
-#include "core/increment.h"
+#include "core/binary_scaling.h"
 #include "core/network.h"
 #include "core/solver.h"
 #include "graph/dinic.h"
@@ -24,7 +25,7 @@ enum class BlackBoxEngine {
   kDinic,
 };
 
-class BlackBoxBinarySolver {
+class BlackBoxBinarySolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   explicit BlackBoxBinarySolver(
@@ -47,18 +48,23 @@ class BlackBoxBinarySolver {
 
   const RetrievalNetwork& network() const { return network_; }
 
-  /// Retained working-memory footprint (network + engine workspace).
+  /// Retained working-memory footprint (network + engine workspace +
+  /// candidate buffer).
   std::size_t retained_bytes() const;
 
  private:
+  void set_capacities_for_time(double t) override;
   /// One from-zero max-flow run under the current capacities.
-  graph::Cap run_probe(SolveResult& result);
+  std::int64_t resume() override;
+  void save() override {}
+  void restore() override {}
 
   const RetrievalProblem* bound_problem_ = nullptr;
+  SolveResult* result_ = nullptr;  // the solve in progress (run counters)
   RetrievalNetwork network_;
   BlackBoxEngine engine_;
   graph::PushRelabelOptions pr_options_;
-  CapacityIncrementer incrementer_;
+  BinaryScalingDriver driver_;
   graph::MaxflowWorkspace workspace_;
   // Only the slot matching engine_ is ever engaged; it persists across
   // solves (rebound in place) so probes reuse its working buffers.

@@ -25,7 +25,8 @@ SolveResult BruteForceSolver::solve() {
   std::vector<std::int64_t> counts(
       static_cast<std::size_t>(problem_.total_disks()), 0);
   Schedule best;
-  double best_time = std::numeric_limits<double>::max();
+  double best_time = std::numeric_limits<double>::infinity();
+  bool have_best = false;  // an overflowing optimum is inf, not "none"
 
   // Odometer enumeration of all assignments.
   for (;;) {
@@ -42,7 +43,8 @@ SolveResult BruteForceSolver::solve() {
                                    static_cast<DiskId>(d), counts[d]));
       }
     }
-    if (response < best_time) {
+    if (!have_best || response < best_time) {
+      have_best = true;
       best_time = response;
       best.assigned_disk.resize(q);
       for (std::size_t b = 0; b < q; ++b) {

@@ -24,56 +24,42 @@ void FordFulkersonBinarySolver::solve_into(const RetrievalProblem& problem,
                                            SolveResult& result) {
   result.clear();
   network_.rebuild(problem);
-  auto& net = network_.net();
-  const std::int64_t q = problem.query_size();
   if (!engine_) {
-    engine_.emplace(net, network_.source(), network_.sink(),
+    engine_.emplace(network_.net(), network_.source(), network_.sink(),
                     graph::SearchOrder::kBfs, &workspace_);
   } else {
     engine_->rebind(network_.source(), network_.sink());
   }
   const graph::FlowStats stats_before = engine_->stats();
-
-  TimeBounds bounds = compute_time_bounds(problem);
-  double tmin = bounds.tmin;
-  double tmax = bounds.tmax;
-  net.save_flows_into(saved_flows_);  // all-zero
-  graph::Cap reached = 0;
-
-  while (tmax - tmin >= bounds.min_speed) {
-    const double tmid = tmin + (tmax - tmin) * 0.5;
-    network_.set_capacities_for_time(tmid);
-    reached += engine_->run();  // augment from the conserved flow
-    ++result.binary_probes;
-    if (reached != q) {
-      net.save_flows_into(saved_flows_);
-      tmin = tmid;
-    } else {
-      net.restore_flows(saved_flows_);
-      reached = net.flow_into(network_.sink());
-      tmax = tmid;
-    }
-  }
-
-  net.restore_flows(saved_flows_);
-  reached = net.flow_into(network_.sink());
-  network_.set_capacities_for_time(tmin);
-  incrementer_.rebind(network_);
-  while (reached != q) {
-    incrementer_.increment_min_cost();
-    reached += engine_->run();
-  }
-
-  result.capacity_steps = incrementer_.steps();
+  driver_.run(problem, network_.in_degrees(), *this, result,
+              "ff_binary.probe");
   result.flow_stats = engine_->stats() - stats_before;
   extract_schedule_into(network_, result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_SOLVE(problem, network_, result, "ff_binary.post_solve");
 }
 
+void FordFulkersonBinarySolver::set_capacities_for_time(double t) {
+  network_.set_capacities_for_time(t);
+}
+
+std::int64_t FordFulkersonBinarySolver::resume() {
+  engine_->run();  // augment from the conserved flow
+  return network_.flow_value();
+}
+
+void FordFulkersonBinarySolver::save() {
+  network_.net().save_flows_into(saved_flows_);
+}
+
+void FordFulkersonBinarySolver::restore() {
+  network_.net().restore_flows(saved_flows_);
+}
+
 std::size_t FordFulkersonBinarySolver::retained_bytes() const {
   return network_.retained_bytes() + workspace_.retained_bytes() +
-         saved_flows_.capacity() * sizeof(graph::Cap);
+         saved_flows_.capacity() * sizeof(graph::Cap) +
+         driver_.retained_bytes();
 }
 
 }  // namespace repflow::core

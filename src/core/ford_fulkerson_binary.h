@@ -2,12 +2,11 @@
 //
 // Not evaluated in the paper, but the natural fourth cell of the algorithm
 // matrix {Ford-Fulkerson, push-relabel} x {incremental only, binary
-// scaling}: Algorithm 6's driver (range bounding, snapshot-conserving
-// binary search, min-cost finish) with augmenting-path max-flow instead of
-// push-relabel.  Because Ford-Fulkerson works with flows (never preflows),
-// conservation is even simpler: a flow valid under caps(t) is valid under
-// caps(t') for every t' >= t, so only the infeasible-probe snapshots are
-// needed, exactly as in Algorithm 6.
+// scaling}: Algorithm 6's search (BinaryScalingDriver) with augmenting-path
+// max-flow instead of push-relabel.  Because Ford-Fulkerson works with
+// flows (never preflows), conservation is even simpler: a flow valid under
+// caps(t) is valid under caps(t') for every t' >= t, so only the
+// infeasible-probe snapshots are needed, exactly as in Algorithm 6.
 //
 // The ablation bench uses it to separate "binary scaling helps" from
 // "push-relabel helps" in the paper's Figure 5/6 gap.
@@ -16,14 +15,14 @@
 #include <optional>
 #include <vector>
 
-#include "core/increment.h"
+#include "core/binary_scaling.h"
 #include "core/network.h"
 #include "core/solver.h"
 #include "graph/ford_fulkerson.h"
 
 namespace repflow::core {
 
-class FordFulkersonBinarySolver {
+class FordFulkersonBinarySolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   FordFulkersonBinarySolver() = default;
@@ -44,9 +43,14 @@ class FordFulkersonBinarySolver {
   std::size_t retained_bytes() const;
 
  private:
+  void set_capacities_for_time(double t) override;
+  std::int64_t resume() override;
+  void save() override;
+  void restore() override;
+
   const RetrievalProblem* bound_problem_ = nullptr;
   RetrievalNetwork network_;
-  CapacityIncrementer incrementer_;
+  BinaryScalingDriver driver_;
   graph::MaxflowWorkspace workspace_;
   std::optional<graph::FordFulkerson> engine_;
   std::vector<graph::Cap> saved_flows_;

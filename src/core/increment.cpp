@@ -21,17 +21,12 @@ CapacityIncrementer::CapacityIncrementer(RetrievalNetwork& network) {
 
 void CapacityIncrementer::rebind(RetrievalNetwork& network) {
   network_ = &network;
-  system_ = &network.problem().system;
-  direct_caps_ = nullptr;
-  in_degree_ = {};
   const std::int32_t disks = network.problem().total_disks();
   caps_.clear();
   caps_.reserve(static_cast<std::size_t>(disks));
   live_.clear();
-  usable_ = 0;
   for (DiskId d = 0; d < disks; ++d) {
     caps_.push_back(network.net().capacity(network.sink_arc(d)));
-    usable_ += std::min<std::int64_t>(caps_.back(), network.in_degree(d));
     // A disk already saturated by its in-degree never joins the live set
     // (Algorithm 3 lines 3-5 would delete it on the first step anyway).
     if (network.in_degree(d) > caps_.back()) live_.push_back(d);
@@ -40,70 +35,33 @@ void CapacityIncrementer::rebind(RetrievalNetwork& network) {
   total_increments_ = 0;
 }
 
-void CapacityIncrementer::rebind(const RetrievalProblem& problem,
-                                 std::span<const std::int32_t> in_degree,
-                                 std::vector<std::int64_t>& caps) {
-  network_ = nullptr;
-  system_ = &problem.system;
-  in_degree_ = in_degree;
-  direct_caps_ = &caps;
-  const std::int32_t disks = problem.total_disks();
-  live_.clear();
-  usable_ = 0;
-  for (DiskId d = 0; d < disks; ++d) {
-    usable_ += std::min<std::int64_t>(
-        caps[static_cast<std::size_t>(d)],
-        in_degree[static_cast<std::size_t>(d)]);
-    if (in_degree[static_cast<std::size_t>(d)] >
-        caps[static_cast<std::size_t>(d)]) {
-      live_.push_back(d);
-    }
-  }
-  steps_ = 0;
-  total_increments_ = 0;
-}
-
 void CapacityIncrementer::bump(DiskId d) {
-  if (direct_caps_) {
-    ++(*direct_caps_)[static_cast<std::size_t>(d)];
-  } else {
-    ++caps_[static_cast<std::size_t>(d)];
-    network_->net().set_capacity(network_->sink_arc(d),
-                                 caps_[static_cast<std::size_t>(d)]);
-  }
+  ++caps_[static_cast<std::size_t>(d)];
+  network_->net().set_capacity(network_->sink_arc(d),
+                               caps_[static_cast<std::size_t>(d)]);
   ++total_increments_;
-  // bump() is only reached for live disks (cap < in-degree), so the min in
-  // the usable-capacity sum grows by exactly one.
-  ++usable_;
   // Per-disk attribution of the integrated drivers' capacity grants: this
   // is the one seam every IncrementMinCost step passes through (one acquire
   // load + one relaxed add after the first touch of disk d).
   obs::DiskInstruments::global().disk(d).capacity_steps.add(1);
 }
 
-double CapacityIncrementer::increment_until(std::int64_t needed) {
-  double last = increment_min_cost();
-  while (usable_ < needed) {
-    last = increment_min_cost();
-  }
-  return last;
-}
-
 double CapacityIncrementer::increment_min_cost() {
-  const auto& sys = *system_;
+  const auto& sys = network_->problem().system;
   // Pass 1 (Algorithm 3 lines 1-9): drop exhausted disks, find the minimum
   // next-completion cost among the survivors.
-  double min_cost = std::numeric_limits<double>::max();
+  // Infinity, not max(): a completion time that overflows to inf must
+  // still be admitted, or the step bumps nothing and the driver spins.
+  double min_cost = std::numeric_limits<double>::infinity();
   std::size_t alive = 0;
   for (std::size_t i = 0; i < live_.size(); ++i) {
     const DiskId d = live_[i];
-    if (degree_of(d) <= cap_of(d)) {
+    const std::int64_t cap = caps_[static_cast<std::size_t>(d)];
+    if (network_->in_degree(d) <= cap) {
       continue;  // delete from E
     }
     live_[alive++] = d;
-    const double cost = sys.delay_ms[d] + sys.init_load_ms[d] +
-                        static_cast<double>(cap_of(d) + 1) * sys.cost_ms[d];
-    min_cost = std::min(min_cost, cost);
+    min_cost = std::min(min_cost, sys.completion_time(d, cap + 1));
   }
   live_.resize(alive);
   if (live_.empty()) {
@@ -112,32 +70,14 @@ double CapacityIncrementer::increment_min_cost() {
   }
   // Pass 2 (lines 10-12): bump every live disk achieving the minimum.
   for (const DiskId d : live_) {
-    const double cost = sys.delay_ms[d] + sys.init_load_ms[d] +
-                        static_cast<double>(cap_of(d) + 1) * sys.cost_ms[d];
+    const double cost = sys.completion_time(
+        d, caps_[static_cast<std::size_t>(d)] + 1);
     if (cost <= min_cost + kCostEpsilon) {
       bump(d);
     }
   }
   ++steps_;
   return min_cost;
-}
-
-TimeBounds compute_time_bounds(const RetrievalProblem& problem) {
-  const auto& sys = problem.system;
-  const double q = static_cast<double>(problem.query_size());
-  const double n = static_cast<double>(problem.total_disks());
-  TimeBounds bounds;
-  bounds.tmax = 0.0;
-  bounds.tmin = std::numeric_limits<double>::max();
-  bounds.min_speed = std::numeric_limits<double>::max();
-  for (DiskId d = 0; d < problem.total_disks(); ++d) {
-    const double fixed = sys.delay_ms[d] + sys.init_load_ms[d];
-    bounds.tmax = std::max(bounds.tmax, fixed + q * sys.cost_ms[d]);
-    bounds.tmin = std::min(bounds.tmin, fixed + (q / n) * sys.cost_ms[d]);
-    bounds.min_speed = std::min(bounds.min_speed, sys.cost_ms[d]);
-  }
-  bounds.tmin -= bounds.min_speed;  // guarantee tmin itself is infeasible
-  return bounds;
 }
 
 }  // namespace repflow::core

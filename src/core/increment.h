@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/network.h"
@@ -22,7 +21,7 @@ class CapacityIncrementer {
   CapacityIncrementer() = default;
 
   /// Captures the network's *current* sink capacities as the baseline (zero
-  /// after construction of a fresh network; caps(tmin) in Algorithm 6).
+  /// after construction of a fresh network).
   explicit CapacityIncrementer(RetrievalNetwork& network);
 
   /// Re-capture `network`'s current sink capacities and reset the step
@@ -30,35 +29,10 @@ class CapacityIncrementer {
   /// same-footprint network performs no heap allocation.
   void rebind(RetrievalNetwork& network);
 
-  /// Network-free mode for the bipartite matching kernel: operate directly
-  /// on the caller's capacity array (one entry per disk; the same vector
-  /// the matcher reads), with disk in-degrees supplied up front.  `caps`
-  /// and `in_degree` must outlive the next rebind; every capacity bump is
-  /// written straight into `caps`.
-  void rebind(const RetrievalProblem& problem,
-              std::span<const std::int32_t> in_degree,
-              std::vector<std::int64_t>& caps);
-
   /// One IncrementMinCost step.  Returns the minimum next-completion cost
   /// (the candidate response time just admitted).  Throws std::logic_error
   /// if no live edge remains (the caller exceeded total capacity c*|Q|).
   double increment_min_cost();
-
-  /// Batched stepping for the integrated drivers' finish phase: performs
-  /// one IncrementMinCost step, then keeps stepping while the usable
-  /// capacity stays below `needed`.  Since any flow is bounded by
-  /// sum_d min(cap_d, in_degree_d), re-augmenting before that sum reaches
-  /// |Q| is provably futile; batching the tie-step sequence up to the
-  /// feasibility floor skips those no-op max-flow resumes without changing
-  /// the admitted capacity sequence — the response time T and the step
-  /// order are bit-identical to stepping one at a time.  Returns the cost
-  /// of the last step taken (the candidate response time now admitted).
-  double increment_until(std::int64_t needed);
-
-  /// sum_d min(cap_d, in_degree_d): an upper bound on any feasible flow
-  /// under the current capacities (each disk can absorb at most its
-  /// capacity, and at most its in-degree distinct buckets).
-  std::int64_t usable_capacity() const { return usable_; }
 
   /// Number of steps performed so far.
   std::int64_t steps() const { return steps_; }
@@ -66,43 +40,14 @@ class CapacityIncrementer {
   /// Sum of individual capacity bumps (>= steps(); ties bump several arcs).
   std::int64_t total_increments() const { return total_increments_; }
 
-  /// Disks still in the live edge set.
-  std::int64_t live_edges() const {
-    return static_cast<std::int64_t>(live_.size());
-  }
-
  private:
-  std::int64_t cap_of(DiskId d) const {
-    return direct_caps_ ? (*direct_caps_)[static_cast<std::size_t>(d)]
-                        : caps_[static_cast<std::size_t>(d)];
-  }
-  std::int32_t degree_of(DiskId d) const {
-    return direct_caps_ ? in_degree_[static_cast<std::size_t>(d)]
-                        : network_->in_degree(d);
-  }
   void bump(DiskId d);
 
-  RetrievalNetwork* network_ = nullptr;       // null in direct mode
-  const workload::SystemConfig* system_ = nullptr;
-  std::span<const std::int32_t> in_degree_;   // direct mode only
-  std::vector<std::int64_t>* direct_caps_ = nullptr;  // direct mode only
+  RetrievalNetwork* network_ = nullptr;
   std::vector<DiskId> live_;        // disks whose sink arc is still in E
   std::vector<std::int64_t> caps_;  // mirror of sink-arc capacities
   std::int64_t steps_ = 0;
   std::int64_t total_increments_ = 0;
-  std::int64_t usable_ = 0;  // sum_d min(cap_d, in_degree_d), kept in sync
 };
-
-/// The response-time search range of Algorithm 6 lines 1-11.
-struct TimeBounds {
-  double tmin = 0.0;      // just below the optimistic bound (infeasible)
-  double tmax = 0.0;      // pessimistic bound (always feasible)
-  double min_speed = 0.0; // block cost of the fastest disk (range resolution)
-};
-
-/// Compute [tmin, tmax) exactly as Algorithm 6 does: tmax assumes the whole
-/// query is served by the costliest disk; tmin assumes perfect spread onto
-/// the cheapest, minus one fastest-block time to guarantee infeasibility.
-TimeBounds compute_time_bounds(const RetrievalProblem& problem);
 
 }  // namespace repflow::core

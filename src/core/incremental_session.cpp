@@ -77,7 +77,9 @@ double IncrementalQuerySession::current_min_cost(DiskId d) const {
 }
 
 void IncrementalQuerySession::increment_min_cost() {
-  double min_cost = std::numeric_limits<double>::max();
+  // Infinity, not max(): a completion time that overflows to inf must
+  // still be admitted, or the step bumps nothing and the driver spins.
+  double min_cost = std::numeric_limits<double>::infinity();
   bool any = false;
   for (DiskId d = 0; d < system_.total_disks(); ++d) {
     if (in_degree_[d] <= caps_[static_cast<std::size_t>(d)]) continue;
@@ -108,12 +110,11 @@ double IncrementalQuerySession::reoptimize() {
   const auto q = static_cast<graph::Cap>(replicas_.size());
   graph::Cap reached = engine_->resume();
   while (reached != q) {
-    // Batched stepping (same argument as the alg6/matching finish phase):
-    // any flow is bounded by the usable capacity sum_d min(cap_d,
-    // in_degree_d), so resuming the engine before that sum reaches |Q| is
-    // futile.  The admitted capacity sequence — and therefore the response
-    // time and capacity_steps() — is bit-identical to stepping one at a
-    // time.
+    // Batched stepping: any flow is bounded by the usable capacity
+    // sum_d min(cap_d, in_degree_d), so resuming the engine before that sum
+    // reaches |Q| is futile.  The admitted capacity sequence — and
+    // therefore the response time and capacity_steps() — is bit-identical
+    // to stepping one at a time.
     increment_min_cost();
     while (usable_ < static_cast<std::int64_t>(q)) increment_min_cost();
     reached = engine_->resume();

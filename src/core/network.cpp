@@ -1,7 +1,5 @@
 #include "core/network.h"
 
-#include <cmath>
-
 namespace repflow::core {
 
 RetrievalNetwork::RetrievalNetwork(const RetrievalProblem& problem) {
@@ -38,12 +36,7 @@ void RetrievalNetwork::rebuild(const RetrievalProblem& problem) {
 }
 
 std::int64_t RetrievalNetwork::capacity_for_time(DiskId disk, double t) const {
-  const auto& sys = problem_->system;
-  const double budget = t - sys.delay_ms[disk] - sys.init_load_ms[disk];
-  if (budget < 0.0) return 0;
-  // The epsilon guards against 7.999999 when the exact quotient is 8.
-  return static_cast<std::int64_t>(
-      std::floor(budget / sys.cost_ms[disk] + 1e-9));
+  return problem_->system.slots_within(disk, t);
 }
 
 void RetrievalNetwork::set_capacities_for_time(double t) {

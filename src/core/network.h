@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/problem.h"
@@ -46,9 +47,11 @@ class RetrievalNetwork {
   graph::ArcId sink_arc(DiskId disk) const { return sink_arcs_[disk]; }
 
   std::int32_t in_degree(DiskId disk) const { return in_degree_[disk]; }
+  std::span<const std::int32_t> in_degrees() const { return in_degree_; }
 
   /// Sink-arc capacity of `disk` implied by candidate response time `t`:
-  /// floor((t - D - X) / C), clamped at zero (paper Algorithm 6 line 15).
+  /// the slots k with completion_time(disk, k) <= t (see
+  /// SystemConfig::slots_within; paper Algorithm 6 line 15).
   std::int64_t capacity_for_time(DiskId disk, double t) const;
 
   /// Set every sink-arc capacity from the candidate response time.

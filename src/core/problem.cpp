@@ -1,5 +1,6 @@
 #include "core/problem.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +31,14 @@ void RetrievalProblem::validate() const {
     }
   }
   for (std::int32_t j = 0; j < disks; ++j) {
+    // NaN slips past every comparison below, and the solvers' candidate
+    // search needs a strict weak order on completion times.
+    if (!std::isfinite(system.cost_ms[j]) ||
+        !std::isfinite(system.delay_ms[j]) ||
+        !std::isfinite(system.init_load_ms[j])) {
+      throw std::invalid_argument(
+          "problem: non-finite cost/delay/load on disk " + std::to_string(j));
+    }
     if (system.cost_ms[j] <= 0.0) {
       throw std::invalid_argument("problem: non-positive cost on disk " +
                                   std::to_string(j));

@@ -26,7 +26,8 @@ struct RetrievalProblem {
   std::int32_t total_disks() const { return system.total_disks(); }
 
   /// Throws std::invalid_argument when a bucket has no replica, a disk id is
-  /// out of range, or the system parameter vectors are inconsistent.
+  /// out of range, the system parameter vectors are inconsistent, or a
+  /// cost, delay or load is non-finite, negative (or a cost zero).
   void validate() const;
 
   /// Number of query buckets holding a replica on each disk (the in-degree

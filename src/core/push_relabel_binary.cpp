@@ -1,12 +1,9 @@
 #include "core/push_relabel_binary.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/schedule_invariants.h"
-#include <utility>
-#include <vector>
-
-#include "obs/span.h"
 
 namespace repflow::core {
 
@@ -39,74 +36,38 @@ void PushRelabelBinarySolver::solve_into(const RetrievalProblem& problem,
                                          SolveResult& result) {
   result.clear();
   network_.rebuild(problem);
-  auto& net = network_.net();
-  const std::int64_t q = problem.query_size();
   if (!engine_) {
-    engine_ = factory_(net, network_.source(), network_.sink());
+    engine_ = factory_(network_.net(), network_.source(), network_.sink());
   } else {
     engine_->rebind(network_.source(), network_.sink());
   }
   const graph::FlowStats stats_before = engine_->stats();
-
-  // Phase 1: the search range (Algorithm 6 lines 1-11).
-  TimeBounds bounds = compute_time_bounds(problem);
-  double tmin = bounds.tmin;
-  double tmax = bounds.tmax;
-
-  // Snapshot of the best (largest-tmin) *infeasible* flow state; valid for
-  // every probe above its tmin because capacities are monotone in t.
-  net.save_flows_into(saved_flows_);  // all-zero
-  graph::Cap saved_excess_t = 0;
-
-  // Phase 2: binary capacity scaling (lines 12-37).
-  while (tmax - tmin >= bounds.min_speed) {
-    obs::ScopedSpan probe("alg6.probe");
-    const double tmid = tmin + (tmax - tmin) * 0.5;
-    network_.set_capacities_for_time(tmid);
-    const graph::Cap reached = engine_->resume();
-    ++result.binary_probes;
-    if (reached != q) {
-      // Infeasible: conserve this flow as the new baseline, shrink from
-      // below (lines 30-33 with the paper's prose reading of the branch).
-      net.save_flows_into(saved_flows_);
-      saved_excess_t = reached;
-      tmin = tmid;
-    } else {
-      // Feasible: this flow may exceed caps(t) for the smaller t probed
-      // next, so fall back to the last infeasible snapshot (lines 34-37).
-      net.restore_flows(saved_flows_);
-      engine_->reset_excess_after_restore(saved_excess_t);
-      tmax = tmid;
-    }
-  }
-
-  // Phase 3: restore, retune to caps(tmin), and finish incrementally
-  // (lines 38-42 = Algorithm 5's loop).
-  net.restore_flows(saved_flows_);
-  engine_->reset_excess_after_restore(saved_excess_t);
-  network_.set_capacities_for_time(tmin);
-  incrementer_.rebind(network_);
-  graph::Cap reached = saved_excess_t;
-  while (reached != q) {
-    obs::ScopedSpan step("alg6.capacity_step");
-    // Batch capacity steps up to the usable-capacity floor |Q|: resuming
-    // the engine while sum_d min(cap_d, in_degree_d) < |Q| cannot reach q,
-    // so those augmentation passes are skipped (T and the admitted step
-    // sequence are unchanged; see CapacityIncrementer::increment_until).
-    incrementer_.increment_until(static_cast<std::int64_t>(q));
-    reached = engine_->resume();
-  }
-
-  result.capacity_steps = incrementer_.steps();
+  driver_.run(problem, network_.in_degrees(), *this, result, "alg6.probe");
   result.flow_stats = engine_->stats() - stats_before;
   extract_schedule_into(network_, result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_SOLVE(problem, network_, result, "alg6_pr_binary.post_solve");
 }
 
+void PushRelabelBinarySolver::set_capacities_for_time(double t) {
+  network_.set_capacities_for_time(t);
+}
+
+std::int64_t PushRelabelBinarySolver::resume() { return engine_->resume(); }
+
+void PushRelabelBinarySolver::save() {
+  network_.net().save_flows_into(saved_flows_);
+}
+
+void PushRelabelBinarySolver::restore() {
+  network_.net().restore_flows(saved_flows_);
+  engine_->reset_excess_after_restore(network_.flow_value());
+}
+
 std::size_t PushRelabelBinarySolver::retained_bytes() const {
   return network_.retained_bytes() +
          saved_flows_.capacity() * sizeof(graph::Cap) +
+         driver_.retained_bytes() +
          (engine_ ? engine_->retained_bytes() : 0);
 }
 

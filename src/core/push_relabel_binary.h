@@ -1,20 +1,13 @@
 // Algorithm 6 of the paper: the integrated push-relabel solver with binary
 // capacity scaling — the headline contribution.
 //
-// Phase 1 (lines 1-11): bound the optimal response time in [tmin, tmax):
-// tmax serves the whole query from the costliest disk (always feasible),
-// tmin assumes a perfect |Q|/N spread onto the cheapest disk minus one
-// fastest-block time (always infeasible).
-//
-// Phase 2 (lines 12-37): binary search on t.  Each probe retunes the sink
-// capacities to caps(tmid) and *resumes* push-relabel from the conserved
-// flows.  Infeasible probe: keep the flows, snapshot them, raise tmin.
-// Feasible probe: the flow may overshoot smaller future capacities, so
-// restore the last infeasible snapshot and lower tmax.  Flow monotonicity
-// makes every conserved state valid for every later probe.
-//
-// Phase 3 (lines 38-42): from caps(tmin), admit next-cheapest completion
-// slots (IncrementMinCost) until the flow reaches |Q| — Algorithm 5's loop.
+// The search over candidate response times lives in BinaryScalingDriver
+// (core/binary_scaling.h).  This shell is its push-relabel kernel: each
+// probe retunes the sink capacities and *resumes* push-relabel from the
+// conserved flows; the driver snapshots the flow of every infeasible probe
+// and restores it after a feasible one, since that flow may overshoot the
+// smaller capacities probed next.  Flow monotonicity makes every conserved
+// state valid for every later probe.
 //
 // Worst case O(log|Q| * |Q|^3); much faster in practice thanks to flow
 // conservation (the property the paper's Figures 7-9 quantify).
@@ -22,9 +15,10 @@
 
 #include <functional>
 #include <memory>
+#include <vector>
 
+#include "core/binary_scaling.h"
 #include "core/engine.h"
-#include "core/increment.h"
 #include "core/network.h"
 #include "core/solver.h"
 
@@ -38,7 +32,7 @@ using EngineFactory = std::function<std::unique_ptr<IntegratedEngine>(
 /// Default factory: the sequential FIFO push-relabel engine.
 EngineFactory sequential_engine_factory(graph::PushRelabelOptions options = {});
 
-class PushRelabelBinarySolver {
+class PushRelabelBinarySolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   /// The engine is created lazily on the first solve and rebound (state
@@ -60,15 +54,21 @@ class PushRelabelBinarySolver {
 
   const RetrievalNetwork& network() const { return network_; }
 
-  /// Retained working-memory footprint (network + engine + snapshots).
+  /// Retained working-memory footprint (network + engine + snapshot +
+  /// candidate buffer).
   std::size_t retained_bytes() const;
 
  private:
+  void set_capacities_for_time(double t) override;
+  std::int64_t resume() override;
+  void save() override;
+  void restore() override;
+
   const RetrievalProblem* bound_problem_ = nullptr;
   RetrievalNetwork network_;
   EngineFactory factory_;
   std::unique_ptr<IntegratedEngine> engine_;
-  CapacityIncrementer incrementer_;
+  BinaryScalingDriver driver_;
   std::vector<graph::Cap> saved_flows_;
 };
 

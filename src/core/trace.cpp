@@ -1,5 +1,7 @@
 #include "core/trace.h"
 
+#include <cmath>
+#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -83,12 +85,26 @@ Trace read_trace(std::istream& in) {
     } else if (kind == "disk") {
       std::int64_t id = -1;
       std::string model;
-      double cost = 0, delay = 0, load = 0;
-      ls >> id >> model >> cost >> delay >> load;
+      std::string fields[3];  // cost, delay, load
+      ls >> id >> model >> fields[0] >> fields[1] >> fields[2];
       if (!ls || id < 0 || id >= expected_disks) return fail("bad disk line");
-      trace.system.cost_ms[id] = cost;
-      trace.system.delay_ms[id] = delay;
-      trace.system.init_load_ms[id] = load;
+      double values[3];
+      for (int i = 0; i < 3; ++i) {
+        // strtod (unlike operator>>) spells out nan and inf, and overflows
+        // to inf, so a non-finite parameter is named instead of reported as
+        // a generic parse failure.
+        char* end = nullptr;
+        values[i] = std::strtod(fields[i].c_str(), &end);
+        if (end == fields[i].c_str() || *end != '\0') {
+          return fail("bad disk line");
+        }
+        if (!std::isfinite(values[i])) {
+          return fail("non-finite disk parameter '" + fields[i] + "'");
+        }
+      }
+      trace.system.cost_ms[id] = values[0];
+      trace.system.delay_ms[id] = values[1];
+      trace.system.init_load_ms[id] = values[2];
       trace.system.model[id] = model;
       ++seen_disks;
     } else if (kind == "query") {

@@ -311,17 +311,26 @@ Cap ParallelPushRelabel::resume() {
   saturate_source_arcs();
   exact_heights();
   seed_queue();
-  // mo: relaxed — same prologue contract as above.
-  gr_state_.store(0, std::memory_order_relaxed);
-  gr_paused_.store(0, std::memory_order_relaxed);
-  gr_exited_.store(0, std::memory_order_relaxed);
-  relabels_since_gr_.store(0, std::memory_order_relaxed);
   gr_threshold_ = static_cast<std::uint64_t>(net_.num_vertices());
-
-  pool_.run([this](int index) {
-    t_worker_index = index;
-    worker();
-  });
+  // mo: relaxed — the loop condition reads the count single-threaded,
+  // after run() joined every worker.
+  while (active_count_.load(std::memory_order_relaxed) > 0) {
+    // mo: relaxed — same prologue contract as above.
+    gr_state_.store(0, std::memory_order_relaxed);
+    gr_paused_.store(0, std::memory_order_relaxed);
+    gr_exited_.store(0, std::memory_order_relaxed);
+    relabels_since_gr_.store(0, std::memory_order_relaxed);
+    pool_.run([this](int index) {
+      t_worker_index = index;
+      worker();
+    });
+    // A worker parks a vertex once it reads a height >= n, and a stale
+    // read can park excess that still has a residual path to the sink.
+    // With the workers joined, exact heights decide: rerun while any
+    // excess sits below height n, else the preflow is maximum.
+    exact_heights();
+    seed_queue();
+  }
 
   drain_stranded_excess();
 

@@ -1,5 +1,6 @@
 #include "workload/disks.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -67,6 +68,37 @@ bool SystemConfig::is_basic() const {
     }
   }
   return true;
+}
+
+std::int64_t SystemConfig::slots_within(std::int32_t disk, double t) const {
+  // completion_time is non-decreasing in k, so the admitted slots are the
+  // prefix 1..k.  The quotient (t - D - X) / C is almost always within one
+  // of k; bisection settles the rest (absorbed additions, overflow, inf).
+  const auto fits = [&](std::int64_t k) {
+    return k == 0 || completion_time(disk, k) <= t;
+  };
+  const double guess =
+      (t - (delay_ms[disk] + init_load_ms[disk])) / cost_ms[disk];
+  const std::int64_t start =
+      !(guess > 1.0) ? 1
+      : guess >= static_cast<double>(kMaxSlots)
+          ? kMaxSlots
+          : static_cast<std::int64_t>(guess);
+  std::int64_t lo = 0;              // fits
+  std::int64_t hi = kMaxSlots + 1;  // does not fit
+  for (std::int64_t k = std::max<std::int64_t>(start - 1, 1);
+       k <= std::min(start + 2, kMaxSlots); ++k) {
+    if (!fits(k)) {
+      hi = k;
+      break;
+    }
+    lo = k;
+  }
+  while (hi - lo > 1) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    (fits(mid) ? lo : hi) = mid;
+  }
+  return lo;
 }
 
 double sample_stepped(double lo, double hi, double step, repflow::Rng& rng) {

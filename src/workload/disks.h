@@ -62,6 +62,13 @@ struct SystemConfig {
     return delay_ms[disk] + init_load_ms[disk] +
            static_cast<double>(k) * cost_ms[disk];
   }
+  /// Largest k with completion_time(disk, k) <= t, at most kMaxSlots: the
+  /// sink capacity a candidate response time t grants disk j (paper
+  /// Algorithm 6 line 15).  Decided by completion_time() itself, so a probe
+  /// at any completion time admits that completion's slot.
+  std::int64_t slots_within(std::int32_t disk, double t) const;
+  /// Every k up to here converts to double exactly.
+  static constexpr std::int64_t kMaxSlots = std::int64_t{1} << 53;
   /// Basic problem check: equal costs, zero delays and loads everywhere.
   bool is_basic() const;
 };

@@ -10,14 +10,25 @@
 // Degenerate shapes get their own cases: empty query, single disk, all-equal
 // costs, and capacity schedules that start at zero (a disk whose delay or
 // initial load already exceeds small candidate times).
+//
+// The binary-scaling drivers (Algorithm 6's candidate search) are also held
+// to their termination argument: at most ceil(log2 #candidates) + 1 resumes
+// and no capacity steps, including on magnitudes (1e-300 next to 1e300)
+// where a real-valued bisection never narrows below its resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/schedule_invariants.h"
+#include "core/binary_scaling.h"
+#include "core/bipartite_matching.h"
 #include "core/brute_force.h"
+#include "core/ford_fulkerson_binary.h"
 #include "core/reference.h"
 #include "core/solve.h"
 #include "support/rng.h"
@@ -97,6 +108,71 @@ void expect_matches_oracle(const RetrievalProblem& problem, SolverKind kind,
   }
 }
 
+// --- Algorithm 6 candidate search ---------------------------------------
+
+/// ceil(log2 n) + 1 for the n completion times D_j + X_j + k*C_j
+/// (k <= min(in-degree_j, |Q|)) inside Algorithm 6's window; 0 when the
+/// query is empty.  Counted here from the definition, not by the driver.
+std::int64_t probe_bound(const RetrievalProblem& problem) {
+  const core::TimeBounds window = core::compute_time_bounds(problem);
+  const auto degree = problem.disk_in_degrees();
+  std::int64_t n = 0;
+  for (core::DiskId d = 0; d < problem.total_disks(); ++d) {
+    const std::int64_t k_max = std::min<std::int64_t>(
+        degree[static_cast<std::size_t>(d)], problem.query_size());
+    for (std::int64_t k = 1; k <= k_max; ++k) {
+      const double t = problem.completion_time(d, k);
+      if (t >= window.tmin && t <= window.tmax) ++n;
+    }
+  }
+  if (n == 0) return 0;
+  std::int64_t log2_ceil = 0;
+  while ((std::int64_t{1} << log2_ceil) < n) ++log2_ceil;
+  return log2_ceil + 1;
+}
+
+/// Every driver built on BinaryScalingDriver, labelled: alg6 on the
+/// sequential and both parallel engines, black box, FF-binary, and the
+/// matching kernel serial and parallel (pooled path forced).
+std::vector<std::pair<std::string, SolveResult>> binary_scaling_results(
+    const RetrievalProblem& problem) {
+  std::vector<std::pair<std::string, SolveResult>> out;
+  out.emplace_back("alg6",
+                   core::solve(problem, SolverKind::kPushRelabelBinary));
+  for (core::EngineKind engine : core::kAllEngineKinds) {
+    out.emplace_back(
+        std::string("parallel/") + core::engine_id(engine),
+        core::solve(problem, SolverKind::kParallelPushRelabelBinary,
+                    /*threads=*/2, engine));
+  }
+  out.emplace_back("blackbox",
+                   core::solve(problem, SolverKind::kBlackBoxBinary));
+  out.emplace_back("ff_binary",
+                   core::FordFulkersonBinarySolver(problem).solve());
+  out.emplace_back("matching",
+                   core::solve(problem, SolverKind::kIntegratedMatching));
+  core::IntegratedMatchingSolver parallel(core::MatchingEngine::kParallel,
+                                          /*threads=*/2);
+  parallel.set_parallel_cutoff(0);
+  SolveResult parallel_result;
+  parallel.solve_into(problem, parallel_result);
+  out.emplace_back("matching/parallel", std::move(parallel_result));
+  return out;
+}
+
+/// Hold every binary-scaling driver to the optimum `oracle_ms`, a valid
+/// schedule, the probe bound, and zero capacity steps.
+void expect_exact_search(const RetrievalProblem& problem, double oracle_ms) {
+  const std::int64_t bound = probe_bound(problem);
+  for (const auto& [label, result] : binary_scaling_results(problem)) {
+    EXPECT_DOUBLE_EQ(result.response_time_ms, oracle_ms) << label;
+    const auto report = analysis::check_solve_result(problem, result);
+    EXPECT_TRUE(report.ok()) << label << ": " << report.to_string();
+    EXPECT_LE(result.binary_probes, bound) << label;
+    EXPECT_EQ(result.capacity_steps, 0) << label;
+  }
+}
+
 TEST(DifferentialSolve, CatalogAgreesWithBruteForceOnBasicInstances) {
   Rng rng(20260807);
   for (int trial = 0; trial < 25; ++trial) {
@@ -110,6 +186,7 @@ TEST(DifferentialSolve, CatalogAgreesWithBruteForceOnBasicInstances) {
       expect_matches_oracle(problem, kind, oracle.response_time_ms,
                             "brute_force");
     }
+    expect_exact_search(problem, oracle.response_time_ms);
   }
 }
 
@@ -128,6 +205,7 @@ TEST(DifferentialSolve, CatalogAgreesWithOraclesOnGeneralizedInstances) {
       expect_matches_oracle(problem, kind, brute.response_time_ms,
                             "brute_force");
     }
+    expect_exact_search(problem, brute.response_time_ms);
   }
 }
 
@@ -143,6 +221,7 @@ TEST(DifferentialSolve, SingleDiskDegenerate) {
       expect_matches_oracle(problem, kind, oracle.response_time_ms,
                             "brute_force");
     }
+    expect_exact_search(problem, oracle.response_time_ms);
   }
 }
 
@@ -161,6 +240,7 @@ TEST(DifferentialSolve, AllEqualCostsManyReplicas) {
     expect_matches_oracle(problem, kind, oracle.response_time_ms,
                           "brute_force");
   }
+  expect_exact_search(problem, oracle.response_time_ms);
 }
 
 TEST(DifferentialSolve, ZeroStartingCapacityFromDelaysAndLoads) {
@@ -181,6 +261,7 @@ TEST(DifferentialSolve, ZeroStartingCapacityFromDelaysAndLoads) {
     expect_matches_oracle(problem, kind, oracle.response_time_ms,
                           "brute_force");
   }
+  expect_exact_search(problem, oracle.response_time_ms);
 }
 
 TEST(DifferentialSolve, MatchingKernelOnHighReplicationShapes) {
@@ -214,6 +295,7 @@ TEST(DifferentialSolve, MatchingKernelOnHighReplicationShapes) {
     const SolveResult oracle = core::BruteForceSolver(problem).solve();
     expect_matches_oracle(problem, SolverKind::kIntegratedMatching,
                           oracle.response_time_ms, "brute_force");
+    expect_exact_search(problem, oracle.response_time_ms);
   }
 }
 
@@ -245,6 +327,67 @@ TEST(DifferentialSolve, EmptyQueryDegenerate) {
     EXPECT_TRUE(report.ok())
         << core::solver_id(kind) << ": " << report.to_string();
   }
+  expect_exact_search(problem, 0.0);
+}
+
+/// Disk 0 is absurdly slow to start (X = 1e300) but absurdly fast per block
+/// (C = 1e-300): its completions all round to 1e300.  Disk 1 is a unit disk.
+RetrievalProblem extreme_magnitude_shell(std::int64_t buckets) {
+  RetrievalProblem p = basic_shell(2, buckets);
+  p.system.cost_ms = {1e-300, 1.0};
+  p.system.init_load_ms = {1e300, 0.0};
+  return p;
+}
+
+TEST(ExactSearch, ExtremeMagnitudesOnBothDisksTerminate) {
+  // A real-valued bisection down to min C = 1e-300 never ends here; the
+  // candidate search probes a handful of completion times.
+  RetrievalProblem problem = extreme_magnitude_shell(4);
+  for (auto& replica_set : problem.replicas) replica_set = {0, 1};
+  problem.validate();
+  const SolveResult oracle = core::BruteForceSolver(problem).solve();
+  EXPECT_DOUBLE_EQ(oracle.response_time_ms, 4.0);  // all four on disk 1
+  expect_exact_search(problem, 4.0);
+}
+
+TEST(ExactSearch, OptimumAtExtremeMagnitude) {
+  // Only the extreme disk holds replicas: T* = 1e300 + 4e-300 == 1e300.
+  // A probe at that candidate must admit its own slots on disk 0.
+  RetrievalProblem problem = extreme_magnitude_shell(4);
+  for (auto& replica_set : problem.replicas) replica_set = {0};
+  problem.validate();
+  const SolveResult brute = core::BruteForceSolver(problem).solve();
+  EXPECT_DOUBLE_EQ(brute.response_time_ms, 1e300);
+  EXPECT_DOUBLE_EQ(core::ReferenceSolver(problem).solve().response_time_ms,
+                   1e300);
+  expect_exact_search(problem, 1e300);
+}
+
+TEST(ExactSearch, OptimumAtTheOptimisticBound) {
+  // |Q| divisible by N on equal disks: T* = (|Q|/N) * C = tmin exactly, so
+  // the window has to be closed at tmin.
+  RetrievalProblem problem = basic_shell(3, 6);
+  for (auto& replica_set : problem.replicas) replica_set = {0, 1, 2};
+  problem.validate();
+  const SolveResult oracle = core::BruteForceSolver(problem).solve();
+  EXPECT_DOUBLE_EQ(oracle.response_time_ms, 2.0);
+  EXPECT_DOUBLE_EQ(core::compute_time_bounds(problem).tmin, 2.0);
+  expect_exact_search(problem, 2.0);
+}
+
+TEST(ExactSearch, OverflowingCompletionIsTheOptimum) {
+  // Two blocks at C = 1e308 complete at inf: a legal optimum that every
+  // solver must return instead of stepping forever for a cheaper slot.
+  RetrievalProblem problem = basic_shell(1, 2);
+  problem.system.cost_ms = {1e308};
+  for (auto& replica_set : problem.replicas) replica_set = {0};
+  problem.validate();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(core::BruteForceSolver(problem).solve().response_time_ms, inf);
+  for (SolverKind kind : kCatalog) {
+    expect_matches_oracle(problem, kind, inf, "overflow");
+  }
+  expect_exact_search(problem, inf);
 }
 
 }  // namespace

@@ -274,6 +274,18 @@ TEST(Trace, MalformedInputErrorsCarryLineNumbers) {
                      "line 4", "unknown line kind 'what'");
 }
 
+TEST(Trace, NonFiniteDiskParametersCarryLineNumbers) {
+  expect_trace_error(
+      "trace v1\nsystem 1 2\ndisk 0 M 1 0 0\ndisk 1 M nan 0 0\n", "line 4",
+      "non-finite disk parameter 'nan'");
+  expect_trace_error("trace v1\nsystem 1 1\ndisk 0 M 1 inf 0\n", "line 3",
+                     "non-finite disk parameter 'inf'");
+  expect_trace_error("trace v1\nsystem 1 1\ndisk 0 M 1 0 1e999\n", "line 3",
+                     "non-finite disk parameter '1e999'");
+  expect_trace_error("trace v1\nsystem 1 1\ndisk 0 M 1 0 1x\n", "line 3",
+                     "bad disk line");
+}
+
 // Compile-time exhaustiveness: solver_name/solver_id/solver_kind_from_id are
 // all generated from REPFLOW_SOLVER_CATALOG, so a SolverKind missing any of
 // its catalog entries fails these static_asserts (i.e. compilation, not a

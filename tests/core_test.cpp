@@ -3,6 +3,9 @@
 // and hand-checkable solver runs including the paper's Table II parameters.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/binary_scaling.h"
 #include "core/black_box.h"
 #include "core/ford_fulkerson_basic.h"
 #include "core/ford_fulkerson_incremental.h"
@@ -61,6 +64,34 @@ TEST(Problem, ValidationCatchesErrors) {
   p = tiny_problem();
   p.system.delay_ms[1] = -1.0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
+}
+
+TEST(Problem, ValidationRejectsNonFiniteParameters) {
+  // NaN compares false against every bound check, so it needs its own.
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  const auto inf = std::numeric_limits<double>::infinity();
+  RetrievalProblem p = tiny_problem();
+  p.system.cost_ms[0] = nan;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = tiny_problem();
+  p.system.delay_ms[1] = inf;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = tiny_problem();
+  p.system.init_load_ms[0] = inf;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+
+  // build_problem validates what it builds.
+  const auto rep = decluster::make_orthogonal(3, SiteMapping::kCopyPerSite);
+  const Query query = {0, 1, 2};
+  workload::SystemConfig sys = unit_system(6);
+  sys.cost_ms[2] = nan;
+  EXPECT_THROW(build_problem(rep, query, sys), std::invalid_argument);
+  sys = unit_system(6);
+  sys.delay_ms[2] = inf;
+  EXPECT_THROW(build_problem(rep, query, sys), std::invalid_argument);
+  sys = unit_system(6);
+  sys.init_load_ms[2] = inf;
+  EXPECT_THROW(build_problem(rep, query, sys), std::invalid_argument);
 }
 
 TEST(Problem, InDegrees) {
@@ -159,10 +190,9 @@ TEST(TimeBoundsTest, MatchesAlgorithmSixFormulas) {
   p.system.cost_ms = {2.0, 4.0};
   p.system.delay_ms = {1.0, 0.0};
   const TimeBounds b = compute_time_bounds(p);
-  // tmax = max(1 + 3*2, 0 + 3*4) = 12 ; tmin = min(1+1.5*2, 0+1.5*4) - 2 = 2.
+  // tmax = max(1 + 3*2, 0 + 3*4) = 12 ; tmin = min(1+1.5*2, 0+1.5*4) = 4.
   EXPECT_DOUBLE_EQ(b.tmax, 12.0);
-  EXPECT_DOUBLE_EQ(b.min_speed, 2.0);
-  EXPECT_DOUBLE_EQ(b.tmin, 2.0);
+  EXPECT_DOUBLE_EQ(b.tmin, 4.0);
 }
 
 TEST(ScheduleTest, ResponseTimeAndBottleneck) {

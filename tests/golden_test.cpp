@@ -103,8 +103,9 @@ TEST(Golden, PaperExampleQueryOnOrthogonalSevenGrid) {
 }
 
 TEST(Golden, CapacityFormulaPinned) {
-  // caps(t) = floor((t - D - X)/C): pin a handful of exact values so the
-  // formula (and its epsilon guard) cannot drift unnoticed.
+  // caps(t) = the slots k with D + X + k*C <= t, i.e. floor((t - D - X)/C)
+  // in exact arithmetic: pin a handful of values, including t exactly at a
+  // completion time, so the rule cannot drift unnoticed.
   core::RetrievalProblem p;
   p.system.num_sites = 1;
   p.system.disks_per_site = 1;

@@ -199,8 +199,20 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
   // allocation-free (histogram summaries are stack-only).
   auto run_kind = [&](SolverKind kind, core::EngineKind engine) {
     core::SolverPool pool(/*threads=*/1);
-    pool.set_engine_kind(engine);
     SolveResult result;
+    // kAuto picks per solve from live latency histograms, so its pick can
+    // change between passes: warm every concrete engine's shell first, so
+    // the steady-state pass is allocation-free whichever engine it picks.
+    if (kind == SolverKind::kParallelPushRelabelBinary &&
+        engine == core::EngineKind::kAuto) {
+      for (core::EngineKind concrete : core::kAllEngineKinds) {
+        pool.set_engine_kind(concrete);
+        for (const RetrievalProblem& problem : problems) {
+          pool.solve_into(problem, kind, result);
+        }
+      }
+    }
+    pool.set_engine_kind(engine);
     // Warm-up pass: the first solve of each problem builds the shell and
     // grows every buffer to the sequence's peak footprint.
     for (const RetrievalProblem& problem : problems) {
@@ -238,8 +250,17 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
   // seam: the pinned-parallel slot must also run allocation-free once warm.
   auto run_matching_engine = [&](core::MatchingEngine engine) {
     core::SolverPool pool(/*threads=*/2);
-    pool.set_matching_engine(engine);
     SolveResult result;
+    // Same histogram-driven kAuto as above: warm both engines' shells.
+    if (engine == core::MatchingEngine::kAuto) {
+      for (core::MatchingEngine concrete : core::kAllMatchingEngines) {
+        pool.set_matching_engine(concrete);
+        for (const RetrievalProblem& problem : problems) {
+          pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
+        }
+      }
+    }
+    pool.set_matching_engine(engine);
     for (const RetrievalProblem& problem : problems) {
       pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
     }
