@@ -92,7 +92,7 @@ double time_solve_ms(const core::RetrievalProblem& problem,
                      core::SolverKind kind, int threads,
                      double* response_ms = nullptr,
                      core::SolveResult* result_out = nullptr,
-                     core::EngineKind engine = core::EngineKind::kAuto);
+                     core::EngineKind engine = core::EngineKind::kRound);
 
 /// Standard header line printed by every bench binary.
 void print_banner(const std::string& title, const SweepConfig& config);

@@ -7,10 +7,7 @@
 //   * Algorithm 6 (push-relabel with binary capacity scaling),
 //   * the black-box binary-search baseline,
 //   * Ford-Fulkerson with binary capacity scaling,
-//   * the Hopcroft-Karp b-matching kernel (kIntegratedMatching),
-//   * the parallel matching phase engine (MatchingEngine::kParallel with
-//     the pooled path forced), held to bit-identity with the serial kernel
-//     — schedule and counters, not just the optimum — and
+//   * the Hopcroft-Karp b-matching kernel (kIntegratedMatching), and
 //   * the ReferenceSolver oracle (candidate enumeration + Edmonds-Karp).
 //
 // Some inputs decode C/D/X from raw 8-byte doubles, reaching NaN, the
@@ -35,7 +32,6 @@
 
 #include "analysis/schedule_invariants.h"
 #include "core/binary_scaling.h"
-#include "core/bipartite_matching.h"
 #include "core/ford_fulkerson_binary.h"
 #include "core/problem.h"
 #include "core/reference.h"
@@ -153,42 +149,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       repflow::core::solve(problem, SolverKind::kIntegratedMatching);
   const SolveResult oracle = repflow::core::ReferenceSolver(problem).solve();
 
-  // Parallel phase engine, pooled path forced (cutoff 0) so even one-root
-  // phases run the speculation + ordered-commit machinery.  Two workers
-  // keep the smoke loop fast; bit-identity is thread-count independent.
-  repflow::core::IntegratedMatchingSolver parallel_solver(
-      repflow::core::MatchingEngine::kParallel, /*threads=*/2);
-  parallel_solver.set_parallel_cutoff(0);
-  SolveResult matching_parallel;
-  parallel_solver.solve_into(problem, matching_parallel);
-
   check_result(problem, alg2, "alg2_ff_incremental");
   check_result(problem, alg6, "alg6_pr_binary");
   check_result(problem, blackbox, "blackbox_binary");
   check_result(problem, ff_binary, "ff_binary");
   check_result(problem, matching, "matching_hk");
-  check_result(problem, matching_parallel, "matching_hk_parallel");
-
-  if (matching_parallel.response_time_ms != matching.response_time_ms ||
-      matching_parallel.schedule.assigned_disk !=
-          matching.schedule.assigned_disk ||
-      matching_parallel.binary_probes != matching.binary_probes ||
-      matching_parallel.capacity_steps != matching.capacity_steps ||
-      matching_parallel.flow_stats.augmentations !=
-          matching.flow_stats.augmentations ||
-      matching_parallel.flow_stats.dfs_visits !=
-          matching.flow_stats.dfs_visits ||
-      matching_parallel.flow_stats.global_relabels !=
-          matching.flow_stats.global_relabels) {
-    die(problem, "parallel matching engine diverged from serial kernel",
-        "serial T=" + std::to_string(matching.response_time_ms) +
-            " parallel T=" +
-            std::to_string(matching_parallel.response_time_ms) +
-            " serial visits=" +
-            std::to_string(matching.flow_stats.dfs_visits) +
-            " parallel visits=" +
-            std::to_string(matching_parallel.flow_stats.dfs_visits));
-  }
 
   const double expected = oracle.response_time_ms;
   if (std::isnan(expected)) die(problem, "oracle returned NaN", "");

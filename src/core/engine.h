@@ -15,16 +15,14 @@ namespace repflow::core {
 
 /// Which multithreaded engine backs kParallelPushRelabelBinary.  The seam
 /// mirrors SolverKind one level down: callers pin an engine the same way
-/// they pin a solver, and kAuto defers to the measured `engine.<id>.solve_ms`
-/// histograms (see resolve_engine_kind in solver_pool.h).
+/// they pin a solver.  kRound is the default everywhere: it beat kHongHe at
+/// every measured width (docs/PERFORMANCE.md).
 enum class EngineKind {
   kHongHe,  ///< asynchronous lock-free push-relabel (Hong & He 2011)
   kRound,   ///< bulk-synchronous round-based push-relabel (WHFC-style)
-  kAuto,    ///< histogram-driven choice between the two
 };
 
-/// Every concrete engine, in declaration order (kAuto is a selection policy,
-/// not an engine, so it is deliberately absent).
+/// Every engine, in declaration order.
 inline constexpr EngineKind kAllEngineKinds[] = {EngineKind::kHongHe,
                                                  EngineKind::kRound};
 
@@ -35,8 +33,6 @@ constexpr const char* engine_id(EngineKind kind) {
       return "hong_he";
     case EngineKind::kRound:
       return "round";
-    case EngineKind::kAuto:
-      return "auto";
   }
   return "?";
 }
@@ -45,47 +41,6 @@ constexpr const char* engine_id(EngineKind kind) {
 constexpr std::optional<EngineKind> engine_kind_from_id(std::string_view id) {
   if (id == "hong_he") return EngineKind::kHongHe;
   if (id == "round") return EngineKind::kRound;
-  if (id == "auto") return EngineKind::kAuto;
-  return std::nullopt;
-}
-
-/// Which phase engine backs the Hopcroft-Karp kernel of
-/// kIntegratedMatching.  Same seam shape as EngineKind one tier over:
-/// kSerial and kParallel pin a concrete kernel, kAuto defers to the
-/// measured `matching.<id>.phase_ms` histograms (see
-/// resolve_matching_engine in solver_pool.h).  The parallel kernel is
-/// bit-identical to the serial one — same matching, same schedule, same
-/// counter values — so the choice is purely a latency knob.
-enum class MatchingEngine {
-  kSerial,    ///< the sequential Hopcroft-Karp kernel (PR-4 fast path)
-  kParallel,  ///< bulk-synchronous BFS + speculative batched augmentation
-  kAuto,      ///< histogram-driven choice between the two
-};
-
-/// Every concrete matching engine, in declaration order (kAuto is a
-/// selection policy, not an engine, so it is deliberately absent).
-inline constexpr MatchingEngine kAllMatchingEngines[] = {
-    MatchingEngine::kSerial, MatchingEngine::kParallel};
-
-/// Short stable identifier (metric names, CLI flags, bench labels).
-constexpr const char* matching_engine_id(MatchingEngine engine) {
-  switch (engine) {
-    case MatchingEngine::kSerial:
-      return "serial";
-    case MatchingEngine::kParallel:
-      return "parallel";
-    case MatchingEngine::kAuto:
-      return "auto";
-  }
-  return "?";
-}
-
-/// Inverse of matching_engine_id() for CLI parsing; nullopt for unknown ids.
-constexpr std::optional<MatchingEngine> matching_engine_from_id(
-    std::string_view id) {
-  if (id == "serial") return MatchingEngine::kSerial;
-  if (id == "parallel") return MatchingEngine::kParallel;
-  if (id == "auto") return MatchingEngine::kAuto;
   return std::nullopt;
 }
 

@@ -71,48 +71,20 @@ SolverKind select_by_degree(const RetrievalProblem& problem,
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
     : policy_(policy), pool_(policy.threads) {
   pool_.set_engine_kind(policy.engine);
-  pool_.set_matching_engine(policy.matching_engine);
 }
 
 void ExecutionContext::set_policy(const ExecutionPolicy& policy) {
   policy_ = policy;
   pool_.set_threads(policy.threads);  // no-op unless the count changed
   pool_.set_engine_kind(policy.engine);
-  pool_.set_matching_engine(policy.matching_engine);
 }
 
 SolverKind ExecutionContext::select(const RetrievalProblem& problem) {
-  obs::PolicyInstruments& pi = obs::PolicyInstruments::global();
-  pi.decisions.add(1);
-  const SolverKind kind = [&]() -> SolverKind {
-    switch (policy_.mode) {
-      case SelectionMode::kPinned:
-        return policy_.pinned_kind;
-      case SelectionMode::kFixedThreshold:
-        return select_by_degree(problem, policy_.degree_threshold);
-      case SelectionMode::kHistogram: {
-        // The adaptive choice space is {matching, alg6} (the same two kinds
-        // the degree threshold arbitrates).  Once both solve-time histograms
-        // carry enough observations, the measured means replace the
-        // hard-coded cutover: the kind that has actually been faster on this
-        // workload wins.  In REPFLOW_OBS_DISABLED builds the histograms stay
-        // empty, so this mode permanently falls back to the threshold.
-        const obs::HistogramSummary matching =
-            metrics_for(SolverKind::kIntegratedMatching).solve_ms.summary();
-        const obs::HistogramSummary flow =
-            metrics_for(SolverKind::kPushRelabelBinary).solve_ms.summary();
-        if (matching.count >= policy_.min_samples &&
-            flow.count >= policy_.min_samples) {
-          pi.histogram_picks.add(1);
-          return matching.mean <= flow.mean ? SolverKind::kIntegratedMatching
-                                            : SolverKind::kPushRelabelBinary;
-        }
-        pi.histogram_fallbacks.add(1);
-        return select_by_degree(problem, policy_.degree_threshold);
-      }
-    }
-    throw std::logic_error("ExecutionContext::select: unknown selection mode");
-  }();
+  obs::PolicyInstruments::global().decisions.add(1);
+  const SolverKind kind =
+      policy_.mode == SelectionMode::kPinned
+          ? policy_.pinned_kind
+          : select_by_degree(problem, policy_.degree_threshold);
   // Tag the decision onto the ambient query's flight chain (id 0 = no query
   // in flight, e.g. facade solves outside any serving loop).
   const obs::ActiveQuery active = obs::QueryScope::current();

@@ -2,18 +2,13 @@
 // public entry point (the solve() facade, QueryStreamScheduler, BatchSolver,
 // IncrementalQuerySession) reaches the solver catalog.
 //
-// Before this layer existed, solver-kind, thread-count, and adaptive-
-// selection knobs were scattered over four entry points (SolveOptions,
-// BatchOptions, the stream scheduler's constructor, the facade's
-// thread_local pool).  ExecutionPolicy collapses them into one value type,
-// and ExecutionContext owns the machinery every caller needs anyway: the
-// warm SolverPool, a reusable scratch SolveResult, and the policy that maps
-// a problem to a catalog kind.  Serving-loop features (admission control in
-// QueryRouter, histogram-driven selection) are implemented once, here,
-// instead of once per entry point.
+// ExecutionPolicy is the one value type for solver-kind, thread-count and
+// selection knobs, and ExecutionContext owns the machinery every caller
+// needs anyway: the warm SolverPool, a reusable scratch SolveResult, and
+// the policy that maps a problem to a catalog kind.  Serving-loop features
+// (admission control in QueryRouter, solver selection) are implemented
+// once, here, instead of once per entry point.
 #pragma once
-
-#include <cstdint>
 
 #include "core/incremental_session.h"
 #include "core/problem.h"
@@ -26,8 +21,6 @@ namespace repflow::core {
 enum class SelectionMode {
   kPinned,          ///< always `pinned_kind`
   kFixedThreshold,  ///< avg replica degree <= threshold -> matching kernel
-  kHistogram,       ///< per-kind solve-time histograms decide; threshold
-                    ///< fallback until both kinds have `min_samples`
 };
 
 /// Solver selection + execution knobs for one serving context.  A plain
@@ -37,26 +30,16 @@ struct ExecutionPolicy {
   SelectionMode mode = SelectionMode::kFixedThreshold;
   /// The kind used by kPinned mode (ignored otherwise).
   SolverKind pinned_kind = SolverKind::kPushRelabelBinary;
-  /// kFixedThreshold cutover (also the kHistogram fallback): instances with
-  /// average replica degree <= this run the Hopcroft-Karp matching kernel,
-  /// denser ones the integrated push-relabel driver.
+  /// kFixedThreshold cutover: instances with average replica degree <= this
+  /// run the Hopcroft-Karp matching kernel, denser ones the integrated
+  /// push-relabel driver.
   double degree_threshold = 16.0;
-  /// kHistogram: observations each candidate kind's `solver.<id>.solve_ms`
-  /// histogram needs before the measured means replace the threshold.
-  std::uint64_t min_samples = 64;
   /// Worker count for kParallelPushRelabelBinary (ignored by the
   /// sequential kinds; must be >= 1).
   int threads = 2;
   /// Which parallel engine kParallelPushRelabelBinary runs (ignored by the
-  /// sequential kinds).  kAuto re-resolves per solve against the
-  /// `engine.<id>.solve_ms` histograms (see core::resolve_engine_kind);
-  /// pinning kHongHe or kRound skips resolution.
-  EngineKind engine = EngineKind::kAuto;
-  /// Which phase engine kIntegratedMatching runs (ignored by the flow
-  /// kinds).  kAuto re-resolves per solve against the
-  /// `matching.<id>.phase_ms` histograms (see core::resolve_matching_engine);
-  /// pinning kSerial or kParallel skips resolution.
-  MatchingEngine matching_engine = MatchingEngine::kAuto;
+  /// sequential kinds).
+  EngineKind engine = EngineKind::kRound;
 
   static ExecutionPolicy pinned(SolverKind kind, int threads = 2) {
     ExecutionPolicy p;
@@ -73,18 +56,10 @@ struct ExecutionPolicy {
     p.threads = threads;
     return p;
   }
-  static ExecutionPolicy histogram_driven(std::uint64_t min_samples = 64,
-                                          int threads = 2) {
-    ExecutionPolicy p;
-    p.mode = SelectionMode::kHistogram;
-    p.min_samples = min_samples;
-    p.threads = threads;
-    return p;
-  }
 };
 
 /// The fixed-threshold selection rule shared by choose_solver() and the
-/// adaptive policy modes: low average replica degree -> matching kernel,
+/// adaptive policy mode: low average replica degree -> matching kernel,
 /// dense instances -> integrated push-relabel (see solve.h for rationale).
 SolverKind select_by_degree(const RetrievalProblem& problem,
                             double degree_threshold);

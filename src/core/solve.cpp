@@ -14,14 +14,6 @@ SolverKind choose_solver(const RetrievalProblem& problem) {
   return select_by_degree(problem, 16.0);
 }
 
-EngineKind choose_engine(EngineKind requested) {
-  return resolve_engine_kind(requested);
-}
-
-MatchingEngine choose_matching_engine(MatchingEngine requested) {
-  return resolve_matching_engine(requested);
-}
-
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
                   int threads, EngineKind engine) {
   ExecutionContext& context = thread_execution_context();
@@ -30,11 +22,6 @@ SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
   SolveResult result;
   context.solve_into(problem, kind, result);
   return result;
-}
-
-SolveResult solve(const RetrievalProblem& problem,
-                  const SolveOptions& options) {
-  return solve(problem, options.policy());
 }
 
 SolveResult solve(const RetrievalProblem& problem,

@@ -5,39 +5,11 @@
 // incremental sessions run on.
 #pragma once
 
-#include <optional>
-
 #include "core/execution.h"
 #include "core/problem.h"
 #include "core/solver.h"
 
 namespace repflow::core {
-
-/// Facade options.  Leaving `kind` unset picks the solver adaptively from
-/// the problem's shape (see choose_solver); setting it pins one catalog
-/// kind.  `threads` only matters for kParallelPushRelabelBinary (ignored
-/// otherwise, must be >= 1).  For richer control (histogram-driven
-/// selection, custom thresholds) pass an ExecutionPolicy instead.
-struct SolveOptions {
-  std::optional<SolverKind> kind;
-  int threads = 2;
-  /// Parallel engine for kParallelPushRelabelBinary (ignored otherwise).
-  /// kAuto picks per solve off the `engine.<id>.solve_ms` histograms.
-  EngineKind engine = EngineKind::kAuto;
-  /// Phase engine for kIntegratedMatching (ignored otherwise).  kAuto picks
-  /// per solve off the `matching.<id>.phase_ms` histograms.
-  MatchingEngine matching_engine = MatchingEngine::kAuto;
-
-  /// The ExecutionPolicy these options denote: pinned when `kind` is set,
-  /// the default fixed-threshold adaptive policy otherwise.
-  ExecutionPolicy policy() const {
-    ExecutionPolicy p = kind ? ExecutionPolicy::pinned(*kind, threads)
-                             : ExecutionPolicy::adaptive(16.0, threads);
-    p.engine = engine;
-    p.matching_engine = matching_engine;
-    return p;
-  }
-};
 
 /// The adaptive selection policy: every retrieval network is a bipartite
 /// b-matching, and the Hopcroft-Karp kernel wins whenever the bucket->disk
@@ -49,32 +21,15 @@ struct SolveOptions {
 /// Equivalent to select_by_degree(problem, 16.0).
 SolverKind choose_solver(const RetrievalProblem& problem);
 
-/// The adaptive engine choice behind EngineKind::kAuto: resolve `requested`
-/// to a concrete parallel engine off the `engine.<id>.solve_ms` latency
-/// histograms (lower observed mean wins once both engines are warmed up;
-/// kRound until then).  Equivalent to resolve_engine_kind(requested).
-EngineKind choose_engine(EngineKind requested = EngineKind::kAuto);
-
-/// The adaptive matching-engine choice behind MatchingEngine::kAuto:
-/// resolve `requested` to a concrete Hopcroft-Karp phase engine off the
-/// `matching.<id>.phase_ms` latency histograms (lower observed mean wins
-/// once both kernels are warmed up; kSerial until then).  Equivalent to
-/// resolve_matching_engine(requested).
-MatchingEngine choose_matching_engine(
-    MatchingEngine requested = MatchingEngine::kAuto);
-
 /// Solve `problem` with the chosen algorithm.  `threads` and `engine` only
 /// matter for kParallelPushRelabelBinary (ignored otherwise; threads must
 /// be >= 1).
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
-                  int threads = 2, EngineKind engine = EngineKind::kAuto);
+                  int threads = 2, EngineKind engine = EngineKind::kRound);
 
-/// Options form: `solve(p, {})` runs the adaptive policy.
-SolveResult solve(const RetrievalProblem& problem,
-                  const SolveOptions& options);
-
-/// Policy form: run under an explicit ExecutionPolicy (pinned, threshold-
-/// adaptive, or histogram-driven) on the calling thread's context.
+/// Policy form: run under an explicit ExecutionPolicy (pinned or threshold-
+/// adaptive) on the calling thread's context.  `solve(p, ExecutionPolicy{})`
+/// runs the adaptive policy.
 SolveResult solve(const RetrievalProblem& problem,
                   const ExecutionPolicy& policy);
 

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "parallel/parallel_engine.h"
-#include "support/timing.h"
 
 namespace repflow::core {
 
@@ -27,43 +26,6 @@ PoolMetrics& pool_metrics() {
   return metrics;
 }
 
-// Per-engine observability for the parallel kind: the solve-latency
-// histogram doubles as the kAuto decision input (resolve_engine_kind), so
-// running either engine automatically trains the selector.
-struct EngineMetrics {
-  obs::Histogram& solve_ms;
-  obs::Counter& solves;
-};
-
-EngineMetrics& engine_metrics(EngineKind kind) {
-  static EngineMetrics hong_he{
-      obs::Registry::global().histogram("engine.hong_he.solve_ms"),
-      obs::Registry::global().counter("engine.hong_he.solves")};
-  static EngineMetrics round{
-      obs::Registry::global().histogram("engine.round.solve_ms"),
-      obs::Registry::global().counter("engine.round.solves")};
-  return kind == EngineKind::kRound ? round : hong_he;
-}
-
-// Same shape for the matching engines.  The phase-latency histogram is
-// observed inside the kernel (every Hopcroft-Karp phase, whichever engine
-// ran it), so each solve trains the kAuto selector with several samples;
-// the pool only counts solves per engine here.
-struct MatchingEngineMetrics {
-  obs::Histogram& phase_ms;
-  obs::Counter& solves;
-};
-
-MatchingEngineMetrics& matching_engine_metrics(MatchingEngine engine) {
-  static MatchingEngineMetrics serial{
-      obs::Registry::global().histogram("matching.serial.phase_ms"),
-      obs::Registry::global().counter("matching.serial.solves")};
-  static MatchingEngineMetrics parallel{
-      obs::Registry::global().histogram("matching.parallel.phase_ms"),
-      obs::Registry::global().counter("matching.parallel.solves")};
-  return engine == MatchingEngine::kParallel ? parallel : serial;
-}
-
 // Slot accessor: construct on first use (a rebuild), reuse afterwards.
 template <typename T, typename... Args>
 T& slot(std::unique_ptr<T>& shell, Args&&... args) {
@@ -77,34 +39,6 @@ T& slot(std::unique_ptr<T>& shell, Args&&... args) {
 }
 
 }  // namespace
-
-EngineKind resolve_engine_kind(EngineKind requested,
-                               std::uint64_t min_samples) {
-  if (requested != EngineKind::kAuto) return requested;
-  const obs::HistogramSummary hong_he =
-      engine_metrics(EngineKind::kHongHe).solve_ms.summary();
-  const obs::HistogramSummary round =
-      engine_metrics(EngineKind::kRound).solve_ms.summary();
-  if (hong_he.count >= min_samples && round.count >= min_samples) {
-    return hong_he.mean < round.mean ? EngineKind::kHongHe
-                                     : EngineKind::kRound;
-  }
-  return EngineKind::kRound;
-}
-
-MatchingEngine resolve_matching_engine(MatchingEngine requested,
-                                       std::uint64_t min_samples) {
-  if (requested != MatchingEngine::kAuto) return requested;
-  const obs::HistogramSummary serial =
-      matching_engine_metrics(MatchingEngine::kSerial).phase_ms.summary();
-  const obs::HistogramSummary parallel =
-      matching_engine_metrics(MatchingEngine::kParallel).phase_ms.summary();
-  if (serial.count >= min_samples && parallel.count >= min_samples) {
-    return serial.mean <= parallel.mean ? MatchingEngine::kSerial
-                                        : MatchingEngine::kParallel;
-  }
-  return MatchingEngine::kSerial;
-}
 
 SolverPool::SolverPool(int threads) : threads_(threads) {
   if (threads < 1) {
@@ -123,7 +57,6 @@ void SolverPool::set_threads(int threads) {
   // Rebuilt with the new worker count on next use.
   parallel_hong_he_.reset();
   parallel_round_.reset();
-  matching_parallel_.reset();
 }
 
 void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
@@ -145,9 +78,9 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
       slot(black_box_).solve_into(problem, result);
       break;
     case SolverKind::kParallelPushRelabelBinary: {
-      const EngineKind engine = resolve_engine_kind(engine_kind_);
       std::unique_ptr<PushRelabelBinarySolver>& shell =
-          engine == EngineKind::kRound ? parallel_round_ : parallel_hong_he_;
+          engine_kind_ == EngineKind::kRound ? parallel_round_
+                                             : parallel_hong_he_;
       // Not slot(): the factory argument must only be built when the slot
       // is actually constructed, or every reuse hit would re-create a
       // std::function.
@@ -156,31 +89,14 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
       } else {
         pool_metrics().rebuilds.add(1);
         shell = std::make_unique<PushRelabelBinarySolver>(
-            parallel::parallel_engine_factory(threads_, engine));
-      }
-      EngineMetrics& metrics = engine_metrics(engine);
-      StopWatch watch;
-      watch.start();
-      shell->solve_into(problem, result);
-      watch.stop();
-      metrics.solve_ms.observe(watch.elapsed_ms());
-      metrics.solves.add(1);
-      break;
-    }
-    case SolverKind::kIntegratedMatching: {
-      const MatchingEngine engine = resolve_matching_engine(matching_engine_);
-      std::unique_ptr<IntegratedMatchingSolver>& shell =
-          engine == MatchingEngine::kParallel ? matching_parallel_ : matching_;
-      if (shell) {
-        pool_metrics().reuse_hits.add(1);
-      } else {
-        pool_metrics().rebuilds.add(1);
-        shell = std::make_unique<IntegratedMatchingSolver>(engine, threads_);
+            parallel::parallel_engine_factory(threads_, engine_kind_));
       }
       shell->solve_into(problem, result);
-      matching_engine_metrics(engine).solves.add(1);
       break;
     }
+    case SolverKind::kIntegratedMatching:
+      slot(matching_).solve_into(problem, result);
+      break;
   }
   pool_metrics().retained_bytes.set(static_cast<double>(retained_bytes()));
 }
@@ -202,7 +118,6 @@ std::size_t SolverPool::retained_bytes() const {
   if (parallel_hong_he_) total += parallel_hong_he_->retained_bytes();
   if (parallel_round_) total += parallel_round_->retained_bytes();
   if (matching_) total += matching_->retained_bytes();
-  if (matching_parallel_) total += matching_parallel_->retained_bytes();
   return total;
 }
 

@@ -10,18 +10,13 @@
 // The parallel kind fans out into two slots behind the EngineKind seam
 // (core/engine.h): the asynchronous Hong & He engine and the bulk-
 // synchronous round engine each keep their own warm shell, so switching
-// kinds — or letting kAuto flip between them as latency histograms fill —
-// never rebuilds the other's retained state.  kIntegratedMatching fans out
-// the same way behind the MatchingEngine seam: serial and parallel kernels
-// each keep a warm shell, with kAuto trained off the per-phase
-// `matching.<id>.phase_ms` histograms.
+// engines never rebuilds the other's retained state.
 //
 // Not thread-safe: use one pool per thread (the facade keeps a
 // thread_local pool; BatchSolver gives each worker its own).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 
 #include "core/bipartite_matching.h"
@@ -35,29 +30,6 @@
 #include "core/solver.h"
 
 namespace repflow::core {
-
-/// Resolve a requested engine kind to a concrete one.  kHongHe / kRound
-/// pass through unchanged; kAuto consults the `engine.<id>.solve_ms`
-/// latency histograms and picks the engine with the lower observed mean
-/// once both carry at least `min_samples` observations.  Until then (and
-/// permanently in REPFLOW_OBS_DISABLED builds, where the histograms stay
-/// empty) kAuto falls back to kRound: the round engine's barrier
-/// scheduling degrades gracefully when workers outnumber cores, where the
-/// asynchronous engine burns cycles spin-yielding on its work queue.
-EngineKind resolve_engine_kind(EngineKind requested,
-                               std::uint64_t min_samples = 32);
-
-/// Resolve a requested matching engine to a concrete one — the same policy
-/// one tier over: kSerial / kParallel pass through unchanged; kAuto
-/// consults the `matching.<id>.phase_ms` latency histograms (observed per
-/// Hopcroft-Karp phase by whichever engine ran it) and picks the engine
-/// with the lower observed mean once both carry at least `min_samples`
-/// phases.  Until then (and permanently in REPFLOW_OBS_DISABLED builds)
-/// kAuto falls back to kSerial: the serial kernel has no barrier or
-/// speculation overhead, so it is the safe default until the parallel
-/// engine has proven itself on this workload.
-MatchingEngine resolve_matching_engine(MatchingEngine requested,
-                                       std::uint64_t min_samples = 32);
 
 class SolverPool {
  public:
@@ -84,22 +56,11 @@ class SolverPool {
   void set_threads(int threads);
   int threads() const { return threads_; }
 
-  /// Which parallel engine kParallelPushRelabelBinary runs.  kAuto (the
-  /// default) re-resolves against the latency histograms on every solve;
-  /// pinning a concrete kind skips resolution.  Both engines keep their
-  /// own warm slot, so flipping kinds never drops retained buffers.
+  /// Which parallel engine kParallelPushRelabelBinary runs (kRound by
+  /// default).  Both engines keep their own warm slot, so flipping kinds
+  /// never drops retained buffers.
   void set_engine_kind(EngineKind kind) { engine_kind_ = kind; }
   EngineKind engine_kind() const { return engine_kind_; }
-
-  /// Which phase engine kIntegratedMatching runs.  kAuto (the default)
-  /// re-resolves against the `matching.<id>.phase_ms` histograms on every
-  /// solve; pinning a concrete engine skips resolution.  Serial and
-  /// parallel keep separate warm slots, so flipping engines never drops
-  /// retained matching state.
-  void set_matching_engine(MatchingEngine engine) {
-    matching_engine_ = engine;
-  }
-  MatchingEngine matching_engine() const { return matching_engine_; }
 
   /// Total retained working-memory footprint across live slots (also
   /// published as the `workspace.retained_bytes` gauge after each solve).
@@ -107,8 +68,7 @@ class SolverPool {
 
  private:
   int threads_;
-  EngineKind engine_kind_ = EngineKind::kAuto;
-  MatchingEngine matching_engine_ = MatchingEngine::kAuto;
+  EngineKind engine_kind_ = EngineKind::kRound;
   std::unique_ptr<FordFulkersonBasicSolver> ff_basic_;
   std::unique_ptr<FordFulkersonIncrementalSolver> ff_incremental_;
   std::unique_ptr<PushRelabelIncrementalSolver> pr_incremental_;
@@ -117,7 +77,6 @@ class SolverPool {
   std::unique_ptr<PushRelabelBinarySolver> parallel_hong_he_;
   std::unique_ptr<PushRelabelBinarySolver> parallel_round_;
   std::unique_ptr<IntegratedMatchingSolver> matching_;
-  std::unique_ptr<IntegratedMatchingSolver> matching_parallel_;
 };
 
 }  // namespace repflow::core

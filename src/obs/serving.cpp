@@ -4,9 +4,7 @@ namespace repflow::obs {
 
 PolicyInstruments& PolicyInstruments::global() {
   static PolicyInstruments instruments{
-      Registry::global().counter("policy.decisions"),
-      Registry::global().counter("policy.histogram_fallbacks"),
-      Registry::global().counter("policy.histogram_picks")};
+      Registry::global().counter("policy.decisions")};
   return instruments;
 }
 

@@ -26,12 +26,8 @@ core::EngineFactory parallel_engine_factory(int threads,
                  -> std::unique_ptr<core::IntegratedEngine> {
         return std::make_unique<RoundEngine>(net, source, sink, threads);
       };
-    case core::EngineKind::kAuto:
-      break;
   }
-  throw std::invalid_argument(
-      "parallel_engine_factory: kAuto must be resolved to a concrete "
-      "engine before building a factory");
+  throw std::invalid_argument("parallel_engine_factory: unknown engine kind");
 }
 
 }  // namespace repflow::parallel

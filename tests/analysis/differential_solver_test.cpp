@@ -26,7 +26,6 @@
 
 #include "analysis/schedule_invariants.h"
 #include "core/binary_scaling.h"
-#include "core/bipartite_matching.h"
 #include "core/brute_force.h"
 #include "core/ford_fulkerson_binary.h"
 #include "core/reference.h"
@@ -133,7 +132,7 @@ std::int64_t probe_bound(const RetrievalProblem& problem) {
 
 /// Every driver built on BinaryScalingDriver, labelled: alg6 on the
 /// sequential and both parallel engines, black box, FF-binary, and the
-/// matching kernel serial and parallel (pooled path forced).
+/// matching kernel.
 std::vector<std::pair<std::string, SolveResult>> binary_scaling_results(
     const RetrievalProblem& problem) {
   std::vector<std::pair<std::string, SolveResult>> out;
@@ -151,12 +150,6 @@ std::vector<std::pair<std::string, SolveResult>> binary_scaling_results(
                    core::FordFulkersonBinarySolver(problem).solve());
   out.emplace_back("matching",
                    core::solve(problem, SolverKind::kIntegratedMatching));
-  core::IntegratedMatchingSolver parallel(core::MatchingEngine::kParallel,
-                                          /*threads=*/2);
-  parallel.set_parallel_cutoff(0);
-  SolveResult parallel_result;
-  parallel.solve_into(problem, parallel_result);
-  out.emplace_back("matching/parallel", std::move(parallel_result));
   return out;
 }
 
@@ -300,8 +293,8 @@ TEST(DifferentialSolve, MatchingKernelOnHighReplicationShapes) {
 }
 
 TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
-  // solve(problem, {}) routes through choose_solver(); whatever kind the
-  // policy picks must deliver the oracle optimum.
+  // solve(problem, ExecutionPolicy{}) routes through choose_solver();
+  // whatever kind the policy picks must deliver the oracle optimum.
   Rng rng(424242);
   for (int trial = 0; trial < 15; ++trial) {
     const auto disks = static_cast<std::int32_t>(2 + rng.below(4));
@@ -309,7 +302,7 @@ TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
     const RetrievalProblem problem =
         random_general_problem(disks, buckets, rng);
     const SolveResult oracle = core::BruteForceSolver(problem).solve();
-    const SolveResult adaptive = core::solve(problem, core::SolveOptions{});
+    const SolveResult adaptive = core::solve(problem, core::ExecutionPolicy{});
     EXPECT_DOUBLE_EQ(adaptive.response_time_ms, oracle.response_time_ms)
         << "adaptive picked " << core::solver_id(core::choose_solver(problem));
     const auto report = analysis::check_solve_result(problem, adaptive);

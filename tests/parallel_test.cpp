@@ -284,9 +284,6 @@ TEST(RoundEngineConfig, RejectsBadArguments) {
   EXPECT_THROW(RoundPushRelabel(net, 0, 0, 1), std::invalid_argument);
   EXPECT_THROW(parallel_engine_factory(0, core::EngineKind::kRound),
                std::invalid_argument);
-  // kAuto must be resolved by the solver pool before a factory exists.
-  EXPECT_THROW(parallel_engine_factory(2, core::EngineKind::kAuto),
-               std::invalid_argument);
 }
 
 TEST(RoundStress, RepeatedRunsAreStable) {

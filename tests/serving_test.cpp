@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -74,40 +73,6 @@ TEST(ExecutionPolicy, PinnedModeIgnoresProblemShape) {
   EXPECT_EQ(context.select(sparse_problem()),
             SolverKind::kBlackBoxBinary);
   EXPECT_EQ(context.select(dense_problem()), SolverKind::kBlackBoxBinary);
-}
-
-TEST(ExecutionPolicy, HistogramModeFallsBackUntilSampled) {
-  // An unreachable sample floor keeps histogram mode on the threshold
-  // fallback forever; the fallback decisions are counted.
-  ExecutionContext context(ExecutionPolicy::histogram_driven(
-      std::numeric_limits<std::uint64_t>::max()));
-  const std::uint64_t fallbacks_before =
-      obs::PolicyInstruments::global().histogram_fallbacks.value();
-  EXPECT_EQ(context.select(sparse_problem()),
-            SolverKind::kIntegratedMatching);
-  EXPECT_EQ(context.select(dense_problem()), SolverKind::kPushRelabelBinary);
-#if !defined(REPFLOW_OBS_DISABLED)
-  EXPECT_GE(obs::PolicyInstruments::global().histogram_fallbacks.value(),
-            fallbacks_before + 2);
-#endif
-}
-
-TEST(ExecutionPolicy, HistogramModePicksOnceSampled) {
-  ExecutionContext context(ExecutionPolicy::histogram_driven(1));
-  // Feed both candidate kinds' solve-time histograms.
-  const RetrievalProblem p = sparse_problem();
-  SolveResult r;
-  context.solve_into(p, SolverKind::kIntegratedMatching, r);
-  context.solve_into(p, SolverKind::kPushRelabelBinary, r);
-#if !defined(REPFLOW_OBS_DISABLED)
-  const std::uint64_t picks_before =
-      obs::PolicyInstruments::global().histogram_picks.value();
-  const SolverKind kind = context.select(p);
-  EXPECT_TRUE(kind == SolverKind::kIntegratedMatching ||
-              kind == SolverKind::kPushRelabelBinary);
-  EXPECT_GE(obs::PolicyInstruments::global().histogram_picks.value(),
-            picks_before + 1);
-#endif
 }
 
 TEST(ExecutionContext, MatchesFacadeBitForBit) {
@@ -378,13 +343,6 @@ TEST(QueryStream, AdaptiveToggleRestoresPinnedKind) {
   EXPECT_EQ(scheduler.policy().mode, SelectionMode::kFixedThreshold);
   scheduler.set_adaptive_selection(false);
   EXPECT_FALSE(scheduler.adaptive_selection());
-  EXPECT_EQ(scheduler.policy().pinned_kind,
-            SolverKind::kFordFulkersonIncremental);
-  // Histogram-driven policies also count as adaptive; switching off still
-  // restores the original pinned kind.
-  scheduler.set_policy(ExecutionPolicy::histogram_driven(4));
-  EXPECT_TRUE(scheduler.adaptive_selection());
-  scheduler.set_adaptive_selection(false);
   EXPECT_EQ(scheduler.policy().pinned_kind,
             SolverKind::kFordFulkersonIncremental);
   scheduler.submit(f.gen.next(f.rng), 0.0);  // still serves queries

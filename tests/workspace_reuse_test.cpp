@@ -193,26 +193,12 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
     problems.push_back(random_basic_problem(8, 24, rng));
   }
 
-  // The parallel kind runs once per concrete engine (Hong & He and the
-  // round engine each own a warm slot with their own retained buffers);
-  // kAuto additionally proves per-solve engine resolution stays
-  // allocation-free (histogram summaries are stack-only).
+  // The parallel kind runs once per engine (Hong & He and the round engine
+  // each own a warm slot with their own retained buffers).
   auto run_kind = [&](SolverKind kind, core::EngineKind engine) {
     core::SolverPool pool(/*threads=*/1);
-    SolveResult result;
-    // kAuto picks per solve from live latency histograms, so its pick can
-    // change between passes: warm every concrete engine's shell first, so
-    // the steady-state pass is allocation-free whichever engine it picks.
-    if (kind == SolverKind::kParallelPushRelabelBinary &&
-        engine == core::EngineKind::kAuto) {
-      for (core::EngineKind concrete : core::kAllEngineKinds) {
-        pool.set_engine_kind(concrete);
-        for (const RetrievalProblem& problem : problems) {
-          pool.solve_into(problem, kind, result);
-        }
-      }
-    }
     pool.set_engine_kind(engine);
+    SolveResult result;
     // Warm-up pass: the first solve of each problem builds the shell and
     // grows every buffer to the sequence's peak footprint.
     for (const RetrievalProblem& problem : problems) {
@@ -236,94 +222,12 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
   };
 
   for (SolverKind kind : kCatalog) {
-    if (kind == SolverKind::kParallelPushRelabelBinary) {
-      for (core::EngineKind engine : core::kAllEngineKinds) {
-        run_kind(kind, engine);
-      }
-      run_kind(kind, core::EngineKind::kAuto);
-    } else {
-      run_kind(kind, core::EngineKind::kAuto);
+    for (core::EngineKind engine : core::kAllEngineKinds) {
+      run_kind(kind, engine);
+      // The engine only differentiates the parallel kind.
+      if (kind != SolverKind::kParallelPushRelabelBinary) break;
     }
   }
-
-  // The matching kind fans out the same way behind the MatchingEngine
-  // seam: the pinned-parallel slot must also run allocation-free once warm.
-  auto run_matching_engine = [&](core::MatchingEngine engine) {
-    core::SolverPool pool(/*threads=*/2);
-    SolveResult result;
-    // Same histogram-driven kAuto as above: warm both engines' shells.
-    if (engine == core::MatchingEngine::kAuto) {
-      for (core::MatchingEngine concrete : core::kAllMatchingEngines) {
-        pool.set_matching_engine(concrete);
-        for (const RetrievalProblem& problem : problems) {
-          pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
-        }
-      }
-    }
-    pool.set_matching_engine(engine);
-    for (const RetrievalProblem& problem : problems) {
-      pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
-    }
-    g_alloc_count.store(0);
-    g_alloc_bytes.store(0);
-    g_count_allocs.store(true);
-    for (const RetrievalProblem& problem : problems) {
-      pool.solve_into(problem, SolverKind::kIntegratedMatching, result);
-    }
-    g_count_allocs.store(false);
-    EXPECT_EQ(g_alloc_count.load(), 0u)
-        << "matching/" << core::matching_engine_id(engine) << ": "
-        << g_alloc_count.load() << " steady-state allocations ("
-        << g_alloc_bytes.load() << " bytes)";
-    EXPECT_GT(result.response_time_ms, 0.0);
-  };
-  for (core::MatchingEngine engine : core::kAllMatchingEngines) {
-    run_matching_engine(engine);
-  }
-  run_matching_engine(core::MatchingEngine::kAuto);
-}
-
-// The parallel phase engine with the pooled path *forced* (cutoff 0, so
-// every phase runs the level-sync BFS + speculation + ordered commit, and
-// at 2 real worker threads): warm steady state must stay allocation-free —
-// lanes, frontiers, spec records, and the job std::function are all
-// grow-only or small-buffer.
-TEST(WorkspaceReuse, ParallelMatchingForcedPoolPathAllocatesNothing) {
-#if REPFLOW_INVARIANTS_ENABLED
-  GTEST_SKIP() << "REPFLOW_CHECK_INVARIANTS builds run allocation-light (not "
-                  "allocation-free) checkers inside the solve seams";
-#endif
-  Rng rng(7006);
-  std::vector<RetrievalProblem> problems;
-  for (int i = 0; i < 5; ++i) {
-    problems.push_back(random_general_problem(8, 48, rng));
-  }
-  core::IntegratedMatchingSolver solver(core::MatchingEngine::kParallel,
-                                        /*threads=*/2);
-  solver.set_parallel_cutoff(0);
-  SolveResult result;
-  // Two warm passes: the second pass resumes from different retained
-  // matchings than the first (the workspace carries problem[4]'s state
-  // into problem[0]), so the grow-only buffers only reach their
-  // steady-state high-water mark once the cycle has repeated.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const RetrievalProblem& problem : problems) {
-      solver.solve_into(problem, result);
-    }
-  }
-
-  g_alloc_count.store(0);
-  g_alloc_bytes.store(0);
-  g_count_allocs.store(true);
-  for (const RetrievalProblem& problem : problems) {
-    solver.solve_into(problem, result);
-  }
-  g_count_allocs.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u)
-      << g_alloc_count.load() << " steady-state allocations ("
-      << g_alloc_bytes.load() << " bytes) with the parallel engine warm";
-  EXPECT_GT(solver.retained_bytes(), 0u);
 }
 
 TEST(WorkspaceReuse, PooledResultsBitIdenticalToFreshSolversBasic) {

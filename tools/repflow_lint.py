@@ -19,6 +19,11 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         `histogram("a.b")`, ...) must be documented in
         docs/OBSERVABILITY.md, whose prose may use one-level brace groups
         (`router.{admitted,shed}`) and `<...>` wildcards (`disk.<j>.busy_ms`).
+  MET02 the converse: every exact metric name listed under "Who records
+        what" in docs/OBSERVABILITY.md must be registered somewhere in src/,
+        as a literal or through a string paste (`"solver." id ".solves"`)
+        whose prefix and suffix bracket it — so a deleted mechanism cannot
+        leave its metric lines behind.  Needs the whole src/ tree.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -59,8 +64,6 @@ BARE_SYNC_RE = re.compile(
 ANNOTATED_MODULES = [
     "src/core/batch.h",
     "src/core/batch.cpp",
-    "src/core/bipartite_matching.h",
-    "src/core/bipartite_matching.cpp",
     "src/core/router.h",
     "src/core/router.cpp",
     "src/core/solver_pool.h",
@@ -94,6 +97,13 @@ METRIC_CALL_RE = re.compile(
 METRIC_PREFIX_CALL_RE = re.compile(
     r"\b(?:counter|gauge|accumulator|histogram)\s*\(\s*prefix\s*\+\s*"
     r"\"(\.[a-z0-9_.]+)\"")
+# Compile-time paste `counter("solver." id ".solves")`: (prefix, suffix).
+METRIC_PASTE_CALL_RE = re.compile(
+    r"\b(?:counter|gauge|accumulator|histogram)\s*\(\s*\"([a-z0-9_.]+\.)\""
+    r"\s*[A-Za-z_]\w*\s*\"(\.[a-z0-9_.]+)\"")
+
+# The OBSERVABILITY.md section whose exact names MET02 holds to src/.
+WHO_RECORDS_WHAT = "### Who records what"
 
 CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
@@ -298,11 +308,55 @@ def check_metric_docs(root: str, files: Iterable[str]) -> List[Violation]:
     return out
 
 
+# --- MET02 ----------------------------------------------------------------
+
+def check_metric_registrations(root: str,
+                               files: Iterable[str]) -> List[Violation]:
+    doc_rel = "docs/OBSERVABILITY.md"
+    doc_path = os.path.join(root, doc_rel)
+    if not os.path.isfile(doc_path):
+        return [Violation("MET02", doc_rel, 1,
+                          "missing docs/OBSERVABILITY.md (metric contract)")]
+    with open(doc_path, encoding="utf-8") as f:
+        text = f.read()
+    start = text.find(WHO_RECORDS_WHAT)
+    if start < 0:
+        return [Violation("MET02", doc_rel, 1,
+                          f"no `{WHO_RECORDS_WHAT}` section")]
+    heading_line = text.count("\n", 0, start) + 1
+    body = text[start + len(WHO_RECORDS_WHAT):]
+    next_heading = re.search(r"\n#{1,3} ", body)
+    if next_heading:
+        body = body[:next_heading.start()]
+    documented, _, _ = documented_metric_names(body)
+
+    literals: set = set()
+    pastes: List[Tuple[str, str]] = []
+    for rel in files:
+        for line in read_lines(root, rel):
+            literals.update(METRIC_CALL_RE.findall(line))
+            pastes.extend(METRIC_PASTE_CALL_RE.findall(line))
+
+    def pasted(name: str) -> bool:
+        for prefix, suffix in pastes:
+            middle = name[len(prefix):len(name) - len(suffix)]
+            if (name.startswith(prefix) and name.endswith(suffix) and
+                    middle and "." not in middle):
+                return True
+        return False
+
+    return [Violation("MET02", doc_rel, heading_line,
+                      f"documented metric `{name}` is not registered in src/")
+            for name in sorted(documented)
+            if name not in literals and not pasted(name)]
+
+
 RULES = {
     "MO01": (check_mo_tags, ["src"]),
     "RAW01": (check_raw, ["src"]),
     "LOCK01": (check_bare_locks, ["src"]),
     "MET01": (check_metric_docs, ["src"]),
+    "MET02": (check_metric_registrations, ["src"]),
 }
 
 

@@ -228,13 +228,76 @@ def test_met01_flags_undocumented_suffix_and_prefix():
         tree.cleanup()
 
 
+# --- MET02 ----------------------------------------------------------------
+
+WHO_DOC = """# Observability
+## Metrics registry
+### Who records what
+- `router.{admitted,shed}` counters, `disk.<j>.busy_ms`, and
+  `solver.alg6.solves`.
+## Span tracer
+`tracer.only_in_prose` is outside the section.
+"""
+
+
+def _met02_tree():
+    tree = FixtureTree()
+    tree.write("docs/OBSERVABILITY.md", WHO_DOC)
+    return tree
+
+
+def test_met02_literal_and_pasted_names_pass():
+    tree = _met02_tree()
+    try:
+        rel = tree.write(
+            "src/x.cpp",
+            'auto& a = reg.counter("router.admitted");\n'
+            'auto& b = reg.counter("router.shed");\n'
+            'auto& c = reg.counter("solver." id ".solves");\n')
+        assert run_rule(tree, "MET02", [rel]) == []
+    finally:
+        tree.cleanup()
+
+
+def test_met02_flags_unregistered_name():
+    tree = _met02_tree()
+    try:
+        rel = tree.write(
+            "src/x.cpp",
+            'auto& a = reg.counter("router.admitted");\n'
+            'auto& c = reg.counter("solver." id ".solve_ms");\n')
+        violations = run_rule(tree, "MET02", [rel])
+        names = sorted(v.message.split("`")[1] for v in violations)
+        assert names == ["router.shed", "solver.alg6.solves"], violations
+        assert all(v.line == 3 for v in violations), violations
+    finally:
+        tree.cleanup()
+
+
+def test_met02_flags_missing_section():
+    tree = FixtureTree()
+    try:
+        tree.write("docs/OBSERVABILITY.md", DOC)
+        rel = tree.write("src/x.cpp", "int f() { return 0; }\n")
+        violations = run_rule(tree, "MET02", [rel])
+        assert len(violations) == 1, violations
+        assert "Who records what" in violations[0].message
+    finally:
+        tree.cleanup()
+
+
 # --- end-to-end -----------------------------------------------------------
 
 def test_main_exit_codes():
     tree = FixtureTree()
     try:
-        tree.write("docs/OBSERVABILITY.md", DOC)
-        tree.write("src/clean.cpp", "int f() { return 0; }\n")
+        tree.write("docs/OBSERVABILITY.md", WHO_DOC)
+        tree.write("src/clean.cpp",
+                   'void f() {\n'
+                   '  reg.counter("router.admitted");\n'
+                   '  reg.counter("router.shed");\n'
+                   '  reg.counter("solver." id ".solves");\n'
+                   '}\n')
         assert lint.main(["--root", tree.root]) == 0
         tree.write("src/dirty.cpp", "int* p = new int[8];\n")
         assert lint.main(["--root", tree.root]) == 1
