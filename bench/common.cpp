@@ -62,11 +62,10 @@ SweepConfig parse_sweep(int argc, const char* const* argv,
 
 double time_solve_ms(const core::RetrievalProblem& problem,
                      core::SolverKind kind, int threads,
-                     double* response_ms, core::SolveResult* result_out,
-                     core::EngineKind engine) {
+                     double* response_ms, core::SolveResult* result_out) {
   StopWatch sw;
   sw.start();
-  core::SolveResult result = core::solve(problem, kind, threads, engine);
+  core::SolveResult result = core::solve(problem, kind, threads);
   sw.stop();
   if (response_ms) *response_ms = result.response_time_ms;
   if (result_out) *result_out = std::move(result);

@@ -86,13 +86,11 @@ void sweep_n(const SweepConfig& config, const CellSpec& base,
 
 /// Wall-clock one solver run on one problem (construction + solve).  When
 /// `result_out` is non-null the full result is copied there (outside the
-/// timed region) for callers that inspect or verify it.  `engine` picks the
-/// parallel engine for kParallelPushRelabelBinary (ignored otherwise).
+/// timed region) for callers that inspect or verify it.
 double time_solve_ms(const core::RetrievalProblem& problem,
                      core::SolverKind kind, int threads,
                      double* response_ms = nullptr,
-                     core::SolveResult* result_out = nullptr,
-                     core::EngineKind engine = core::EngineKind::kRound);
+                     core::SolveResult* result_out = nullptr);
 
 /// Standard header line printed by every bench binary.
 void print_banner(const std::string& title, const SweepConfig& config);

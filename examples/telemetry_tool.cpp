@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
     ropts.max_backlog_ms = flags.get_double("backlog-ms");
     ropts.max_coalesce_age_ms = flags.get_double("max-coalesce-age-ms");
     ropts.latency_budget_ms = flags.get_double("budget-ms");
-    core::QueryStreamScheduler stream(trace.system,
-                                      core::ExecutionPolicy::adaptive());
+    core::QueryStreamScheduler stream(trace.system, core::ExecutionPolicy{});
     core::QueryRouter router(stream, ropts);
 
     const double gap_ms = flags.get_double("interarrival");

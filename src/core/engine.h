@@ -1,48 +1,15 @@
 // The integrated max-flow engine interface consumed by the binary-scaling
 // driver (Algorithm 6).  The sequential implementation wraps the FIFO
-// push-relabel of src/graph; the parallel implementations (src/parallel)
-// substitute the multithreaded engines of Section V.
+// push-relabel of src/graph; the parallel implementation (src/parallel)
+// substitutes the Hong & He multithreaded engine of Section V.
 #pragma once
 
-#include <memory>
-#include <optional>
-#include <string_view>
+#include <cstddef>
 
 #include "graph/maxflow.h"
 #include "graph/push_relabel.h"
 
 namespace repflow::core {
-
-/// Which multithreaded engine backs kParallelPushRelabelBinary.  The seam
-/// mirrors SolverKind one level down: callers pin an engine the same way
-/// they pin a solver.  kRound is the default everywhere: it beat kHongHe at
-/// every measured width (docs/PERFORMANCE.md).
-enum class EngineKind {
-  kHongHe,  ///< asynchronous lock-free push-relabel (Hong & He 2011)
-  kRound,   ///< bulk-synchronous round-based push-relabel (WHFC-style)
-};
-
-/// Every engine, in declaration order.
-inline constexpr EngineKind kAllEngineKinds[] = {EngineKind::kHongHe,
-                                                 EngineKind::kRound};
-
-/// Short stable identifier (metric names, CLI flags, bench labels).
-constexpr const char* engine_id(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kHongHe:
-      return "hong_he";
-    case EngineKind::kRound:
-      return "round";
-  }
-  return "?";
-}
-
-/// Inverse of engine_id() for CLI parsing; nullopt for unknown ids.
-constexpr std::optional<EngineKind> engine_kind_from_id(std::string_view id) {
-  if (id == "hong_he") return EngineKind::kHongHe;
-  if (id == "round") return EngineKind::kRound;
-  return std::nullopt;
-}
 
 class IntegratedEngine {
  public:

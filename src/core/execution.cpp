@@ -51,8 +51,7 @@ SolverMetrics& metrics_for(SolverKind kind) {
 
 }  // namespace
 
-SolverKind select_by_degree(const RetrievalProblem& problem,
-                            double degree_threshold) {
+SolverKind choose_solver(const RetrievalProblem& problem) {
   const std::int64_t q = problem.query_size();
   if (q == 0) return SolverKind::kIntegratedMatching;
   std::int64_t arcs = 0;
@@ -64,27 +63,24 @@ SolverKind select_by_degree(const RetrievalProblem& problem,
   // nearly-complete instances cross the threshold.
   const double avg_degree =
       static_cast<double>(arcs) / static_cast<double>(q);
-  return avg_degree <= degree_threshold ? SolverKind::kIntegratedMatching
-                                        : SolverKind::kPushRelabelBinary;
+  return avg_degree <= kMatchingDegreeThreshold
+             ? SolverKind::kIntegratedMatching
+             : SolverKind::kPushRelabelBinary;
 }
 
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
-    : policy_(policy), pool_(policy.threads) {
-  pool_.set_engine_kind(policy.engine);
-}
+    : policy_(policy), pool_(policy.threads) {}
 
 void ExecutionContext::set_policy(const ExecutionPolicy& policy) {
   policy_ = policy;
   pool_.set_threads(policy.threads);  // no-op unless the count changed
-  pool_.set_engine_kind(policy.engine);
 }
 
 SolverKind ExecutionContext::select(const RetrievalProblem& problem) {
   obs::PolicyInstruments::global().decisions.add(1);
-  const SolverKind kind =
-      policy_.mode == SelectionMode::kPinned
-          ? policy_.pinned_kind
-          : select_by_degree(problem, policy_.degree_threshold);
+  const SolverKind kind = policy_.mode == SelectionMode::kPinned
+                              ? policy_.pinned_kind
+                              : choose_solver(problem);
   // Tag the decision onto the ambient query's flight chain (id 0 = no query
   // in flight, e.g. facade solves outside any serving loop).
   const obs::ActiveQuery active = obs::QueryScope::current();

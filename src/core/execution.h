@@ -20,26 +20,35 @@ namespace repflow::core {
 /// How an ExecutionPolicy maps a problem to a solver kind.
 enum class SelectionMode {
   kPinned,          ///< always `pinned_kind`
-  kFixedThreshold,  ///< avg replica degree <= threshold -> matching kernel
+  kFixedThreshold,  ///< choose_solver(): the degree rule below
 };
+
+/// choose_solver()'s cutover: instances whose average replica degree is at
+/// most this run the Hopcroft-Karp matching kernel, denser ones the
+/// integrated push-relabel driver.
+inline constexpr double kMatchingDegreeThreshold = 16.0;
+
+/// The one selection rule, shared by the facade and every serving context:
+/// every retrieval network is a bipartite b-matching, and the Hopcroft-Karp
+/// kernel wins whenever the bucket->disk adjacency is sparse (bounded
+/// replica degree — all the paper's workloads, where the copy count c is
+/// 2..5).  Dense instances (average replica degree above
+/// kMatchingDegreeThreshold, i.e. nearly-complete bipartite graphs) fall
+/// back to the integrated push-relabel driver, whose per-probe cost does
+/// not scale with the arc count the way phase BFS layering does.
+SolverKind choose_solver(const RetrievalProblem& problem);
 
 /// Solver selection + execution knobs for one serving context.  A plain
 /// value type: copy it, tweak a field, hand it to ExecutionContext /
-/// QueryStreamScheduler / BatchOptions / the solve() facade.
+/// QueryStreamScheduler / BatchOptions.  `ExecutionPolicy{}` is the
+/// adaptive policy (choose_solver() on every problem).
 struct ExecutionPolicy {
   SelectionMode mode = SelectionMode::kFixedThreshold;
   /// The kind used by kPinned mode (ignored otherwise).
   SolverKind pinned_kind = SolverKind::kPushRelabelBinary;
-  /// kFixedThreshold cutover: instances with average replica degree <= this
-  /// run the Hopcroft-Karp matching kernel, denser ones the integrated
-  /// push-relabel driver.
-  double degree_threshold = 16.0;
   /// Worker count for kParallelPushRelabelBinary (ignored by the
   /// sequential kinds; must be >= 1).
   int threads = 2;
-  /// Which parallel engine kParallelPushRelabelBinary runs (ignored by the
-  /// sequential kinds).
-  EngineKind engine = EngineKind::kRound;
 
   static ExecutionPolicy pinned(SolverKind kind, int threads = 2) {
     ExecutionPolicy p;
@@ -48,21 +57,7 @@ struct ExecutionPolicy {
     p.threads = threads;
     return p;
   }
-  static ExecutionPolicy adaptive(double degree_threshold = 16.0,
-                                  int threads = 2) {
-    ExecutionPolicy p;
-    p.mode = SelectionMode::kFixedThreshold;
-    p.degree_threshold = degree_threshold;
-    p.threads = threads;
-    return p;
-  }
 };
-
-/// The fixed-threshold selection rule shared by choose_solver() and the
-/// adaptive policy mode: low average replica degree -> matching kernel,
-/// dense instances -> integrated push-relabel (see solve.h for rationale).
-SolverKind select_by_degree(const RetrievalProblem& problem,
-                            double degree_threshold);
 
 /// One serving context: policy + warm solver shells + scratch result.
 /// Steady-state solves through a context perform zero heap allocations on
@@ -103,9 +98,8 @@ class ExecutionContext {
   IncrementalQuerySession open_session(workload::SystemConfig system);
 
   const ExecutionPolicy& policy() const { return policy_; }
-  /// Swap the policy; the pool's parallel slots are rebuilt only when the
-  /// thread count actually changed (engine-kind flips reuse the other warm
-  /// slot).
+  /// Swap the policy; the pool's parallel slot is rebuilt only when the
+  /// thread count actually changed.
   void set_policy(const ExecutionPolicy& policy);
 
   SolverPool& pool() { return pool_; }

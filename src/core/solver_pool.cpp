@@ -55,8 +55,7 @@ void SolverPool::set_threads(int threads) {
   if (threads == threads_) return;
   threads_ = threads;
   // Rebuilt with the new worker count on next use.
-  parallel_hong_he_.reset();
-  parallel_round_.reset();
+  parallel_.reset();
 }
 
 void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
@@ -77,23 +76,19 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
     case SolverKind::kBlackBoxBinary:
       slot(black_box_).solve_into(problem, result);
       break;
-    case SolverKind::kParallelPushRelabelBinary: {
-      std::unique_ptr<PushRelabelBinarySolver>& shell =
-          engine_kind_ == EngineKind::kRound ? parallel_round_
-                                             : parallel_hong_he_;
+    case SolverKind::kParallelPushRelabelBinary:
       // Not slot(): the factory argument must only be built when the slot
       // is actually constructed, or every reuse hit would re-create a
       // std::function.
-      if (shell) {
+      if (parallel_) {
         pool_metrics().reuse_hits.add(1);
       } else {
         pool_metrics().rebuilds.add(1);
-        shell = std::make_unique<PushRelabelBinarySolver>(
-            parallel::parallel_engine_factory(threads_, engine_kind_));
+        parallel_ = std::make_unique<PushRelabelBinarySolver>(
+            parallel::parallel_engine_factory(threads_));
       }
-      shell->solve_into(problem, result);
+      parallel_->solve_into(problem, result);
       break;
-    }
     case SolverKind::kIntegratedMatching:
       slot(matching_).solve_into(problem, result);
       break;
@@ -115,8 +110,7 @@ std::size_t SolverPool::retained_bytes() const {
   if (pr_incremental_) total += pr_incremental_->retained_bytes();
   if (pr_binary_) total += pr_binary_->retained_bytes();
   if (black_box_) total += black_box_->retained_bytes();
-  if (parallel_hong_he_) total += parallel_hong_he_->retained_bytes();
-  if (parallel_round_) total += parallel_round_->retained_bytes();
+  if (parallel_) total += parallel_->retained_bytes();
   if (matching_) total += matching_->retained_bytes();
   return total;
 }

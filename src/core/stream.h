@@ -10,8 +10,8 @@
 //
 // Solver selection and threading are owned by the scheduler's
 // ExecutionContext (docs/SERVING.md): construct with an ExecutionPolicy to
-// pin a kind, use the degree-threshold adaptive rule, or let the per-kind
-// solve-time histograms drive the choice.  Admission control under overload
+// pin a kind or to use the degree-threshold adaptive rule
+// (choose_solver()).  Admission control under overload
 // (shedding / coalescing) is layered on top by QueryRouter (core/router.h).
 #pragma once
 
@@ -111,17 +111,16 @@ class QueryStreamScheduler {
                               double arrival_ms);
 
   /// Adaptive solver selection: when on, every query picks its solver via
-  /// the degree-threshold rule (the solve() facade's problem-shape
-  /// heuristic) instead of the pinned kind.  Shorthand for swapping the
-  /// policy between kPinned and kFixedThreshold; use set_policy() for
-  /// histogram-driven selection.  The pooled shells for every chosen kind
-  /// stay warm, so flipping between kinds costs one rebuild each.
+  /// choose_solver() (the degree-threshold rule) instead of the pinned
+  /// kind.  Shorthand for swapping the policy between kPinned and
+  /// kFixedThreshold.  The pooled shells for every chosen kind stay warm,
+  /// so flipping between kinds costs one rebuild each.
   void set_adaptive_selection(bool on);
   bool adaptive_selection() const {
     return exec_.policy().mode != SelectionMode::kPinned;
   }
 
-  /// The scheduler's serving policy (selection mode, threshold, threads).
+  /// The scheduler's serving policy (selection mode, pinned kind, threads).
   const ExecutionPolicy& policy() const { return exec_.policy(); }
   void set_policy(const ExecutionPolicy& policy) { exec_.set_policy(policy); }
 

@@ -114,28 +114,6 @@ struct MatchingWorkspace {
   }
 };
 
-/// Scratch + label state for the bulk-synchronous round engine
-/// (parallel::RoundPushRelabel).  Only the plain (non-atomic) buffers live
-/// here — the engine's concurrently-written arrays (arc flows, excess
-/// deltas, activation stamps) are vectors of std::atomic and stay inside
-/// the engine, which keeps this struct freely copyable like the rest of
-/// the workspace.  Every vector grows monotonically, so rebinding a
-/// same-footprint problem performs zero heap allocations.
-struct RoundRelabelWorkspace {
-  std::vector<std::int32_t> level;       // stable labels, committed per round
-  std::vector<std::int32_t> next_level;  // owner-written relabel buffer
-  std::vector<Vertex> active;            // current round's active set
-  std::vector<Vertex> frontier;          // global-relabel BFS frontier
-  std::vector<Vertex> next_frontier;
-
-  std::size_t retained_bytes() const {
-    return (level.capacity() + next_level.capacity()) * sizeof(std::int32_t) +
-           (active.capacity() + frontier.capacity() +
-            next_frontier.capacity()) *
-               sizeof(Vertex);
-  }
-};
-
 /// The pooled buffer set.  Field groups are disjoint per engine family;
 /// see each engine's header for which fields it claims.
 struct MaxflowWorkspace {
@@ -163,9 +141,6 @@ struct MaxflowWorkspace {
   // --- bipartite b-matching kernel (core::BipartiteMatcher) ---
   MatchingWorkspace matching;
 
-  // --- round-based parallel engine (parallel::RoundPushRelabel) ---
-  RoundRelabelWorkspace round;
-
   /// Capacity-based footprint estimate (feeds the workspace.retained_bytes
   /// gauge); counts retained heap blocks, not live elements.
   std::size_t retained_bytes() const {
@@ -181,7 +156,7 @@ struct MaxflowWorkspace {
            arc_path.capacity() * sizeof(ArcId) +
            level.capacity() * sizeof(std::int32_t) +
            flow_snapshot.capacity() * sizeof(Cap) +
-           matching.retained_bytes() + round.retained_bytes();
+           matching.retained_bytes();
   }
 };
 

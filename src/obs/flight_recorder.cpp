@@ -52,44 +52,76 @@ void FlightRecorder::record(std::uint64_t query_id, FlightEventKind kind,
   const std::uint64_t ticket =
       head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<std::size_t>(ticket % slots_.size())];
-  // Seqlock: stamp odd while writing, even (and larger than any previous
-  // ticket's stamps for this slot) once published.  Two writers only meet
-  // on one slot after a full ring wrap during a single write — the reader
-  // drops such torn slots via the stamp re-check.
-  // mo: release — the odd stamp must be visible before any payload bytes
-  // so a reader that misses it cannot treat a mid-write slot as stable.
-  slot.stamp.store(2 * ticket + 1, std::memory_order_release);
-  slot.event.query_id = query_id;
-  slot.event.seq = ticket;
+  // Seqlock: claim the slot by moving its stamp from a published (even)
+  // value older than this ticket to our odd stamp, then publish 2*ticket+2.
+  // An odd stamp means another writer still holds the slot, and a larger
+  // stamp means a later ticket already published here; both happen only
+  // when a writer stalls for a full ring wrap, and this event is dropped
+  // rather than interleaved with theirs.
+  const std::uint64_t writing = 2 * ticket + 1;
+  // The claim reads the previous writer's release publish; acquiring it
+  // orders that writer's payload stores before ours, so no reader can see
+  // them win.  Readers learn of the claim through the release payload
+  // stores below.
+  // mo: relaxed pre-check (the CAS re-reads); acquire claim — see above.
+  std::uint64_t seen = slot.stamp.load(std::memory_order_relaxed);
+  if (seen % 2 != 0 || seen > writing ||
+      !slot.stamp.compare_exchange_strong(seen, writing,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+    return;
+  }
   // mo: relaxed — the epoch is a coarse timestamp base; a reader racing
   // clear() may see old-epoch t_ms values, which the torn-slot contract
   // already tolerates.
   const auto epoch = Clock::time_point(
       Clock::duration(epoch_ns_.load(std::memory_order_relaxed)));
-  slot.event.t_ms = std::chrono::duration<double, std::milli>(
-                        Clock::now() - epoch)
-                        .count();
-  slot.event.value = value;
-  slot.event.detail = detail;
-  slot.event.kind = kind;
+  const double t_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - epoch)
+          .count();
+  // Each release payload store carries the odd claim stamp: a reader whose
+  // acquire load returns one of these values then sees the stamp at or past
+  // `writing` on its re-check, and drops the copy.  (Release/acquire fields
+  // rather than relaxed fields plus fences: ThreadSanitizer does not model
+  // std::atomic_thread_fence.)
+  // mo: release — see the payload note above.
+  slot.query_id.store(query_id, std::memory_order_release);
+  slot.t_ms.store(t_ms, std::memory_order_release);
+  slot.value.store(value, std::memory_order_release);
+  slot.detail.store(detail, std::memory_order_release);
+  slot.kind.store(kind, std::memory_order_release);
   // mo: release — publishes the completed payload; pairs with the acquire
   // stamp loads in events().
-  slot.stamp.store(2 * ticket + 2, std::memory_order_release);
+  slot.stamp.store(writing + 1, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::events() const {
+  // mo: acquire — pairs with clear()'s release store (see recorded()).
+  const std::uint64_t floor = floor_.load(std::memory_order_acquire);
   std::vector<FlightEvent> out;
   out.reserve(slots_.size());
   for (const Slot& slot : slots_) {
-    // mo: acquire — pairs with the writer's release stamps; an even stamp
-    // makes the published payload visible, and the second load re-checks
-    // that no writer re-entered the slot while we copied.
+    // mo: acquire — pairs with the writer's release publish: an even stamp
+    // makes that writer's payload visible.
     const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
-    if (before == 0 || before % 2 != 0) continue;  // empty or mid-write
-    FlightEvent copy = slot.event;
-    // mo: acquire — see the stamp note above (torn-read re-check).
-    const std::uint64_t after = slot.stamp.load(std::memory_order_acquire);
-    if (after != before) continue;  // overwritten while copying
+    // Skip mid-write slots, never-written ones (stamp 0) and events
+    // recorded before the last clear() (ticket < floor).
+    if (before % 2 != 0 || before < 2 * floor + 2) continue;
+    FlightEvent copy;
+    copy.seq = before / 2 - 1;
+    // A payload value stored by a later writer carries that writer's claim
+    // stamp (see record()); acquire also keeps the re-check below after the
+    // copy.
+    // mo: acquire — see the payload note above.
+    copy.query_id = slot.query_id.load(std::memory_order_acquire);
+    copy.t_ms = slot.t_ms.load(std::memory_order_acquire);
+    copy.value = slot.value.load(std::memory_order_acquire);
+    copy.detail = slot.detail.load(std::memory_order_acquire);
+    copy.kind = slot.kind.load(std::memory_order_acquire);
+    // mo: relaxed — ordered after the payload loads by their acquire.
+    // Stamps never repeat, so an unchanged stamp means no writer claimed
+    // the slot while we copied.
+    if (slot.stamp.load(std::memory_order_relaxed) != before) continue;
     out.push_back(copy);
   }
   std::sort(out.begin(), out.end(),
@@ -128,11 +160,13 @@ std::vector<BreachDump> FlightRecorder::breaches() const {
 }
 
 void FlightRecorder::clear() {
-  // mo: relaxed — clear is only exact when recorders are quiescent (the
-  // Counter::reset contract); racing writers re-stamp via their own release
-  // stores, so no edges are needed here.
-  for (Slot& slot : slots_) slot.stamp.store(0, std::memory_order_relaxed);
-  head_.store(0, std::memory_order_relaxed);
+  // Tickets drawn before this point are hidden.  Concurrent writers need
+  // no other edge: clear is only exact when recorders are quiescent (the
+  // Counter::reset contract).
+  // mo: release — publishes the head_ load to recorded() and events(),
+  // whose acquire floor loads then never see head_ below floor_.
+  floor_.store(head_.load(std::memory_order_relaxed),
+               std::memory_order_release);
   {
     support::MutexLock lock(breach_mutex_);
     breaches_.clear();

@@ -8,10 +8,10 @@
 // every query's chain; a budget breach copies the breaching query's chain
 // into a bounded breach log (and `/flightrecorder` serves both).
 //
-// Write path (the only part touching hot code): one fetch_add to claim a
-// slot plus a seqlock-stamped struct write — no locks, no allocation, ~the
-// cost of a histogram observation.  Readers snapshot slots and drop torn
-// ones, so a scrape never blocks a solve.
+// Write path (the only part touching hot code): one fetch_add for a ticket,
+// one CAS to claim the ticket's slot, and a seqlock-stamped payload write —
+// no locks, no allocation, ~the cost of a histogram observation.  Readers
+// snapshot slots and drop torn ones, so a scrape never blocks a solve.
 //
 // Query-id propagation uses a thread-local ambient scope (QueryScope)
 // rather than threading an id parameter through every solver signature:
@@ -113,8 +113,10 @@ class FlightRecorder {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Record one event.  Lock-free, allocation-free; wait-free except for
-  /// the slot seqlock stamp.
+  /// Record one event.  Lock-free, allocation-free, wait-free.  The event
+  /// is dropped when its ring slot is still held by another writer (only
+  /// possible after a full ring wrap during one write) or already holds a
+  /// newer event.
   void record(std::uint64_t query_id, FlightEventKind kind,
               double value = 0.0, std::int32_t detail = 0);
 
@@ -135,33 +137,46 @@ class FlightRecorder {
 
   /// Events recorded since construction/clear (monotonic, not capped by
   /// the ring size).
-  // mo: relaxed — statistical read of the ticket counter; slot contents are
-  // published by the per-slot seqlock stamps, not by head_.
   std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
+    // mo: acquire — pairs with clear()'s release store, so the head_ load
+    // below returns at least the ticket clear() read (no wrap).
+    const std::uint64_t floor = floor_.load(std::memory_order_acquire);
+    // mo: relaxed — statistical read; slot contents are published by the
+    // per-slot seqlock stamps, not by head_.
+    return head_.load(std::memory_order_relaxed) - floor;
   }
 
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Drop all events and breach dumps (ids keep advancing).  Not atomic
-  /// with respect to concurrent record() calls: in-flight writers may
-  /// re-stamp a slot after the sweep (the same torn-read contract as
-  /// events()), but the epoch swap itself is race-free (epoch_ns_ is
+  /// Drop all events and breach dumps (ids and event seq numbers keep
+  /// advancing).  Not atomic with respect to concurrent record() calls: an
+  /// event whose ticket was drawn before the clear is hidden, one drawn
+  /// after it is kept; the epoch swap itself is race-free (epoch_ns_ is
   /// atomic).
   void clear() REPFLOW_EXCLUDES(breach_mutex_);
 
  private:
+  /// One ring slot: a seqlock stamp plus the event payload, field by field
+  /// as atomics so a reader's copy never races a writer's stores.
   struct Slot {
     /// Seqlock stamp: 2*ticket+1 while the writer is inside, 2*ticket+2
-    /// once the event is published.  0 = never written.
+    /// once the event is published.  0 = never written.  Strictly
+    /// increasing, because writers claim only from an older even stamp.
     std::atomic<std::uint64_t> stamp{0};
-    FlightEvent event;
+    std::atomic<std::uint64_t> query_id{0};
+    std::atomic<double> t_ms{0.0};
+    std::atomic<double> value{0.0};
+    std::atomic<std::int32_t> detail{0};
+    std::atomic<FlightEventKind> kind{FlightEventKind::kAdmit};
   };
 
   using Clock = std::chrono::steady_clock;
 
   std::vector<Slot> slots_;
+  /// Next ticket; never reset, so a slot's stamp never repeats a value.
   std::atomic<std::uint64_t> head_{0};
+  /// First ticket still visible: clear() raises it to head_.
+  std::atomic<std::uint64_t> floor_{0};
   std::atomic<std::uint64_t> next_id_{0};
   // Epoch as a raw tick count.  Thread-safety review (the pass that added
   // the annotations below) found the previous plain time_point was written

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -16,6 +17,11 @@
 namespace repflow::obs {
 
 namespace {
+
+/// Receive/send deadline on every accepted client socket.  The exporter
+/// serves one client at a time, so without it a client that connects and
+/// stays silent would stall every later scrape and stop().
+constexpr timeval kClientIoDeadline{/*tv_sec=*/1, /*tv_usec=*/0};
 
 std::string http_response(int status, const char* reason,
                           const char* content_type, std::string body) {
@@ -153,6 +159,10 @@ void HttpExporter::serve_loop() {
     if (ready <= 0) continue;
     const int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &kClientIoDeadline,
+                 sizeof(kClientIoDeadline));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &kClientIoDeadline,
+                 sizeof(kClientIoDeadline));
 
     char buf[4096];
     const ssize_t n = ::recv(client, buf, sizeof(buf) - 1, 0);

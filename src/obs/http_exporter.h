@@ -14,7 +14,9 @@
 // The exporter owns two background threads: a ticker that snapshots the
 // registry every tick_interval, feeds the WindowedAggregator, and runs the
 // SloWatchdog; and an accept loop serving one request per connection
-// (enough for scrapers; this is an exporter, not a web server).  Neither
+// (enough for scrapers; this is an exporter, not a web server).  Each
+// connection gets a fixed one-second receive/send deadline, so a silent or
+// stalled client delays later scrapes and stop() by at most that.  Neither
 // thread touches solver hot paths — scrapes read atomics and copy
 // ring slots, so the steady-state solve path stays zero-allocation with the
 // exporter attached.

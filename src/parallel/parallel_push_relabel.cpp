@@ -40,9 +40,19 @@ using graph::Cap;
 using graph::Vertex;
 
 namespace {
+
 // Index of the current worker thread; routes operation counters to the
 // thread's private slot so the hot path stays write-contention free.
 thread_local int t_worker_index = 0;
+
+/// Grow-only replacement for a vector of atomics (not resizable in place);
+/// fresh slots are value-initialized to zero, and callers re-initialize the
+/// live prefix on every run anyway.
+template <typename T>
+void ensure_atomic_size(std::vector<std::atomic<T>>& v, std::size_t n) {
+  if (v.size() < n) v = std::vector<std::atomic<T>>(n);
+}
+
 }  // namespace
 
 ParallelPushRelabel::RegistryHandles
@@ -73,21 +83,229 @@ ParallelPushRelabel::RegistryHandles::make(int threads) {
 ParallelPushRelabel::ParallelPushRelabel(graph::FlowNetwork& net,
                                          Vertex source, Vertex sink,
                                          int threads)
-    : ParallelEngineBase(net, source, sink, threads),
-      registry_(RegistryHandles::make(threads)) {
+    : net_(net),
+      source_(source),
+      sink_(sink),
+      threads_(threads),
+      registry_(RegistryHandles::make(threads)),
+      pool_(threads) {
+  if (threads < 1) {
+    throw std::invalid_argument("ParallelPushRelabel: threads < 1");
+  }
   counters_.resize(static_cast<std::size_t>(threads));
   cumulative_.resize(static_cast<std::size_t>(threads));
   rebind(source, sink);
 }
 
+ParallelPushRelabel::~ParallelPushRelabel() {
+  graph::publish_flow_stats(stats_);
+}
+
 void ParallelPushRelabel::rebind(Vertex source, Vertex sink) {
-  bind(source, sink);
+  if (source < 0 || source >= net_.num_vertices() || sink < 0 ||
+      sink >= net_.num_vertices() || source == sink) {
+    throw std::invalid_argument("ParallelPushRelabel: bad source/sink");
+  }
+  source_ = source;
+  sink_ = sink;
   const auto n = static_cast<std::size_t>(net_.num_vertices());
+  const auto m = static_cast<std::size_t>(net_.num_arcs());
+  adj_offset_.resize(n + 1);
+  adj_arcs_.clear();
+  adj_arcs_.reserve(m);
+  for (std::size_t v = 0; v < n; ++v) {
+    adj_offset_[v] = static_cast<std::int32_t>(adj_arcs_.size());
+    for (ArcId a : net_.out_arcs(static_cast<Vertex>(v))) {
+      adj_arcs_.push_back(a);
+    }
+  }
+  adj_offset_[n] = static_cast<std::int32_t>(adj_arcs_.size());
+  arc_head_.resize(m);
+  for (ArcId a = 0; a < static_cast<ArcId>(m); ++a) {
+    arc_head_[a] = net_.head(a);
+  }
+  cap_.resize(m);
+  ensure_atomic_size(flow_, m);
+  ensure_atomic_size(excess_, n);
   ensure_atomic_size(height_, n);
   ensure_atomic_size(queued_, n);
   if (2 * n + 4 > queue_capacity_) {
     queue_capacity_ = 2 * n + 4;
     queue_ = std::make_unique<MpmcQueue<Vertex>>(queue_capacity_);
+  }
+  bfs_height_.resize(n);
+  bfs_queue_.reserve(n);
+  drain_visit_pos_.resize(n);
+  drain_walk_.reserve(n);
+}
+
+void ParallelPushRelabel::copy_in() {
+  const auto n = static_cast<std::size_t>(net_.num_vertices());
+  const auto m = static_cast<std::size_t>(net_.num_arcs());
+  // mo: relaxed — single-threaded prologue; the WorkerPool run() handoff
+  // publishes every store here to the workers (worker_pool.h contract).
+  for (std::size_t a = 0; a < m; ++a) {
+    cap_[a] = net_.capacity(static_cast<ArcId>(a));
+    flow_[a].store(net_.flow(static_cast<ArcId>(a)),
+                   std::memory_order_relaxed);
+  }
+  // Excess is implied by the conserved flows: inflow minus outflow.
+  // mo: relaxed — same prologue contract as the flow stores above.
+  for (std::size_t v = 0; v < n; ++v) {
+    excess_[v].store(-net_.net_out_flow(static_cast<Vertex>(v)),
+                     std::memory_order_relaxed);
+  }
+  excess_[source_].store(0, std::memory_order_relaxed);
+}
+
+void ParallelPushRelabel::copy_out() {
+  // mo: relaxed — single-threaded epilogue; run() returning gave this
+  // thread a happens-after edge from every worker write.
+  for (ArcId a = 0; a < net_.num_arcs(); a += 2) {
+    net_.set_pair_flow(a, flow_[a].load(std::memory_order_relaxed));
+  }
+}
+
+void ParallelPushRelabel::saturate_source_arcs() {
+  // mo: relaxed — single-threaded prologue phase (see copy_in note).
+  for (std::int32_t i = adj_offset_[source_]; i < adj_offset_[source_ + 1];
+       ++i) {
+    const ArcId a = adj_arcs_[i];
+    const Cap delta = cap_[a] - flow_[a].load(std::memory_order_relaxed);
+    if (delta <= 0) continue;
+    // mo: relaxed — single-threaded prologue phase (see copy_in note).
+    flow_[a].fetch_add(delta, std::memory_order_relaxed);
+    flow_[a ^ 1].fetch_sub(delta, std::memory_order_relaxed);
+    excess_[arc_head_[a]].fetch_add(delta, std::memory_order_relaxed);
+  }
+}
+
+void ParallelPushRelabel::reverse_bfs_heights() {
+  const auto n = static_cast<std::size_t>(net_.num_vertices());
+  constexpr std::int32_t kUnset = -1;
+  std::vector<std::int32_t>& h = bfs_height_;
+  std::fill(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(n), kUnset);
+  std::vector<Vertex>& queue = bfs_queue_;
+  // mo: relaxed — global relabel runs between parallel phases (workers
+  // parked), so the pool handoff already ordered every flow write.
+  auto residual = [&](ArcId a) {
+    return cap_[a] - flow_[a].load(std::memory_order_relaxed);
+  };
+  auto backward_bfs = [&](Vertex root, std::int32_t base) {
+    h[root] = base;
+    queue.clear();
+    queue.push_back(root);
+    std::size_t qi = 0;
+    while (qi < queue.size()) {
+      const Vertex v = queue[qi++];
+      for (std::int32_t i = adj_offset_[v]; i < adj_offset_[v + 1]; ++i) {
+        const ArcId a = adj_arcs_[i];
+        const Vertex w = arc_head_[a];
+        if (h[w] != kUnset || residual(a ^ 1) <= 0) continue;
+        h[w] = h[v] + 1;
+        queue.push_back(w);
+      }
+    }
+  };
+  backward_bfs(sink_, 0);
+  const auto hs = static_cast<std::int32_t>(n);
+  if (h[source_] == kUnset) h[source_] = hs;
+  backward_bfs(source_, hs);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (h[v] == kUnset) h[v] = static_cast<std::int32_t>(2 * n);
+  }
+  h[source_] = hs;
+}
+
+void ParallelPushRelabel::drain_stranded_excess() {
+  // mo: relaxed throughout — single-threaded epilogue after the last
+  // parallel phase; the pool handoff ordered all worker writes, and the
+  // per-site tags below inherit this note.
+  const auto n = static_cast<std::size_t>(net_.num_vertices());
+  std::vector<std::int32_t>& visit_pos = drain_visit_pos_;
+  std::fill(visit_pos.begin(),
+            visit_pos.begin() + static_cast<std::ptrdiff_t>(n), -1);
+  // Finds the in-arc (u -> cur) carrying flow: stored as reverse slot b^1
+  // of cur's out-slot b.
+  auto inflow_arc = [&](Vertex cur) -> ArcId {
+    // mo: relaxed — see the epilogue note at the top of this function.
+    for (std::int32_t i = adj_offset_[cur]; i < adj_offset_[cur + 1]; ++i) {
+      const ArcId b = adj_arcs_[i];
+      if (flow_[b ^ 1].load(std::memory_order_relaxed) > 0) return b ^ 1;
+    }
+    return graph::kInvalidArc;
+  };
+  for (Vertex v = 0; v < net_.num_vertices(); ++v) {
+    if (v == source_ || v == sink_) continue;
+    // mo: relaxed — see the epilogue note at the top of this function.
+    while (excess_[v].load(std::memory_order_relaxed) > 0) {
+      // Walk backward from v; walk[i] is the flow-carrying arc entering the
+      // vertex at depth i.
+      std::vector<ArcId>& walk = drain_walk_;
+      walk.clear();
+      std::fill(visit_pos.begin(), visit_pos.end(), -1);
+      visit_pos[v] = 0;
+      Vertex cur = v;
+      bool reached_source = false;
+      while (!reached_source) {
+        const ArcId in = inflow_arc(cur);
+        if (in == graph::kInvalidArc) {
+          // Impossible for a vertex with surplus inflow; guard anyway.
+          // mo: relaxed — epilogue note at the top of this function.
+          excess_[v].store(0, std::memory_order_relaxed);
+          break;
+        }
+        const Vertex prev = arc_head_[in ^ 1];  // tail of (prev -> cur)
+        if (prev == source_) {
+          walk.push_back(in);
+          reached_source = true;
+          break;
+        }
+        if (visit_pos[prev] >= 0) {
+          // Cancel the flow cycle prev -> ... -> cur -> prev.
+          // mo: relaxed — epilogue note at the top of this function.
+          Cap cycle_min = flow_[in].load(std::memory_order_relaxed);
+          for (std::size_t k = static_cast<std::size_t>(visit_pos[prev]);
+               k < walk.size(); ++k) {
+            cycle_min = std::min(
+                cycle_min, flow_[walk[k]].load(std::memory_order_relaxed));
+          }
+          // mo: relaxed — epilogue note at the top of this function.
+          flow_[in].fetch_sub(cycle_min, std::memory_order_relaxed);
+          flow_[in ^ 1].fetch_add(cycle_min, std::memory_order_relaxed);
+          for (std::size_t k = static_cast<std::size_t>(visit_pos[prev]);
+               k < walk.size(); ++k) {
+            // mo: relaxed — epilogue note at the top of this function.
+            flow_[walk[k]].fetch_sub(cycle_min, std::memory_order_relaxed);
+            flow_[walk[k] ^ 1].fetch_add(cycle_min,
+                                         std::memory_order_relaxed);
+          }
+          // Rewind the walk to prev, unmarking the tails of popped arcs.
+          while (walk.size() > static_cast<std::size_t>(visit_pos[prev])) {
+            visit_pos[arc_head_[walk.back() ^ 1]] = -1;
+            walk.pop_back();
+          }
+          // visit_pos bookkeeping: prev keeps its position; resume there.
+          cur = prev;
+          continue;
+        }
+        walk.push_back(in);
+        visit_pos[prev] = static_cast<std::int32_t>(walk.size());
+        cur = prev;
+      }
+      if (!reached_source) continue;
+      // mo: relaxed — epilogue note at the top of this function.
+      Cap delta = excess_[v].load(std::memory_order_relaxed);
+      for (ArcId a : walk) {
+        delta = std::min(delta, flow_[a].load(std::memory_order_relaxed));
+      }
+      // mo: relaxed — epilogue note at the top of this function.
+      for (ArcId a : walk) {
+        flow_[a].fetch_sub(delta, std::memory_order_relaxed);
+        flow_[a ^ 1].fetch_add(delta, std::memory_order_relaxed);
+      }
+      excess_[v].fetch_sub(delta, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -95,10 +313,8 @@ void ParallelPushRelabel::exact_heights() {
   ++stats_.global_relabels;
   const auto n = static_cast<std::size_t>(net_.num_vertices());
   // Runs single-threaded (coordinator with workers parked, or between
-  // runs), so the base scratch is safe to reuse here.  source_side: the
-  // Hong & He engine climbs stranded excess back toward the source over
-  // heights in [n, 2n).
-  reverse_bfs_heights(bfs_height_, /*source_side=*/true);
+  // runs), so the BFS scratch is safe to reuse here.
+  reverse_bfs_heights();
   // mo: relaxed — single-threaded (workers parked); the gr_state_ release
   // or the pool handoff publishes the fresh heights to the workers.
   for (std::size_t v = 0; v < n; ++v) {
@@ -121,8 +337,8 @@ void ParallelPushRelabel::enqueue(Vertex v) {
 }
 
 void ParallelPushRelabel::seed_queue() {
-  // mo: relaxed — single-threaded prologue (see copy_in note in
-  // engine_base.cpp); the pool handoff publishes all of this.
+  // mo: relaxed — single-threaded prologue (see the copy_in note); the
+  // pool handoff publishes all of this.
   active_count_.store(0, std::memory_order_relaxed);
   Vertex drained;
   while (queue_->try_pop(drained)) {
@@ -384,9 +600,18 @@ void ParallelPushRelabel::reset_excess_after_restore(Cap /*sink_excess*/) {
 }
 
 std::size_t ParallelPushRelabel::retained_bytes() const {
-  return retained_bytes_base() +
+  return adj_offset_.capacity() * sizeof(std::int32_t) +
+         adj_arcs_.capacity() * sizeof(ArcId) +
+         arc_head_.capacity() * sizeof(Vertex) +
+         cap_.capacity() * sizeof(Cap) +
+         flow_.size() * sizeof(std::atomic<Cap>) +
+         excess_.size() * sizeof(std::atomic<Cap>) +
          height_.size() * sizeof(std::atomic<std::int32_t>) +
-         queued_.size() * sizeof(std::atomic<bool>);
+         queued_.size() * sizeof(std::atomic<bool>) +
+         bfs_height_.capacity() * sizeof(std::int32_t) +
+         bfs_queue_.capacity() * sizeof(Vertex) +
+         drain_visit_pos_.capacity() * sizeof(std::int32_t) +
+         drain_walk_.capacity() * sizeof(ArcId);
 }
 
 }  // namespace repflow::parallel

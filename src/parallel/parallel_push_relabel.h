@@ -13,16 +13,18 @@
 // residual(u, v); concurrent threads can only *increase* them, which keeps
 // every computed delta valid.
 //
-// The engine mirrors the integrated interface of the sequential
-// PushRelabel: resume() conserves the flows already on the FlowNetwork,
-// saturates residual source arcs, recomputes exact heights, and runs the
+// The engine is an IntegratedEngine, so Algorithm 6's driver runs it in
+// place of the sequential PushRelabel (Section V changes only line 29):
+// resume() conserves the flows already on the FlowNetwork, saturates
+// residual source arcs, recomputes exact heights, and runs the
 // multithreaded loop; flows are copied back on completion.
 //
-// The CSR capture, atomic flow/excess arrays, worker pool, and the
-// prologue/epilogue shared with the round engine live in
-// ParallelEngineBase (engine_base.h); this class adds the asynchronous
-// scheduling state: the MPMC active queue, atomic heights, and the
-// cooperative global-relabel park protocol.
+// All shared arrays are grow-only: std::atomic is neither copyable nor
+// movable, so a vector of atomics cannot resize in place — rebind()
+// replaces them only when the network outgrows the retained capacity, and
+// every loop bounds itself by the live network sizes, not the array sizes.
+// Rebinding to a same-footprint problem therefore performs zero heap
+// allocations and the worker pool persists across queries.
 #pragma once
 
 #include <atomic>
@@ -30,13 +32,15 @@
 #include <memory>
 #include <vector>
 
+#include "core/engine.h"
+#include "graph/maxflow.h"
 #include "obs/metrics.h"
-#include "parallel/engine_base.h"
 #include "parallel/mpmc_queue.h"
+#include "parallel/worker_pool.h"
 
 namespace repflow::parallel {
 
-class ParallelPushRelabel : public ParallelEngineBase {
+class ParallelPushRelabel final : public core::IntegratedEngine {
  public:
   /// Per-worker operation counters (each slot written by one thread only).
   /// `queue_yields` counts scheduler yields while the work queue was empty
@@ -51,28 +55,30 @@ class ParallelPushRelabel : public ParallelEngineBase {
 
   ParallelPushRelabel(graph::FlowNetwork& net, graph::Vertex source,
                       graph::Vertex sink, int threads);
+  /// Folds the engine's cumulative FlowStats into the obs registry.
+  ~ParallelPushRelabel() override;
 
   ParallelPushRelabel(const ParallelPushRelabel&) = delete;
   ParallelPushRelabel& operator=(const ParallelPushRelabel&) = delete;
 
   /// Re-validate the endpoints and recapture the network topology in
-  /// place.  Shared state (atomic arrays, queue) is reallocated only when
-  /// the network outgrows the retained capacity, so rebinding to a
-  /// same-footprint problem performs zero heap allocations and the worker
-  /// pool persists across queries.
-  void rebind(graph::Vertex source, graph::Vertex sink);
+  /// place (CSR arrays, capacities, atomic flow/excess/height arrays).
+  void rebind(graph::Vertex source, graph::Vertex sink) override;
 
   /// Retained working-memory footprint across all reusable buffers.
-  std::size_t retained_bytes() const;
+  std::size_t retained_bytes() const override;
 
   /// Integrated run from the network's current flows; returns the flow
   /// value reached (the sink's excess).  Worker threads persist across
   /// calls (Algorithm 6 resumes many times per query); the worker pool's
   /// condition-variable handoff is the only locking, and it sits outside
   /// the push/relabel operations as [31] requires.
-  graph::Cap resume();
+  graph::Cap resume() override;
 
-  void reset_excess_after_restore(graph::Cap sink_excess);
+  void reset_excess_after_restore(graph::Cap sink_excess) override;
+
+  const graph::FlowStats& stats() const override { return stats_; }
+  int threads() const { return threads_; }
 
   /// Cumulative per-thread counters over every resume() so far (index =
   /// worker thread; single-threaded runs use slot 0).
@@ -81,6 +87,31 @@ class ParallelPushRelabel : public ParallelEngineBase {
   }
 
  private:
+  /// Load capacities, flows, and the implied excess (inflow minus outflow)
+  /// from the network.  Single-threaded prologue; relaxed stores.
+  void copy_in();
+
+  /// Write the engine's flows back onto the network, pairwise.
+  void copy_out();
+
+  /// Saturate every residual source arc, crediting the heads' excess
+  /// (Algorithm 5 lines 4-10).  Single-threaded prologue.
+  void saturate_source_arcs();
+
+  /// Sequential backward BFS heights into bfs_height_: distance-to-sink
+  /// from the sink, then a second BFS from the source at base n assigns
+  /// source-side heights (unreached vertices get 2n), so excess can climb
+  /// back toward the source through [n, 2n).  h[source] = n on return.
+  /// Must run quiesced.
+  void reverse_bfs_heights();
+
+  /// Single-threaded epilogue (workers quiesced): return the excess of
+  /// stranded vertices to the source by walking positive-flow arcs
+  /// backward, canceling flow cycles encountered on the way.  Equivalent
+  /// to phase two of the classic push-relabel algorithm, but without any
+  /// relabeling.
+  void drain_stranded_excess();
+
   void exact_heights();
   void seed_queue();
   void worker();
@@ -95,13 +126,33 @@ class ParallelPushRelabel : public ParallelEngineBase {
   /// coordinated (caller should restart its loop iteration).
   bool maybe_global_relabel();
 
-  // Asynchronous scheduling state on top of the shared substrate.  The
-  // atomic arrays follow the base's grow-only contract.
+  graph::FlowNetwork& net_;
+  graph::Vertex source_;
+  graph::Vertex sink_;
+  int threads_;
+  graph::FlowStats stats_;
+
+  // Flattened topology (CSR) captured at construction / rebind().
+  std::vector<std::int32_t> adj_offset_;
+  std::vector<graph::ArcId> adj_arcs_;
+  std::vector<graph::Vertex> arc_head_;
+
+  // Shared mutable state (see header comment for the grow-only contract).
+  std::vector<graph::Cap> cap_;
+  std::vector<std::atomic<graph::Cap>> flow_;
+  std::vector<std::atomic<graph::Cap>> excess_;
   std::vector<std::atomic<std::int32_t>> height_;
   std::vector<std::atomic<bool>> queued_;
   std::unique_ptr<MpmcQueue<graph::Vertex>> queue_;
   std::size_t queue_capacity_ = 0;
   std::atomic<std::int64_t> active_count_{0};
+
+  // Single-threaded scratch for reverse_bfs_heights / drain, kept across
+  // runs so the steady-state path allocates nothing.
+  std::vector<std::int32_t> bfs_height_;
+  std::vector<graph::Vertex> bfs_queue_;
+  std::vector<std::int32_t> drain_visit_pos_;
+  std::vector<graph::ArcId> drain_walk_;
 
   // Global-relabel coordination (atomics only; no locks on the hot path).
   std::atomic<int> gr_state_{0};   // 0 = normal, 1 = pause requested
@@ -131,6 +182,10 @@ class ParallelPushRelabel : public ParallelEngineBase {
     std::vector<obs::Counter*> thread_queue_yields;
   };
   RegistryHandles registry_;
+
+  // Persistent worker pool (spawns only when threads_ > 1).  Declared last
+  // so its threads are joined before any state they touch is destroyed.
+  WorkerPool pool_;
 };
 
 }  // namespace repflow::parallel

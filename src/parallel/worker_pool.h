@@ -1,10 +1,9 @@
-// Persistent worker pool shared by the parallel max-flow engines.
+// Persistent worker pool of the parallel max-flow engine.
 //
-// Extracted from ParallelPushRelabel so the Hong & He engine and the
-// round-based engine reuse one spawn-once / run-many protocol: `threads`
-// OS threads are created at construction and parked on a condition
-// variable; run(job) publishes the job, wakes every worker, and blocks the
-// caller until all of them finished.  Algorithm 6 resumes an engine many
+// A spawn-once / run-many protocol: `threads` OS threads are created at
+// construction and parked on a condition variable; run(job) publishes the
+// job, wakes every worker, and blocks the caller until all of them
+// finished.  Algorithm 6 resumes an engine many
 // times per query, so the threads must survive across runs — thread
 // creation per resume() would dominate small-query latency.
 //
@@ -12,9 +11,8 @@
 // each run() provides the happens-before edges into and out of a parallel
 // phase.  Everything a worker wrote before finishing is visible to the
 // caller when run() returns, and everything the caller wrote before run()
-// is visible to every worker — engines exploit this to keep their
-// single-threaded prologue/epilogue (and the round engine its barrier
-// commits) free of per-cell synchronization.
+// is visible to every worker — the engine exploits this to keep its
+// single-threaded prologue/epilogue free of per-cell synchronization.
 //
 // Lock discipline (compile-time checked; see support/thread_annotations.h
 // and docs/ANALYSIS.md): mutex_ guards the whole handoff state — job_,

@@ -87,24 +87,17 @@ RetrievalProblem random_general_problem(std::int32_t disks,
 }
 
 /// Run `kind` and hold its result against the oracle response time and the
-/// analysis-layer schedule checkers.  The parallel kind runs once per
-/// concrete engine (Hong & He and the round engine must both return the
-/// exact optimum — EXPECT_DOUBLE_EQ, not an epsilon).
+/// analysis-layer schedule checkers.  Every kind, the parallel Hong & He
+/// engine included, must return the exact optimum (EXPECT_DOUBLE_EQ, not
+/// an epsilon).
 void expect_matches_oracle(const RetrievalProblem& problem, SolverKind kind,
                            double oracle_ms, const char* oracle_name) {
-  for (core::EngineKind engine : core::kAllEngineKinds) {
-    const SolveResult result =
-        core::solve(problem, kind, /*threads=*/2, engine);
-    EXPECT_DOUBLE_EQ(result.response_time_ms, oracle_ms)
-        << core::solver_id(kind) << "/" << core::engine_id(engine) << " vs "
-        << oracle_name;
-    const auto report = analysis::check_solve_result(problem, result);
-    EXPECT_TRUE(report.ok())
-        << core::solver_id(kind) << "/" << core::engine_id(engine) << ": "
-        << report.to_string();
-    // The engine only differentiates the parallel kind.
-    if (kind != SolverKind::kParallelPushRelabelBinary) break;
-  }
+  const SolveResult result = core::solve(problem, kind, /*threads=*/2);
+  EXPECT_DOUBLE_EQ(result.response_time_ms, oracle_ms)
+      << core::solver_id(kind) << " vs " << oracle_name;
+  const auto report = analysis::check_solve_result(problem, result);
+  EXPECT_TRUE(report.ok()) << core::solver_id(kind) << ": "
+                           << report.to_string();
 }
 
 // --- Algorithm 6 candidate search ---------------------------------------
@@ -131,19 +124,16 @@ std::int64_t probe_bound(const RetrievalProblem& problem) {
 }
 
 /// Every driver built on BinaryScalingDriver, labelled: alg6 on the
-/// sequential and both parallel engines, black box, FF-binary, and the
+/// sequential and the parallel engine, black box, FF-binary, and the
 /// matching kernel.
 std::vector<std::pair<std::string, SolveResult>> binary_scaling_results(
     const RetrievalProblem& problem) {
   std::vector<std::pair<std::string, SolveResult>> out;
   out.emplace_back("alg6",
                    core::solve(problem, SolverKind::kPushRelabelBinary));
-  for (core::EngineKind engine : core::kAllEngineKinds) {
-    out.emplace_back(
-        std::string("parallel/") + core::engine_id(engine),
-        core::solve(problem, SolverKind::kParallelPushRelabelBinary,
-                    /*threads=*/2, engine));
-  }
+  out.emplace_back("parallel/hong_he",
+                   core::solve(problem, SolverKind::kParallelPushRelabelBinary,
+                               /*threads=*/2));
   out.emplace_back("blackbox",
                    core::solve(problem, SolverKind::kBlackBoxBinary));
   out.emplace_back("ff_binary",
@@ -293,8 +283,8 @@ TEST(DifferentialSolve, MatchingKernelOnHighReplicationShapes) {
 }
 
 TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
-  // solve(problem, ExecutionPolicy{}) routes through choose_solver();
-  // whatever kind the policy picks must deliver the oracle optimum.
+  // The adaptive pick, choose_solver(), must deliver the oracle optimum
+  // whatever kind it chooses.
   Rng rng(424242);
   for (int trial = 0; trial < 15; ++trial) {
     const auto disks = static_cast<std::int32_t>(2 + rng.below(4));
@@ -302,7 +292,8 @@ TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
     const RetrievalProblem problem =
         random_general_problem(disks, buckets, rng);
     const SolveResult oracle = core::BruteForceSolver(problem).solve();
-    const SolveResult adaptive = core::solve(problem, core::ExecutionPolicy{});
+    const SolveResult adaptive =
+        core::solve(problem, core::choose_solver(problem));
     EXPECT_DOUBLE_EQ(adaptive.response_time_ms, oracle.response_time_ms)
         << "adaptive picked " << core::solver_id(core::choose_solver(problem));
     const auto report = analysis::check_solve_result(problem, adaptive);

@@ -76,29 +76,7 @@ TEST(ConcurrentSolveStress, ParallelEngineRepeatedMaxThreads) {
         6 + static_cast<std::int32_t>(rng.below(4)),
         20 + static_cast<std::int64_t>(rng.below(20)), rng);
     const SolveResult parallel =
-        core::solve(problem, SolverKind::kParallelPushRelabelBinary, kThreads,
-                    core::EngineKind::kHongHe);
-    const SolveResult sequential =
-        core::solve(problem, SolverKind::kPushRelabelBinary);
-    EXPECT_DOUBLE_EQ(parallel.response_time_ms, sequential.response_time_ms);
-    const auto report = analysis::check_solve_result(problem, parallel);
-    EXPECT_TRUE(report.ok()) << report.to_string();
-  }
-}
-
-TEST(ConcurrentSolveStress, RoundEngineRepeatedMaxThreads) {
-  // The bulk-synchronous engine under the same pressure: repeated solves at
-  // the maximum worker count, each checked against the sequential optimum
-  // (TSan validates the all-relaxed + pool-barrier memory-order contract
-  // documented in round_push_relabel.h).
-  Rng rng(111);
-  for (int round = 0; round < kRounds; ++round) {
-    const RetrievalProblem problem = random_basic_problem(
-        6 + static_cast<std::int32_t>(rng.below(4)),
-        20 + static_cast<std::int64_t>(rng.below(20)), rng);
-    const SolveResult parallel =
-        core::solve(problem, SolverKind::kParallelPushRelabelBinary, kThreads,
-                    core::EngineKind::kRound);
+        core::solve(problem, SolverKind::kParallelPushRelabelBinary, kThreads);
     const SolveResult sequential =
         core::solve(problem, SolverKind::kPushRelabelBinary);
     EXPECT_DOUBLE_EQ(parallel.response_time_ms, sequential.response_time_ms);

@@ -332,41 +332,13 @@ TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
   p.validate();
   Counter& discharges = Registry::global().counter("parallel.discharges");
   const std::uint64_t before = discharges.value();
-  // Pinned to the asynchronous engine: per-thread counters and the
-  // queue-yield contention gauge are Hong & He scheduling telemetry.
-  core::solve(p, core::SolverKind::kParallelPushRelabelBinary, 2,
-              core::EngineKind::kHongHe);
+  core::solve(p, core::SolverKind::kParallelPushRelabelBinary, 2);
   EXPECT_GT(discharges.value(), before);
   const MetricsSnapshot snap = Registry::global().snapshot();
   ASSERT_TRUE(snap.counters.contains("parallel.thread0.discharges"));
   ASSERT_TRUE(snap.counters.contains("parallel.thread1.discharges"));
   EXPECT_TRUE(snap.counters.contains("parallel.thread0.pushes"));
   EXPECT_TRUE(snap.gauges.contains("parallel.last_run_queue_yields"));
-}
-
-TEST(Instrumentation, RoundEngineExportsRoundTelemetry) {
-  core::RetrievalProblem p;
-  p.system.num_sites = 1;
-  p.system.disks_per_site = 4;
-  p.system.cost_ms = {1.0, 1.0, 1.0, 1.0};
-  p.system.delay_ms = {0.0, 0.0, 0.0, 0.0};
-  p.system.init_load_ms = {0.0, 0.0, 0.0, 0.0};
-  p.system.model = {"A", "A", "A", "A"};
-  p.replicas = {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 3}};
-  p.validate();
-  Counter& rounds = Registry::global().counter("parallel.rounds");
-  Counter& relabels = Registry::global().counter("parallel.global_relabels");
-  Counter& work = Registry::global().counter("parallel.discharge_work");
-  const std::uint64_t rounds_before = rounds.value();
-  const std::uint64_t relabels_before = relabels.value();
-  const std::uint64_t work_before = work.value();
-  core::solve(p, core::SolverKind::kParallelPushRelabelBinary, 2,
-              core::EngineKind::kRound);
-  EXPECT_GT(rounds.value(), rounds_before);
-  EXPECT_GT(relabels.value(), relabels_before);  // termination relabel
-  EXPECT_GT(work.value(), work_before);
-  const MetricsSnapshot snap = Registry::global().snapshot();
-  EXPECT_TRUE(snap.gauges.contains("parallel.active_peak"));
 }
 
 #else  // REPFLOW_OBS_DISABLED

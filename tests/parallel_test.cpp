@@ -1,7 +1,6 @@
-// Tests for both parallel push-relabel engines (Section V): the MPMC
-// queue, flow-value agreement with the sequential engine on random
-// networks, integrated resume semantics, round-engine workspace sharing,
-// and multi-thread stress runs (TSan-scaled iteration counts).
+// Tests for the parallel push-relabel engine (Section V, Hong & He): the
+// MPMC queue, flow-value agreement with the sequential engine on random
+// networks, integrated resume semantics, and multi-thread stress runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +10,9 @@
 #include "graph/checks.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
-#include "graph/workspace.h"
 #include "parallel/mpmc_queue.h"
 #include "parallel/parallel_engine.h"
 #include "parallel/parallel_push_relabel.h"
-#include "parallel/round_push_relabel.h"
 #include "support/rng.h"
 
 namespace repflow::parallel {
@@ -171,165 +168,6 @@ TEST(ParallelStress, RepeatedRunsAreStable) {
     ASSERT_EQ(engine.resume(), reference) << "iteration " << iter;
     ASSERT_TRUE(graph::validate_flow(net, g.source, g.sink).ok);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Round engine (bulk-synchronous, WHFC-style).
-
-// Stress iteration counts shrink under REPFLOW_TSAN (defined by the build
-// when 'thread' is in REPFLOW_SANITIZE) to absorb TSan's 5-15x slowdown
-// without changing what is exercised.
-#if defined(REPFLOW_TSAN)
-constexpr int kStressIters = 8;
-constexpr int kStressThreads = 4;
-#else
-constexpr int kStressIters = 25;
-constexpr int kStressThreads = 6;
-#endif
-
-class RoundMatchesSequential : public ::testing::TestWithParam<int> {};
-
-TEST_P(RoundMatchesSequential, RandomGeneralNetworks) {
-  Rng rng(4000 + GetParam());  // same corpus as the Hong & He sweep
-  auto g = graph::random_general(
-      2 + static_cast<std::int32_t>(rng.below(40)),
-      static_cast<std::int32_t>(rng.below(200)),
-      1 + static_cast<Cap>(rng.below(25)), rng);
-  const Cap reference = sequential_value(g.net, g.source, g.sink);
-  for (int threads : {1, 2, 4}) {
-    FlowNetwork net = g.net;  // fresh flows
-    net.clear_flow();
-    RoundPushRelabel engine(net, g.source, g.sink, threads);
-    engine.set_parallel_cutoff(0);  // force the pool path on small graphs
-    EXPECT_EQ(engine.resume(), reference) << "threads=" << threads;
-    const auto check = graph::validate_flow(net, g.source, g.sink);
-    EXPECT_TRUE(check.ok) << check.reason;
-    EXPECT_GT(engine.round_stats().rounds, 0u);
-    EXPECT_GT(engine.round_stats().global_relabels, 0u);
-  }
-}
-
-TEST_P(RoundMatchesSequential, RetrievalShapedNetworks) {
-  Rng rng(5000 + GetParam());
-  const auto left = 5 + static_cast<std::int32_t>(rng.below(60));
-  const auto right = 2 + static_cast<std::int32_t>(rng.below(14));
-  auto g = graph::random_bipartite(left, right, 2,
-                                   1 + static_cast<Cap>(rng.below(6)), rng);
-  const Cap reference = sequential_value(g.net, g.source, g.sink);
-  FlowNetwork net = g.net;
-  net.clear_flow();
-  RoundPushRelabel engine(net, g.source, g.sink, 2);
-  engine.set_parallel_cutoff(0);
-  EXPECT_EQ(engine.resume(), reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, RoundMatchesSequential,
-                         ::testing::Range(0, 15));
-
-TEST(RoundIntegrated, ResumeConservesFlowAcrossCapacityChanges) {
-  FlowNetwork net(3);
-  const auto sa = net.add_arc(0, 1, 10);
-  const auto at = net.add_arc(1, 2, 3);
-  RoundPushRelabel engine(net, 0, 2, 2);
-  EXPECT_EQ(engine.resume(), 3);
-  EXPECT_EQ(net.flow(at), 3);
-  net.set_capacity(at, 8);
-  EXPECT_EQ(engine.resume(), 8);
-  EXPECT_EQ(net.flow(sa), 8);
-  const auto check = graph::validate_flow(net, 0, 2);
-  EXPECT_TRUE(check.ok) << check.reason;
-}
-
-TEST(RoundIntegrated, RestoredSnapshotsAreHonored) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 6);
-  const auto at = net.add_arc(1, 2, 2);
-  RoundPushRelabel engine(net, 0, 2, 2);
-  EXPECT_EQ(engine.resume(), 2);
-  const auto snapshot = net.save_flows();
-  net.set_capacity(at, 6);
-  EXPECT_EQ(engine.resume(), 6);
-  net.restore_flows(snapshot);
-  engine.reset_excess_after_restore(2);
-  net.set_capacity(at, 4);
-  EXPECT_EQ(engine.resume(), 4);
-}
-
-TEST(RoundIntegrated, SharedWorkspaceReusedAcrossEnginesAndRebinds) {
-  // One RoundRelabelWorkspace (the MaxflowWorkspace::round pattern) backing
-  // successive engines over different networks: the buffers carry no state
-  // between runs, only capacity.
-  graph::RoundRelabelWorkspace workspace;
-  Rng rng(909);
-  for (int iter = 0; iter < 6; ++iter) {
-    auto g = graph::random_general(
-        2 + static_cast<std::int32_t>(rng.below(30)),
-        static_cast<std::int32_t>(rng.below(150)),
-        1 + static_cast<Cap>(rng.below(12)), rng);
-    const Cap reference = sequential_value(g.net, g.source, g.sink);
-    FlowNetwork net = g.net;
-    net.clear_flow();
-    RoundPushRelabel engine(net, g.source, g.sink, 2, &workspace);
-    engine.set_parallel_cutoff(0);
-    ASSERT_EQ(engine.resume(), reference) << "iteration " << iter;
-    ASSERT_TRUE(graph::validate_flow(net, g.source, g.sink).ok);
-  }
-  EXPECT_GT(workspace.retained_bytes(), 0u);
-}
-
-TEST(RoundEngineConfig, RejectsBadArguments) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 1);
-  EXPECT_THROW(RoundPushRelabel(net, 0, 2, 0), std::invalid_argument);
-  EXPECT_THROW(RoundPushRelabel(net, 0, 0, 1), std::invalid_argument);
-  EXPECT_THROW(parallel_engine_factory(0, core::EngineKind::kRound),
-               std::invalid_argument);
-}
-
-TEST(RoundStress, RepeatedRunsAreStable) {
-  // Same instance, many runs, max worker count: a barrier bug or a racy
-  // commit manifests as a wrong value or a validation failure.
-  Rng rng(718);
-  auto g = graph::layered_network(4, 10, 8, rng);
-  const Cap reference = sequential_value(g.net, g.source, g.sink);
-  for (int iter = 0; iter < kStressIters; ++iter) {
-    FlowNetwork net = g.net;
-    net.clear_flow();
-    RoundPushRelabel engine(net, g.source, g.sink, 4);
-    engine.set_parallel_cutoff(0);
-    ASSERT_EQ(engine.resume(), reference) << "iteration " << iter;
-    ASSERT_TRUE(graph::validate_flow(net, g.source, g.sink).ok);
-  }
-}
-
-TEST(RoundStress, ConcurrentSolvesOverSharedInstance) {
-  // TSan pressure on the round barrier: several OS threads each drive their
-  // own engine + workspace (the one-workspace-per-thread contract) over a
-  // shared immutable generator instance, with the engine's own worker pool
-  // nested inside each.  Every result must match the sequential reference.
-  Rng rng(808);
-  auto g = graph::layered_network(3, 8, 6, rng);
-  const Cap reference = sequential_value(g.net, g.source, g.sink);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kStressThreads);
-  for (int t = 0; t < kStressThreads; ++t) {
-    threads.emplace_back([&] {
-      graph::RoundRelabelWorkspace workspace;
-      for (int iter = 0; iter < kStressIters; ++iter) {
-        FlowNetwork net = g.net;
-        net.clear_flow();
-        RoundPushRelabel engine(net, g.source, g.sink, 2, &workspace);
-        engine.set_parallel_cutoff(0);  // every phase crosses the barrier
-        if (engine.resume() != reference ||
-            !graph::validate_flow(net, g.source, g.sink).ok) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

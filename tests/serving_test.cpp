@@ -54,17 +54,37 @@ RetrievalProblem dense_problem() {
   return p;
 }
 
-TEST(ExecutionPolicy, SelectByDegreeSplitsOnAverageDegree) {
-  EXPECT_EQ(select_by_degree(sparse_problem(), 16.0),
+/// `buckets` buckets on a 40-disk array, each replicated on `degree` disks.
+RetrievalProblem degree_problem(std::size_t buckets, DiskId degree) {
+  RetrievalProblem p;
+  p.system = uniform_system(40, 2.0);
+  std::vector<DiskId> replicas;
+  for (DiskId d = 0; d < degree; ++d) replicas.push_back(d);
+  p.replicas.assign(buckets, replicas);
+  p.validate();
+  return p;
+}
+
+TEST(ExecutionPolicy, ChooseSolverSplitsOnAverageDegree) {
+  EXPECT_EQ(choose_solver(sparse_problem()), SolverKind::kIntegratedMatching);
+  EXPECT_EQ(choose_solver(dense_problem()), SolverKind::kPushRelabelBinary);
+  // The cutover is inclusive: average degree == threshold stays matching.
+  const auto at = static_cast<DiskId>(kMatchingDegreeThreshold);
+  EXPECT_EQ(choose_solver(degree_problem(3, at)),
             SolverKind::kIntegratedMatching);
-  EXPECT_EQ(select_by_degree(dense_problem(), 16.0),
-            SolverKind::kPushRelabelBinary);
-  // Threshold is a parameter, not a constant.
-  EXPECT_EQ(select_by_degree(sparse_problem(), 1.0),
+  EXPECT_EQ(choose_solver(degree_problem(3, at + 1)),
             SolverKind::kPushRelabelBinary);
   RetrievalProblem empty;
   empty.system = uniform_system(2, 1.0);
-  EXPECT_EQ(select_by_degree(empty, 16.0), SolverKind::kIntegratedMatching);
+  EXPECT_EQ(choose_solver(empty), SolverKind::kIntegratedMatching);
+}
+
+TEST(ExecutionPolicy, AdaptiveContextSelectsWithChooseSolver) {
+  ExecutionContext context;  // ExecutionPolicy{} is the adaptive policy
+  for (const RetrievalProblem& p :
+       {sparse_problem(), dense_problem(), degree_problem(3, 17)}) {
+    EXPECT_EQ(context.select(p), choose_solver(p));
+  }
 }
 
 TEST(ExecutionPolicy, PinnedModeIgnoresProblemShape) {
@@ -318,7 +338,7 @@ TEST(QueryRouter, ReplayModeRejectsQuerySubmission) {
   // Replay-mode scheduler with adaptive selection on: replica-list
   // submission must work (through the router too), bucket-id submission
   // must throw in both layers.
-  QueryStreamScheduler scheduler(f.sys, ExecutionPolicy::adaptive());
+  QueryStreamScheduler scheduler(f.sys, ExecutionPolicy{});
   EXPECT_TRUE(scheduler.adaptive_selection());
   EXPECT_EQ(scheduler.allocation(), nullptr);
   QueryRouter router(scheduler, RouterOptions{});
@@ -450,7 +470,7 @@ TEST(BatchSolver, PolicyOverridesPinnedKind) {
   BatchOptions options;
   options.threads = 2;
   options.solver = SolverKind::kBlackBoxBinary;  // overridden below
-  options.policy = ExecutionPolicy::adaptive();
+  options.policy = ExecutionPolicy{};
   EXPECT_EQ(options.effective_policy().mode, SelectionMode::kFixedThreshold);
   const auto results = solve_batch(problems, options);
   ASSERT_EQ(results.size(), problems.size());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -19,6 +20,7 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "core/router.h"
@@ -300,32 +302,85 @@ TEST(HttpExporter, RoutesEndpointsAndFlipsHealth) {
             std::string::npos);
 }
 
+/// A TCP client connected to the exporter on loopback, with a 10 s receive
+/// deadline so a stalled server fails the test instead of hanging it; -1 on
+/// failure.
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval deadline{/*tv_sec=*/10, /*tv_usec=*/0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// One GET over a fresh connection; the raw response ("" on failure).
+std::string http_get(int port, const std::string& target) {
+  const int fd = connect_loopback(port);
+  if (fd < 0) return {};
+  const std::string request =
+      "GET " + target + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  std::string response;
+  if (::send(fd, request.data(), request.size(), 0) ==
+      static_cast<ssize_t>(request.size())) {
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+  }
+  ::close(fd);
+  return response;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 TEST(HttpExporter, ServesLiveScrapeOnLoopback) {
   obs::HttpExporter exporter;
   if (!exporter.start()) GTEST_SKIP() << "cannot bind a loopback socket";
   ASSERT_GT(exporter.port(), 0);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(exporter.port()));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string request = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
+  const std::string response = http_get(exporter.port(), "/metrics");
   exporter.stop();
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("repflow_slo_healthy"), std::string::npos);
+}
+
+// Regression test: the exporter serves one connection at a time, and its
+// recv() had no deadline, so a client that connected and never sent a byte
+// stalled every later scrape and made stop() block forever.  Each accepted
+// socket now has a fixed I/O deadline.
+TEST(HttpExporter, SilentClientStallsNeitherScrapesNorStop) {
+  obs::HttpExporter exporter;
+  if (!exporter.start()) GTEST_SKIP() << "cannot bind a loopback socket";
+  const int silent = connect_loopback(exporter.port());
+  ASSERT_GE(silent, 0);
+
+  const auto scrape_start = std::chrono::steady_clock::now();
+  const std::string response = http_get(exporter.port(), "/metrics");
+  EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_LT(seconds_since(scrape_start), 5.0);
+
+  // A second silent client, accepted before stop() (the accept loop polls
+  // every 100 ms), must not hold stop() either.
+  const int silent_again = connect_loopback(exporter.port());
+  ASSERT_GE(silent_again, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto stop_start = std::chrono::steady_clock::now();
+  exporter.stop();
+  EXPECT_LT(seconds_since(stop_start), 5.0);
+  ::close(silent);
+  ::close(silent_again);
 }
 
 TEST(HttpExporter, MetricsBodyPassesCheckProm) {
@@ -376,7 +431,7 @@ std::vector<std::vector<core::DiskId>> both_disk_query(std::size_t buckets) {
 
 TEST(RouterAgeFlush, OldestQueryAgePastBoundForcesFlush) {
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;
@@ -412,7 +467,7 @@ TEST(RouterAgeFlush, WithoutAgeBoundPartialOverloadStrandsTheBuffer) {
   // Regression guard for the pre-age-flush behaviour: the same arrival
   // pattern with only the count trigger leaves the early queries waiting.
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;
@@ -496,12 +551,15 @@ TEST(FlightRecorder, BreachCopiesTheQueryChain) {
   EXPECT_NE(json.find("\"kind\":\"breach\""), std::string::npos);
 }
 
-// Regression test for a data race the thread-safety annotation pass found:
-// the recorder epoch was a plain time_point written by clear() while
-// lock-free record() calls read it to timestamp events.  The epoch is now
-// an atomic tick count; this test hammers record() from several threads
-// while the main thread repeatedly clear()s — under the TSan CI job the old
-// representation fails here deterministically.
+// Regression test for two races.  The annotation pass found the first: the
+// recorder epoch was a plain time_point written by clear() while lock-free
+// record() calls read it to timestamp events (it is now an atomic tick
+// count).  ThreadSanitizer found the second: the seqlock payload was copied
+// with plain loads and stores, and two writers on one wrapped slot could
+// publish a mix of their events under a stable stamp (slots are now claimed
+// by CAS, and the payload fields are atomics).  Several threads hammer
+// record() while the main thread repeatedly clear()s; every writer tags
+// `detail` with its own query id, so a mixed event shows as a mismatch.
 TEST(FlightRecorder, ConcurrentClearAndRecordStayRaceFree) {
 #if defined(REPFLOW_TSAN)
   constexpr int kEventsPerThread = 2000;
@@ -509,25 +567,37 @@ TEST(FlightRecorder, ConcurrentClearAndRecordStayRaceFree) {
   constexpr int kEventsPerThread = 20000;
 #endif
   obs::FlightRecorder recorder(/*capacity=*/64);
+  std::atomic<int> mixed{0};
+  const auto count_mixed = [&recorder, &mixed] {
+    for (const obs::FlightEvent& e : recorder.events()) {
+      if (e.detail != static_cast<std::int32_t>(e.query_id) ||
+          e.kind != obs::FlightEventKind::kSolve) {
+        mixed.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  };
   std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < 3; ++t) {
-    writers.emplace_back([&recorder, &go, t] {
+    writers.emplace_back([&recorder, &go, &count_mixed, t] {
       while (!go.load(std::memory_order_acquire)) {}
+      const auto id = static_cast<std::uint64_t>(t) + 1;
       for (int i = 0; i < kEventsPerThread; ++i) {
-        recorder.record(static_cast<std::uint64_t>(t) + 1,
-                        obs::FlightEventKind::kSolve,
-                        static_cast<double>(i));
-        if ((i & 255) == 0) (void)recorder.events();
+        recorder.record(id, obs::FlightEventKind::kSolve,
+                        static_cast<double>(i),
+                        /*detail=*/static_cast<std::int32_t>(id));
+        if ((i & 255) == 0) count_mixed();
       }
     });
   }
   go.store(true, std::memory_order_release);
   for (int i = 0; i < 200; ++i) {
     recorder.clear();
-    (void)recorder.events();
+    count_mixed();
   }
   for (auto& w : writers) w.join();
+  count_mixed();
+  EXPECT_EQ(mixed.load(), 0);
   // Sanity after the dust settles: a fresh epoch yields non-negative,
   // well-formed timestamps and an internally consistent ring.
   recorder.clear();
@@ -540,7 +610,7 @@ TEST(FlightRecorder, ConcurrentClearAndRecordStayRaceFree) {
 
 TEST(FlightRecorder, RouterBudgetBreachDumpsFullPipelineChain) {
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.latency_budget_ms = 1e-6;  // every real response breaches
   core::QueryRouter router(sched, opts);
@@ -578,7 +648,7 @@ TEST(DiskAccounting, SolveFoldsServiceTimeIntoPerDiskSeries) {
                       /*delay1=*/0.25);
   const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
 
-  core::QueryStreamScheduler sched(sys, core::ExecutionPolicy::adaptive());
+  core::QueryStreamScheduler sched(sys, core::ExecutionPolicy{});
   sched.submit_replicas(both_disk_query(6), 0.0);
   sched.submit_replicas(both_disk_query(6), 1000.0);  // disks idle again
 
@@ -631,7 +701,7 @@ TEST(RouterInstruments, AgeFlushSeriesRecorded) {
       obs::Registry::global().histogram("router.flush_age_ms").summary().count;
 
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;
@@ -685,7 +755,7 @@ TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
 
 TEST(TelemetryDisabled, ServingPipelineStillRunsWithZeroIds) {
   core::QueryStreamScheduler sched(two_disk_system(),
-                                   core::ExecutionPolicy::adaptive());
+                                   core::ExecutionPolicy{});
   core::RouterOptions opts;
   opts.mode = core::AdmissionMode::kCoalesce;
   opts.max_backlog_ms = 10.0;

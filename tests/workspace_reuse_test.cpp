@@ -125,11 +125,8 @@ RetrievalProblem random_general_problem(std::int32_t disks,
   return p;
 }
 
-/// One freshly constructed (legacy one-problem ctor) solver run.  `engine`
-/// selects the parallel engine for kParallelPushRelabelBinary (ignored by
-/// the sequential kinds).
-SolveResult fresh_solve(const RetrievalProblem& problem, SolverKind kind,
-                        core::EngineKind engine = core::EngineKind::kHongHe) {
+/// One freshly constructed (legacy one-problem ctor) solver run.
+SolveResult fresh_solve(const RetrievalProblem& problem, SolverKind kind) {
   switch (kind) {
     case SolverKind::kFordFulkersonBasic:
       return core::FordFulkersonBasicSolver(problem).solve();
@@ -145,7 +142,7 @@ SolveResult fresh_solve(const RetrievalProblem& problem, SolverKind kind,
       // threads = 1 keeps the discharge order (and thus the schedule)
       // deterministic for the bit-identical comparison.
       return core::PushRelabelBinarySolver(
-                 problem, parallel::parallel_engine_factory(1, engine))
+                 problem, parallel::parallel_engine_factory(1))
           .solve();
     case SolverKind::kIntegratedMatching:
       return core::IntegratedMatchingSolver(problem).solve();
@@ -193,11 +190,8 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
     problems.push_back(random_basic_problem(8, 24, rng));
   }
 
-  // The parallel kind runs once per engine (Hong & He and the round engine
-  // each own a warm slot with their own retained buffers).
-  auto run_kind = [&](SolverKind kind, core::EngineKind engine) {
+  for (SolverKind kind : kCatalog) {
     core::SolverPool pool(/*threads=*/1);
-    pool.set_engine_kind(engine);
     SolveResult result;
     // Warm-up pass: the first solve of each problem builds the shell and
     // grows every buffer to the sequence's peak footprint.
@@ -215,18 +209,10 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
     g_count_allocs.store(false);
 
     EXPECT_EQ(g_alloc_count.load(), 0u)
-        << core::solver_id(kind) << "/" << core::engine_id(engine) << ": "
-        << g_alloc_count.load() << " steady-state allocations ("
-        << g_alloc_bytes.load() << " bytes)";
+        << core::solver_id(kind) << ": " << g_alloc_count.load()
+        << " steady-state allocations (" << g_alloc_bytes.load()
+        << " bytes)";
     EXPECT_GT(result.response_time_ms, 0.0);
-  };
-
-  for (SolverKind kind : kCatalog) {
-    for (core::EngineKind engine : core::kAllEngineKinds) {
-      run_kind(kind, engine);
-      // The engine only differentiates the parallel kind.
-      if (kind != SolverKind::kParallelPushRelabelBinary) break;
-    }
   }
 }
 
@@ -240,18 +226,11 @@ TEST(WorkspaceReuse, PooledResultsBitIdenticalToFreshSolversBasic) {
                              rng));
   }
   for (SolverKind kind : kCatalog) {
-    for (core::EngineKind engine : core::kAllEngineKinds) {
-      core::SolverPool pool(/*threads=*/1);
-      pool.set_engine_kind(engine);
-      SolveResult reused;
-      for (std::size_t i = 0; i < problems.size(); ++i) {
-        pool.solve_into(problems[i], kind, reused);
-        expect_identical(fresh_solve(problems[i], kind, engine), reused, kind,
-                         i);
-      }
-      // The engine only differentiates the parallel kind; one pass covers
-      // the sequential kinds.
-      if (kind != SolverKind::kParallelPushRelabelBinary) break;
+    core::SolverPool pool(/*threads=*/1);
+    SolveResult reused;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      pool.solve_into(problems[i], kind, reused);
+      expect_identical(fresh_solve(problems[i], kind), reused, kind, i);
     }
   }
 }
@@ -267,16 +246,11 @@ TEST(WorkspaceReuse, PooledResultsBitIdenticalToFreshSolversGeneralized) {
   }
   for (SolverKind kind : kCatalog) {
     if (kind == SolverKind::kFordFulkersonBasic) continue;  // basic-only
-    for (core::EngineKind engine : core::kAllEngineKinds) {
-      core::SolverPool pool(/*threads=*/1);
-      pool.set_engine_kind(engine);
-      SolveResult reused;
-      for (std::size_t i = 0; i < problems.size(); ++i) {
-        pool.solve_into(problems[i], kind, reused);
-        expect_identical(fresh_solve(problems[i], kind, engine), reused, kind,
-                         i);
-      }
-      if (kind != SolverKind::kParallelPushRelabelBinary) break;
+    core::SolverPool pool(/*threads=*/1);
+    SolveResult reused;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      pool.solve_into(problems[i], kind, reused);
+      expect_identical(fresh_solve(problems[i], kind), reused, kind, i);
     }
   }
 }

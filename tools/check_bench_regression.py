@@ -13,13 +13,10 @@ Inputs:
     ``router_overload`` gates.  These response times are virtual/model
     milliseconds — deterministic for a fixed seed — so unlike the wall-clock
     gates no noise tolerance is applied.
-  * a head-to-head JSON (``--parallel-head``) from
-    ``fig10_parallel_speedup --bench-json=...``, whose
-    ``round_over_hong_he`` ratio at the largest thread count must clear the
-    baseline's ``gate_min_round_over_hong_he`` floor;
-  * a metrics sidecar JSON (``--parallel-metrics``) from the same run, which
-    must show the round engine actually ran (``parallel.rounds`` and
-    ``parallel.global_relabels`` counters > 0);
+  * a metrics sidecar JSON (``--parallel-metrics``) from
+    ``fig10_parallel_speedup --metrics-json=...``, which must show the
+    Section V Hong & He engine actually ran (``parallel.resumes`` and
+    ``parallel.pushes`` counters > 0);
   * a degree-16 cells JSON (``--degree-cells``) from
     ``multi_copy_extension --bench-json=...``, whose summed DFS arc probes
     with degree bucketing off and on (``degree16.unbucketed_visits`` /
@@ -132,36 +129,6 @@ def check_router_metrics(baseline: dict, metrics_path: str):
     return failures
 
 
-def check_parallel_head(baseline: dict, head_path: str):
-    """Round engine must stay competitive with Hong & He.
-
-    The ratio gate applies at the largest thread count only: that is where
-    the pre-cutoff regression (two pool barriers per tiny round) was worst,
-    and where a barrier-cost regression would reappear first.  Both engines
-    are timed over identical problems in one process, so the ratio is much
-    more stable than either wall-clock number alone.
-    """
-    gates = baseline.get("parallel_head_to_head", {})
-    min_ratio = gates.get("gate_min_round_over_hong_he")
-    if min_ratio is None:
-        sys.exit("baseline has no parallel_head_to_head."
-                 "gate_min_round_over_hong_he")
-    head = load_json(head_path)
-    rows = head.get("head_to_head", [])
-    if not rows:
-        return [f"no head_to_head rows in {head_path}"]
-    top = max(rows, key=lambda r: r.get("threads", 0))
-    ratio = top.get("round_over_hong_he")
-    if ratio is None:
-        return [f"head_to_head row lacks round_over_hong_he in {head_path}"]
-    print(f"round/hong_he @ {top.get('threads')} threads = {ratio:.3f} "
-          f"(gate >= {min_ratio})")
-    if ratio < min_ratio:
-        return [f"round engine regressed vs hong_he at "
-                f"{top.get('threads')} threads: {ratio:.3f} < {min_ratio}"]
-    return []
-
-
 def check_degree_cells(baseline: dict, cells_path: str):
     """Degree-bucketed adjacency must keep cutting DFS work.
 
@@ -191,15 +158,15 @@ def check_degree_cells(baseline: dict, cells_path: str):
 
 
 def check_parallel_metrics(metrics_path: str):
-    """The head-to-head run must have exercised the round engine."""
+    """The fig10 run must have exercised the Hong & He engine."""
     counters = load_json(metrics_path).get("counters", {})
     failures = []
-    for name in ("parallel.rounds", "parallel.global_relabels"):
+    for name in ("parallel.resumes", "parallel.pushes"):
         value = counters.get(name, 0)
         print(f"{name} = {value}")
         if not value:
             failures.append(
-                f"{name} counter is {value} in {metrics_path}: the round "
+                f"{name} counter is {value} in {metrics_path}: the Hong & He "
                 f"engine never ran")
     return failures
 
@@ -215,10 +182,8 @@ def main() -> int:
     parser.add_argument("--router-metrics",
                         help="metrics sidecar from an --admission=coalesce "
                              "overload run")
-    parser.add_argument("--parallel-head",
-                        help="fig10_parallel_speedup --bench-json output")
     parser.add_argument("--parallel-metrics",
-                        help="metrics sidecar from the head-to-head run")
+                        help="fig10_parallel_speedup metrics sidecar")
     parser.add_argument("--degree-cells",
                         help="multi_copy_extension --bench-json output "
                              "(degree-16 cells, bucketing off vs on)")
@@ -226,12 +191,10 @@ def main() -> int:
                         help="slowdown factor that fails the gate")
     args = parser.parse_args()
     if not (args.bench_json or args.stream_metrics or args.router_metrics
-            or args.parallel_head or args.parallel_metrics
-            or args.degree_cells):
+            or args.parallel_metrics or args.degree_cells):
         parser.error("nothing to check: pass --bench-json, "
                      "--stream-metrics, --router-metrics, "
-                     "--parallel-head, --parallel-metrics, and/or "
-                     "--degree-cells")
+                     "--parallel-metrics, and/or --degree-cells")
 
     baseline = load_json(args.baseline)
     failures = []
@@ -242,8 +205,6 @@ def main() -> int:
         failures += check_stream_metrics(baseline, args.stream_metrics)
     if args.router_metrics:
         failures += check_router_metrics(baseline, args.router_metrics)
-    if args.parallel_head:
-        failures += check_parallel_head(baseline, args.parallel_head)
     if args.parallel_metrics:
         failures += check_parallel_metrics(args.parallel_metrics)
     if args.degree_cells:
