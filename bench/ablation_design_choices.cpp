@@ -3,15 +3,19 @@
 //   2. binary capacity scaling  (Alg 6 vs Alg 5, which increments only)
 //   3. push-relabel heuristics  (exact heights + gap vs the paper's
 //                                plain zero-height re-initialization)
-//   4. black-box engine family  (push-relabel vs Dinic vs Edmonds-Karp)
 // Workload: Experiment 5, Orthogonal allocation, Arbitrary/Load 2 — the
-// paper's hardest configuration.
+// paper's hardest configuration.  --verify requires every column to return
+// the same optimal response time on every query; --check runs the
+// invariant suite on every result (exit 3 on violation).
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <iostream>
+#include <utility>
 
+#include "analysis/schedule_invariants.h"
 #include "bench/common.h"
 #include "core/black_box.h"
-#include "core/ford_fulkerson_binary.h"
 #include "core/push_relabel_binary.h"
 #include "core/push_relabel_incremental.h"
 #include "support/rng.h"
@@ -23,12 +27,21 @@ namespace {
 using namespace repflow;
 using bench::SweepConfig;
 
-double time_ms(const std::function<double()>& run) {
+struct Column {
+  const char* title;
+  const char* csv;
+  std::function<core::SolveResult(const core::RetrievalProblem&)> solve;
+};
+
+/// One timed construction + solve; the result is moved out after the clock
+/// stops.
+double time_ms(const Column& column, const core::RetrievalProblem& problem,
+               core::SolveResult& out) {
   StopWatch sw;
   sw.start();
-  const double response = run();
+  core::SolveResult result = column.solve(problem);
   sw.stop();
-  (void)response;
+  out = std::move(result);
   return sw.elapsed_ms();
 }
 
@@ -36,18 +49,46 @@ double time_ms(const std::function<double()>& run) {
 
 int main(int argc, char** argv) {
   const SweepConfig config = bench::parse_sweep(
-      argc, argv,
-      "ablation: flow conservation, binary scaling, PR heuristics, engines");
+      argc, argv, "ablation: flow conservation, binary scaling, PR heuristics");
   bench::print_banner(
       "Ablation: design choices on Experiment 5 / Orthogonal / Arb Load 2",
       config);
-  CsvWriter csv(config.csv);
-  csv.write_header({"N", "alg6_ms", "alg5_ms", "alg6_zeroheights_ms",
-                    "ff_binary_ms", "bb_pr_ms", "bb_dinic_ms", "bb_ek_ms"});
 
-  TablePrinter table({"N", "Alg6 (int+scal)", "Alg5 (int only)",
-                      "Alg6 zero-h", "FF+scaling", "BB push-relabel",
-                      "BB Dinic", "BB Edmonds-Karp"});
+  graph::PushRelabelOptions zero_heights;
+  zero_heights.height_init = graph::HeightInit::kZero;
+  zero_heights.use_gap_heuristic = false;
+  zero_heights.global_relabel_interval_factor = 0;
+  const std::vector<Column> columns = {
+      {"Alg6 (int+scal)", "alg6_ms",
+       [](const core::RetrievalProblem& p) {
+         return core::PushRelabelBinarySolver(p).solve();
+       }},
+      {"Alg5 (int only)", "alg5_ms",
+       [](const core::RetrievalProblem& p) {
+         return core::PushRelabelIncrementalSolver(p).solve();
+       }},
+      {"Alg6 zero-h", "alg6_zeroheights_ms",
+       [&zero_heights](const core::RetrievalProblem& p) {
+         return core::PushRelabelBinarySolver(
+                    p, core::sequential_engine_factory(zero_heights))
+             .solve();
+       }},
+      {"BB push-relabel", "bb_pr_ms",
+       [](const core::RetrievalProblem& p) {
+         return core::BlackBoxBinarySolver(p).solve();
+       }},
+  };
+
+  CsvWriter csv(config.csv);
+  std::vector<std::string> csv_header = {"N"};
+  std::vector<std::string> titles = {"N"};
+  for (const Column& column : columns) {
+    csv_header.emplace_back(column.csv);
+    titles.emplace_back(column.title);
+  }
+  csv.write_header(csv_header);
+  TablePrinter table(titles);
+
   for (std::int32_t n = config.nmin; n <= config.nmax; n += config.nstep) {
     Rng rng(config.seed ^ 0xAB1A ^ static_cast<std::uint64_t>(n));
     const auto rep = decluster::make_orthogonal(
@@ -60,68 +101,44 @@ int main(int argc, char** argv) {
       problems.push_back(core::build_problem(rep, gen.next(rng), sys));
     }
 
-    graph::PushRelabelOptions zero_heights;
-    zero_heights.height_init = graph::HeightInit::kZero;
-    zero_heights.use_gap_heuristic = false;
-    zero_heights.global_relabel_interval_factor = 0;
-
-    double alg6 = 0, alg5 = 0, alg6_zero = 0, ff_binary = 0, bb_pr = 0,
-           bb_dinic = 0, bb_ek = 0;
+    std::vector<double> total_ms(columns.size(), 0.0);
+    std::vector<core::SolveResult> results(columns.size());
     for (const auto& p : problems) {
-      alg6 += time_ms([&] {
-        return core::PushRelabelBinarySolver(p).solve().response_time_ms;
-      });
-      alg5 += time_ms([&] {
-        return core::PushRelabelIncrementalSolver(p).solve().response_time_ms;
-      });
-      alg6_zero += time_ms([&] {
-        return core::PushRelabelBinarySolver(
-                   p, core::sequential_engine_factory(zero_heights))
-            .solve()
-            .response_time_ms;
-      });
-      ff_binary += time_ms([&] {
-        return core::FordFulkersonBinarySolver(p).solve().response_time_ms;
-      });
-      bb_pr += time_ms([&] {
-        return core::BlackBoxBinarySolver(p, core::BlackBoxEngine::kPushRelabel)
-            .solve()
-            .response_time_ms;
-      });
-      bb_dinic += time_ms([&] {
-        return core::BlackBoxBinarySolver(p, core::BlackBoxEngine::kDinic)
-            .solve()
-            .response_time_ms;
-      });
-      bb_ek += time_ms([&] {
-        return core::BlackBoxBinarySolver(p,
-                                          core::BlackBoxEngine::kFordFulkerson)
-            .solve()
-            .response_time_ms;
-      });
+      for (std::size_t c = 0; c < columns.size(); ++c) {
+        total_ms[c] += time_ms(columns[c], p, results[c]);
+        if (config.check) {
+          const auto report = analysis::check_solve_result(p, results[c]);
+          if (!report.ok()) {
+            std::fprintf(stderr, "CHECK FAILED: %s (N=%d)\n%s\n",
+                         columns[c].title, n, report.to_string().c_str());
+            std::exit(3);
+          }
+        }
+        if (config.verify &&
+            results[c].response_time_ms != results[0].response_time_ms) {
+          std::fprintf(stderr, "VERIFY FAILED: %s T %.17g vs %s %.17g (N=%d)\n",
+                       columns[c].title, results[c].response_time_ms,
+                       columns[0].title, results[0].response_time_ms, n);
+          std::abort();
+        }
+      }
     }
     const double q = static_cast<double>(config.queries);
     table.begin_row();
     table.add_cell(static_cast<long long>(n));
-    table.add_cell(alg6 / q, 4);
-    table.add_cell(alg5 / q, 4);
-    table.add_cell(alg6_zero / q, 4);
-    table.add_cell(ff_binary / q, 4);
-    table.add_cell(bb_pr / q, 4);
-    table.add_cell(bb_dinic / q, 4);
-    table.add_cell(bb_ek / q, 4);
+    std::vector<std::string> row = {std::to_string(n)};
+    for (const double ms : total_ms) {
+      table.add_cell(ms / q, 4);
+      row.push_back(format_double(ms / q, 6));
+    }
     table.end_row();
-    csv.write_row({std::to_string(n), format_double(alg6 / q, 6),
-                   format_double(alg5 / q, 6), format_double(alg6_zero / q, 6),
-                   format_double(ff_binary / q, 6),
-                   format_double(bb_pr / q, 6), format_double(bb_dinic / q, 6),
-                   format_double(bb_ek / q, 6)});
+    csv.write_row(row);
   }
   table.print(std::cout);
   std::printf(
       "\ncolumns: Alg6 = integrated + binary scaling; Alg5 = integrated, no "
       "scaling;\nAlg6 zero-h = paper's plain zero-height reinit (no exact "
-      "heights / gap);\nBB = black-box binary scaling with the named "
-      "engine.\n");
+      "heights / gap);\nBB = black-box binary scaling with push-relabel "
+      "[12].\n");
   return 0;
 }

@@ -1,6 +1,7 @@
-// Micro-benchmarks (google-benchmark) of the max-flow engines on the three
-// synthetic network families.  Not a paper artifact; quantifies the engine
-// building blocks behind Figures 5-9 and the heuristic ablations.
+// Micro-benchmarks (google-benchmark) of the Ford-Fulkerson and push-relabel
+// engines on bipartite and layered synthetic networks.  Not a paper
+// artifact; quantifies the engine building blocks behind Figures 5-9 and
+// the heuristic ablations.
 //
 // The *_Reused and *_Pooled variants measure the zero-allocation solve path:
 // a persistent engine (or SolverPool shell) is rebound/reused across
@@ -11,12 +12,9 @@
 #include "core/problem.h"
 #include "core/solver.h"
 #include "core/solver_pool.h"
-#include "graph/capacity_scaling.h"
-#include "graph/dinic.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "graph/push_relabel.h"
-#include "graph/push_relabel_hl.h"
 #include "support/rng.h"
 
 namespace {
@@ -58,15 +56,6 @@ void BM_FordFulkersonBfs_Bipartite(benchmark::State& state) {
 }
 BENCHMARK(BM_FordFulkersonBfs_Bipartite)->Arg(100)->Arg(400)->Arg(1600);
 
-void BM_Dinic_Bipartite(benchmark::State& state) {
-  auto g = make_bipartite(state.range(0));
-  for (auto _ : state) {
-    graph::Dinic engine(g.net, g.source, g.sink);
-    benchmark::DoNotOptimize(engine.solve_from_zero().value);
-  }
-}
-BENCHMARK(BM_Dinic_Bipartite)->Arg(100)->Arg(400)->Arg(1600);
-
 void BM_PushRelabel_Bipartite(benchmark::State& state) {
   auto g = make_bipartite(state.range(0));
   for (auto _ : state) {
@@ -89,24 +78,6 @@ void BM_PushRelabel_NoHeuristics_Bipartite(benchmark::State& state) {
 }
 BENCHMARK(BM_PushRelabel_NoHeuristics_Bipartite)->Arg(100)->Arg(400);
 
-void BM_PushRelabelHighestLabel_Bipartite(benchmark::State& state) {
-  auto g = make_bipartite(state.range(0));
-  for (auto _ : state) {
-    graph::HighestLabelPushRelabel engine(g.net, g.source, g.sink);
-    benchmark::DoNotOptimize(engine.solve_from_zero().value);
-  }
-}
-BENCHMARK(BM_PushRelabelHighestLabel_Bipartite)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_CapacityScaling_Bipartite(benchmark::State& state) {
-  auto g = make_bipartite(state.range(0));
-  for (auto _ : state) {
-    graph::CapacityScalingMaxflow engine(g.net, g.source, g.sink);
-    benchmark::DoNotOptimize(engine.solve_from_zero().value);
-  }
-}
-BENCHMARK(BM_CapacityScaling_Bipartite)->Arg(100)->Arg(400)->Arg(1600);
-
 void BM_PushRelabel_Layered(benchmark::State& state) {
   auto g = make_layered(state.range(0));
   for (auto _ : state) {
@@ -115,15 +86,6 @@ void BM_PushRelabel_Layered(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PushRelabel_Layered)->Arg(8)->Arg(32);
-
-void BM_Dinic_Layered(benchmark::State& state) {
-  auto g = make_layered(state.range(0));
-  for (auto _ : state) {
-    graph::Dinic engine(g.net, g.source, g.sink);
-    benchmark::DoNotOptimize(engine.solve_from_zero().value);
-  }
-}
-BENCHMARK(BM_Dinic_Layered)->Arg(8)->Arg(32);
 
 // --- Zero-allocation path: persistent engines rebound between runs --------
 
@@ -138,17 +100,6 @@ void BM_PushRelabel_Bipartite_Reused(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PushRelabel_Bipartite_Reused)->Arg(100)->Arg(400)->Arg(1600);
-
-void BM_Dinic_Bipartite_Reused(benchmark::State& state) {
-  auto g = make_bipartite(state.range(0));
-  graph::MaxflowWorkspace workspace;
-  graph::Dinic engine(g.net, g.source, g.sink, &workspace);
-  for (auto _ : state) {
-    engine.rebind(g.source, g.sink);
-    benchmark::DoNotOptimize(engine.solve_from_zero().value);
-  }
-}
-BENCHMARK(BM_Dinic_Bipartite_Reused)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_FordFulkersonBfs_Bipartite_Reused(benchmark::State& state) {
   auto g = make_bipartite(state.range(0));

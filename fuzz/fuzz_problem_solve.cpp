@@ -6,15 +6,15 @@
 //   * Algorithm 2 (integrated Ford-Fulkerson incrementation),
 //   * Algorithm 6 (push-relabel with binary capacity scaling),
 //   * the black-box binary-search baseline,
-//   * Ford-Fulkerson with binary capacity scaling,
 //   * the Hopcroft-Karp b-matching kernel (kIntegratedMatching), and
 //   * the ReferenceSolver oracle (candidate enumeration + Edmonds-Karp).
 //
 // Some inputs decode C/D/X from raw 8-byte doubles, reaching NaN, the
 // infinities, denormals and magnitudes near 1e+-308.  Such a problem must
-// either be rejected by validate() or be solved exactly: every
-// binary-scaling driver returns the oracle's optimum bit for bit, within
-// ceil(log2 #candidates) + 1 resumes and without capacity steps.
+// either be rejected by validate() or be solved exactly: Algorithm 2 and
+// every binary-scaling driver return the oracle's optimum bit for bit, and
+// the binary-scaling drivers do so within ceil(log2 #candidates) + 1
+// resumes and without capacity steps.
 //
 // Any disagreement in optimal response time, any invariant violation
 // (flow conservation, schedule feasibility, recomputed response time), or
@@ -32,7 +32,6 @@
 
 #include "analysis/schedule_invariants.h"
 #include "core/binary_scaling.h"
-#include "core/ford_fulkerson_binary.h"
 #include "core/problem.h"
 #include "core/reference.h"
 #include "core/solve.h"
@@ -119,6 +118,14 @@ RetrievalProblem decode_problem(ByteReader& in) {
   std::abort();
 }
 
+/// "oracle=<T> got=<T>" with every digit: the checks compare bit for bit,
+/// and std::to_string's "%f" prints 4e-300 as 0.000000.
+std::string disagreement(double expected, double got) {
+  char buf[96];
+  std::snprintf(buf, sizeof buf, "oracle=%.17g got=%.17g", expected, got);
+  return buf;
+}
+
 void check_result(const RetrievalProblem& problem, const SolveResult& result,
                   const char* solver) {
   const auto report = repflow::analysis::check_solve_result(problem, result);
@@ -143,8 +150,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       repflow::core::solve(problem, SolverKind::kPushRelabelBinary);
   const SolveResult blackbox =
       repflow::core::solve(problem, SolverKind::kBlackBoxBinary);
-  const SolveResult ff_binary =
-      repflow::core::FordFulkersonBinarySolver(problem).solve();
   const SolveResult matching =
       repflow::core::solve(problem, SolverKind::kIntegratedMatching);
   const SolveResult oracle = repflow::core::ReferenceSolver(problem).solve();
@@ -152,19 +157,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   check_result(problem, alg2, "alg2_ff_incremental");
   check_result(problem, alg6, "alg6_pr_binary");
   check_result(problem, blackbox, "blackbox_binary");
-  check_result(problem, ff_binary, "ff_binary");
   check_result(problem, matching, "matching_hk");
 
   const double expected = oracle.response_time_ms;
   if (std::isnan(expected)) die(problem, "oracle returned NaN", "");
-  // Algorithm 2's IncrementMinCost merges next completions within 1e-9, so
-  // it may stop that far above the optimum.
-  const double tolerance = 1e-9 * (1.0 + std::fabs(expected));
-  if (!(std::fabs(alg2.response_time_ms - expected) <= tolerance) &&
-      alg2.response_time_ms != expected) {
+  // Algorithm 2 admits exactly the minimum next completion per step, so it
+  // stops at the oracle's optimum bit for bit.
+  if (alg2.response_time_ms != expected) {
     die(problem, "alg2 disagrees with the oracle",
-        "oracle=" + std::to_string(expected) +
-            " got=" + std::to_string(alg2.response_time_ms));
+        disagreement(expected, alg2.response_time_ms));
   }
 
   // The binary-scaling drivers search the exact candidate set: the optimum
@@ -186,11 +187,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     while ((std::int64_t{1} << probe_bound) < candidates) ++probe_bound;
     ++probe_bound;
   }
-  for (const SolveResult* r : {&alg6, &blackbox, &ff_binary, &matching}) {
+  for (const SolveResult* r : {&alg6, &blackbox, &matching}) {
     if (r->response_time_ms != expected) {
       die(problem, "optimal response times disagree",
-          "oracle=" + std::to_string(expected) +
-              " got=" + std::to_string(r->response_time_ms));
+          disagreement(expected, r->response_time_ms));
     }
     if (r->binary_probes > probe_bound || r->capacity_steps != 0) {
       die(problem, "search exceeded its probe bound",

@@ -7,11 +7,6 @@
 
 namespace repflow::core {
 
-BlackBoxBinarySolver::BlackBoxBinarySolver(const RetrievalProblem& problem,
-                                           BlackBoxEngine engine,
-                                           graph::PushRelabelOptions pr_options)
-    : bound_problem_(&problem), engine_(engine), pr_options_(pr_options) {}
-
 void BlackBoxBinarySolver::set_capacities_for_time(double t) {
   network_.set_capacities_for_time(t);
 }
@@ -22,24 +17,9 @@ std::int64_t BlackBoxBinarySolver::resume() {
   obs::ScopedSpan span("blackbox.maxflow_run");
   SolveResult& result = *result_;
   ++result.maxflow_runs;
-  switch (engine_) {
-    case BlackBoxEngine::kPushRelabel: {
-      auto r = pr_->solve_from_zero();
-      result.flow_stats += r.stats;
-      return r.value;
-    }
-    case BlackBoxEngine::kFordFulkerson: {
-      auto r = ff_->solve_from_zero();
-      result.flow_stats += r.stats;
-      return r.value;
-    }
-    case BlackBoxEngine::kDinic: {
-      auto r = dinic_->solve_from_zero();
-      result.flow_stats += r.stats;
-      return r.value;
-    }
-  }
-  return 0;
+  const graph::MaxflowResult r = pr_->solve_from_zero();
+  result.flow_stats += r.stats;
+  return r.value;
 }
 
 SolveResult BlackBoxBinarySolver::solve() {
@@ -59,19 +39,10 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
   auto& net = network_.net();
   const graph::Vertex s = network_.source();
   const graph::Vertex t = network_.sink();
-  switch (engine_) {
-    case BlackBoxEngine::kPushRelabel:
-      if (!pr_) pr_.emplace(net, s, t, pr_options_, &workspace_);
-      else pr_->rebind(s, t);
-      break;
-    case BlackBoxEngine::kFordFulkerson:
-      if (!ff_) ff_.emplace(net, s, t, graph::SearchOrder::kBfs, &workspace_);
-      else ff_->rebind(s, t);
-      break;
-    case BlackBoxEngine::kDinic:
-      if (!dinic_) dinic_.emplace(net, s, t, &workspace_);
-      else dinic_->rebind(s, t);
-      break;
+  if (!pr_) {
+    pr_.emplace(net, s, t, graph::PushRelabelOptions{}, &workspace_);
+  } else {
+    pr_->rebind(s, t);
   }
 
   result_ = &result;

@@ -11,33 +11,19 @@
 #include "core/binary_scaling.h"
 #include "core/network.h"
 #include "core/solver.h"
-#include "graph/dinic.h"
-#include "graph/ford_fulkerson.h"
 #include "graph/push_relabel.h"
 
 namespace repflow::core {
 
-/// Which engine the black box calls (the paper uses LEDA's push-relabel;
-/// FF/Dinic are provided for the ablation bench).
-enum class BlackBoxEngine {
-  kPushRelabel,
-  kFordFulkerson,
-  kDinic,
-};
-
+/// Every probe runs FIFO push-relabel, as [12] runs LEDA's.
 class BlackBoxBinarySolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
-  explicit BlackBoxBinarySolver(
-      BlackBoxEngine engine = BlackBoxEngine::kPushRelabel,
-      graph::PushRelabelOptions pr_options = {})
-      : engine_(engine), pr_options_(pr_options) {}
+  BlackBoxBinarySolver() = default;
 
   /// One-problem convenience binding (the original API).
-  explicit BlackBoxBinarySolver(
-      const RetrievalProblem& problem,
-      BlackBoxEngine engine = BlackBoxEngine::kPushRelabel,
-      graph::PushRelabelOptions pr_options = {});
+  explicit BlackBoxBinarySolver(const RetrievalProblem& problem)
+      : bound_problem_(&problem) {}
 
   /// Solve the constructor-bound problem.
   SolveResult solve();
@@ -62,15 +48,11 @@ class BlackBoxBinarySolver : private ScalingKernel {
   const RetrievalProblem* bound_problem_ = nullptr;
   SolveResult* result_ = nullptr;  // the solve in progress (run counters)
   RetrievalNetwork network_;
-  BlackBoxEngine engine_;
-  graph::PushRelabelOptions pr_options_;
   BinaryScalingDriver driver_;
   graph::MaxflowWorkspace workspace_;
-  // Only the slot matching engine_ is ever engaged; it persists across
-  // solves (rebound in place) so probes reuse its working buffers.
+  // Engaged on the first solve; persists across solves (rebound in place)
+  // so probes reuse its working buffers.
   std::optional<graph::PushRelabel> pr_;
-  std::optional<graph::FordFulkerson> ff_;
-  std::optional<graph::Dinic> dinic_;
 };
 
 }  // namespace repflow::core

@@ -99,6 +99,10 @@ void ExecutionContext::solve_into(const RetrievalProblem& problem,
 
 void ExecutionContext::solve_into(const RetrievalProblem& problem,
                                   SolverKind kind, SolveResult& result) {
+  // Every entry point lands here, so this is the one place a malformed
+  // problem (non-finite or non-positive cost, disk id out of range) is
+  // turned into std::invalid_argument before any pooled state is touched.
+  problem.validate();
   SolverMetrics& metrics = metrics_for(kind);
   obs::ScopedSpan span(metrics.span_name);
   // Manual stopwatch instead of ScopedLatency: the wall time also feeds the

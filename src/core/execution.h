@@ -81,7 +81,8 @@ class ExecutionContext {
   void solve_into(const RetrievalProblem& problem, SolveResult& result);
 
   /// Pooled solve with an explicit kind (bypasses selection, still
-  /// funnelled through the per-kind metrics).
+  /// funnelled through the per-kind metrics).  Throws std::invalid_argument
+  /// when `problem.validate()` does, before any pooled state is touched.
   void solve_into(const RetrievalProblem& problem, SolverKind kind,
                   SolveResult& result);
 

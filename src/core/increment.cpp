@@ -8,13 +8,6 @@
 
 namespace repflow::core {
 
-namespace {
-// Two next-completion costs are "the same minimum" when equal up to noise;
-// all costs are short sums/products of catalog constants, so 1e-9 relative
-// play is ample.
-constexpr double kCostEpsilon = 1e-9;
-}  // namespace
-
 CapacityIncrementer::CapacityIncrementer(RetrievalNetwork& network) {
   rebind(network);
 }
@@ -69,10 +62,12 @@ double CapacityIncrementer::increment_min_cost() {
         "IncrementMinCost: live edge set exhausted before reaching |Q|");
   }
   // Pass 2 (lines 10-12): bump every live disk achieving the minimum.
+  // Both passes price a slot with the same completion_time() call, so a tie
+  // is an exact equality; admitting a near-tie would stop above the optimum.
   for (const DiskId d : live_) {
     const double cost = sys.completion_time(
         d, caps_[static_cast<std::size_t>(d)] + 1);
-    if (cost <= min_cost + kCostEpsilon) {
+    if (cost == min_cost) {
       bump(d);
     }
   }

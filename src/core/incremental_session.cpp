@@ -7,10 +7,6 @@
 
 namespace repflow::core {
 
-namespace {
-constexpr double kCostEpsilon = 1e-9;
-}  // namespace
-
 IncrementalQuerySession::IncrementalQuerySession(
     workload::SystemConfig system)
     : system_(std::move(system)) {
@@ -70,12 +66,6 @@ std::int64_t IncrementalQuerySession::add_bucket(
   return static_cast<std::int64_t>(replicas_.size() - 1);
 }
 
-double IncrementalQuerySession::current_min_cost(DiskId d) const {
-  return system_.delay_ms[d] + system_.init_load_ms[d] +
-         static_cast<double>(caps_[static_cast<std::size_t>(d)] + 1) *
-             system_.cost_ms[d];
-}
-
 void IncrementalQuerySession::increment_min_cost() {
   // Infinity, not max(): a completion time that overflows to inf must
   // still be admitted, or the step bumps nothing and the driver spins.
@@ -84,7 +74,9 @@ void IncrementalQuerySession::increment_min_cost() {
   for (DiskId d = 0; d < system_.total_disks(); ++d) {
     if (in_degree_[d] <= caps_[static_cast<std::size_t>(d)]) continue;
     any = true;
-    min_cost = std::min(min_cost, current_min_cost(d));
+    min_cost = std::min(
+        min_cost,
+        system_.completion_time(d, caps_[static_cast<std::size_t>(d)] + 1));
   }
   if (!any) {
     throw std::logic_error(
@@ -92,7 +84,9 @@ void IncrementalQuerySession::increment_min_cost() {
   }
   for (DiskId d = 0; d < system_.total_disks(); ++d) {
     if (in_degree_[d] <= caps_[static_cast<std::size_t>(d)]) continue;
-    if (current_min_cost(d) <= min_cost + kCostEpsilon) {
+    // Exact tie, as in CapacityIncrementer::increment_min_cost().
+    if (system_.completion_time(d, caps_[static_cast<std::size_t>(d)] + 1) ==
+        min_cost) {
       ++caps_[static_cast<std::size_t>(d)];
       net_.set_capacity(sink_arcs_[d], caps_[static_cast<std::size_t>(d)]);
       // Bumps only happen while cap < in-degree, so caps_ <= in_degree_

@@ -64,7 +64,6 @@ class IncrementalQuerySession {
   std::size_t retained_bytes() const;
 
  private:
-  double current_min_cost(DiskId d) const;
   void increment_min_cost();
 
   workload::SystemConfig system_;

@@ -8,10 +8,10 @@
 
 namespace repflow::graph {
 
-/// Operation counters exposed by every engine; the ablation benches report
-/// these alongside wall-clock time.
+/// Operation counters exposed by every engine; solvers fold them into
+/// SolveResult::flow_stats, which the serving benchmark reports per query.
 struct FlowStats {
-  std::uint64_t augmentations = 0;   // Ford-Fulkerson / Dinic paths
+  std::uint64_t augmentations = 0;   // Ford-Fulkerson paths
   std::uint64_t pushes = 0;          // push-relabel pushes
   std::uint64_t relabels = 0;        // push-relabel relabels
   std::uint64_t global_relabels = 0; // exact-height recomputations

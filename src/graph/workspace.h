@@ -124,16 +124,15 @@ struct MaxflowWorkspace {
   std::vector<std::uint8_t> in_queue;
   VertexFifo fifo;
 
-  // --- admissible-arc cursors (PushRelabel, Dinic) ---
+  // --- admissible-arc cursors (PushRelabel) ---
   std::vector<std::uint32_t> arc_cursor;
 
-  // --- search scratch (global relabel BFS, FordFulkerson, Dinic) ---
+  // --- search scratch (global relabel BFS, FordFulkerson) ---
   std::vector<Vertex> vertex_scratch;      // BFS queues / DFS stacks
   std::vector<std::uint32_t> visited_mark; // epoch-stamped visited flags
   std::uint32_t mark_epoch = 0;            // shared so stale marks never alias
   std::vector<ArcId> parent_arc;           // BFS predecessor arcs
   std::vector<ArcId> arc_path;             // DFS augmenting path
-  std::vector<std::int32_t> level;         // Dinic level graph
 
   // --- flow snapshots (Algorithm 6 driver) ---
   std::vector<Cap> flow_snapshot;
@@ -154,7 +153,6 @@ struct MaxflowWorkspace {
            visited_mark.capacity() * sizeof(std::uint32_t) +
            parent_arc.capacity() * sizeof(ArcId) +
            arc_path.capacity() * sizeof(ArcId) +
-           level.capacity() * sizeof(std::int32_t) +
            flow_snapshot.capacity() * sizeof(Cap) +
            matching.retained_bytes();
   }

@@ -27,7 +27,6 @@
 #include "analysis/schedule_invariants.h"
 #include "core/binary_scaling.h"
 #include "core/brute_force.h"
-#include "core/ford_fulkerson_binary.h"
 #include "core/reference.h"
 #include "core/solve.h"
 #include "support/rng.h"
@@ -124,8 +123,7 @@ std::int64_t probe_bound(const RetrievalProblem& problem) {
 }
 
 /// Every driver built on BinaryScalingDriver, labelled: alg6 on the
-/// sequential and the parallel engine, black box, FF-binary, and the
-/// matching kernel.
+/// sequential and the parallel engine, black box, and the matching kernel.
 std::vector<std::pair<std::string, SolveResult>> binary_scaling_results(
     const RetrievalProblem& problem) {
   std::vector<std::pair<std::string, SolveResult>> out;
@@ -136,8 +134,6 @@ std::vector<std::pair<std::string, SolveResult>> binary_scaling_results(
                                /*threads=*/2));
   out.emplace_back("blackbox",
                    core::solve(problem, SolverKind::kBlackBoxBinary));
-  out.emplace_back("ff_binary",
-                   core::FordFulkersonBinarySolver(problem).solve());
   out.emplace_back("matching",
                    core::solve(problem, SolverKind::kIntegratedMatching));
   return out;

@@ -15,8 +15,8 @@
 #include "core/network.h"
 #include "core/schedule.h"
 #include "core/solve.h"
-#include "graph/dinic.h"
 #include "graph/flow_network.h"
+#include "graph/push_relabel.h"
 
 namespace repflow {
 namespace {
@@ -44,8 +44,8 @@ TEST(FlowInvariants, CleanZeroFlowPasses) {
 
 TEST(FlowInvariants, SolvedFlowPassesAllChecks) {
   FlowNetwork net = diamond();
-  graph::Dinic dinic(net, 0, 3);
-  const auto result = dinic.solve_from_zero();
+  graph::PushRelabel engine(net, 0, 3);
+  const auto result = engine.solve_from_zero();
   EXPECT_EQ(result.value, 2);
   EXPECT_TRUE(analysis::check_flow_invariants(net, 0, 3).ok());
   EXPECT_TRUE(analysis::check_preflow_invariants(net, 0, 3).ok());
@@ -177,8 +177,8 @@ TEST(ScheduleInvariants, NetworkScheduleConsistencyHoldsAndFires) {
   const auto problem = two_disk_problem();
   core::RetrievalNetwork network(problem);
   network.set_capacities_for_time(10.0);
-  graph::Dinic dinic(network.net(), network.source(), network.sink());
-  dinic.solve_from_zero();
+  graph::PushRelabel engine(network.net(), network.source(), network.sink());
+  engine.solve_from_zero();
   ASSERT_EQ(network.flow_value(), problem.query_size());
   auto schedule = core::extract_schedule(network);
   EXPECT_TRUE(

@@ -18,9 +18,9 @@
 #include "core/network.h"
 #include "core/schedule.h"
 #include "core/solver_pool.h"
-#include "graph/dinic.h"
 #include "graph/flow_network.h"
 #include "graph/generators.h"
+#include "graph/push_relabel.h"
 #include "support/rng.h"
 
 namespace repflow {
@@ -101,8 +101,9 @@ TEST(NetworkReset, InterleavedResetAddArcSolveKeepsIntegrity) {
     }
     net.finalize_adjacency();
     expect_csr_clean(net, "pre-solve");
-    graph::Dinic dinic(net, source, sink, &workspace);
-    const auto result = dinic.solve_from_zero();
+    graph::PushRelabel engine(net, source, sink, graph::PushRelabelOptions{},
+                              &workspace);
+    const auto result = engine.solve_from_zero();
     EXPECT_GE(result.value, 0);
     expect_csr_clean(net, "post-solve");
     const auto flow_report = analysis::check_flow_invariants(net, source, sink);
@@ -145,8 +146,9 @@ TEST(NetworkReset, RetrievalNetworkRebuildFinalizesAdjacency) {
     EXPECT_FALSE(network.net().adjacency_dirty());
     expect_csr_clean(network.net(), "after rebuild");
     network.set_capacities_for_time(100.0);
-    graph::Dinic dinic(network.net(), network.source(), network.sink());
-    dinic.solve_from_zero();
+    graph::PushRelabel engine(network.net(), network.source(),
+                              network.sink());
+    engine.solve_from_zero();
     EXPECT_EQ(network.flow_value(), problem->query_size());
     const auto schedule = core::extract_schedule(network);
     EXPECT_TRUE(core::check_schedule(*problem, schedule).empty());

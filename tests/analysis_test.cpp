@@ -1,19 +1,14 @@
-// Tests for the replicated retrieval-cost analysis, the integrated
-// Ford-Fulkerson binary-scaling solver, arrival processes, and
-// cross-run determinism guarantees.
+// Tests for the replicated retrieval-cost analysis and cross-run
+// determinism guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 
-#include "core/ford_fulkerson_binary.h"
-#include "core/reference.h"
 #include "core/solve.h"
 #include "decluster/retrieval_cost.h"
 #include "decluster/schemes.h"
 #include "decluster/threshold.h"
 #include "support/rng.h"
-#include "workload/arrivals.h"
 #include "workload/experiments.h"
 #include "workload/query_load.h"
 
@@ -76,95 +71,6 @@ TEST(RetrievalCost, OrthogonalBeatsOrMatchesDependentOnRangeQueries) {
   const auto orth_profile = decluster::replicated_error_profile(orth);
   const auto dep_profile = decluster::replicated_error_profile(dep);
   EXPECT_LE(orth_profile.mean, dep_profile.mean + 0.05);
-}
-
-class FfBinaryAgrees : public ::testing::TestWithParam<int> {};
-
-TEST_P(FfBinaryAgrees, WithReferenceAcrossExperiments) {
-  Rng rng(820 + GetParam());
-  const std::int32_t n = 5 + static_cast<std::int32_t>(rng.below(4));
-  const auto rep = decluster::make_scheme(
-      static_cast<decluster::Scheme>(rng.below(3)), n,
-      decluster::SiteMapping::kCopyPerSite, rng);
-  const auto sys = workload::make_experiment_system(
-      1 + static_cast<std::int32_t>(rng.below(5)), n, rng);
-  const workload::QueryGenerator gen(
-      n, rng.chance(0.5) ? workload::QueryType::kRange
-                         : workload::QueryType::kArbitrary,
-      workload::LoadKind::kLoad2);
-  for (int i = 0; i < 3; ++i) {
-    const auto problem = core::build_problem(rep, gen.next(rng), sys);
-    const double optimum =
-        core::ReferenceSolver(problem).solve().response_time_ms;
-    core::FordFulkersonBinarySolver solver(problem);
-    const auto result = solver.solve();
-    EXPECT_NEAR(result.response_time_ms, optimum, 1e-6);
-    EXPECT_TRUE(core::check_schedule(problem, result.schedule).empty());
-    EXPECT_GT(result.binary_probes, 0);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, FfBinaryAgrees, ::testing::Range(0, 15));
-
-TEST(Arrivals, UniformSpacingWithinJitterBand) {
-  Rng rng(1);
-  workload::ArrivalConfig config;
-  config.kind = workload::ArrivalKind::kUniform;
-  config.mean_interarrival_ms = 100.0;
-  const auto times = workload::generate_arrivals(config, 50, rng);
-  ASSERT_EQ(times.size(), 50u);
-  EXPECT_DOUBLE_EQ(times[0], 0.0);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    const double gap = times[i] - times[i - 1];
-    EXPECT_GE(gap, 50.0 - 1e-9);
-    EXPECT_LE(gap, 150.0 + 1e-9);
-  }
-}
-
-TEST(Arrivals, PoissonMeanMatches) {
-  Rng rng(2);
-  workload::ArrivalConfig config;
-  config.kind = workload::ArrivalKind::kPoisson;
-  config.mean_interarrival_ms = 40.0;
-  const auto times = workload::generate_arrivals(config, 4000, rng);
-  const double mean = times.back() / static_cast<double>(times.size() - 1);
-  EXPECT_NEAR(mean, 40.0, 3.0);
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
-}
-
-TEST(Arrivals, BurstyIsNonDecreasingAndClustered) {
-  Rng rng(3);
-  workload::ArrivalConfig config;
-  config.kind = workload::ArrivalKind::kBursty;
-  config.mean_interarrival_ms = 100.0;
-  config.burst_size = 4.0;
-  config.burst_gap_factor = 20.0;
-  const auto times = workload::generate_arrivals(config, 200, rng);
-  ASSERT_EQ(times.size(), 200u);
-  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
-  // Bursty processes have higher interarrival variance than Poisson with
-  // the same count: check that both very short and very long gaps occur.
-  int short_gaps = 0, long_gaps = 0;
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    const double gap = times[i] - times[i - 1];
-    if (gap < 50.0) ++short_gaps;
-    if (gap > 500.0) ++long_gaps;
-  }
-  EXPECT_GT(short_gaps, 50);
-  EXPECT_GT(long_gaps, 5);
-}
-
-TEST(Arrivals, RejectsBadConfigs) {
-  Rng rng(4);
-  workload::ArrivalConfig config;
-  config.mean_interarrival_ms = 0.0;
-  EXPECT_THROW(workload::generate_arrivals(config, 5, rng),
-               std::invalid_argument);
-  config.mean_interarrival_ms = 10.0;
-  config.kind = workload::ArrivalKind::kBursty;
-  config.burst_size = 0.5;
-  EXPECT_THROW(workload::generate_arrivals(config, 5, rng),
-               std::invalid_argument);
 }
 
 // Determinism: identical seeds must reproduce identical workloads, systems,

@@ -1,6 +1,5 @@
-// Tests for the extension modules: highest-label push-relabel, capacity-
-// scaling Ford-Fulkerson, threshold/golden-ratio declustering, multi-copy
-// orthogonal families, and the inter-query batch solver.
+// Tests for the extension modules: threshold/golden-ratio declustering,
+// multi-copy orthogonal families, and the inter-query batch solver.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -11,79 +10,12 @@
 #include "decluster/analysis.h"
 #include "decluster/schemes.h"
 #include "decluster/threshold.h"
-#include "graph/capacity_scaling.h"
-#include "graph/checks.h"
-#include "graph/ford_fulkerson.h"
-#include "graph/generators.h"
-#include "graph/push_relabel_hl.h"
 #include "support/rng.h"
 #include "workload/experiments.h"
 #include "workload/query_load.h"
 
 namespace repflow {
 namespace {
-
-using graph::Cap;
-
-class ExtraEngines : public ::testing::TestWithParam<int> {};
-
-TEST_P(ExtraEngines, MatchReferenceOnRandomNetworks) {
-  Rng rng(7000 + GetParam());
-  auto g = graph::random_general(
-      2 + static_cast<std::int32_t>(rng.below(35)),
-      static_cast<std::int32_t>(rng.below(150)),
-      1 + static_cast<Cap>(rng.below(30)), rng);
-  graph::FlowNetwork reference_net = g.net;
-  graph::FordFulkerson ek(reference_net, g.source, g.sink,
-                          graph::SearchOrder::kBfs);
-  const Cap expected = ek.solve_from_zero().value;
-
-  {
-    graph::FlowNetwork net = g.net;
-    graph::HighestLabelPushRelabel hl(net, g.source, g.sink);
-    EXPECT_EQ(hl.solve_from_zero().value, expected);
-    EXPECT_TRUE(graph::validate_flow(net, g.source, g.sink).ok);
-  }
-  {
-    graph::FlowNetwork net = g.net;
-    graph::CapacityScalingMaxflow cs(net, g.source, g.sink);
-    EXPECT_EQ(cs.solve_from_zero().value, expected);
-    EXPECT_TRUE(graph::validate_flow(net, g.source, g.sink).ok);
-  }
-}
-
-TEST_P(ExtraEngines, MatchOnRetrievalShapedNetworks) {
-  Rng rng(7100 + GetParam());
-  auto g = graph::random_bipartite(
-      5 + static_cast<std::int32_t>(rng.below(80)),
-      2 + static_cast<std::int32_t>(rng.below(15)), 2,
-      1 + static_cast<Cap>(rng.below(8)), rng);
-  graph::FlowNetwork reference_net = g.net;
-  const Cap expected = graph::FordFulkerson(reference_net, g.source, g.sink,
-                                            graph::SearchOrder::kBfs)
-                           .solve_from_zero()
-                           .value;
-  graph::FlowNetwork net_hl = g.net;
-  EXPECT_EQ(graph::HighestLabelPushRelabel(net_hl, g.source, g.sink)
-                .solve_from_zero()
-                .value,
-            expected);
-  graph::FlowNetwork net_cs = g.net;
-  EXPECT_EQ(graph::CapacityScalingMaxflow(net_cs, g.source, g.sink)
-                .solve_from_zero()
-                .value,
-            expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ExtraEngines, ::testing::Range(0, 20));
-
-TEST(ExtraEngines, RejectBadEndpoints) {
-  graph::FlowNetwork net(2);
-  EXPECT_THROW(graph::HighestLabelPushRelabel(net, 0, 0),
-               std::invalid_argument);
-  EXPECT_THROW(graph::CapacityScalingMaxflow(net, 0, 9),
-               std::invalid_argument);
-}
 
 TEST(ThresholdDeclustering, NeverWorseThanPeriodicSeed) {
   for (std::int32_t n : {4, 5, 6, 8}) {

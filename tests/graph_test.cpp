@@ -1,14 +1,12 @@
-// Unit and property tests for the graph substrate: FlowNetwork, the three
-// max-flow engines, validity checks, min-cut, decomposition, DIMACS I/O.
+// Unit and property tests for the graph substrate: FlowNetwork, the
+// Ford-Fulkerson and push-relabel engines, validity checks, min-cut,
+// decomposition.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "graph/checks.h"
-#include "graph/dimacs.h"
-#include "graph/dinic.h"
 #include "graph/flow_network.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
@@ -114,14 +112,6 @@ TEST(FordFulkerson, RejectsBadEndpoints) {
   EXPECT_THROW(FordFulkerson(net, 0, 7), std::invalid_argument);
 }
 
-TEST(Dinic, ClrsValue) {
-  Vertex s, t;
-  FlowNetwork net = clrs_network(s, t);
-  Dinic engine(net, s, t);
-  EXPECT_EQ(engine.solve_from_zero().value, 23);
-  EXPECT_TRUE(validate_flow(net, s, t).ok);
-}
-
 TEST(PushRelabel, ClrsValue) {
   Vertex s, t;
   FlowNetwork net = clrs_network(s, t);
@@ -192,9 +182,6 @@ Cap solve_ff_dfs(FlowNetwork& n, Vertex s, Vertex t) {
 Cap solve_ff_bfs(FlowNetwork& n, Vertex s, Vertex t) {
   return FordFulkerson(n, s, t, SearchOrder::kBfs).solve_from_zero().value;
 }
-Cap solve_dinic(FlowNetwork& n, Vertex s, Vertex t) {
-  return Dinic(n, s, t).solve_from_zero().value;
-}
 Cap solve_pr(FlowNetwork& n, Vertex s, Vertex t) {
   return PushRelabel(n, s, t).solve_from_zero().value;
 }
@@ -215,7 +202,6 @@ TEST_P(EnginesAgree, OnRandomGeneralNetworks) {
                           1 + static_cast<Cap>(rng.below(20)), rng);
   const Cap reference = solve_ff_bfs(g.net, g.source, g.sink);
   EXPECT_EQ(solve_ff_dfs(g.net, g.source, g.sink), reference);
-  EXPECT_EQ(solve_dinic(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr_plain(g.net, g.source, g.sink), reference);
   EXPECT_TRUE(validate_flow(g.net, g.source, g.sink).ok);
@@ -234,7 +220,6 @@ TEST_P(EnginesAgree, OnRandomBipartiteNetworks) {
   auto g = random_bipartite(left, right, degree,
                             1 + static_cast<Cap>(rng.below(5)), rng);
   const Cap reference = solve_ff_bfs(g.net, g.source, g.sink);
-  EXPECT_EQ(solve_dinic(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr(g.net, g.source, g.sink), reference);
   EXPECT_EQ(residual_min_cut(g.net, g.source).capacity, reference);
 }
@@ -245,7 +230,6 @@ TEST_P(EnginesAgree, OnLayeredNetworks) {
                            1 + static_cast<std::int32_t>(rng.below(8)),
                            1 + static_cast<Cap>(rng.below(9)), rng);
   const Cap reference = solve_ff_bfs(g.net, g.source, g.sink);
-  EXPECT_EQ(solve_dinic(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr_plain(g.net, g.source, g.sink), reference);
 }
@@ -288,28 +272,6 @@ TEST(Checks, DecomposePathsCoversValue) {
     }
   }
   EXPECT_EQ(sum, 23);
-}
-
-TEST(Dimacs, RoundTrip) {
-  Vertex s, t;
-  FlowNetwork net = clrs_network(s, t);
-  const std::string text = write_dimacs_string(net, s, t, "clrs");
-  auto inst = read_dimacs_string(text);
-  EXPECT_EQ(inst.net.num_vertices(), net.num_vertices());
-  EXPECT_EQ(inst.net.num_edges(), net.num_edges());
-  EXPECT_EQ(inst.source, s);
-  EXPECT_EQ(inst.sink, t);
-  PushRelabel engine(inst.net, inst.source, inst.sink);
-  EXPECT_EQ(engine.solve_from_zero().value, 23);
-}
-
-TEST(Dimacs, RejectsMalformedInput) {
-  EXPECT_THROW(read_dimacs_string("a 1 2 3\n"), std::runtime_error);
-  EXPECT_THROW(read_dimacs_string("p max 2 0\n"), std::runtime_error);  // no s/t
-  EXPECT_THROW(read_dimacs_string("p max 2 1\nn 1 s\nn 2 t\na 1 9 5\n"),
-               std::runtime_error);
-  EXPECT_THROW(read_dimacs_string("p max 2 2\nn 1 s\nn 2 t\na 1 2 5\n"),
-               std::runtime_error);  // arc count mismatch
 }
 
 TEST(Generators, BipartiteShape) {
@@ -367,7 +329,7 @@ TEST(FlowNetwork, ResetRebuildsInPlace) {
   net.add_arc(1, 3, 5);
   net.add_arc(0, 2, 7);
   net.add_arc(2, 3, 2);
-  EXPECT_EQ(Dinic(net, 0, 3).solve_from_zero().value, 7);
+  EXPECT_EQ(FordFulkerson(net, 0, 3).solve_from_zero().value, 7);
 }
 
 TEST(FlowNetwork, CsrAdjacencyPreservesInsertionOrder) {

@@ -30,8 +30,6 @@ using decluster::SiteMapping;
 using workload::LoadKind;
 using workload::QueryType;
 
-constexpr double kTimeEps = 1e-6;
-
 using Combo = std::tuple<Scheme, QueryType, LoadKind, int /*experiment*/>;
 
 class SolversAgree : public ::testing::TestWithParam<Combo> {};
@@ -58,13 +56,12 @@ TEST_P(SolversAgree, OnRandomInstances) {
           SolverKind::kBlackBoxBinary, SolverKind::kParallelPushRelabelBinary,
           SolverKind::kIntegratedMatching}) {
       const SolveResult r = solve(problem, kind, 2);
-      EXPECT_NEAR(r.response_time_ms, optimum, kTimeEps)
+      EXPECT_EQ(r.response_time_ms, optimum)
           << solver_name(kind) << " trial " << trial << " |Q|="
           << query.size();
       EXPECT_TRUE(check_schedule(problem, r.schedule).empty())
           << solver_name(kind);
-      EXPECT_NEAR(r.schedule.response_time(problem.system),
-                  r.response_time_ms, kTimeEps)
+      EXPECT_EQ(r.schedule.response_time(problem.system), r.response_time_ms)
           << solver_name(kind);
     }
 
@@ -72,7 +69,7 @@ TEST_P(SolversAgree, OnRandomInstances) {
     if (problem.system.is_basic()) {
       FordFulkersonBasicSolver basic(problem);
       const SolveResult r = basic.solve();
-      EXPECT_NEAR(r.response_time_ms, optimum, kTimeEps) << "Alg1";
+      EXPECT_EQ(r.response_time_ms, optimum) << "Alg1";
       EXPECT_TRUE(check_schedule(problem, r.schedule).empty()) << "Alg1";
       const auto check = graph::validate_flow(basic.network().net(),
                                               basic.network().source(),
@@ -129,8 +126,7 @@ TEST_P(FlowInvariants, FinalFlowIsValidMaxFlow) {
     const auto flow = network.disk_flow(d);
     EXPECT_LE(flow, network.net().capacity(network.sink_arc(d)));
     if (flow > 0) {
-      EXPECT_LE(problem.completion_time(d, flow),
-                r.response_time_ms + kTimeEps);
+      EXPECT_LE(problem.completion_time(d, flow), r.response_time_ms);
     }
   }
 
@@ -167,13 +163,12 @@ TEST_P(SingleSiteCopies, MultiCopyRdaAgreesWithReference) {
     const auto query = gen.next(rng);
     const auto problem = build_problem(rep, query, sys);
     const double optimum = ReferenceSolver(problem).solve().response_time_ms;
-    EXPECT_NEAR(solve(problem, SolverKind::kPushRelabelBinary).response_time_ms,
-                optimum, kTimeEps);
-    EXPECT_NEAR(solve(problem, SolverKind::kFordFulkersonBasic).response_time_ms,
-                optimum, kTimeEps);
-    EXPECT_NEAR(
-        solve(problem, SolverKind::kIntegratedMatching).response_time_ms,
-        optimum, kTimeEps);
+    EXPECT_EQ(solve(problem, SolverKind::kPushRelabelBinary).response_time_ms,
+              optimum);
+    EXPECT_EQ(solve(problem, SolverKind::kFordFulkersonBasic).response_time_ms,
+              optimum);
+    EXPECT_EQ(solve(problem, SolverKind::kIntegratedMatching).response_time_ms,
+              optimum);
   }
 }
 

@@ -24,6 +24,10 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         as a literal or through a string paste (`"solver." id ".solves"`)
         whose prefix and suffix bracket it — so a deleted mechanism cannot
         leave its metric lines behind.  Needs the whole src/ tree.
+  DEAD01 every header under src/ must be #included by some file under
+        src/, bench/, examples/, fuzz/ or perfbench/ other than its own
+        .cpp — code that only its own tests reach is dead.  The test
+        oracles (TEST_ORACLES) are exempt: tests compare against them.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -106,6 +110,12 @@ METRIC_PASTE_CALL_RE = re.compile(
 WHO_RECORDS_WHAT = "### Who records what"
 
 CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
+
+# DEAD01: the trees whose #includes keep a src/ header alive (tests/ does
+# not count), and the headers kept for the tests alone.
+INCLUDER_DIRS = ["src", "bench", "examples", "fuzz", "perfbench"]
+TEST_ORACLES = {"core/brute_force.h", "core/simulator.h"}
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 
 class Violation:
@@ -351,12 +361,44 @@ def check_metric_registrations(root: str,
             if name not in literals and not pasted(name)]
 
 
+# --- DEAD01 ---------------------------------------------------------------
+
+def check_dead_headers(root: str, files: Iterable[str]) -> List[Violation]:
+    # src/ is the include root: `#include "core/x.h"` names src/core/x.h.
+    includers: dict = {}  # include path -> set of including files
+    for rel in iter_cpp_files(root, [d for d in INCLUDER_DIRS
+                                     if os.path.isdir(os.path.join(root, d))]):
+        rel = rel.replace(os.sep, "/")
+        for line in read_lines(root, rel):
+            m = INCLUDE_RE.match(line)
+            if m:
+                includers.setdefault(m.group(1), set()).add(rel)
+
+    out: List[Violation] = []
+    for rel in files:
+        rel = rel.replace(os.sep, "/")
+        if not rel.startswith("src/") or not rel.endswith((".h", ".hpp")):
+            continue
+        header = rel[len("src/"):]
+        if header in TEST_ORACLES:
+            continue
+        own_cpp = os.path.splitext(rel)[0] + ".cpp"
+        if includers.get(header, set()) - {own_cpp}:
+            continue
+        out.append(Violation(
+            "DEAD01", rel, 1,
+            "header is not #included outside tests/ and its own .cpp; "
+            "delete it or add it to TEST_ORACLES"))
+    return out
+
+
 RULES = {
     "MO01": (check_mo_tags, ["src"]),
     "RAW01": (check_raw, ["src"]),
     "LOCK01": (check_bare_locks, ["src"]),
     "MET01": (check_metric_docs, ["src"]),
     "MET02": (check_metric_registrations, ["src"]),
+    "DEAD01": (check_dead_headers, ["src"]),
 }
 
 

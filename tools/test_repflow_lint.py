@@ -286,6 +286,41 @@ def test_met02_flags_missing_section():
         tree.cleanup()
 
 
+# --- DEAD01 ---------------------------------------------------------------
+
+def _dead01_tree():
+    tree = FixtureTree()
+    # Reached only by its own .cpp and a test: dead.
+    tree.write("src/workload/gen.h", "int gen();\n")
+    tree.write("src/workload/gen.cpp", '#include "workload/gen.h"\n')
+    tree.write("tests/gen_test.cpp", '#include "workload/gen.h"\n')
+    # Reached from bench/ and from another src/ file: alive.
+    tree.write("src/core/live.h", "int live();\n")
+    tree.write("bench/b.cpp", '#include "core/live.h"\n')
+    tree.write("src/graph/engine.h", "int engine();\n")
+    tree.write("src/core/user.cpp", '#include "graph/engine.h"\n')
+    # A test oracle reached only by tests: exempt.
+    tree.write("src/core/brute_force.h", "int brute();\n")
+    tree.write("tests/oracle_test.cpp", '#include "core/brute_force.h"\n')
+    return tree
+
+
+def test_dead01_flags_header_only_tests_reach():
+    tree = _dead01_tree()
+    try:
+        headers = ["src/workload/gen.h", "src/core/live.h",
+                   "src/graph/engine.h", "src/core/brute_force.h"]
+        violations = run_rule(tree, "DEAD01", headers)
+        assert [v.path for v in violations] == ["src/workload/gen.h"], \
+            violations
+        assert violations[0].rule == "DEAD01"
+        # One includer outside tests/ and the header's own .cpp revives it.
+        tree.write("examples/tool.cpp", '#include "workload/gen.h"\n')
+        assert run_rule(tree, "DEAD01", headers) == []
+    finally:
+        tree.cleanup()
+
+
 # --- end-to-end -----------------------------------------------------------
 
 def test_main_exit_codes():
