@@ -13,8 +13,10 @@
 // infinities, denormals and magnitudes near 1e+-308.  Such a problem must
 // either be rejected by validate() or be solved exactly: Algorithm 2 and
 // every binary-scaling driver return the oracle's optimum bit for bit, and
-// the binary-scaling drivers do so within ceil(log2 #candidates) + 1
-// resumes and without capacity steps.
+// the binary-scaling drivers do so within ceil(log2 n) + 1 resumes for the
+// n candidates in their tight window and without capacity steps.  Every
+// input also checks tmin <= |Q|-th smallest completion <= T* <= greedy T
+// <= tmax, with tmin and tmax from the paper's Algorithm 6 formulas.
 //
 // Any disagreement in optimal response time, any invariant violation
 // (flow conservation, schedule feasibility, recomputed response time), or
@@ -26,12 +28,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/schedule_invariants.h"
-#include "core/binary_scaling.h"
 #include "core/problem.h"
 #include "core/reference.h"
 #include "core/solve.h"
@@ -132,6 +134,50 @@ void check_result(const RetrievalProblem& problem, const SolveResult& result,
   if (!report.ok()) die(problem, solver, report.to_string());
 }
 
+/// The binary-scaling drivers' search window, from its definition: the
+/// |Q|-th smallest completion D_j + X_j + k*C_j (k <= min(in-degree_j,
+/// |Q|)), the T of the greedy schedule that sends each bucket, in query
+/// order, to the replica with the least next completion (the first listed
+/// on a tie), and the number of completions in between, both included.
+struct TightWindow {
+  double lower = 0.0;
+  double upper = 0.0;
+  std::int64_t candidates = 0;
+};
+
+TightWindow tight_window(const RetrievalProblem& problem) {
+  const std::int64_t q = problem.query_size();
+  const auto degree = problem.disk_in_degrees();
+  std::vector<double> completions;
+  for (repflow::core::DiskId d = 0; d < problem.total_disks(); ++d) {
+    const std::int64_t k_max =
+        std::min<std::int64_t>(degree[static_cast<std::size_t>(d)], q);
+    for (std::int64_t k = 1; k <= k_max; ++k) {
+      completions.push_back(problem.completion_time(d, k));
+    }
+  }
+  std::sort(completions.begin(), completions.end());
+  std::vector<std::int64_t> load(
+      static_cast<std::size_t>(problem.total_disks()), 0);
+  TightWindow window;
+  window.lower = completions[static_cast<std::size_t>(q - 1)];
+  for (const auto& replica_set : problem.replicas) {
+    repflow::core::DiskId pick = replica_set.front();
+    for (const repflow::core::DiskId d : replica_set) {
+      if (problem.completion_time(d, load[d] + 1) <
+          problem.completion_time(pick, load[pick] + 1)) {
+        pick = d;
+      }
+    }
+    window.upper =
+        std::max(window.upper, problem.completion_time(pick, ++load[pick]));
+  }
+  for (const double t : completions) {
+    if (t >= window.lower && t <= window.upper) ++window.candidates;
+  }
+  return window;
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -169,22 +215,34 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   }
 
   // The binary-scaling drivers search the exact candidate set: the optimum
-  // is bit-identical to the oracle's, within the probe bound.
-  std::int64_t candidates = 0;
-  const repflow::core::TimeBounds window =
-      repflow::core::compute_time_bounds(problem);
-  const auto degree = problem.disk_in_degrees();
-  for (repflow::core::DiskId d = 0; d < problem.total_disks(); ++d) {
-    const std::int64_t k_max = std::min<std::int64_t>(
-        degree[static_cast<std::size_t>(d)], problem.query_size());
-    for (std::int64_t k = 1; k <= k_max; ++k) {
-      const double t = problem.completion_time(d, k);
-      if (t >= window.tmin && t <= window.tmax) ++candidates;
-    }
-  }
+  // is bit-identical to the oracle's, within the probe bound of the tight
+  // window [|Q|-th smallest completion, greedy T], which itself lies inside
+  // the paper's [tmin, tmax].  Both windows are recomputed here from their
+  // definitions.
   std::int64_t probe_bound = 0;
-  if (candidates > 0) {
-    while ((std::int64_t{1} << probe_bound) < candidates) ++probe_bound;
+  if (problem.query_size() > 0) {
+    const TightWindow window = tight_window(problem);
+    const double q = static_cast<double>(problem.query_size());
+    const double n = static_cast<double>(problem.total_disks());
+    double tmin = std::numeric_limits<double>::infinity();
+    double tmax = -std::numeric_limits<double>::infinity();
+    for (repflow::core::DiskId d = 0; d < problem.total_disks(); ++d) {
+      const double fixed =
+          problem.system.delay_ms[d] + problem.system.init_load_ms[d];
+      tmin = std::min(tmin, fixed + (q / n) * problem.system.cost_ms[d]);
+      tmax = std::max(tmax, fixed + q * problem.system.cost_ms[d]);
+    }
+    if (!(tmin <= window.lower && window.lower <= expected &&
+          expected <= window.upper && window.upper <= tmax)) {
+      char buf[192];
+      std::snprintf(buf, sizeof buf,
+                    "tmin=%.17g lower=%.17g T*=%.17g greedy=%.17g tmax=%.17g",
+                    tmin, window.lower, expected, window.upper, tmax);
+      die(problem, "search window out of order", buf);
+    }
+    while ((std::int64_t{1} << probe_bound) < window.candidates) {
+      ++probe_bound;
+    }
     ++probe_bound;
   }
   for (const SolveResult* r : {&alg6, &blackbox, &matching}) {

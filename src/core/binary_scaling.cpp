@@ -9,19 +9,28 @@
 
 namespace repflow::core {
 
-TimeBounds compute_time_bounds(const RetrievalProblem& problem) {
-  const auto& sys = problem.system;
-  const double q = static_cast<double>(problem.query_size());
-  const double n = static_cast<double>(problem.total_disks());
-  TimeBounds bounds;
-  bounds.tmin = std::numeric_limits<double>::infinity();
-  for (DiskId d = 0; d < problem.total_disks(); ++d) {
-    // Same association as completion_time(): (D + X) + k * C.
-    const double fixed = sys.delay_ms[d] + sys.init_load_ms[d];
-    bounds.tmax = std::max(bounds.tmax, fixed + q * sys.cost_ms[d]);
-    bounds.tmin = std::min(bounds.tmin, fixed + (q / n) * sys.cost_ms[d]);
+double BinaryScalingDriver::greedy_response_time(
+    const RetrievalProblem& problem) {
+  greedy_load_.assign(static_cast<std::size_t>(problem.total_disks()), 0);
+  double response = -std::numeric_limits<double>::infinity();
+  for (const auto& replicas : problem.replicas) {
+    if (replicas.empty()) {
+      throw std::invalid_argument(
+          "BinaryScalingDriver: bucket without replica");
+    }
+    DiskId pick = replicas.front();
+    double pick_t = problem.completion_time(pick, greedy_load_[pick] + 1);
+    for (const DiskId d : replicas) {
+      const double t = problem.completion_time(d, greedy_load_[d] + 1);
+      if (t < pick_t) {  // strict: the first-listed replica wins ties
+        pick = d;
+        pick_t = t;
+      }
+    }
+    ++greedy_load_[pick];
+    response = std::max(response, pick_t);
   }
-  return bounds;
+  return response;
 }
 
 void BinaryScalingDriver::run(const RetrievalProblem& problem,
@@ -31,25 +40,20 @@ void BinaryScalingDriver::run(const RetrievalProblem& problem,
   const std::int64_t q = problem.query_size();
   if (q == 0) return;  // zero flow already retrieves the empty query
 
-  // Candidates inside the window.  The largest is feasible: T* is a
-  // candidate in the window, and feasibility is monotone in t.
-  const TimeBounds bounds = compute_time_bounds(problem);
+  // The greedy schedule's T is feasible, so it is the best one known.  Every
+  // disk it loads with k buckets has its first k completions at or below
+  // it, so at least |Q| candidates are collected.
+  double best = greedy_response_time(problem);
   candidates_.clear();
   candidates_.reserve(
       std::accumulate(in_degree.begin(), in_degree.end(), std::size_t{0}));
-  double best = -std::numeric_limits<double>::infinity();
   for (DiskId d = 0; d < problem.total_disks(); ++d) {
     const std::int64_t k_max = std::min<std::int64_t>(in_degree[d], q);
     for (std::int64_t k = 1; k <= k_max; ++k) {
       const double t = problem.completion_time(d, k);
-      if (t > bounds.tmax) break;
-      if (t < bounds.tmin) continue;
+      if (t > best) break;
       candidates_.push_back(t);
-      best = std::max(best, t);
     }
-  }
-  if (candidates_.empty()) {
-    throw std::logic_error("BinaryScalingDriver: no candidate in the window");
   }
 
   const auto probe = [&](double t) {
@@ -59,9 +63,10 @@ void BinaryScalingDriver::run(const RetrievalProblem& problem,
     return kernel.resume() == q;
   };
 
-  // Live range [first, last): the candidates still below the best feasible
-  // one and above every infeasible probe.
-  auto first = candidates_.begin();
+  // Live range [first, last): the candidates from the |Q|-th smallest, the
+  // lower bound, up to but excluding the best feasible one.
+  auto first = candidates_.begin() + (q - 1);
+  std::nth_element(candidates_.begin(), first, candidates_.end());
   auto last = std::partition(first, candidates_.end(),
                              [best](double t) { return t < best; });
   kernel.save();  // zero flow: what a feasible first probe falls back to

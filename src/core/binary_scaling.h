@@ -1,14 +1,22 @@
 // Algorithm 6's search, written once for every binary-scaling solver.
 //
-// The paper bisects a real-valued t until [tmin, tmax) is narrower than the
-// fastest disk's block time, then finishes with IncrementMinCost steps.  But
-// the optimum T* is always a completion time D_j + X_j + k*C_j with
-// k <= min(in-degree_j, |Q|) inside the window [tmin, tmax], so the driver
-// searches those candidates by selection instead: each probe is the
-// nth_element median of the live range; a feasible probe keeps only smaller
-// candidates, an infeasible one only larger.  Every probe discards its
-// median, so a solve takes at most ceil(log2 #candidates) + 1 resumes, with
-// no IncrementMinCost tail and O(#candidates) candidate work.
+// The paper bisects a real-valued t inside [tmin, tmax] until the window is
+// narrower than the fastest disk's block time, then finishes with
+// IncrementMinCost steps.  But the optimum T* is always a completion time
+// D_j + X_j + k*C_j with k <= min(in-degree_j, |Q|), and two exact bounds
+// pin it tighter than the paper's window:
+//
+//   * upper: a greedy pass sends each bucket, in query order, to the replica
+//     with the least next completion.  Its T is feasible and a candidate.
+//   * lower: feasibility at t needs |Q| units across the sink cut, so at
+//     least |Q| candidates <= t; T* is at least the |Q|-th smallest one.
+//
+// The driver searches the candidates in that closed window by selection:
+// each probe is the nth_element median of the live range; a feasible probe
+// keeps only smaller candidates, an infeasible one only larger.  Every
+// probe discards its median, so a solve takes at most ceil(log2 n) + 1
+// resumes for the n candidates in the window, with no IncrementMinCost tail
+// and O(arcs) window work.
 //
 // Flow conservation is the paper's: capacities are monotone in t, so an
 // infeasible probe's flow stays valid for every larger t.  Infeasible probes
@@ -24,18 +32,6 @@
 #include "core/solver.h"
 
 namespace repflow::core {
-
-/// The response-time window of Algorithm 6 lines 1-11, closed on both
-/// ends.  tmax serves the whole query from the costliest disk, so T* <=
-/// tmax; some disk serves at least ceil(|Q|/N) buckets, so T* >= tmin, the
-/// perfect |Q|/N spread onto the cheapest disk.  T* can equal tmin (a basic
-/// problem with N dividing |Q|), which is why the window is closed.
-struct TimeBounds {
-  double tmin = 0.0;
-  double tmax = 0.0;
-};
-
-TimeBounds compute_time_bounds(const RetrievalProblem& problem);
 
 /// The four calls the driver makes into a max-flow kernel.
 class ScalingKernel {
@@ -60,19 +56,28 @@ class BinaryScalingDriver {
   /// are `in_degree`, and leave `kernel` holding a flow of value |Q| under
   /// that time's capacities.  The kernel must start from zero flow.  Each
   /// resume counts one result.binary_probes and runs under the span
-  /// `probe_span` (a string literal).  Throws std::logic_error if the
-  /// kernel reports the optimum infeasible.
+  /// `probe_span` (a string literal).  Throws std::invalid_argument on a
+  /// bucket without a replica and std::logic_error if the kernel reports
+  /// the optimum infeasible.
   void run(const RetrievalProblem& problem,
            std::span<const std::int32_t> in_degree, ScalingKernel& kernel,
            SolveResult& result, const char* probe_span);
 
-  /// Retained footprint of the candidate buffer.
+  /// Retained footprint of the candidate buffer and the greedy loads.
   std::size_t retained_bytes() const {
-    return candidates_.capacity() * sizeof(double);
+    return candidates_.capacity() * sizeof(double) +
+           greedy_load_.capacity() * sizeof(std::int64_t);
   }
 
  private:
+  /// T of the greedy schedule: each bucket, in query order, goes to the
+  /// replica with the least completion_time(d, load_d + 1); the
+  /// first-listed replica wins ties.  Throws std::invalid_argument on a
+  /// bucket without a replica.
+  double greedy_response_time(const RetrievalProblem& problem);
+
   std::vector<double> candidates_;  // grow-only, reserved to the arc count
+  std::vector<std::int64_t> greedy_load_;  // grow-only, one per disk
 };
 
 }  // namespace repflow::core

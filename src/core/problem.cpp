@@ -18,18 +18,7 @@ void RetrievalProblem::validate() const {
   check_size(system.cost_ms.size(), "cost");
   check_size(system.delay_ms.size(), "delay");
   check_size(system.init_load_ms.size(), "init_load");
-  for (std::size_t i = 0; i < replicas.size(); ++i) {
-    if (replicas[i].empty()) {
-      throw std::invalid_argument("problem: bucket " + std::to_string(i) +
-                                  " has no replica");
-    }
-    for (DiskId d : replicas[i]) {
-      if (d < 0 || d >= disks) {
-        throw std::invalid_argument("problem: bucket " + std::to_string(i) +
-                                    " references disk " + std::to_string(d));
-      }
-    }
-  }
+  validate_replicas(replicas, disks);
   for (std::int32_t j = 0; j < disks; ++j) {
     // NaN slips past every comparison below, and the solvers' candidate
     // search needs a strict weak order on completion times.
@@ -46,6 +35,22 @@ void RetrievalProblem::validate() const {
     if (system.delay_ms[j] < 0.0 || system.init_load_ms[j] < 0.0) {
       throw std::invalid_argument("problem: negative delay/load on disk " +
                                   std::to_string(j));
+    }
+  }
+}
+
+void validate_replicas(const std::vector<std::vector<DiskId>>& replicas,
+                       std::int32_t disks) {
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    if (replicas[i].empty()) {
+      throw std::invalid_argument("problem: bucket " + std::to_string(i) +
+                                  " has no replica");
+    }
+    for (DiskId d : replicas[i]) {
+      if (d < 0 || d >= disks) {
+        throw std::invalid_argument("problem: bucket " + std::to_string(i) +
+                                    " references disk " + std::to_string(d));
+      }
     }
   }
 }

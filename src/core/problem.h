@@ -40,6 +40,11 @@ struct RetrievalProblem {
   }
 };
 
+/// Throws std::invalid_argument when a bucket of `replicas` has no replica
+/// or names a disk outside [0, disks): the replica half of validate().
+void validate_replicas(const std::vector<std::vector<DiskId>>& replicas,
+                       std::int32_t disks);
+
 /// The per-bucket replica disk lists of `query` under `allocation`, in
 /// query order, deduplicated (a bucket whose copies collide on one disk
 /// contributes a single arc, matching the max-flow formulation).  Throws

@@ -40,6 +40,9 @@ RouterOutcome QueryRouter::submit_replicas(
 void QueryRouter::buffer(std::vector<std::vector<DiskId>>&& replicas,
                          const workload::Query* buckets,
                          std::uint64_t query_id, double arrival_ms) {
+  // A list the solve seam would reject must not reach the merged problem,
+  // where it would sink the whole batch.
+  validate_replicas(replicas, scheduler_.total_disks());
   obs::RouterInstruments& ri = obs::RouterInstruments::global();
   for (std::size_t k = 0; k < replicas.size(); ++k) {
     if (buckets != nullptr) {
@@ -60,15 +63,28 @@ void QueryRouter::buffer(std::vector<std::vector<DiskId>>&& replicas,
   stats_.max_pending = std::max(stats_.max_pending, pending_queries_);
 }
 
-RouterOutcome QueryRouter::route(std::vector<std::vector<DiskId>> replicas,
-                                 const workload::Query* buckets,
-                                 double arrival_ms) {
+void QueryRouter::require_in_order(double arrival_ms) const {
   if (arrival_ms < last_arrival_ms_) {
     throw std::invalid_argument(
         "QueryRouter: arrivals must be non-decreasing");
   }
-  last_arrival_ms_ = arrival_ms;
+}
 
+RouterOutcome QueryRouter::route(std::vector<std::vector<DiskId>> replicas,
+                                 const workload::Query* buckets,
+                                 double arrival_ms) {
+  require_in_order(arrival_ms);
+  RouterOutcome outcome = dispatch(std::move(replicas), buckets, arrival_ms);
+  // Committed only once the arrival was served: a rejected one leaves the
+  // router as it was.
+  last_arrival_ms_ = arrival_ms;
+  ++stats_.arrivals;
+  return outcome;
+}
+
+RouterOutcome QueryRouter::dispatch(std::vector<std::vector<DiskId>> replicas,
+                                    const workload::Query* buckets,
+                                    double arrival_ms) {
   obs::RouterInstruments& ri = obs::RouterInstruments::global();
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   RouterOutcome outcome;
@@ -79,7 +95,6 @@ RouterOutcome QueryRouter::route(std::vector<std::vector<DiskId>> replicas,
   obs::QueryScope scope(outcome.query_id, options_.latency_budget_ms);
   outcome.backlog_ms = scheduler_.max_backlog_at(arrival_ms);
   ri.backlog_ms.observe(outcome.backlog_ms);
-  ++stats_.arrivals;
 
   const bool overloaded = outcome.backlog_ms > options_.max_backlog_ms;
 
@@ -141,25 +156,23 @@ RouterOutcome QueryRouter::route(std::vector<std::vector<DiskId>> replicas,
   // Plain admission (kOff, or an un-overloaded kShed/kCoalesce arrival
   // with nothing pending).
   obs::ScopedSpan span("router.admit");
-  ri.admitted.add(1);
-  ++stats_.admitted;
   recorder.record(outcome.query_id, obs::FlightEventKind::kAdmit,
                   outcome.backlog_ms);
-  outcome.decision = RouterDecision::kAdmitted;
-  outcome.merged = 1;
   outcome.event =
       scheduler_.submit_replicas(std::move(replicas), arrival_ms);
+  ri.admitted.add(1);
+  ++stats_.admitted;
+  outcome.decision = RouterDecision::kAdmitted;
+  outcome.merged = 1;
   return outcome;
 }
 
 std::optional<StreamEvent> QueryRouter::flush(double arrival_ms) {
-  if (arrival_ms < last_arrival_ms_) {
-    throw std::invalid_argument(
-        "QueryRouter: arrivals must be non-decreasing");
-  }
+  require_in_order(arrival_ms);
+  std::optional<StreamEvent> event;
+  if (pending_queries_ > 0) event = flush_pending(arrival_ms);
   last_arrival_ms_ = arrival_ms;
-  if (pending_queries_ == 0) return std::nullopt;
-  return flush_pending(arrival_ms);
+  return event;
 }
 
 StreamEvent QueryRouter::flush_pending(double arrival_ms) {
@@ -168,25 +181,27 @@ StreamEvent QueryRouter::flush_pending(double arrival_ms) {
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   const double oldest_age_ms = arrival_ms - oldest_pending_arrival_ms_;
   const std::int32_t batch = static_cast<std::int32_t>(pending_queries_);
-  ri.flushes.add(1);
-  ri.merged_batch.observe(static_cast<double>(pending_queries_));
-  ri.flush_age_ms.observe(oldest_age_ms);
-  ++stats_.flushes;
   // Stamp the flush onto every buffered member's chain, so a breach dump of
   // a coalesced query shows when (and how large) its merged submission was.
   for (const std::uint64_t id : pending_ids_) {
     recorder.record(id, obs::FlightEventKind::kFlush, oldest_age_ms, batch);
   }
-  // One solve covers the whole batch; the scheduler derives the merged
-  // problem's X_j loads from the busy horizon at this instant, so the
-  // batch's joint response time is optimized exactly.
-  StreamEvent event =
-      scheduler_.submit_replicas(std::move(pending_replicas_), arrival_ms);
+  // Re-arm the buffer before the solve: a throwing solve must not leave
+  // pending() counting queries whose lists are gone.
+  std::vector<std::vector<DiskId>> merged = std::move(pending_replicas_);
   pending_replicas_ = {};
   pending_buckets_.clear();
   pending_queries_ = 0;
   pending_ids_.clear();
   ri.pending.set(0.0);
+  // One solve covers the whole batch; the scheduler derives the merged
+  // problem's X_j loads from the busy horizon at this instant, so the
+  // batch's joint response time is optimized exactly.
+  StreamEvent event = scheduler_.submit_replicas(std::move(merged), arrival_ms);
+  ri.flushes.add(1);
+  ri.merged_batch.observe(static_cast<double>(batch));
+  ri.flush_age_ms.observe(oldest_age_ms);
+  ++stats_.flushes;
   return event;
 }
 

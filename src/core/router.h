@@ -111,7 +111,11 @@ struct RouterStats {
 /// Fronts one scheduler.  Not thread-safe (same discipline as the
 /// scheduler itself).  Arrivals must be non-decreasing, matching the
 /// scheduler's stream contract; violations throw std::invalid_argument
-/// before any state changes.
+/// before any state changes.  So does a replica list the scheduler would
+/// reject (a bucket without a replica, a disk id out of range): kCoalesce
+/// checks it before buffering, the other modes leave it to the solve.
+/// Either way the rejected arrival leaves router and scheduler as they
+/// were, clocks, stats and merge buffer included.
 class QueryRouter {
  public:
   QueryRouter(QueryStreamScheduler& scheduler, RouterOptions options);
@@ -138,17 +142,27 @@ class QueryRouter {
   const RouterStats& stats() const { return stats_; }
 
  private:
+  /// Throws std::invalid_argument when `arrival_ms` precedes the last
+  /// served arrival.
+  void require_in_order(double arrival_ms) const;
   /// `buckets` (parallel to `replicas`) enables dedup when the caller knows
-  /// the bucket ids; null for the submit_replicas path.
+  /// the bucket ids; null for the submit_replicas path.  Checks the arrival,
+  /// dispatches it, and commits the clock once it was served.
   RouterOutcome route(std::vector<std::vector<DiskId>> replicas,
                       const workload::Query* buckets, double arrival_ms);
+  /// The admission decision and the submission it leads to.
+  RouterOutcome dispatch(std::vector<std::vector<DiskId>> replicas,
+                         const workload::Query* buckets, double arrival_ms);
   /// Append one query to the merge buffer, deduplicating against buckets
-  /// already buffered when ids are available.  `query_id`/`arrival_ms` feed
-  /// the flight recorder and the age-based flush bound.
+  /// already buffered when ids are available.  Throws, before any change,
+  /// on a list the scheduler would reject (validate_replicas).
+  /// `query_id`/`arrival_ms` feed the flight recorder and the age-based
+  /// flush bound.
   void buffer(std::vector<std::vector<DiskId>>&& replicas,
               const workload::Query* buckets, std::uint64_t query_id,
               double arrival_ms);
-  /// Submit the merge buffer as one problem; pending state is re-armed.
+  /// Submit the merge buffer as one problem; pending state is re-armed
+  /// before the solve, so it is re-armed even when the solve throws.
   StreamEvent flush_pending(double arrival_ms);
 
   QueryStreamScheduler& scheduler_;

@@ -55,20 +55,19 @@ StreamEvent QueryStreamScheduler::submit(const workload::Query& query,
         "QueryStreamScheduler: no allocation (trace-replay mode); use "
         "submit_replicas");
   }
-  // advance_loads() must precede build_problem: it writes the X_j initial
-  // loads into system_ that the problem snapshot captures.
-  const double max_backlog = advance_loads(arrival_ms);
-  return submit_problem(build_problem(*allocation_, query, system_),
-                        arrival_ms, max_backlog);
+  // The constructor matched the allocation's disk count to system_'s, and
+  // the solve seam validates the rest.
+  return submit_replicas(replica_lists(*allocation_, query), arrival_ms);
 }
 
 StreamEvent QueryStreamScheduler::submit_replicas(
     std::vector<std::vector<DiskId>> replicas, double arrival_ms) {
+  // advance_loads() must precede the problem snapshot: it writes the X_j
+  // initial loads into system_.
   const double max_backlog = advance_loads(arrival_ms);
   RetrievalProblem problem;
   problem.replicas = std::move(replicas);
   problem.system = system_;
-  problem.validate();
   return submit_problem(std::move(problem), arrival_ms, max_backlog);
 }
 
@@ -85,8 +84,6 @@ double QueryStreamScheduler::advance_loads(double arrival_ms) {
     throw std::invalid_argument(
         "QueryStreamScheduler: arrivals must be non-decreasing");
   }
-  last_arrival_ms_ = arrival_ms;
-
   // X_j = residual busy time of disk j at this query's arrival, exactly the
   // paper's "time it takes for disk j to be idle if busy, 0 otherwise".
   double max_backlog = 0.0;
@@ -118,6 +115,9 @@ StreamEvent QueryStreamScheduler::submit_problem(RetrievalProblem problem,
   exec_.solve_into(problem, kind, exec_.scratch());
   const SolveResult& result = exec_.scratch();
   solve_watch.stop();
+  // Commit the clock only now: a problem the seam rejected left the stream
+  // as it was, so an earlier arrival may still follow it.
+  last_arrival_ms_ = arrival_ms;
 
   // Advance each used disk's busy horizon by the work this schedule put on
   // it (the response-time model's completion: D + X + k*C after arrival).

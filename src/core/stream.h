@@ -102,7 +102,9 @@ class QueryStreamScheduler {
                              ExecutionPolicy::pinned(solver, threads)) {}
 
   /// Process one query arriving at `arrival_ms` (must be non-decreasing
-  /// across calls; throws otherwise).  Returns the event record.
+  /// across served calls; throws otherwise).  Returns the event record.  A
+  /// query the solve seam rejects (std::invalid_argument) leaves the
+  /// scheduler as it was, its clock included.
   StreamEvent submit(const workload::Query& query, double arrival_ms);
 
   /// Same, but with the bucket replica lists given directly (e.g. from a
@@ -123,6 +125,8 @@ class QueryStreamScheduler {
   /// The scheduler's serving policy (selection mode, pinned kind, threads).
   const ExecutionPolicy& policy() const { return exec_.policy(); }
   void set_policy(const ExecutionPolicy& policy) { exec_.set_policy(policy); }
+
+  std::int32_t total_disks() const { return system_.total_disks(); }
 
   /// Busy horizon of a disk: the absolute time at which it finishes all
   /// work scheduled so far.
@@ -146,6 +150,7 @@ class QueryStreamScheduler {
  private:
   /// Fold the backlog left by earlier schedules into system_.init_load_ms
   /// for a query arriving at `arrival_ms`; returns the busiest backlog.
+  /// Throws when the arrival precedes the last served one.
   double advance_loads(double arrival_ms);
   StreamEvent submit_problem(RetrievalProblem problem, double arrival_ms,
                              double max_backlog);

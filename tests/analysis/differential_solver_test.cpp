@@ -12,9 +12,11 @@
 // initial load already exceeds small candidate times).
 //
 // The binary-scaling drivers (Algorithm 6's candidate search) are also held
-// to their termination argument: at most ceil(log2 #candidates) + 1 resumes
-// and no capacity steps, including on magnitudes (1e-300 next to 1e300)
-// where a real-valued bisection never narrows below its resolution.
+// to their termination argument: at most ceil(log2 n) + 1 resumes for the n
+// candidates between the |Q|-th smallest completion and a greedy
+// schedule's T, and no capacity steps, including on magnitudes (1e-300
+// next to 1e300) where a real-valued bisection never narrows below its
+// resolution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +27,6 @@
 #include <vector>
 
 #include "analysis/schedule_invariants.h"
-#include "core/binary_scaling.h"
 #include "core/brute_force.h"
 #include "core/reference.h"
 #include "core/solve.h"
@@ -101,22 +102,58 @@ void expect_matches_oracle(const RetrievalProblem& problem, SolverKind kind,
 
 // --- Algorithm 6 candidate search ---------------------------------------
 
-/// ceil(log2 n) + 1 for the n completion times D_j + X_j + k*C_j
-/// (k <= min(in-degree_j, |Q|)) inside Algorithm 6's window; 0 when the
-/// query is empty.  Counted here from the definition, not by the driver.
-std::int64_t probe_bound(const RetrievalProblem& problem) {
-  const core::TimeBounds window = core::compute_time_bounds(problem);
+/// Every completion time D_j + X_j + k*C_j (k <= min(in-degree_j, |Q|)),
+/// sorted.  Counted here from the definition, not by the driver.
+std::vector<double> sorted_candidates(const RetrievalProblem& problem) {
   const auto degree = problem.disk_in_degrees();
-  std::int64_t n = 0;
+  std::vector<double> out;
   for (core::DiskId d = 0; d < problem.total_disks(); ++d) {
     const std::int64_t k_max = std::min<std::int64_t>(
         degree[static_cast<std::size_t>(d)], problem.query_size());
     for (std::int64_t k = 1; k <= k_max; ++k) {
-      const double t = problem.completion_time(d, k);
-      if (t >= window.tmin && t <= window.tmax) ++n;
+      out.push_back(problem.completion_time(d, k));
     }
   }
-  if (n == 0) return 0;
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The T of the greedy schedule that sends each bucket, in query order, to
+/// the replica with the least next completion (the first listed on a tie).
+double greedy_response_time(const RetrievalProblem& problem) {
+  std::vector<std::int64_t> load(
+      static_cast<std::size_t>(problem.total_disks()), 0);
+  double response = 0.0;
+  for (const auto& replica_set : problem.replicas) {
+    core::DiskId pick = replica_set.front();
+    for (core::DiskId d : replica_set) {
+      if (problem.completion_time(d, load[d] + 1) <
+          problem.completion_time(pick, load[pick] + 1)) {
+        pick = d;
+      }
+    }
+    response = std::max(response, problem.completion_time(pick, ++load[pick]));
+  }
+  return response;
+}
+
+/// The driver's closed search window: from the |Q|-th smallest candidate
+/// (fewer than |Q| sink slots below it) up to the greedy schedule's T.
+std::pair<double, double> tight_window(const RetrievalProblem& problem) {
+  const std::vector<double> candidates = sorted_candidates(problem);
+  return {candidates[static_cast<std::size_t>(problem.query_size() - 1)],
+          greedy_response_time(problem)};
+}
+
+/// ceil(log2 n) + 1 for the n candidates inside the tight window; 0 when
+/// the query is empty.
+std::int64_t probe_bound(const RetrievalProblem& problem) {
+  if (problem.query_size() == 0) return 0;
+  const auto [lower, upper] = tight_window(problem);
+  std::int64_t n = 0;
+  for (const double t : sorted_candidates(problem)) {
+    if (t >= lower && t <= upper) ++n;
+  }
   std::int64_t log2_ceil = 0;
   while ((std::int64_t{1} << log2_ceil) < n) ++log2_ceil;
   return log2_ceil + 1;
@@ -344,15 +381,31 @@ TEST(ExactSearch, OptimumAtExtremeMagnitude) {
 }
 
 TEST(ExactSearch, OptimumAtTheOptimisticBound) {
-  // |Q| divisible by N on equal disks: T* = (|Q|/N) * C = tmin exactly, so
-  // the window has to be closed at tmin.
+  // |Q| divisible by N on equal disks: T* = (|Q|/N) * C is at once the
+  // |Q|-th smallest completion and the greedy round robin's T, so the
+  // window has to be closed at both ends.
   RetrievalProblem problem = basic_shell(3, 6);
   for (auto& replica_set : problem.replicas) replica_set = {0, 1, 2};
   problem.validate();
   const SolveResult oracle = core::BruteForceSolver(problem).solve();
   EXPECT_DOUBLE_EQ(oracle.response_time_ms, 2.0);
-  EXPECT_DOUBLE_EQ(core::compute_time_bounds(problem).tmin, 2.0);
+  EXPECT_EQ(tight_window(problem), std::make_pair(2.0, 2.0));
   expect_exact_search(problem, 2.0);
+}
+
+TEST(ExactSearch, GreedyOptimumTakesOneProbe) {
+  // 16 buckets on 2 equal disks, every bucket on both: the greedy schedule
+  // alternates to T = 8, the 16th smallest completion is 8 too, and the one
+  // probe at 8 is the final one.  The paper's window [8, 16] takes 4.
+  RetrievalProblem problem = basic_shell(2, 16);
+  for (auto& replica_set : problem.replicas) replica_set = {0, 1};
+  problem.validate();
+  EXPECT_EQ(tight_window(problem), std::make_pair(8.0, 8.0));
+  for (const auto& [label, result] : binary_scaling_results(problem)) {
+    EXPECT_EQ(result.response_time_ms, 8.0) << label;
+    EXPECT_EQ(result.binary_probes, 1) << label;
+  }
+  expect_exact_search(problem, 8.0);
 }
 
 TEST(ExactSearch, OverflowingCompletionIsTheOptimum) {

@@ -206,14 +206,61 @@ TEST(Increment, TiesAreExactAtTinyMagnitudes) {
   EXPECT_EQ(session.reoptimize(), optimum);
 }
 
-TEST(TimeBoundsTest, MatchesAlgorithmSixFormulas) {
+/// A kernel whose flow reaches |Q| exactly at t >= `optimum`; it records
+/// every probe, so a test sees the driver's search window.
+class RecordingKernel final : public ScalingKernel {
+ public:
+  RecordingKernel(std::int64_t q, double optimum) : q_(q), optimum_(optimum) {}
+  void set_capacities_for_time(double t) override { probes.push_back(t); }
+  std::int64_t resume() override {
+    return probes.back() >= optimum_ ? q_ : q_ - 1;
+  }
+  void save() override {}
+  void restore() override {}
+
+  std::vector<double> probes;
+
+ private:
+  std::int64_t q_;
+  double optimum_;
+};
+
+std::vector<double> driver_probes(const RetrievalProblem& p, double optimum) {
+  RecordingKernel kernel(p.query_size(), optimum);
+  SolveResult result;
+  BinaryScalingDriver().run(p, p.disk_in_degrees(), kernel, result,
+                            "alg6.probe");
+  EXPECT_EQ(result.binary_probes, std::ssize(kernel.probes));
+  return kernel.probes;
+}
+
+TEST(SearchWindow, ProbesStayBetweenCountBoundAndGreedy) {
   RetrievalProblem p = tiny_problem();
   p.system.cost_ms = {2.0, 4.0};
   p.system.delay_ms = {1.0, 0.0};
-  const TimeBounds b = compute_time_bounds(p);
-  // tmax = max(1 + 3*2, 0 + 3*4) = 12 ; tmin = min(1+1.5*2, 0+1.5*4) = 4.
-  EXPECT_DOUBLE_EQ(b.tmax, 12.0);
-  EXPECT_DOUBLE_EQ(b.tmin, 4.0);
+  // The paper's window: tmax = max(1 + 3*2, 0 + 3*4) = 12 and
+  // tmin = min(1 + 1.5*2, 0 + 1.5*4) = 4.  The greedy sends bucket 0 to
+  // disk 0 (3 < 4), bucket 1 to disk 0 (5) and bucket 2 to disk 1 (4): T = 5.
+  // The completions up to 5 are 3, 5 (disk 0) and 4 (disk 1); the 3rd
+  // smallest is 5.  So the window is [5, 5], inside [4, 12], and one probe
+  // ends the search.
+  EXPECT_EQ(driver_probes(p, 5.0), std::vector<double>{5.0});
+
+  // Greedy above the optimum: bucket 0 ties on 1 and takes disk 0, listed
+  // first, so bucket 1 makes T = 2.  The completions up to 2 are 1, 2 and 1;
+  // the 2nd smallest is 1, the optimum, and the first probe settles it.
+  RetrievalProblem above = tiny_problem();
+  above.replicas = {{0, 1}, {0}};
+  EXPECT_EQ(driver_probes(above, 1.0), std::vector<double>{1.0});
+
+  // A loose lower bound: disk 0 must serve buckets 0 and 1, so T* = 2, which
+  // the greedy reaches.  The completions up to 2 are 1, 2 (disk 0), 1 and 1
+  // (disks 1, 2); the 3rd smallest is 1, an infeasible probe, and the
+  // search ends at the greedy T.
+  RetrievalProblem loose;
+  loose.system = unit_system(3);
+  loose.replicas = {{0}, {0}, {1, 2}};
+  EXPECT_EQ(driver_probes(loose, 2.0), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(ScheduleTest, ResponseTimeAndBottleneck) {

@@ -439,6 +439,145 @@ TEST(QueryStream, AdaptiveToggleRestoresPinnedKind) {
   EXPECT_EQ(scheduler.events().size(), 1u);
 }
 
+// --- Rejected arrivals ---
+//
+// An arrival the stack rejects must leave router and scheduler exactly as
+// they were: every later event matches, bit for bit, a stack that never saw
+// it.  Query ids come from the process-wide flight recorder and solve_ms is
+// wall time, so neither is compared.
+
+using ReplicaLists = std::vector<std::vector<DiskId>>;
+
+void expect_same_event(const StreamEvent& got, const StreamEvent& want) {
+  EXPECT_EQ(got.arrival_ms, want.arrival_ms);
+  EXPECT_EQ(got.response_ms, want.response_ms);
+  EXPECT_EQ(got.completion_ms, want.completion_ms);
+  EXPECT_EQ(got.max_initial_load_ms, want.max_initial_load_ms);
+  EXPECT_EQ(got.buckets, want.buckets);
+  EXPECT_EQ(got.schedule.assigned_disk, want.schedule.assigned_disk);
+  EXPECT_EQ(got.schedule.per_disk_count, want.schedule.per_disk_count);
+}
+
+void expect_same_outcome(const RouterOutcome& got, const RouterOutcome& want) {
+  EXPECT_EQ(got.decision, want.decision);
+  EXPECT_EQ(got.backlog_ms, want.backlog_ms);
+  EXPECT_EQ(got.merged, want.merged);
+  ASSERT_EQ(got.event.has_value(), want.event.has_value());
+  if (got.event) expect_same_event(*got.event, *want.event);
+}
+
+void expect_same_stats(const RouterStats& got, const RouterStats& want) {
+  EXPECT_EQ(got.arrivals, want.arrivals);
+  EXPECT_EQ(got.admitted, want.admitted);
+  EXPECT_EQ(got.shed, want.shed);
+  EXPECT_EQ(got.coalesced, want.coalesced);
+  EXPECT_EQ(got.flushes, want.flushes);
+  EXPECT_EQ(got.max_pending, want.max_pending);
+}
+
+TEST(RejectedArrival, StreamKeepsItsClock) {
+  // Disk 7 does not exist on 2 disks.  The rejected arrival at 10 must not
+  // move the clock: a valid one at 7 is served as on a fresh scheduler.
+  const workload::SystemConfig sys = uniform_system(2, 1.0);
+  QueryStreamScheduler fresh(sys);
+  QueryStreamScheduler scheduler(sys);
+  EXPECT_THROW(scheduler.submit_replicas({{7}}, 10.0), std::invalid_argument);
+  const StreamEvent first = scheduler.submit_replicas({{0}}, 7.0);
+  EXPECT_EQ(first.response_ms, 1.0);
+  expect_same_event(first, fresh.submit_replicas({{0}}, 7.0));
+  EXPECT_THROW(scheduler.submit_replicas({{0}, {}}, 9.0),
+               std::invalid_argument);
+  for (const auto& [replicas, at] :
+       std::vector<std::pair<ReplicaLists, double>>{
+           {{{0, 1}, {0}, {1}}, 7.5}, {{{1}, {1}}, 12.0}}) {
+    expect_same_event(scheduler.submit_replicas(replicas, at),
+                      fresh.submit_replicas(replicas, at));
+  }
+  EXPECT_EQ(scheduler.events().size(), fresh.events().size());
+}
+
+TEST(RejectedArrival, StreamKeepsItsClockOnBucketIds) {
+  StreamFixture f;
+  QueryStreamScheduler fresh(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys);
+  const workload::Query outside = {f.rep.grid_n() * f.rep.grid_n()};
+  EXPECT_THROW(scheduler.submit(outside, 10.0), std::invalid_argument);
+  for (const double at : {7.0, 8.0, 30.0}) {
+    const auto query = f.gen.next(f.rng);
+    expect_same_event(scheduler.submit(query, at), fresh.submit(query, at));
+  }
+}
+
+TEST(RejectedArrival, RouterKeepsBothClocks) {
+  const workload::SystemConfig sys = uniform_system(2, 1.0);
+  QueryStreamScheduler routed(sys);
+  QueryStreamScheduler mirror(sys);
+  QueryRouter router(routed, RouterOptions{});
+  QueryRouter fresh(mirror, RouterOptions{});
+  EXPECT_THROW(router.submit_replicas({{7}}, 10.0), std::invalid_argument);
+  for (const auto& [replicas, at] :
+       std::vector<std::pair<ReplicaLists, double>>{
+           {{{0}}, 7.0}, {{{0, 1}, {0}, {1}}, 7.5}, {{{1}, {1}}, 12.0}}) {
+    expect_same_outcome(router.submit_replicas(replicas, at),
+                        fresh.submit_replicas(replicas, at));
+  }
+  expect_same_stats(router.stats(), fresh.stats());
+}
+
+TEST(RejectedArrival, CoalesceBufferKeepsItsQueries) {
+  // One admitted query loads both disks past the threshold; later arrivals
+  // at t = 0 are buffered, two to a batch.  The bad list must be refused
+  // before it joins the buffer, so the valid query beside it still rides
+  // the next flush.
+  const workload::SystemConfig sys = uniform_system(2, 1.0);
+  RouterOptions options;
+  options.mode = AdmissionMode::kCoalesce;
+  options.max_backlog_ms = 0.5;
+  options.max_coalesce = 2;
+  QueryStreamScheduler routed(sys);
+  QueryStreamScheduler mirror(sys);
+  QueryRouter router(routed, options);
+  QueryRouter fresh(mirror, options);
+  const std::vector<std::pair<ReplicaLists, double>> before = {
+      {{{0, 1}, {0, 1}}, 0.0}, {{{0}}, 0.0}};
+  for (const auto& [replicas, at] : before) {
+    expect_same_outcome(router.submit_replicas(replicas, at),
+                        fresh.submit_replicas(replicas, at));
+  }
+  ASSERT_EQ(router.pending(), 1u);
+  EXPECT_THROW(router.submit_replicas({{7}}, 0.0), std::invalid_argument);
+  EXPECT_THROW(router.submit_replicas({{1}, {}}, 0.0), std::invalid_argument);
+  EXPECT_EQ(router.pending(), 1u);
+  const std::vector<std::pair<ReplicaLists, double>> after = {
+      {{{1}}, 0.0}, {{{0}, {1}}, 10.0}};
+  for (const auto& [replicas, at] : after) {
+    const RouterOutcome got = router.submit_replicas(replicas, at);
+    expect_same_outcome(got, fresh.submit_replicas(replicas, at));
+  }
+  expect_same_stats(router.stats(), fresh.stats());
+  EXPECT_EQ(router.pending(), 0u);
+}
+
+TEST(RejectedArrival, ThrowingFlushReArmsTheBuffer) {
+  // Two blocks at C = 1e308 finish at +inf, a legal optimum, so the next
+  // query sees a non-finite backlog and the solve seam rejects it.  The
+  // buffer is emptied before the solve, and neither clock moves.
+  workload::SystemConfig sys = uniform_system(2, 1.0);
+  sys.cost_ms[0] = 1e308;
+  RouterOptions options;
+  options.mode = AdmissionMode::kCoalesce;
+  options.max_backlog_ms = 0.5;
+  QueryStreamScheduler scheduler(sys);
+  QueryRouter router(scheduler, options);
+  router.submit_replicas({{0}, {0}}, 0.0);
+  ASSERT_EQ(router.submit_replicas({{1}}, 1.0).decision,
+            RouterDecision::kCoalesced);
+  EXPECT_THROW(router.flush(2.0), std::invalid_argument);
+  EXPECT_EQ(router.pending(), 0u);
+  EXPECT_EQ(router.stats().flushes, 0);
+  EXPECT_EQ(router.flush(1.0), std::nullopt);  // the clock stayed at 1
+}
+
 // --- BatchSolver hardening ---
 
 TEST(BatchSolver, SurvivesThrowingProblemMidBatch) {
