@@ -16,7 +16,10 @@
 // the binary-scaling drivers do so within ceil(log2 n) + 1 resumes for the
 // n candidates in their tight window and without capacity steps.  Every
 // input also checks tmin <= |Q|-th smallest completion <= T* <= greedy T
-// <= tmax, with tmin and tmax from the paper's Algorithm 6 formulas.
+// <= tmax, with tmin and tmax from the paper's Algorithm 6 formulas, and
+// the driver's seed: one call before the first snapshot, carrying the
+// greedy schedule trimmed to the lower bound's capacities, recomputed here
+// from its definition.
 //
 // Any disagreement in optimal response time, any invariant violation
 // (flow conservation, schedule feasibility, recomputed response time), or
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "analysis/schedule_invariants.h"
+#include "core/binary_scaling.h"
 #include "core/problem.h"
 #include "core/reference.h"
 #include "core/solve.h"
@@ -143,6 +147,7 @@ struct TightWindow {
   double lower = 0.0;
   double upper = 0.0;
   std::int64_t candidates = 0;
+  std::vector<std::int32_t> greedy;  // the greedy's disk per bucket
 };
 
 TightWindow tight_window(const RetrievalProblem& problem) {
@@ -171,11 +176,79 @@ TightWindow tight_window(const RetrievalProblem& problem) {
     }
     window.upper =
         std::max(window.upper, problem.completion_time(pick, ++load[pick]));
+    window.greedy.push_back(pick);
   }
   for (const double t : completions) {
     if (t >= window.lower && t <= window.upper) ++window.candidates;
   }
   return window;
+}
+
+/// A kernel that answers every probe from the known optimum and records
+/// the driver's seed and snapshot calls.
+class SeedRecorder final : public repflow::core::ScalingKernel {
+ public:
+  SeedRecorder(std::int64_t q, double optimum) : q_(q), optimum_(optimum) {}
+  void set_capacities_for_time(double t) override { t_ = t; }
+  std::int64_t resume() override { return t_ >= optimum_ ? q_ : q_ - 1; }
+  void save() override { calls += 'v'; }
+  void restore() override { calls += 'r'; }
+  void seed(const std::vector<std::int32_t>& disk_of_bucket) override {
+    calls += 's';
+    seeded = disk_of_bucket;
+  }
+
+  std::string calls;  // 's' seed, 'v' save, 'r' restore, in call order
+  std::vector<std::int32_t> seeded;
+
+ private:
+  std::int64_t q_;
+  double optimum_;
+  double t_ = 0.0;
+};
+
+/// The driver seeds once, before its first snapshot, with the greedy
+/// schedule in which each disk keeps its first slots_within(d, lower)
+/// buckets in query order: every seeded disk is a replica of its bucket and
+/// no disk holds more than its slots under the lower bound.
+void check_seed(const RetrievalProblem& problem, const TightWindow& window,
+                double optimum) {
+  SeedRecorder kernel(problem.query_size(), optimum);
+  SolveResult result;
+  repflow::core::BinaryScalingDriver().run(
+      problem, problem.disk_in_degrees(), kernel, result, "alg6.probe");
+  if (kernel.calls.substr(0, 2) != "sv" ||
+      std::count(kernel.calls.begin(), kernel.calls.end(), 's') != 1) {
+    die(problem, "seed is not the one call before the first save",
+        "calls=" + kernel.calls);
+  }
+  std::vector<std::int64_t> slots(
+      static_cast<std::size_t>(problem.total_disks()));
+  for (repflow::core::DiskId d = 0; d < problem.total_disks(); ++d) {
+    slots[d] = problem.system.slots_within(d, window.lower);
+  }
+  std::vector<std::int32_t> expected;
+  for (const std::int32_t d : window.greedy) {
+    expected.push_back(slots[d]-- > 0 ? d : -1);
+  }
+  if (kernel.seeded != expected) {
+    die(problem, "seed is not the trimmed greedy schedule", "");
+  }
+  std::vector<std::int64_t> load(slots.size(), 0);
+  for (std::size_t b = 0; b < expected.size(); ++b) {
+    const std::int32_t d = kernel.seeded[b];
+    if (d == -1) continue;
+    const auto& replicas = problem.replicas[b];
+    if (std::find(replicas.begin(), replicas.end(), d) == replicas.end()) {
+      die(problem, "seeded disk is not a replica",
+          "bucket=" + std::to_string(b) + " disk=" + std::to_string(d));
+    }
+    if (++load[static_cast<std::size_t>(d)] >
+        problem.system.slots_within(d, window.lower)) {
+      die(problem, "seed overloads a disk under the lower bound",
+          "disk=" + std::to_string(d));
+    }
+  }
 }
 
 }  // namespace
@@ -244,6 +317,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       ++probe_bound;
     }
     ++probe_bound;
+    check_seed(problem, window, expected);
   }
   for (const SolveResult* r : {&alg6, &blackbox, &matching}) {
     if (r->response_time_ms != expected) {

@@ -12,8 +12,10 @@ namespace repflow::core {
 double BinaryScalingDriver::greedy_response_time(
     const RetrievalProblem& problem) {
   greedy_load_.assign(static_cast<std::size_t>(problem.total_disks()), 0);
+  greedy_disk_.resize(problem.replicas.size());
   double response = -std::numeric_limits<double>::infinity();
-  for (const auto& replicas : problem.replicas) {
+  for (std::size_t b = 0; b < problem.replicas.size(); ++b) {
+    const auto& replicas = problem.replicas[b];
     if (replicas.empty()) {
       throw std::invalid_argument(
           "BinaryScalingDriver: bucket without replica");
@@ -28,9 +30,27 @@ double BinaryScalingDriver::greedy_response_time(
       }
     }
     ++greedy_load_[pick];
+    greedy_disk_[b] = pick;
     response = std::max(response, pick_t);
   }
   return response;
+}
+
+void BinaryScalingDriver::trim_greedy_to(const RetrievalProblem& problem,
+                                         double lower) {
+  for (DiskId d = 0; d < problem.total_disks(); ++d) {
+    // A disk the greedy left idle is never looked up below.
+    if (greedy_load_[d] > 0) {
+      greedy_load_[d] = problem.system.slots_within(d, lower);
+    }
+  }
+  for (std::int32_t& d : greedy_disk_) {
+    if (greedy_load_[d] > 0) {
+      --greedy_load_[d];
+    } else {
+      d = -1;
+    }
+  }
 }
 
 void BinaryScalingDriver::run(const RetrievalProblem& problem,
@@ -69,7 +89,12 @@ void BinaryScalingDriver::run(const RetrievalProblem& problem,
   std::nth_element(candidates_.begin(), first, candidates_.end());
   auto last = std::partition(first, candidates_.end(),
                              [best](double t) { return t < best; });
-  kernel.save();  // zero flow: what a feasible first probe falls back to
+  // Every probe is at least the lower bound *first, so the greedy schedule
+  // trimmed to its capacities fits them all: what the search starts from
+  // and what a feasible first probe falls back to.
+  trim_greedy_to(problem, *first);
+  kernel.seed(greedy_disk_);
+  kernel.save();
   bool holds_optimum = false;  // the kernel's flow is complete at caps(best)
   while (first != last) {
     const auto mid = first + (last - first) / 2;

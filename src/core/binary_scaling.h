@@ -22,6 +22,14 @@
 // infeasible probe's flow stays valid for every larger t.  Infeasible probes
 // snapshot their flow; a feasible probe restores the last snapshot before
 // the search moves below it.
+//
+// The same monotonicity lets the search start from the greedy schedule
+// instead of zero flow.  Every probe t is at least the lower bound L, so the
+// greedy schedule trimmed to caps(L) (each disk keeps its first
+// slots_within(d, L) greedy buckets in query order, the rest start
+// unassigned) is a valid flow under every probe.  The kernel is seeded with
+// it before the first snapshot, so it is also what a feasible first probe
+// falls back to.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +53,11 @@ class ScalingKernel {
   virtual void save() = 0;
   /// Return to the last snapshot.
   virtual void restore() = 0;
+  /// Start from the flow that sends bucket b to disk `disk_of_bucket[b]`
+  /// (one of its replicas), or nowhere when that entry is -1.  Called once,
+  /// on zero flow, before the first save(); the driver guarantees the flow
+  /// fits every probe's capacities.
+  virtual void seed(const std::vector<std::int32_t>& disk_of_bucket) = 0;
 
  protected:
   ~ScalingKernel() = default;
@@ -54,7 +67,8 @@ class BinaryScalingDriver {
  public:
   /// Find the optimal response time of `problem`, whose disk in-degrees
   /// are `in_degree`, and leave `kernel` holding a flow of value |Q| under
-  /// that time's capacities.  The kernel must start from zero flow.  Each
+  /// that time's capacities.  The kernel must start from zero flow; the
+  /// driver seeds it with the trimmed greedy schedule.  Each
   /// resume counts one result.binary_probes and runs under the span
   /// `probe_span` (a string literal).  Throws std::invalid_argument on a
   /// bucket without a replica and std::logic_error if the kernel reports
@@ -63,21 +77,30 @@ class BinaryScalingDriver {
            std::span<const std::int32_t> in_degree, ScalingKernel& kernel,
            SolveResult& result, const char* probe_span);
 
-  /// Retained footprint of the candidate buffer and the greedy loads.
+  /// Retained footprint of the candidate buffer and the greedy schedule.
   std::size_t retained_bytes() const {
     return candidates_.capacity() * sizeof(double) +
-           greedy_load_.capacity() * sizeof(std::int64_t);
+           greedy_load_.capacity() * sizeof(std::int64_t) +
+           greedy_disk_.capacity() * sizeof(std::int32_t);
   }
 
  private:
   /// T of the greedy schedule: each bucket, in query order, goes to the
   /// replica with the least completion_time(d, load_d + 1); the
-  /// first-listed replica wins ties.  Throws std::invalid_argument on a
-  /// bucket without a replica.
+  /// first-listed replica wins ties.  The picks are left in greedy_disk_.
+  /// Throws std::invalid_argument on a bucket without a replica.
   double greedy_response_time(const RetrievalProblem& problem);
 
+  /// Trim greedy_disk_ to the capacities of time `lower`: each disk keeps
+  /// its first slots_within(d, lower) buckets in query order, the rest
+  /// become -1.
+  void trim_greedy_to(const RetrievalProblem& problem, double lower);
+
   std::vector<double> candidates_;  // grow-only, reserved to the arc count
-  std::vector<std::int64_t> greedy_load_;  // grow-only, one per disk
+  // Grow-only, one per disk: the greedy loads, then the slots left under
+  // the lower bound while trimming.
+  std::vector<std::int64_t> greedy_load_;
+  std::vector<std::int32_t> greedy_disk_;  // grow-only, one per bucket
 };
 
 }  // namespace repflow::core

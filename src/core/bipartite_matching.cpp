@@ -15,7 +15,8 @@ namespace {
 
 constexpr std::int32_t kUnreachable = std::numeric_limits<std::int32_t>::max();
 
-// Kernel observability handles, resolved once per process.
+// Kernel observability handles, resolved once per process and written once
+// per solve (BipartiteMatcher::publish_metrics).
 struct MatchingMetrics {
   obs::Counter& phase_count;
   obs::Counter& retained_hits;
@@ -113,62 +114,6 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem,
   }
   ws.first[qs] = e;
 
-  // Degree-bucketed adjacency: group each bucket's replica arcs by coarse
-  // in-degree class (power-of-two buckets, least-contended classes first)
-  // so DFS probes disks with spare capacity before the hot disks that
-  // saturate first on the c > 2 adversarial shapes.  Insertion order is
-  // preserved WITHIN a class: a full degree sort would give every bucket
-  // the same global disk order and make all probes hammer one saturated
-  // prefix, while the original per-bucket order decorrelates scans for
-  // free.  The reorder only engages where it can pay for itself: a skewed
-  // degree profile (>= ~4x spread between the coldest and hottest disk)
-  // AND real per-bucket choice (average replica degree <= N/4) — uniform
-  // or near-complete profiles keep the untouched insertion order and cost
-  // nothing.  Deterministic: a pure function of the problem.
-  if (degree_bucketed_ && q_ > 0) {
-    ws.degree_class.assign(ns, 0);
-    std::uint8_t min_class = 0xFF;
-    std::uint8_t max_class = 0;
-    for (std::size_t d = 0; d < ns; ++d) {
-      const auto deg = static_cast<std::uint32_t>(ws.in_degree[d]);
-      const auto cls = static_cast<std::uint8_t>(std::bit_width(deg));
-      ws.degree_class[d] = cls;
-      if (deg > 0) {
-        min_class = std::min(min_class, cls);
-        max_class = std::max(max_class, cls);
-      }
-    }
-    const bool skewed = max_class >= min_class + 2;
-    const bool has_choice =
-        total_arcs * 4 <= static_cast<std::int64_t>(ns) * q_;
-    if (skewed && has_choice) {
-      ws.order_scratch.resize(ns);
-      std::int32_t counts[34];
-      for (std::int32_t u = 0; u < q_; ++u) {
-        const std::int32_t lo = ws.first[static_cast<std::size_t>(u)];
-        const std::int32_t hi = ws.first[static_cast<std::size_t>(u) + 1];
-        if (hi - lo <= 1) continue;
-        std::fill(counts + min_class, counts + max_class + 2, 0);
-        for (std::int32_t i = lo; i < hi; ++i) {
-          const auto d = static_cast<std::size_t>(
-              ws.adj[static_cast<std::size_t>(i)]);
-          ++counts[ws.degree_class[d] + 1];
-        }
-        for (int c = min_class; c <= max_class; ++c) {
-          counts[c + 1] += counts[c];
-        }
-        for (std::int32_t i = lo; i < hi; ++i) {
-          const std::int32_t d = ws.adj[static_cast<std::size_t>(i)];
-          const auto cls = ws.degree_class[static_cast<std::size_t>(d)];
-          ws.order_scratch[static_cast<std::size_t>(counts[cls]++)] = d;
-        }
-        std::copy(ws.order_scratch.begin(),
-                  ws.order_scratch.begin() + (hi - lo),
-                  ws.adj.begin() + lo);
-      }
-    }
-  }
-
   // Slot segments: disk d's matched buckets live in
   // slots[disk_first[d] .. disk_first[d] + load[d]); load[d] can never
   // exceed in_degree[d], so the segments tile the arc array exactly.
@@ -198,6 +143,8 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem,
   phases_ = 0;
   augmentations_ = 0;
   visits_ = 0;
+  retained_hits_ = 0;
+  path_len_.clear();
 }
 
 void BipartiteMatcher::set_capacities_for_time(double t) {
@@ -296,7 +243,7 @@ bool BipartiteMatcher::try_augment(const std::int32_t root,
         apply_path(ws, top, d);
         ++matched_;
         ++augmentations_;
-        matching_metrics().path_len.observe(2.0 * top + 1.0);
+        path_len_.observe(2.0 * top + 1.0);
         return true;
       }
       // Full disk: scan its matched buckets for a next-layer child.
@@ -337,12 +284,11 @@ void BipartiteMatcher::augment_pass(const std::int32_t limit) {
 }
 
 std::int64_t BipartiteMatcher::augment_to_maximum() {
-  if (matched_ > 0) matching_metrics().retained_hits.add(1);
+  if (matched_ > 0) ++retained_hits_;
   while (matched_ < q_) {
     std::int32_t limit = 0;
     if (!bfs_phase(limit)) break;
     ++phases_;
-    matching_metrics().phase_count.add(1);
     const std::int64_t before = matched_;
     augment_pass(limit);
     // A phase whose BFS found a terminal always augments at least once
@@ -350,6 +296,14 @@ std::int64_t BipartiteMatcher::augment_to_maximum() {
     if (matched_ == before) break;
   }
   return matched_;
+}
+
+void BipartiteMatcher::publish_metrics() const {
+  MatchingMetrics& metrics = matching_metrics();
+  metrics.phase_count.add(static_cast<std::uint64_t>(phases_));
+  metrics.retained_hits.add(static_cast<std::uint64_t>(retained_hits_));
+  metrics.visits.add(static_cast<std::uint64_t>(visits_));
+  metrics.path_len.merge(path_len_);
 }
 
 void BipartiteMatcher::save_matching_into(
@@ -414,7 +368,7 @@ void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
       static_cast<std::uint64_t>(matcher_.visits());
   result.flow_stats.global_relabels =
       static_cast<std::uint64_t>(matcher_.phases());  // BFS layering passes
-  matching_metrics().visits.add(matcher_.visits());
+  matcher_.publish_metrics();
   matcher_.extract_schedule_into(result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_MATCHING(problem, matcher_.capacities(), result,

@@ -35,24 +35,12 @@
 #include "core/schedule.h"
 #include "core/solver.h"
 #include "graph/workspace.h"
+#include "obs/metrics.h"
 
 namespace repflow::core {
 
 class BipartiteMatcher {
  public:
-  /// Degree-bucketed adjacency: rebind() groups each bucket's replica arcs
-  /// by coarse power-of-two in-degree class (cold classes first, insertion
-  /// order preserved within a class), so DFS probes try lightly-replicated
-  /// disks before contended hot spots — the lever for the c > 2 adversarial
-  /// shapes where replicas pile onto a few slow disks.  The reorder only
-  /// engages when the degree spread spans >= 2 classes AND the average
-  /// replica degree leaves real per-bucket choice (total arcs <= N*Q/4);
-  /// uniform shapes keep their natural (decorrelated) insertion order
-  /// untouched.  On by default; the toggle exists for the head-to-head
-  /// bench and takes effect at the next rebind().
-  void set_degree_bucketed(bool on) { degree_bucketed_ = on; }
-  bool degree_bucketed() const { return degree_bucketed_; }
-
   /// Bind `problem` onto `workspace` (rebuilding the CSR topology in place;
   /// same-footprint rebinds allocate nothing) and clear the matching.
   /// Both must outlive the matcher's use.
@@ -95,6 +83,12 @@ class BipartiteMatcher {
   std::int64_t augmentations() const { return augmentations_; }
   std::int64_t visits() const { return visits_; }
 
+  /// Fold the counters and path lengths since the last rebind into the
+  /// `matching.*` instruments.  Call once per rebind, after the last
+  /// augment_to_maximum(): the kernel keeps them in plain members so the
+  /// augmenting loop touches no atomics.
+  void publish_metrics() const;
+
  private:
   bool bfs_phase(std::int32_t& limit);
   bool try_augment(std::int32_t root, std::int32_t limit);
@@ -108,7 +102,8 @@ class BipartiteMatcher {
   std::int64_t phases_ = 0;
   std::int64_t augmentations_ = 0;
   std::int64_t visits_ = 0;
-  bool degree_bucketed_ = true;
+  std::int64_t retained_hits_ = 0;  // resumes that started non-empty
+  obs::HistogramTally path_len_;    // augmenting path lengths
 };
 
 /// Algorithm 6's search (BinaryScalingDriver) running on the matching
@@ -130,9 +125,6 @@ class IntegratedMatchingSolver : private ScalingKernel {
   /// calls on same-footprint problems perform zero heap allocations.
   void solve_into(const RetrievalProblem& problem, SolveResult& result);
 
-  /// Kernel knob, forwarded to the matcher (see BipartiteMatcher).
-  void set_degree_bucketed(bool on) { matcher_.set_degree_bucketed(on); }
-
   /// Retained working-memory footprint (workspace + snapshot buffer +
   /// candidate buffer).
   std::size_t retained_bytes() const;
@@ -144,6 +136,9 @@ class IntegratedMatchingSolver : private ScalingKernel {
   std::int64_t resume() override { return matcher_.augment_to_maximum(); }
   void save() override { matcher_.save_matching_into(saved_match_); }
   void restore() override { matcher_.restore_matching(saved_match_); }
+  void seed(const std::vector<std::int32_t>& disk_of_bucket) override {
+    matcher_.restore_matching(disk_of_bucket);
+  }
 
   const RetrievalProblem* bound_problem_ = nullptr;
   graph::MaxflowWorkspace workspace_;

@@ -1,7 +1,7 @@
 // The black-box baseline of [12] (Altiparmak & Tosun, generalized optimal
 // response time retrieval): the same search as Algorithm 6
 // (BinaryScalingDriver), but every feasibility probe runs a fresh max-flow
-// from zero flow — no flow conservation, so its save and restore do
+// from zero flow — no flow conservation, so its seed, save and restore do
 // nothing.  This is the algorithm the paper's "bb/int" ratio figures
 // (7, 8, 9) compare against.
 #pragma once
@@ -44,6 +44,7 @@ class BlackBoxBinarySolver : private ScalingKernel {
   std::int64_t resume() override;
   void save() override {}
   void restore() override {}
+  void seed(const std::vector<std::int32_t>&) override {}
 
   const RetrievalProblem* bound_problem_ = nullptr;
   SolveResult* result_ = nullptr;  // the solve in progress (run counters)

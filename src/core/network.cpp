@@ -1,5 +1,7 @@
 #include "core/network.h"
 
+#include <algorithm>
+
 namespace repflow::core {
 
 RetrievalNetwork::RetrievalNetwork(const RetrievalProblem& problem) {
@@ -47,6 +49,23 @@ void RetrievalNetwork::set_capacities_for_time(double t) {
 
 void RetrievalNetwork::set_uniform_capacities(std::int64_t cap) {
   for (graph::ArcId a : sink_arcs_) net_.set_capacity(a, cap);
+}
+
+void RetrievalNetwork::set_assignment_flow(
+    const std::vector<std::int32_t>& disk_of_bucket) {
+  for (std::int64_t b = 0; b < problem_->query_size(); ++b) {
+    const DiskId d = disk_of_bucket[static_cast<std::size_t>(b)];
+    if (d < 0) continue;
+    // rebuild() adds bucket b's replica arcs right after its source arc, so
+    // the arc to its k-th replica is k + 1 pairs past the source arc.
+    const auto& replicas = problem_->replicas[static_cast<std::size_t>(b)];
+    const auto k = std::find(replicas.begin(), replicas.end(), d) -
+                   replicas.begin();
+    const graph::ArcId source = source_arcs_[b];
+    net_.set_pair_flow(source, 1);
+    net_.set_pair_flow(source + 2 * static_cast<graph::ArcId>(k + 1), 1);
+    net_.set_pair_flow(sink_arcs_[d], net_.flow(sink_arcs_[d]) + 1);
+  }
 }
 
 std::size_t RetrievalNetwork::retained_bytes() const {

@@ -60,6 +60,11 @@ class RetrievalNetwork {
   /// Set every sink-arc capacity to one value (basic problem).
   void set_uniform_capacities(std::int64_t cap);
 
+  /// On zero flow, route one unit s -> b -> disk_of_bucket[b] -> t for every
+  /// bucket b whose entry is not -1 (each entry must be one of b's
+  /// replicas).  Capacities are left as they are.
+  void set_assignment_flow(const std::vector<std::int32_t>& disk_of_bucket);
+
   /// Current sink-arc capacities (per disk).
   std::vector<std::int64_t> sink_capacities() const;
 

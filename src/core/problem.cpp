@@ -66,16 +66,22 @@ std::vector<std::int32_t> RetrievalProblem::disk_in_degrees() const {
 std::vector<std::vector<DiskId>> replica_lists(
     const decluster::ReplicatedAllocation& allocation,
     const workload::Query& query) {
+  std::vector<std::vector<DiskId>> lists(query.size());
+  fill_replica_lists(allocation, query, lists);
+  return lists;
+}
+
+void fill_replica_lists(const decluster::ReplicatedAllocation& allocation,
+                        const workload::Query& query,
+                        std::span<std::vector<DiskId>> lists) {
   const std::int32_t n = allocation.grid_n();
-  std::vector<std::vector<DiskId>> lists;
-  lists.reserve(query.size());
-  for (decluster::BucketId b : query) {
+  for (std::size_t i = 0; i < query.size(); ++i) {
+    const decluster::BucketId b = query[i];
     if (b < 0 || b >= n * n) {
       throw std::invalid_argument("replica_lists: bucket id out of grid");
     }
-    lists.push_back(allocation.replica_disks_unique(b / n, b % n));
+    allocation.replica_disks_unique_into(b / n, b % n, lists[i]);
   }
-  return lists;
 }
 
 RetrievalProblem build_problem(

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "decluster/allocation.h"
@@ -52,6 +53,12 @@ void validate_replicas(const std::vector<std::vector<DiskId>>& replicas,
 std::vector<std::vector<DiskId>> replica_lists(
     const decluster::ReplicatedAllocation& allocation,
     const workload::Query& query);
+
+/// replica_lists() into `lists` (one per bucket of `query`), reusing each
+/// list's capacity: a warm call allocates nothing.
+void fill_replica_lists(const decluster::ReplicatedAllocation& allocation,
+                        const workload::Query& query,
+                        std::span<std::vector<DiskId>> lists);
 
 /// Build the instance for `query` under `allocation` on `system` (the
 /// replica_lists() mapping plus the system snapshot, validated).

@@ -64,6 +64,12 @@ void PushRelabelBinarySolver::restore() {
   engine_->reset_excess_after_restore(network_.flow_value());
 }
 
+void PushRelabelBinarySolver::seed(
+    const std::vector<std::int32_t>& disk_of_bucket) {
+  network_.set_assignment_flow(disk_of_bucket);
+  engine_->reset_excess_after_restore(network_.flow_value());
+}
+
 std::size_t PushRelabelBinarySolver::retained_bytes() const {
   return network_.retained_bytes() +
          saved_flows_.capacity() * sizeof(graph::Cap) +

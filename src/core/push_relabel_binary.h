@@ -63,6 +63,7 @@ class PushRelabelBinarySolver : private ScalingKernel {
   std::int64_t resume() override;
   void save() override;
   void restore() override;
+  void seed(const std::vector<std::int32_t>& disk_of_bucket) override;
 
   const RetrievalProblem* bound_problem_ = nullptr;
   RetrievalNetwork network_;

@@ -22,39 +22,40 @@ QueryRouter::QueryRouter(QueryStreamScheduler& scheduler,
 
 RouterOutcome QueryRouter::submit(const workload::Query& query,
                                   double arrival_ms) {
-  const decluster::ReplicatedAllocation* allocation =
-      scheduler_.allocation();
-  if (allocation == nullptr) {
+  if (scheduler_.allocation() == nullptr) {
     throw std::logic_error(
         "QueryRouter: scheduler has no allocation (trace-replay mode); use "
         "submit_replicas");
   }
-  return route(replica_lists(*allocation, query), &query, arrival_ms);
+  return route(&query, nullptr, arrival_ms);
 }
 
 RouterOutcome QueryRouter::submit_replicas(
     std::vector<std::vector<DiskId>> replicas, double arrival_ms) {
-  return route(std::move(replicas), nullptr, arrival_ms);
+  return route(nullptr, &replicas, arrival_ms);
 }
 
-void QueryRouter::buffer(std::vector<std::vector<DiskId>>&& replicas,
-                         const workload::Query* buckets,
+void QueryRouter::buffer(const workload::Query* query,
+                         std::vector<std::vector<DiskId>>* replicas,
                          std::uint64_t query_id, double arrival_ms) {
+  std::vector<std::vector<DiskId>> lists =
+      query != nullptr ? replica_lists(*scheduler_.allocation(), *query)
+                       : std::move(*replicas);
   // A list the solve seam would reject must not reach the merged problem,
   // where it would sink the whole batch.
-  validate_replicas(replicas, scheduler_.total_disks());
+  validate_replicas(lists, scheduler_.total_disks());
   obs::RouterInstruments& ri = obs::RouterInstruments::global();
-  for (std::size_t k = 0; k < replicas.size(); ++k) {
-    if (buckets != nullptr) {
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    if (query != nullptr) {
       // A bucket already waiting in the buffer is retrieved once for every
       // query that asked for it: skip the duplicate arc set.
-      if (!pending_buckets_.insert((*buckets)[k]).second) {
+      if (!pending_buckets_.insert((*query)[k]).second) {
         ++stats_.dedup_hits;
         ri.deduped.add(1);
         continue;
       }
     }
-    pending_replicas_.push_back(std::move(replicas[k]));
+    pending_replicas_.push_back(std::move(lists[k]));
   }
   if (pending_queries_ == 0) oldest_pending_arrival_ms_ = arrival_ms;
   pending_ids_.push_back(query_id);
@@ -70,11 +71,11 @@ void QueryRouter::require_in_order(double arrival_ms) const {
   }
 }
 
-RouterOutcome QueryRouter::route(std::vector<std::vector<DiskId>> replicas,
-                                 const workload::Query* buckets,
+RouterOutcome QueryRouter::route(const workload::Query* query,
+                                 std::vector<std::vector<DiskId>>* replicas,
                                  double arrival_ms) {
   require_in_order(arrival_ms);
-  RouterOutcome outcome = dispatch(std::move(replicas), buckets, arrival_ms);
+  RouterOutcome outcome = dispatch(query, replicas, arrival_ms);
   // Committed only once the arrival was served: a rejected one leaves the
   // router as it was.
   last_arrival_ms_ = arrival_ms;
@@ -82,8 +83,8 @@ RouterOutcome QueryRouter::route(std::vector<std::vector<DiskId>> replicas,
   return outcome;
 }
 
-RouterOutcome QueryRouter::dispatch(std::vector<std::vector<DiskId>> replicas,
-                                    const workload::Query* buckets,
+RouterOutcome QueryRouter::dispatch(const workload::Query* query,
+                                    std::vector<std::vector<DiskId>>* replicas,
                                     double arrival_ms) {
   obs::RouterInstruments& ri = obs::RouterInstruments::global();
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
@@ -112,7 +113,7 @@ RouterOutcome QueryRouter::dispatch(std::vector<std::vector<DiskId>> replicas,
     if (overloaded) {
       // Defer: park the query in the merge buffer until the backlog drains,
       // the buffer fills, or the oldest buffered query ages out.
-      buffer(std::move(replicas), buckets, outcome.query_id, arrival_ms);
+      buffer(query, replicas, outcome.query_id, arrival_ms);
       ri.coalesced.add(1);
       ri.pending.set(static_cast<double>(pending_queries_));
       recorder.record(outcome.query_id, obs::FlightEventKind::kCoalesce,
@@ -141,7 +142,7 @@ RouterOutcome QueryRouter::dispatch(std::vector<std::vector<DiskId>> replicas,
     if (pending_queries_ > 0) {
       // Backlog drained with queries waiting: ride them out together with
       // the incoming query as one merged problem.
-      buffer(std::move(replicas), buckets, outcome.query_id, arrival_ms);
+      buffer(query, replicas, outcome.query_id, arrival_ms);
       ri.coalesced.add(1);
       recorder.record(outcome.query_id, obs::FlightEventKind::kCoalesce,
                       outcome.backlog_ms);
@@ -159,7 +160,9 @@ RouterOutcome QueryRouter::dispatch(std::vector<std::vector<DiskId>> replicas,
   recorder.record(outcome.query_id, obs::FlightEventKind::kAdmit,
                   outcome.backlog_ms);
   outcome.event =
-      scheduler_.submit_replicas(std::move(replicas), arrival_ms);
+      query != nullptr
+          ? scheduler_.submit(*query, arrival_ms)
+          : scheduler_.submit_replicas(std::move(*replicas), arrival_ms);
   ri.admitted.add(1);
   ++stats_.admitted;
   outcome.decision = RouterDecision::kAdmitted;

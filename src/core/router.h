@@ -145,22 +145,25 @@ class QueryRouter {
   /// Throws std::invalid_argument when `arrival_ms` precedes the last
   /// served arrival.
   void require_in_order(double arrival_ms) const;
-  /// `buckets` (parallel to `replicas`) enables dedup when the caller knows
-  /// the bucket ids; null for the submit_replicas path.  Checks the arrival,
-  /// dispatches it, and commits the clock once it was served.
-  RouterOutcome route(std::vector<std::vector<DiskId>> replicas,
-                      const workload::Query* buckets, double arrival_ms);
+  /// An arrival comes as bucket ids (`query`, mapped through the
+  /// scheduler's allocation; enables dedup) or as replica lists
+  /// (`replicas`); exactly one is non-null.  Checks the arrival, dispatches
+  /// it, and commits the clock once it was served.
+  RouterOutcome route(const workload::Query* query,
+                      std::vector<std::vector<DiskId>>* replicas,
+                      double arrival_ms);
   /// The admission decision and the submission it leads to.
-  RouterOutcome dispatch(std::vector<std::vector<DiskId>> replicas,
-                         const workload::Query* buckets, double arrival_ms);
-  /// Append one query to the merge buffer, deduplicating against buckets
-  /// already buffered when ids are available.  Throws, before any change,
-  /// on a list the scheduler would reject (validate_replicas).
-  /// `query_id`/`arrival_ms` feed the flight recorder and the age-based
-  /// flush bound.
-  void buffer(std::vector<std::vector<DiskId>>&& replicas,
-              const workload::Query* buckets, std::uint64_t query_id,
-              double arrival_ms);
+  RouterOutcome dispatch(const workload::Query* query,
+                         std::vector<std::vector<DiskId>>* replicas,
+                         double arrival_ms);
+  /// Append one arrival to the merge buffer, deduplicating a query against
+  /// buckets already buffered.  Builds a query's replica lists only here.
+  /// Throws, before any change, on a list the scheduler would reject
+  /// (validate_replicas).  `query_id`/`arrival_ms` feed the flight
+  /// recorder and the age-based flush bound.
+  void buffer(const workload::Query* query,
+              std::vector<std::vector<DiskId>>* replicas,
+              std::uint64_t query_id, double arrival_ms);
   /// Submit the merge buffer as one problem; pending state is re-armed
   /// before the solve, so it is re-armed even when the solve throws.
   StreamEvent flush_pending(double arrival_ms);

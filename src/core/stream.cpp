@@ -15,23 +15,23 @@ QueryStreamScheduler::QueryStreamScheduler(
     const decluster::ReplicatedAllocation& allocation,
     workload::SystemConfig base_system, ExecutionPolicy policy)
     : allocation_(&allocation),
-      system_(std::move(base_system)),
+      problem_{.replicas = {}, .system = std::move(base_system)},
       pinned_kind_(policy.pinned_kind),
       exec_(policy) {
-  if (allocation_->total_disks() != system_.total_disks()) {
+  if (allocation_->total_disks() != problem_.total_disks()) {
     throw std::invalid_argument(
         "QueryStreamScheduler: allocation/system disk count mismatch");
   }
-  busy_until_.assign(static_cast<std::size_t>(system_.total_disks()), 0.0);
+  busy_until_.assign(static_cast<std::size_t>(problem_.total_disks()), 0.0);
 }
 
 QueryStreamScheduler::QueryStreamScheduler(workload::SystemConfig base_system,
                                            ExecutionPolicy policy)
     : allocation_(nullptr),
-      system_(std::move(base_system)),
+      problem_{.replicas = {}, .system = std::move(base_system)},
       pinned_kind_(policy.pinned_kind),
       exec_(policy) {
-  busy_until_.assign(static_cast<std::size_t>(system_.total_disks()), 0.0);
+  busy_until_.assign(static_cast<std::size_t>(problem_.total_disks()), 0.0);
 }
 
 void QueryStreamScheduler::set_adaptive_selection(bool on) {
@@ -55,20 +55,36 @@ StreamEvent QueryStreamScheduler::submit(const workload::Query& query,
         "QueryStreamScheduler: no allocation (trace-replay mode); use "
         "submit_replicas");
   }
-  // The constructor matched the allocation's disk count to system_'s, and
-  // the solve seam validates the rest.
-  return submit_replicas(replica_lists(*allocation_, query), arrival_ms);
+  // The constructor matched the allocation's disk count to the system's,
+  // and the solve seam validates the rest.
+  fill_replicas(query);
+  const double max_backlog = advance_loads(arrival_ms);
+  return submit_problem(arrival_ms, max_backlog);
 }
 
 StreamEvent QueryStreamScheduler::submit_replicas(
     std::vector<std::vector<DiskId>> replicas, double arrival_ms) {
-  // advance_loads() must precede the problem snapshot: it writes the X_j
-  // initial loads into system_.
+  problem_.replicas = std::move(replicas);
   const double max_backlog = advance_loads(arrival_ms);
-  RetrievalProblem problem;
-  problem.replicas = std::move(replicas);
-  problem.system = system_;
-  return submit_problem(std::move(problem), arrival_ms, max_backlog);
+  return submit_problem(arrival_ms, max_backlog);
+}
+
+void QueryStreamScheduler::fill_replicas(const workload::Query& query) {
+  auto& lists = problem_.replicas;
+  // Resize by hand: resize() would free the lists past a smaller |Q|.
+  while (lists.size() > query.size()) {
+    spare_lists_.push_back(std::move(lists.back()));
+    lists.pop_back();
+  }
+  while (lists.size() < query.size()) {
+    if (spare_lists_.empty()) {
+      lists.emplace_back();
+    } else {
+      lists.push_back(std::move(spare_lists_.back()));
+      spare_lists_.pop_back();
+    }
+  }
+  fill_replica_lists(*allocation_, query, lists);
 }
 
 double QueryStreamScheduler::max_backlog_at(double arrival_ms) const {
@@ -87,17 +103,18 @@ double QueryStreamScheduler::advance_loads(double arrival_ms) {
   // X_j = residual busy time of disk j at this query's arrival, exactly the
   // paper's "time it takes for disk j to be idle if busy, 0 otherwise".
   double max_backlog = 0.0;
+  auto& init_load = problem_.system.init_load_ms;
   for (std::size_t d = 0; d < busy_until_.size(); ++d) {
-    system_.init_load_ms[d] = std::max(0.0, busy_until_[d] - arrival_ms);
-    max_backlog = std::max(max_backlog, system_.init_load_ms[d]);
+    init_load[d] = std::max(0.0, busy_until_[d] - arrival_ms);
+    max_backlog = std::max(max_backlog, init_load[d]);
   }
   return max_backlog;
 }
 
-StreamEvent QueryStreamScheduler::submit_problem(RetrievalProblem problem,
-                                                 double arrival_ms,
+StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
                                                  double max_backlog) {
   obs::ScopedSpan span("stream.submit");
+  const RetrievalProblem& problem = problem_;
   // Query-id propagation (DESIGN.md): reuse the router-owned ambient
   // scope when one is active, otherwise self-assign an id so direct
   // scheduler use still produces a complete flight chain.

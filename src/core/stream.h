@@ -126,7 +126,7 @@ class QueryStreamScheduler {
   const ExecutionPolicy& policy() const { return exec_.policy(); }
   void set_policy(const ExecutionPolicy& policy) { exec_.set_policy(policy); }
 
-  std::int32_t total_disks() const { return system_.total_disks(); }
+  std::int32_t total_disks() const { return problem_.total_disks(); }
 
   /// Busy horizon of a disk: the absolute time at which it finishes all
   /// work scheduled so far.
@@ -148,15 +148,24 @@ class QueryStreamScheduler {
   StreamStats stats() const;
 
  private:
-  /// Fold the backlog left by earlier schedules into system_.init_load_ms
+  /// Fill problem_.replicas with `query`'s replica lists in place
+  /// (fill_replica_lists).  Throws std::invalid_argument on a bucket id
+  /// outside the grid.
+  void fill_replicas(const workload::Query& query);
+  /// Fold the backlog left by earlier schedules into problem_'s X_j loads
   /// for a query arriving at `arrival_ms`; returns the busiest backlog.
   /// Throws when the arrival precedes the last served one.
   double advance_loads(double arrival_ms);
-  StreamEvent submit_problem(RetrievalProblem problem, double arrival_ms,
-                             double max_backlog);
+  /// Solve problem_ and record the event.
+  StreamEvent submit_problem(double arrival_ms, double max_backlog);
 
   const decluster::ReplicatedAllocation* allocation_;  // null in replay mode
-  workload::SystemConfig system_;
+  // The pooled per-query problem: the base system with the current X_j
+  // loads, and the current query's replica lists.  Reused across queries,
+  // so a warm submit() builds no problem.  Lists past the current |Q| wait
+  // in spare_lists_, since shrinking the vector would free them.
+  RetrievalProblem problem_;
+  std::vector<std::vector<DiskId>> spare_lists_;
   /// The kind restored when adaptive selection is switched back off.
   SolverKind pinned_kind_;
   // The serving context: pooled solver shells + reused scratch result, so

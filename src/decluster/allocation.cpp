@@ -75,6 +75,14 @@ std::int32_t ReplicatedAllocation::total_disks() const {
 std::vector<DiskId> ReplicatedAllocation::replica_disks(
     std::int32_t row, std::int32_t col) const {
   std::vector<DiskId> out;
+  replica_disks_into(row, col, out);
+  return out;
+}
+
+void ReplicatedAllocation::replica_disks_into(std::int32_t row,
+                                              std::int32_t col,
+                                              std::vector<DiskId>& out) const {
+  out.clear();
   out.reserve(copies_.size());
   const std::int32_t per_site = copies_.front().num_disks();
   for (std::int32_t k = 0; k < copies(); ++k) {
@@ -82,15 +90,20 @@ std::vector<DiskId> ReplicatedAllocation::replica_disks(
     out.push_back(mapping_ == SiteMapping::kCopyPerSite ? k * per_site + local
                                                         : local);
   }
-  return out;
 }
 
 std::vector<DiskId> ReplicatedAllocation::replica_disks_unique(
     std::int32_t row, std::int32_t col) const {
-  auto disks = replica_disks(row, col);
-  std::sort(disks.begin(), disks.end());
-  disks.erase(std::unique(disks.begin(), disks.end()), disks.end());
+  std::vector<DiskId> disks;
+  replica_disks_unique_into(row, col, disks);
   return disks;
+}
+
+void ReplicatedAllocation::replica_disks_unique_into(
+    std::int32_t row, std::int32_t col, std::vector<DiskId>& out) const {
+  replica_disks_into(row, col, out);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 bool ReplicatedAllocation::is_orthogonal() const {

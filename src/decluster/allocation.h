@@ -80,6 +80,10 @@ class ReplicatedAllocation {
   std::vector<DiskId> replica_disks(std::int32_t row, std::int32_t col) const;
   std::vector<DiskId> replica_disks_unique(std::int32_t row,
                                            std::int32_t col) const;
+  /// replica_disks_unique() into `out`, reusing its capacity: no heap
+  /// allocation once `out` has held copies() ids.
+  void replica_disks_unique_into(std::int32_t row, std::int32_t col,
+                                 std::vector<DiskId>& out) const;
 
   /// True when each (copy-0 disk, copy-1 disk) pair appears exactly once
   /// across the grid — the defining property of orthogonal allocations.
@@ -87,6 +91,10 @@ class ReplicatedAllocation {
   bool is_orthogonal() const;
 
  private:
+  /// replica_disks() into `out`, reusing its capacity.
+  void replica_disks_into(std::int32_t row, std::int32_t col,
+                          std::vector<DiskId>& out) const;
+
   std::vector<Allocation> copies_;
   SiteMapping mapping_;
 };

@@ -79,8 +79,6 @@ struct MatchingWorkspace {
   std::vector<std::int32_t> adj;         // replica disk ids, bucket-major
   std::vector<std::int32_t> in_degree;   // buckets adjacent to each disk
   std::vector<std::int32_t> disk_first;  // slot-segment offsets, size N+1
-  std::vector<std::uint8_t> degree_class;   // bit_width(in_degree) per disk
-  std::vector<std::int32_t> order_scratch;  // degree-bucketed reorder buffer
 
   // --- matching state ---
   std::vector<std::int32_t> match;        // bucket -> matched disk, or -1
@@ -104,13 +102,11 @@ struct MatchingWorkspace {
             disk_first.capacity() + match.capacity() + load.capacity() +
             slots.capacity() + free_buckets.capacity() + dist.capacity() +
             queue.capacity() + stack_bucket.capacity() +
-            stack_arc.capacity() + stack_slot.capacity() +
-            order_scratch.capacity()) *
+            stack_arc.capacity() + stack_slot.capacity()) *
                sizeof(std::int32_t) +
            cap.capacity() * sizeof(std::int64_t) +
            (bucket_epoch.capacity() + disk_epoch.capacity()) *
-               sizeof(std::uint32_t) +
-           degree_class.capacity() * sizeof(std::uint8_t);
+               sizeof(std::uint32_t);
   }
 };
 

@@ -94,6 +94,36 @@ void Histogram::observe(double value_ms) {
   atomic_store_max(max_, value_ms);
 }
 
+void Histogram::merge(const HistogramTally& tally) {
+  if (tally.count_ == 0) return;
+  // mo: relaxed — the same independent tallies observe() writes; merging
+  // is observe() batched, with no ordering beyond each cell's RMW.
+  for (int i = 0; i < kBucketCount; ++i) {
+    if (tally.buckets_[i] != 0) {
+      buckets_[i].fetch_add(tally.buckets_[i], std::memory_order_relaxed);
+    }
+  }
+  // mo: relaxed — count and sum are independent tallies, as in observe().
+  const std::uint64_t seen =
+      count_.fetch_add(tally.count_, std::memory_order_relaxed);
+  sum_.fetch_add(tally.sum_, std::memory_order_relaxed);
+  if (seen == 0) {
+    // mo: relaxed — as in observe(): the CAS fix-up below repairs races.
+    min_.store(tally.min_, std::memory_order_relaxed);
+    max_.store(tally.max_, std::memory_order_relaxed);
+  }
+  atomic_store_min(min_, tally.min_);
+  atomic_store_max(max_, tally.max_);
+}
+
+void HistogramTally::observe(double value_ms) {
+  ++buckets_[bucket_index(value_ms)];
+  min_ = count_ == 0 ? value_ms : std::min(min_, value_ms);
+  max_ = count_ == 0 ? value_ms : std::max(max_, value_ms);
+  ++count_;
+  sum_ += value_ms;
+}
+
 HistogramSummary Histogram::summary() const {
   HistogramSummary s;
   // mo: relaxed — statistical snapshot; fields may be mutually skewed by

@@ -72,6 +72,8 @@ double percentile_from_buckets(std::span<const double> bucket_bounds,
 
 #if !defined(REPFLOW_OBS_DISABLED)
 
+class HistogramTally;
+
 /// Monotonic counter.  add() is wait-free; value() is a relaxed load.
 class Counter {
  public:
@@ -131,6 +133,9 @@ class Histogram {
   static constexpr double kFirstBoundMs = 1e-3; // 1 microsecond
 
   void observe(double value_ms);
+  /// Fold a local tally in: the same buckets, count, min and max as
+  /// observing its values one by one, and its sum added in one step.
+  void merge(const HistogramTally& tally);
   HistogramSummary summary() const;
   void reset();
 
@@ -148,6 +153,25 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
   std::atomic<double> max_{0.0};
+};
+
+/// Single-threaded observations under Histogram's bucket rule, kept in
+/// plain integers until Histogram::merge() publishes them.  A hot loop
+/// observes here and merges once per run instead of paying observe()'s
+/// atomics per event.
+class HistogramTally {
+ public:
+  void observe(double value_ms);
+  void clear() { *this = HistogramTally{}; }
+  std::uint64_t count() const { return count_; }
+
+ private:
+  friend class Histogram;
+  std::uint64_t buckets_[Histogram::kBucketCount] = {};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Named metric registry.  Lookup takes a mutex; returned references stay
@@ -226,11 +250,19 @@ class Accumulator {
   void reset() {}
 };
 
+class HistogramTally {
+ public:
+  void observe(double) {}
+  void clear() {}
+  std::uint64_t count() const { return 0; }
+};
+
 class Histogram {
  public:
   static constexpr int kBucketCount = 0;
   static constexpr double kFirstBoundMs = 0.0;
   void observe(double) {}
+  void merge(const HistogramTally&) {}
   HistogramSummary summary() const { return {}; }
   void reset() {}
   static double bucket_bound(int) { return 0.0; }

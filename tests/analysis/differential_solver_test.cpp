@@ -405,6 +405,18 @@ TEST(ExactSearch, GreedyOptimumTakesOneProbe) {
     EXPECT_EQ(result.response_time_ms, 8.0) << label;
     EXPECT_EQ(result.binary_probes, 1) << label;
   }
+  // The whole greedy schedule fits caps(8), so the integrated kernels are
+  // seeded with a complete flow and the probe does no work.  The black box
+  // starts every probe from zero flow and routes all 16 buckets.
+  for (const auto& [label, result] : binary_scaling_results(problem)) {
+    if (label == "blackbox") {
+      EXPECT_EQ(result.flow_stats.pushes, 34u) << label;
+    } else if (label == "matching") {
+      EXPECT_EQ(result.flow_stats.augmentations, 0u) << label;
+    } else {
+      EXPECT_EQ(result.flow_stats.pushes, 0u) << label;
+    }
+  }
   expect_exact_search(problem, 8.0);
 }
 

@@ -3,7 +3,10 @@
 // and hand-checkable solver runs including the paper's Table II parameters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/binary_scaling.h"
 #include "core/ford_fulkerson_basic.h"
@@ -207,7 +210,8 @@ TEST(Increment, TiesAreExactAtTinyMagnitudes) {
 }
 
 /// A kernel whose flow reaches |Q| exactly at t >= `optimum`; it records
-/// every probe, so a test sees the driver's search window.
+/// every probe, so a test sees the driver's search window, and the order of
+/// its seed and snapshot calls.
 class RecordingKernel final : public ScalingKernel {
  public:
   RecordingKernel(std::int64_t q, double optimum) : q_(q), optimum_(optimum) {}
@@ -215,22 +219,68 @@ class RecordingKernel final : public ScalingKernel {
   std::int64_t resume() override {
     return probes.back() >= optimum_ ? q_ : q_ - 1;
   }
-  void save() override {}
-  void restore() override {}
+  void save() override { calls.push_back('v'); }
+  void restore() override { calls.push_back('r'); }
+  void seed(const std::vector<std::int32_t>& disk_of_bucket) override {
+    calls.push_back('s');
+    seeded = disk_of_bucket;
+  }
 
   std::vector<double> probes;
+  std::string calls;  // 's' seed, 'v' save, 'r' restore, in call order
+  std::vector<std::int32_t> seeded;
 
  private:
   std::int64_t q_;
   double optimum_;
 };
 
-std::vector<double> driver_probes(const RetrievalProblem& p, double optimum) {
+/// The |Q|-th smallest completion D_j + X_j + k*C_j, k <= min(in-degree,
+/// |Q|): the driver's lower bound, from its definition.
+double count_lower_bound(const RetrievalProblem& p) {
+  std::vector<double> completions;
+  const auto degree = p.disk_in_degrees();
+  for (DiskId d = 0; d < p.total_disks(); ++d) {
+    const std::int64_t k_max =
+        std::min<std::int64_t>(degree[d], p.query_size());
+    for (std::int64_t k = 1; k <= k_max; ++k) {
+      completions.push_back(p.completion_time(d, k));
+    }
+  }
+  std::sort(completions.begin(), completions.end());
+  return completions[static_cast<std::size_t>(p.query_size() - 1)];
+}
+
+/// Runs the driver on a RecordingKernel and checks its seed: exactly one,
+/// before the first snapshot, one entry per bucket naming a replica (or -1),
+/// and no disk loaded past its slots under the lower bound.  Returns the
+/// probes; the seed goes to `seeded` when given.
+std::vector<double> driver_probes(const RetrievalProblem& p, double optimum,
+                                  std::vector<std::int32_t>* seeded = nullptr) {
   RecordingKernel kernel(p.query_size(), optimum);
   SolveResult result;
   BinaryScalingDriver().run(p, p.disk_in_degrees(), kernel, result,
                             "alg6.probe");
   EXPECT_EQ(result.binary_probes, std::ssize(kernel.probes));
+  EXPECT_EQ(kernel.calls.substr(0, 2), "sv");
+  EXPECT_EQ(std::count(kernel.calls.begin(), kernel.calls.end(), 's'), 1);
+  EXPECT_EQ(std::ssize(kernel.seeded), p.query_size());
+  const double lower = count_lower_bound(p);
+  std::vector<std::int64_t> load(static_cast<std::size_t>(p.total_disks()));
+  for (std::size_t b = 0; b < kernel.seeded.size(); ++b) {
+    const DiskId d = kernel.seeded[b];
+    if (d == -1) continue;
+    const auto& replicas = p.replicas[b];
+    EXPECT_NE(std::find(replicas.begin(), replicas.end(), d), replicas.end())
+        << "bucket " << b << " seeded on disk " << d;
+    ++load[static_cast<std::size_t>(d)];
+  }
+  for (DiskId d = 0; d < p.total_disks(); ++d) {
+    EXPECT_LE(load[static_cast<std::size_t>(d)],
+              p.system.slots_within(d, lower))
+        << "disk " << d;
+  }
+  if (seeded != nullptr) *seeded = kernel.seeded;
   return kernel.probes;
 }
 
@@ -243,24 +293,32 @@ TEST(SearchWindow, ProbesStayBetweenCountBoundAndGreedy) {
   // disk 0 (3 < 4), bucket 1 to disk 0 (5) and bucket 2 to disk 1 (4): T = 5.
   // The completions up to 5 are 3, 5 (disk 0) and 4 (disk 1); the 3rd
   // smallest is 5.  So the window is [5, 5], inside [4, 12], and one probe
-  // ends the search.
-  EXPECT_EQ(driver_probes(p, 5.0), std::vector<double>{5.0});
+  // ends the search.  Every greedy pick fits caps(5), so the seed is the
+  // whole greedy schedule.
+  std::vector<std::int32_t> seeded;
+  EXPECT_EQ(driver_probes(p, 5.0, &seeded), std::vector<double>{5.0});
+  EXPECT_EQ(seeded, (std::vector<std::int32_t>{0, 0, 1}));
 
   // Greedy above the optimum: bucket 0 ties on 1 and takes disk 0, listed
   // first, so bucket 1 makes T = 2.  The completions up to 2 are 1, 2 and 1;
   // the 2nd smallest is 1, the optimum, and the first probe settles it.
+  // Disk 0 has one slot under 1, so the seed leaves bucket 1 unassigned.
   RetrievalProblem above = tiny_problem();
   above.replicas = {{0, 1}, {0}};
-  EXPECT_EQ(driver_probes(above, 1.0), std::vector<double>{1.0});
+  EXPECT_EQ(driver_probes(above, 1.0, &seeded), std::vector<double>{1.0});
+  EXPECT_EQ(seeded, (std::vector<std::int32_t>{0, -1}));
 
   // A loose lower bound: disk 0 must serve buckets 0 and 1, so T* = 2, which
   // the greedy reaches.  The completions up to 2 are 1, 2 (disk 0), 1 and 1
   // (disks 1, 2); the 3rd smallest is 1, an infeasible probe, and the
-  // search ends at the greedy T.
+  // search ends at the greedy T.  Disk 0 has one slot under the lower bound
+  // 1, so the greedy's second bucket there starts unassigned.
   RetrievalProblem loose;
   loose.system = unit_system(3);
   loose.replicas = {{0}, {0}, {1, 2}};
-  EXPECT_EQ(driver_probes(loose, 2.0), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(driver_probes(loose, 2.0, &seeded),
+            (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(seeded, (std::vector<std::int32_t>{0, -1, 1}));
 }
 
 TEST(ScheduleTest, ResponseTimeAndBottleneck) {

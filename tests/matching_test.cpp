@@ -1,13 +1,10 @@
 // The Hopcroft-Karp b-matching kernel (core::BipartiteMatcher) driven
 // directly: the Algorithm 6 conserve-and-backtrack contract (a retained
 // matching resumes to the same size a fresh matcher reaches, and a restored
-// snapshot rebuilds the exact matching state), plus the degree-bucketed
-// adjacency toggle, which may change the schedule but never the optimum.
+// snapshot rebuilds the exact matching state).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/bipartite_matching.h"
@@ -18,7 +15,6 @@ namespace repflow {
 namespace {
 
 using core::RetrievalProblem;
-using core::SolveResult;
 
 /// Random generalized problem: heterogeneous costs, nonzero delays/loads,
 /// 2..4 replicas per bucket.
@@ -39,27 +35,6 @@ RetrievalProblem random_problem(std::int32_t disks, std::int64_t buckets,
   p.replicas.resize(static_cast<std::size_t>(buckets));
   for (auto& replica_set : p.replicas) {
     const std::size_t copies = 2 + rng.below(3);
-    replica_set.clear();
-    while (replica_set.size() < copies) {
-      const auto d = static_cast<core::DiskId>(
-          rng.below(static_cast<std::uint64_t>(disks)));
-      bool seen = false;
-      for (core::DiskId have : replica_set) seen = seen || have == d;
-      if (!seen) replica_set.push_back(d);
-    }
-  }
-  p.validate();
-  return p;
-}
-
-/// High-replication (c ~ 8) shape: the multi-copy regime the
-/// degree-bucketed scan targets.
-RetrievalProblem multicopy_problem(std::int32_t disks, std::int64_t buckets,
-                                   Rng& rng) {
-  RetrievalProblem p = random_problem(disks, buckets, rng);
-  for (auto& replica_set : p.replicas) {
-    const std::size_t copies = std::min<std::size_t>(
-        static_cast<std::size_t>(disks), 6 + rng.below(4));
     replica_set.clear();
     while (replica_set.size() < copies) {
       const auto d = static_cast<core::DiskId>(
@@ -121,27 +96,6 @@ TEST(MatchingKernel, RetainedResumeAndSnapshotRestore) {
     matcher.set_capacities_for_time(t);
     EXPECT_EQ(matcher.augment_to_maximum(), fresh_matched(problem, t))
         << "t=" << t;
-  }
-}
-
-// Degree-bucketed adjacency changes the schedule (arc order steers the
-// DFS) but never the optimum: any complete matching extracted under
-// caps(T*) has response time exactly T*.
-TEST(MatchingKernel, DegreeBucketedToggleKeepsOptimalT) {
-  Rng rng(9105);
-  for (int i = 0; i < 6; ++i) {
-    const RetrievalProblem p =
-        multicopy_problem(10, 40 + static_cast<std::int64_t>(rng.below(40)),
-                          rng);
-    core::IntegratedMatchingSolver bucketed;
-    core::IntegratedMatchingSolver flat;
-    flat.set_degree_bucketed(false);
-    SolveResult a;
-    SolveResult b;
-    bucketed.solve_into(p, a);
-    flat.solve_into(p, b);
-    EXPECT_EQ(a.response_time_ms, b.response_time_ms)
-        << "problem #" << i;
   }
 }
 

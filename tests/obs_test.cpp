@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include "core/bipartite_matching.h"
 #include "core/solve.h"
 #include "core/stream.h"
 #include "decluster/schemes.h"
@@ -42,6 +44,10 @@ TEST(Obs, ApiSurfaceIsAlwaysAvailable) {
   g.set(1.5);
   Histogram h;
   h.observe(1.0);
+  HistogramTally tally;
+  tally.observe(2.0);
+  h.merge(tally);
+  tally.clear();
   { ScopedLatency latency(h); }
   { ScopedSpan span("obs_test.api"); }
   Registry::global().counter("obs_test.api_counter").add();
@@ -121,6 +127,43 @@ TEST(Histogram, PercentilesSeparateBimodalData) {
   EXPECT_DOUBLE_EQ(s.max, 100.0);
   h.reset();
   EXPECT_EQ(h.summary().count, 0u);
+}
+
+// A tally merged once lands exactly where observing its values one by one
+// would: every bucket, count, sum, min and max.
+TEST(Histogram, MergeEqualsObservingEachValue) {
+  const double values[] = {5.0, 1.0, 0.5 * Histogram::kFirstBoundMs, 3.0,
+                           1e12, 1.0, 7.0, Histogram::kFirstBoundMs};
+  Histogram observed;
+  HistogramTally tally;
+  for (const double v : values) {
+    observed.observe(v);
+    tally.observe(v);
+  }
+  EXPECT_EQ(tally.count(), std::size(values));
+  Histogram merged;
+  merged.merge(tally);
+  for (int i = 0; i < Histogram::kBucketCount; ++i) {
+    EXPECT_EQ(merged.bucket_count(i), observed.bucket_count(i)) << i;
+  }
+  const HistogramSummary a = observed.summary();
+  const HistogramSummary b = merged.summary();
+  EXPECT_EQ(b.count, a.count);
+  EXPECT_EQ(b.sum, a.sum);
+  EXPECT_EQ(b.min, a.min);
+  EXPECT_EQ(b.max, a.max);
+
+  // Merging into a non-empty histogram widens min/max like observe().
+  HistogramTally low;
+  low.observe(1e-9);
+  observed.observe(1e-9);
+  merged.merge(low);
+  EXPECT_EQ(merged.summary().min, observed.summary().min);
+  EXPECT_EQ(merged.summary().count, observed.summary().count);
+  // An empty tally changes nothing.
+  low.clear();
+  merged.merge(low);
+  EXPECT_EQ(merged.summary().count, observed.summary().count);
 }
 
 TEST(Registry, HandlesAreStableAndNamed) {
@@ -284,14 +327,17 @@ TEST(Instrumentation, EveryCatalogKindPublishesSolveMetrics) {
 }
 
 TEST(Instrumentation, MatchingKernelPublishesPhaseTelemetry) {
+  // The greedy sends buckets 0 and 1 to disk 0, which has one slot under
+  // the lower bound 1, so the seed leaves bucket 1 unassigned and the probe
+  // at 1 needs a phase: 1 -> disk 0 -> 0 -> disk 1 -> 2 -> disk 2.
   core::RetrievalProblem p;
   p.system.num_sites = 1;
   p.system.disks_per_site = 3;
-  p.system.cost_ms = {1.0, 2.0, 3.0};
-  p.system.delay_ms = {0.0, 1.0, 0.0};
-  p.system.init_load_ms = {0.0, 0.0, 2.0};
+  p.system.cost_ms = {1.0, 1.0, 1.0};
+  p.system.delay_ms = {0.0, 0.0, 0.0};
+  p.system.init_load_ms = {0.0, 0.0, 0.0};
   p.system.model = {"A", "A", "A"};
-  p.replicas = {{0, 1}, {1, 2}, {2, 0}, {0}, {1}};
+  p.replicas = {{0, 1}, {0}, {1, 2}};
   p.validate();
   Counter& phases = Registry::global().counter("matching.phase_count");
   const std::uint64_t before = phases.value();
@@ -299,6 +345,40 @@ TEST(Instrumentation, MatchingKernelPublishesPhaseTelemetry) {
   EXPECT_GT(phases.value(), before);
   const MetricsSnapshot snap = Registry::global().snapshot();
   EXPECT_TRUE(snap.histograms.contains("matching.augmenting_path_len"));
+}
+
+// The kernel folds its instruments once per solve, and the fold loses
+// nothing: after k solves the path-length histogram holds one observation
+// per augmentation and phase_count grew by the phases the solves report.
+TEST(Instrumentation, MatchingFoldsOncePerSolve) {
+  Histogram& path_len =
+      Registry::global().histogram("matching.augmenting_path_len");
+  Counter& phases = Registry::global().counter("matching.phase_count");
+  const std::uint64_t paths_before = path_len.summary().count;
+  const std::uint64_t phases_before = phases.value();
+  const std::int32_t n = 5;
+  const auto rep =
+      decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
+  Rng rng(4242);
+  core::IntegratedMatchingSolver solver;
+  core::SolveResult result;
+  std::uint64_t augmentations = 0;
+  std::uint64_t phase_total = 0;
+  for (int k = 0; k < 8; ++k) {
+    workload::Query query;
+    for (decluster::BucketId b = 0; b < n * n; ++b) {
+      if (rng.below(2) == 0) query.push_back(b);
+    }
+    if (query.empty()) query.push_back(0);
+    const core::RetrievalProblem problem = core::build_problem(
+        rep, query, workload::make_experiment_system(5, n, rng));
+    solver.solve_into(problem, result);
+    augmentations += result.flow_stats.augmentations;
+    phase_total += result.flow_stats.global_relabels;  // BFS phases
+  }
+  EXPECT_GT(augmentations, 0u);
+  EXPECT_EQ(path_len.summary().count - paths_before, augmentations);
+  EXPECT_EQ(phases.value() - phases_before, phase_total);
 }
 
 TEST(Instrumentation, StreamStatsCarryLatencyHistograms) {
@@ -321,6 +401,8 @@ TEST(Instrumentation, StreamStatsCarryLatencyHistograms) {
 }
 
 TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
+  // The greedy puts buckets 0 and 1 on disk 0, which has one slot under the
+  // lower bound 1: the seed leaves bucket 1 for the engine to route.
   core::RetrievalProblem p;
   p.system.num_sites = 1;
   p.system.disks_per_site = 4;
@@ -328,7 +410,7 @@ TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
   p.system.delay_ms = {0.0, 0.0, 0.0, 0.0};
   p.system.init_load_ms = {0.0, 0.0, 0.0, 0.0};
   p.system.model = {"A", "A", "A", "A"};
-  p.replicas = {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {1, 3}};
+  p.replicas = {{0, 1}, {0}, {1, 2}, {2, 3}};
   p.validate();
   Counter& discharges = Registry::global().counter("parallel.discharges");
   const std::uint64_t before = discharges.value();

@@ -3,7 +3,8 @@
 // Two properties, both acceptance criteria of the CSR/workspace refactor:
 //  1. Steady state: the second and subsequent solve_into() calls through a
 //     pooled solver perform ZERO heap allocations (proved by a counting
-//     global operator new).
+//     global operator new).  A warm query through QueryRouter allocates
+//     only the schedule copies its event record needs.
 //  2. Fidelity: a reused solver shell returns bit-identical SolveResults
 //     to a freshly constructed solver, across the whole catalog.
 #include <gtest/gtest.h>
@@ -16,13 +17,18 @@
 
 #include "analysis/check.h"
 #include "core/execution.h"
+#include "core/router.h"
 #include "core/solve.h"
 #include "core/solver_pool.h"
+#include "core/stream.h"
+#include "decluster/schemes.h"
 #include "obs/flight_recorder.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "parallel/parallel_engine.h"
 #include "support/rng.h"
+#include "workload/experiments.h"
+#include "workload/query_load.h"
 
 // ---------------------------------------------------------------------------
 // Counting global allocator.  Counting is off by default so gtest / library
@@ -253,6 +259,62 @@ TEST(WorkspaceReuse, PooledResultsBitIdenticalToFreshSolversGeneralized) {
       expect_identical(fresh_solve(problems[i], kind), reused, kind, i);
     }
   }
+}
+
+// The serving path around the solve: a warm query through QueryRouter
+// (pass-through) and the stream scheduler reuses the scheduler's pooled
+// problem, so it allocates only its event's schedule (two vectors), copied
+// once into the event log and once into the returned event.  The log's own
+// doubling is counted apart.  Section VI shapes: two sites of 10 disks, an
+// orthogonal allocation, Exp 5 disks and Load-2 range and arbitrary
+// queries.
+TEST(WorkspaceReuse, WarmStreamQueryAllocatesOnlyItsEvent) {
+#if REPFLOW_INVARIANTS_ENABLED
+  GTEST_SKIP() << "REPFLOW_CHECK_INVARIANTS builds run allocation-light (not "
+                  "allocation-free) checkers inside the solve seams";
+#endif
+  const std::int32_t n = 10;
+  const auto rep =
+      decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
+  Rng rng(7006);
+  core::QueryStreamScheduler scheduler(
+      rep, workload::make_experiment_system(5, n, rng),
+      core::ExecutionPolicy{});
+  core::QueryRouter router(scheduler, core::RouterOptions{});
+  const workload::QueryGenerator range(n, workload::QueryType::kRange,
+                                       workload::LoadKind::kLoad2);
+  const workload::QueryGenerator arbitrary(
+      n, workload::QueryType::kArbitrary, workload::LoadKind::kLoad2);
+  std::vector<workload::Query> queries;
+  for (int i = 0; i < 64; ++i) {
+    queries.push_back((i % 2 == 0 ? range : arbitrary).next(rng));
+  }
+  double at = 0.0;
+  const auto submit = [&](std::size_t i) {
+    at += 20.0 * (0.5 + rng.uniform01());
+    return router.submit(queries[i % queries.size()], at).merged;
+  };
+  for (std::size_t i = 0; i < 4 * queries.size(); ++i) submit(i);
+
+  const std::size_t timed = 1000;
+  std::uint64_t log_growths = 0;
+  std::int64_t served = 0;
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  for (std::size_t i = 0; i < timed; ++i) {
+    const std::size_t capacity = scheduler.events().capacity();
+    served += submit(i);
+    log_growths += scheduler.events().capacity() != capacity ? 1 : 0;
+  }
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(served, static_cast<std::int64_t>(timed));
+  const double per_query =
+      static_cast<double>(g_alloc_count.load() - log_growths) /
+      static_cast<double>(timed);
+  EXPECT_LE(per_query, 4.0) << g_alloc_count.load() << " allocations ("
+                            << log_growths << " event-log growths) over "
+                            << timed << " warm queries";
 }
 
 // Exporter-attached variant: the live telemetry tier (flight recorder,

@@ -16,13 +16,7 @@ Inputs:
   * a metrics sidecar JSON (``--parallel-metrics``) from
     ``fig10_parallel_speedup --metrics-json=...``, which must show the
     Section V Hong & He engine actually ran (``parallel.resumes`` and
-    ``parallel.pushes`` counters > 0);
-  * a degree-16 cells JSON (``--degree-cells``) from
-    ``multi_copy_extension --bench-json=...``, whose summed DFS arc probes
-    with degree bucketing off and on (``degree16.unbucketed_visits`` /
-    ``degree16.bucketed_visits``) must keep the baseline's
-    ``gate_min_visits_ratio``.  Visit sums are deterministic for the
-    bench's seed, so no noise tolerance is applied.
+    ``parallel.pushes`` counters > 0).
 
 CI runners are noisy shared machines, so the timing comparison is
 deliberately generous: a benchmark only fails when it is more than
@@ -129,34 +123,6 @@ def check_router_metrics(baseline: dict, metrics_path: str):
     return failures
 
 
-def check_degree_cells(baseline: dict, cells_path: str):
-    """Degree-bucketed adjacency must keep cutting DFS work.
-
-    The degree-16 cells are the c > 2 hot-slow shapes the bucketing exists
-    for.  The gate compares summed DFS arc probes over the bench's seeded
-    batch, not wall time: the sums are bit-stable per seed, while the
-    wall-clock speedup read within noise of a 1.1x floor on an unchanged
-    tree.
-    """
-    min_ratio = baseline.get("degree_bucketing", {}).get(
-        "gate_min_visits_ratio")
-    if min_ratio is None:
-        sys.exit("baseline has no degree_bucketing.gate_min_visits_ratio")
-    cells = load_json(cells_path).get("degree16", {})
-    unbucketed = cells.get("unbucketed_visits")
-    bucketed = cells.get("bucketed_visits")
-    if not unbucketed or not bucketed:
-        return [f"no degree16.unbucketed_visits / bucketed_visits in "
-                f"{cells_path}"]
-    ratio = unbucketed / bucketed
-    print(f"degree-16 cells DFS visits: unbucketed={unbucketed} "
-          f"bucketed={bucketed} ratio={ratio:.3f} (gate >= {min_ratio})")
-    if ratio < min_ratio:
-        return [f"degree-bucketed adjacency lost its edge on the degree-16 "
-                f"cells: visits ratio {ratio:.3f} < {min_ratio}"]
-    return []
-
-
 def check_parallel_metrics(metrics_path: str):
     """The fig10 run must have exercised the Hong & He engine."""
     counters = load_json(metrics_path).get("counters", {})
@@ -184,17 +150,14 @@ def main() -> int:
                              "overload run")
     parser.add_argument("--parallel-metrics",
                         help="fig10_parallel_speedup metrics sidecar")
-    parser.add_argument("--degree-cells",
-                        help="multi_copy_extension --bench-json output "
-                             "(degree-16 cells, bucketing off vs on)")
     parser.add_argument("--tolerance", type=float, default=2.0,
                         help="slowdown factor that fails the gate")
     args = parser.parse_args()
     if not (args.bench_json or args.stream_metrics or args.router_metrics
-            or args.parallel_metrics or args.degree_cells):
+            or args.parallel_metrics):
         parser.error("nothing to check: pass --bench-json, "
                      "--stream-metrics, --router-metrics, "
-                     "--parallel-metrics, and/or --degree-cells")
+                     "and/or --parallel-metrics")
 
     baseline = load_json(args.baseline)
     failures = []
@@ -207,8 +170,6 @@ def main() -> int:
         failures += check_router_metrics(baseline, args.router_metrics)
     if args.parallel_metrics:
         failures += check_parallel_metrics(args.parallel_metrics)
-    if args.degree_cells:
-        failures += check_degree_cells(baseline, args.degree_cells)
 
     if failures:
         print("\nPERF REGRESSIONS:", file=sys.stderr)
