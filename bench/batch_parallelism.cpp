@@ -47,8 +47,12 @@ int main(int argc, char** argv) {
     {
       StopWatch sw;
       sw.start();
+      // Algorithm 6 with one thread per solve, so both row kinds run the
+      // same algorithm.
       core::BatchOptions options;
       options.threads = threads;
+      options.policy = core::ExecutionPolicy::pinned(
+          core::SolverKind::kPushRelabelBinary, /*threads=*/1);
       auto results = core::solve_batch(problems, options);
       sw.stop();
       (void)results;

@@ -12,6 +12,10 @@
 //     replicated on half the disk array, which maximizes layer-graph
 //     density and phase count for the matching kernel while inflating the
 //     arc count the network solvers must scan.
+//   * BM_HotSlow* — 200 buckets per disk, each on c disks drawn with a
+//     cubed-uniform skew toward low disk ids: a few hot disks fill up and
+//     carry long slot lists, the shapes where the matching kernel lost to
+//     Algorithm 6 before its per-disk scan cursor.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -31,11 +35,8 @@ namespace {
 
 using namespace repflow;
 
-core::RetrievalProblem make_basic_problem(std::int32_t disks,
-                                          std::int64_t buckets,
-                                          std::size_t max_copies,
-                                          std::uint64_t seed) {
-  Rng rng(seed);
+/// `buckets` empty replica lists on `disks` unit-cost disks.
+core::RetrievalProblem unit_shell(std::int32_t disks, std::int64_t buckets) {
   core::RetrievalProblem p;
   p.system.num_sites = 1;
   p.system.disks_per_site = disks;
@@ -44,6 +45,15 @@ core::RetrievalProblem make_basic_problem(std::int32_t disks,
   p.system.init_load_ms.assign(static_cast<std::size_t>(disks), 0.0);
   p.system.model.assign(static_cast<std::size_t>(disks), "A");
   p.replicas.resize(static_cast<std::size_t>(buckets));
+  return p;
+}
+
+core::RetrievalProblem make_basic_problem(std::int32_t disks,
+                                          std::int64_t buckets,
+                                          std::size_t max_copies,
+                                          std::uint64_t seed) {
+  Rng rng(seed);
+  core::RetrievalProblem p = unit_shell(disks, buckets);
   for (auto& replica_set : p.replicas) {
     const std::size_t copies = 1 + rng.below(max_copies);
     while (replica_set.size() < copies) {
@@ -178,6 +188,52 @@ void BM_HighReplication_PushRelabelBinary(benchmark::State& state) {
                     core::SolverKind::kPushRelabelBinary);
 }
 BENCHMARK(BM_HighReplication_PushRelabelBinary)->Arg(200)->Arg(800);
+
+// --- Hot-slow shapes --------------------------------------------------------
+
+/// `disks` * 200 buckets, each on `copies` distinct disks drawn as
+/// floor(disks * u^3); unit-cost disks, or Table IV Experiment 5's (two
+/// sites of disks / 2).  Seed 4 is the first seed on which the rescanning
+/// kernel lost to Algorithm 6 on all three shapes below (seed 1's 64 x 32
+/// shape is solved by the greedy seed alone).
+core::RetrievalProblem make_hot_slow_problem(std::int32_t disks,
+                                             std::size_t copies,
+                                             bool exp5_disks) {
+  Rng rng(4);
+  core::RetrievalProblem p = unit_shell(disks, std::int64_t{disks} * 200);
+  for (auto& replica_set : p.replicas) {
+    while (replica_set.size() < copies) {
+      const double u = rng.uniform01();
+      const auto d = static_cast<core::DiskId>(disks * u * u * u);
+      bool seen = false;
+      for (core::DiskId have : replica_set) seen = seen || have == d;
+      if (!seen) replica_set.push_back(d);
+    }
+  }
+  if (exp5_disks) {
+    p.system = workload::make_experiment_system(5, disks / 2, rng);
+  }
+  p.validate();
+  return p;
+}
+
+void BM_HotSlow_Matching(benchmark::State& state, std::int32_t disks,
+                         std::size_t copies, bool exp5_disks) {
+  pooled_solve_loop(state, make_hot_slow_problem(disks, copies, exp5_disks),
+                    core::SolverKind::kIntegratedMatching);
+}
+BENCHMARK_CAPTURE(BM_HotSlow_Matching, d32_c8_unit, 32, 8, false);
+BENCHMARK_CAPTURE(BM_HotSlow_Matching, d64_c16_exp5, 64, 16, true);
+BENCHMARK_CAPTURE(BM_HotSlow_Matching, d64_c32_unit, 64, 32, false);
+
+void BM_HotSlow_PushRelabelBinary(benchmark::State& state, std::int32_t disks,
+                                  std::size_t copies, bool exp5_disks) {
+  pooled_solve_loop(state, make_hot_slow_problem(disks, copies, exp5_disks),
+                    core::SolverKind::kPushRelabelBinary);
+}
+BENCHMARK_CAPTURE(BM_HotSlow_PushRelabelBinary, d32_c8_unit, 32, 8, false);
+BENCHMARK_CAPTURE(BM_HotSlow_PushRelabelBinary, d64_c16_exp5, 64, 16, true);
+BENCHMARK_CAPTURE(BM_HotSlow_PushRelabelBinary, d64_c32_unit, 64, 32, false);
 
 // --- --bench-json sidecar -------------------------------------------------
 

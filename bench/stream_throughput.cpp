@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
   extra.define("disks", "16", "disks per site");
   extra.define("stream", "80", "queries per stream");
   extra.define("solver", "alg6",
-               "stream solver: a catalog id (alg6|matching|...) or 'auto' "
-               "for per-query adaptive selection");
+               "stream solver: a catalog id (alg6|matching|...)");
   extra.define("admission", "off",
                "run the overload admission study: off (skip) | shed | "
                "coalesce (the study always prints the no-admission baseline "
@@ -79,16 +78,13 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::int32_t>(extra.get_int("disks"));
   const auto stream_len = static_cast<std::int32_t>(extra.get_int("stream"));
   const std::string solver_flag = extra.get("solver");
-  const bool adaptive = solver_flag == "auto";
-  core::SolverKind stream_kind = core::SolverKind::kPushRelabelBinary;
-  if (!adaptive) {
-    const auto parsed = core::solver_kind_from_id(solver_flag);
-    if (!parsed) {
-      std::fprintf(stderr, "unknown --solver '%s'\n", solver_flag.c_str());
-      return 2;
-    }
-    stream_kind = *parsed;
+  const auto stream_kind = core::solver_kind_from_id(solver_flag);
+  if (!stream_kind) {
+    std::fprintf(stderr, "unknown --solver '%s'\n", solver_flag.c_str());
+    return 2;
   }
+  const core::ExecutionPolicy policy =
+      core::ExecutionPolicy::pinned(*stream_kind, config.threads);
   bench::print_banner("Extension: query-stream scheduling under load",
                       config);
 
@@ -130,9 +126,7 @@ int main(int argc, char** argv) {
   for (double interarrival : {1000.0, 200.0, 50.0, 10.0}) {
     // Optimal integrated scheduling.
     {
-      core::QueryStreamScheduler stream(rep, sys, stream_kind,
-                                        config.threads);
-      stream.set_adaptive_selection(adaptive);
+      core::QueryStreamScheduler stream(rep, sys, policy);
       Rng rng(config.seed + 1);
       double t = 0.0;
       StopWatch wall;
@@ -149,10 +143,9 @@ int main(int argc, char** argv) {
       total_solve_wall_ms += wall.elapsed_ms();
       total_solved += stream_len;
       const auto s = stream.stats();
-      const std::string policy =
-          std::string("optimal (") +
-          (adaptive ? "auto" : core::solver_id(stream_kind)) + ")";
-      table.add_row({format_double(interarrival, 0), policy,
+      const std::string label =
+          std::string("optimal (") + core::solver_id(*stream_kind) + ")";
+      table.add_row({format_double(interarrival, 0), label,
                      format_double(s.mean_response_ms, 2),
                      format_double(s.max_response_ms, 2),
                      format_double(s.mean_queue_wait_ms, 2)});
@@ -207,7 +200,7 @@ int main(int argc, char** argv) {
                          : 0.0;
   obs::Registry::global().gauge("stream.throughput_qps").set(qps);
   std::printf("\nscheduler throughput (%s): %.0f queries/s over %lld solves\n",
-              adaptive ? "auto" : core::solver_id(stream_kind), qps,
+              core::solver_id(*stream_kind), qps,
               static_cast<long long>(total_solved));
 
   // Overload admission study (--admission=shed|coalesce): push the same
@@ -228,12 +221,9 @@ int main(int argc, char** argv) {
     // disk), so R0/2 and R0/4 are >= 2x and >= 4x overload.
     double r0 = 0.0;
     {
-      core::QueryStreamScheduler probe(rep, sys, stream_kind,
-                                       config.threads);
       Rng rng(config.seed + 11);
       for (int i = 0; i < 5; ++i) {
-        core::QueryStreamScheduler one(rep, sys, stream_kind,
-                                       config.threads);
+        core::QueryStreamScheduler one(rep, sys, policy);
         r0 = std::max(r0, one.submit(gen.next(rng), 0.0).response_ms);
       }
     }
@@ -257,9 +247,7 @@ int main(int argc, char** argv) {
         if (mode_name == "coalesce") {
           ropts.mode = core::AdmissionMode::kCoalesce;
         }
-        core::QueryStreamScheduler stream(rep, sys, stream_kind,
-                                          config.threads);
-        stream.set_adaptive_selection(adaptive);
+        core::QueryStreamScheduler stream(rep, sys, policy);
         core::QueryRouter router(stream, ropts);
         Rng rng(config.seed + 1);  // identical arrivals across modes
         double t = 0.0;

@@ -196,7 +196,8 @@ int main(int argc, char** argv) {
     // Stage 2: stream replay (queue-wait vs. solve-time attribution).
     std::printf("\n== stage 2: stream replay (%s, gap %.1f ms) ==\n",
                 core::solver_id(stream_kind), gap_ms);
-    core::QueryStreamScheduler stream(trace.system, stream_kind, threads);
+    core::QueryStreamScheduler stream(
+        trace.system, core::ExecutionPolicy::pinned(stream_kind, threads));
     double arrival = 0.0;
     for (std::size_t qi = 0; qi < trace.queries.size(); ++qi) {
       stream.submit_replicas(trace.queries[qi].replicas, arrival);

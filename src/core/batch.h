@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -23,19 +22,10 @@
 namespace repflow::core {
 
 struct BatchOptions {
+  /// Worker threads, each with its own ExecutionContext (>= 1).
   int threads = 2;
-  SolverKind solver = SolverKind::kPushRelabelBinary;
-  /// Threads given to each solver (only for the parallel solver kind).
-  int solver_threads = 1;
-  /// Per-worker serving policy.  When set it overrides `solver` /
-  /// `solver_threads` entirely (which then exist only for source
-  /// compatibility); leaving it empty pins `solver`, i.e.
-  /// ExecutionPolicy::pinned(solver, solver_threads).
-  std::optional<ExecutionPolicy> policy;
-
-  ExecutionPolicy effective_policy() const {
-    return policy ? *policy : ExecutionPolicy::pinned(solver, solver_threads);
-  }
+  /// Every worker's serving policy.
+  ExecutionPolicy policy{};
 };
 
 /// Reusable batch executor: worker threads and their per-worker

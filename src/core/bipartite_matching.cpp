@@ -35,17 +35,20 @@ MatchingMetrics& matching_metrics() {
 
 // Branch-free blocked scan over a full disk's slot segment [s, s_end):
 // returns the first slot holding an admissible next-layer child
-// (phase-stamped, dist == next_dist), or s_end.  Sixteen-slot blocks fold
-// the eligibility predicate into a bitmask with no per-element branch, then
-// countr_zero picks the hit — the c > 2 adversarial shapes spend most of
-// their DFS time here scanning mostly-ineligible slots, where a branchy scan
-// mispredicts per slot.  Dead buckets carry dist == -1, so they never match.
+// (phase-stamped, dist == next_dist), or s_end, and adds every slot it read
+// to `reads`.  Sixteen-slot blocks fold the eligibility predicate into a
+// bitmask with no per-element branch, then countr_zero picks the hit — the
+// c > 2 adversarial shapes spend most of their DFS time here scanning
+// mostly-ineligible slots, where a branchy scan mispredicts per slot.  Dead
+// buckets carry dist == -1, so they never match.
 inline std::int32_t scan_slots(const graph::MatchingWorkspace& ws,
                                std::int32_t s, const std::int32_t s_end,
                                const std::uint32_t epoch,
-                               const std::int32_t next_dist) {
+                               const std::int32_t next_dist,
+                               std::int64_t& reads) {
   while (s < s_end) {
     const std::int32_t block_end = std::min<std::int32_t>(s + 16, s_end);
+    reads += block_end - s;
     unsigned mask = 0;
     for (std::int32_t k = s; k < block_end; ++k) {
       const auto w =
@@ -133,6 +136,8 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem,
   ws.bucket_epoch.assign(qs, 0);
   ws.disk_epoch.assign(ns, 0);
   ws.epoch = 0;
+  ws.disk_layer.assign(ns, 0);
+  ws.disk_cursor.assign(ns, 0);
   ws.queue.resize(qs);
   // DFS stack depth is bounded by the path's distinct buckets (<= |Q|).
   ws.stack_bucket.resize(qs + 1);
@@ -159,7 +164,11 @@ void BipartiteMatcher::set_capacities_for_time(double t) {
 // there), or kUnreachable when no augmenting path exists.  Disks with spare
 // capacity are terminals, never expanded; full disks expand their matched
 // buckets as the next layer.  Loads only grow within a phase, so the
-// layering stays valid for every DFS of the phase.
+// layering stays valid for every DFS of the phase.  Every reached disk
+// records the layer its slot buckets sit on (the first reaching bucket's
+// du + 1; every slot bucket of a full disk ends at dist <= that layer) and
+// rewinds its DFS scan cursor.  Every adjacency entry and slot read counts
+// one visit.
 bool BipartiteMatcher::bfs_phase(std::int32_t& limit) {
   auto& ws = *ws_;
   const std::uint32_t epoch = ++ws.epoch;
@@ -175,20 +184,24 @@ bool BipartiteMatcher::bfs_phase(std::int32_t& limit) {
     const std::int32_t u = ws.queue[static_cast<std::size_t>(qh++)];
     const std::int32_t du = ws.dist[static_cast<std::size_t>(u)];
     if (du >= limit) break;  // deeper layers cannot shorten the paths
+    const std::int32_t e_begin = ws.first[static_cast<std::size_t>(u)];
     const std::int32_t e_end = ws.first[static_cast<std::size_t>(u) + 1];
-    for (std::int32_t e = ws.first[static_cast<std::size_t>(u)]; e < e_end;
-         ++e) {
+    visits_ += e_end - e_begin;
+    for (std::int32_t e = e_begin; e < e_end; ++e) {
       const std::int32_t d = ws.adj[static_cast<std::size_t>(e)];
       if (d == ws.match[static_cast<std::size_t>(u)]) continue;
       if (ws.disk_epoch[static_cast<std::size_t>(d)] == epoch) continue;
       ws.disk_epoch[static_cast<std::size_t>(d)] = epoch;
+      const std::int32_t base = ws.disk_first[static_cast<std::size_t>(d)];
+      ws.disk_layer[static_cast<std::size_t>(d)] = du + 1;
+      ws.disk_cursor[static_cast<std::size_t>(d)] = base;
       if (ws.load[static_cast<std::size_t>(d)] <
           ws.cap[static_cast<std::size_t>(d)]) {
         limit = std::min(limit, du + 1);
       } else {
-        const std::int32_t base = ws.disk_first[static_cast<std::size_t>(d)];
         const std::int32_t s_end =
             base + ws.load[static_cast<std::size_t>(d)];
+        visits_ += s_end - base;
         for (std::int32_t s = base; s < s_end; ++s) {
           const std::int32_t w = ws.slots[static_cast<std::size_t>(s)];
           if (ws.bucket_epoch[static_cast<std::size_t>(w)] == epoch) continue;
@@ -205,8 +218,24 @@ bool BipartiteMatcher::bfs_phase(std::int32_t& limit) {
 // The layered DFS from one free bucket, iterative so deep paths cannot blow
 // the call stack.  Descends only along the phase's BFS layering
 // (dist[child] == dist[parent] + 1) and memoizes failures as dist = -1,
-// which keeps each phase linear in the layer graph.  Every arc probed past
-// the matched/unlayered filter counts one visit.
+// which keeps each phase linear in the layer graph.
+//
+// A full disk d is scanned only from a bucket u with dist[u] + 1 ==
+// disk_layer[d], and from d's scan cursor on, so each phase reads a full
+// disk's slot list once, not once per arc into it.  Both skips are exact:
+//  * The BFS crossed every free arc u -> d of a bucket the DFS reaches, so
+//    disk_layer[d] <= dist[u] + 1, and it left every slot bucket of d at
+//    dist <= disk_layer[d]: an eligible child (dist[u] + 1) exists only
+//    when disk_layer[d] == dist[u] + 1.
+//  * Within a phase dist only ever changes to -1, and a full disk's slot
+//    only changes when apply_path hands it to the parent, at dist
+//    disk_layer[d] - 1, which no scan of d looks for.  So a slot the cursor
+//    has passed never becomes eligible again, and a re-matched bucket is
+//    never reached again, which keeps the free arcs of every bucket the
+//    DFS reaches those the BFS crossed.
+//
+// Every arc probed past the matched/unlayered filter and every slot the
+// scan reads count one visit.
 bool BipartiteMatcher::try_augment(const std::int32_t root,
                                    const std::int32_t limit) {
   auto& ws = *ws_;
@@ -247,10 +276,12 @@ bool BipartiteMatcher::try_augment(const std::int32_t root,
         return true;
       }
       // Full disk: scan its matched buckets for a next-layer child.
-      const std::int32_t base = ws.disk_first[static_cast<std::size_t>(d)];
-      const std::int32_t s_end = base + ws.load[static_cast<std::size_t>(d)];
-      if (s < 0) s = base;
-      s = scan_slots(ws, s, s_end, epoch, du + 1);
+      if (ws.disk_layer[static_cast<std::size_t>(d)] != du + 1) continue;
+      std::int32_t& cursor = ws.disk_cursor[static_cast<std::size_t>(d)];
+      const std::int32_t s_end = ws.disk_first[static_cast<std::size_t>(d)] +
+                                 ws.load[static_cast<std::size_t>(d)];
+      s = scan_slots(ws, std::max(s, cursor), s_end, epoch, du + 1, visits_);
+      cursor = s;
       if (s < s_end) {
         const std::int32_t w = ws.slots[static_cast<std::size_t>(s)];
         sa[top] = e;

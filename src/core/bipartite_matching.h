@@ -78,7 +78,9 @@ class BipartiteMatcher {
   void extract_schedule_into(Schedule& schedule) const;
 
   /// Kernel counters since the last rebind.  Phases = global BFS passes,
-  /// augmentations = augmenting paths applied, visits = DFS arc probes.
+  /// augmentations = augmenting paths applied, visits = every adjacency
+  /// entry and slot the BFS reads plus every arc the DFS probes and slot
+  /// its scan reads.
   std::int64_t phases() const { return phases_; }
   std::int64_t augmentations() const { return augmentations_; }
   std::int64_t visits() const { return visits_; }

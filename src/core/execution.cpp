@@ -51,36 +51,12 @@ SolverMetrics& metrics_for(SolverKind kind) {
 
 }  // namespace
 
-SolverKind choose_solver(const RetrievalProblem& problem) {
-  const std::int64_t q = problem.query_size();
-  if (q == 0) return SolverKind::kIntegratedMatching;
-  std::int64_t arcs = 0;
-  for (const auto& options : problem.replicas) {
-    arcs += static_cast<std::int64_t>(options.size());
-  }
-  // Replica degree is the copy count c after deduplication: 2..5 on every
-  // paper workload, so the matching kernel is the default; only artificial
-  // nearly-complete instances cross the threshold.
-  const double avg_degree =
-      static_cast<double>(arcs) / static_cast<double>(q);
-  return avg_degree <= kMatchingDegreeThreshold
-             ? SolverKind::kIntegratedMatching
-             : SolverKind::kPushRelabelBinary;
-}
-
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
     : policy_(policy), pool_(policy.threads) {}
 
-void ExecutionContext::set_policy(const ExecutionPolicy& policy) {
-  policy_ = policy;
-  pool_.set_threads(policy.threads);  // no-op unless the count changed
-}
-
-SolverKind ExecutionContext::select(const RetrievalProblem& problem) {
+SolverKind ExecutionContext::select(const RetrievalProblem& /*problem*/) {
   obs::PolicyInstruments::global().decisions.add(1);
-  const SolverKind kind = policy_.mode == SelectionMode::kPinned
-                              ? policy_.pinned_kind
-                              : choose_solver(problem);
+  const SolverKind kind = policy_.kind;
   // Tag the decision onto the ambient query's flight chain (id 0 = no query
   // in flight, e.g. facade solves outside any serving loop).
   const obs::ActiveQuery active = obs::QueryScope::current();

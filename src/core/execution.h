@@ -2,12 +2,11 @@
 // public entry point (the solve() facade, QueryStreamScheduler, BatchSolver,
 // IncrementalQuerySession) reaches the solver catalog.
 //
-// ExecutionPolicy is the one value type for solver-kind, thread-count and
-// selection knobs, and ExecutionContext owns the machinery every caller
-// needs anyway: the warm SolverPool, a reusable scratch SolveResult, and
-// the policy that maps a problem to a catalog kind.  Serving-loop features
-// (admission control in QueryRouter, solver selection) are implemented
-// once, here, instead of once per entry point.
+// ExecutionPolicy is the one value type for the solver kind and thread
+// count, and ExecutionContext owns the machinery every caller needs anyway:
+// the warm SolverPool, a reusable scratch SolveResult, and the policy.
+// Serving-loop features (admission control in QueryRouter, per-kind
+// metrics) are implemented once, here, instead of once per entry point.
 #pragma once
 
 #include "core/incremental_session.h"
@@ -17,45 +16,21 @@
 
 namespace repflow::core {
 
-/// How an ExecutionPolicy maps a problem to a solver kind.
-enum class SelectionMode {
-  kPinned,          ///< always `pinned_kind`
-  kFixedThreshold,  ///< choose_solver(): the degree rule below
-};
-
-/// choose_solver()'s cutover: instances whose average replica degree is at
-/// most this run the Hopcroft-Karp matching kernel, denser ones the
-/// integrated push-relabel driver.
-inline constexpr double kMatchingDegreeThreshold = 16.0;
-
-/// The one selection rule, shared by the facade and every serving context:
-/// every retrieval network is a bipartite b-matching, and the Hopcroft-Karp
-/// kernel wins whenever the bucket->disk adjacency is sparse (bounded
-/// replica degree — all the paper's workloads, where the copy count c is
-/// 2..5).  Dense instances (average replica degree above
-/// kMatchingDegreeThreshold, i.e. nearly-complete bipartite graphs) fall
-/// back to the integrated push-relabel driver, whose per-probe cost does
-/// not scale with the arc count the way phase BFS layering does.
-SolverKind choose_solver(const RetrievalProblem& problem);
-
-/// Solver selection + execution knobs for one serving context.  A plain
-/// value type: copy it, tweak a field, hand it to ExecutionContext /
-/// QueryStreamScheduler / BatchOptions.  `ExecutionPolicy{}` is the
-/// adaptive policy (choose_solver() on every problem).
+/// Solver kind + thread count for one serving context.  A plain value
+/// type: copy it, tweak a field, hand it to ExecutionContext /
+/// QueryStreamScheduler / BatchOptions.  `ExecutionPolicy{}` serves every
+/// problem with the Hopcroft-Karp matching kernel: every retrieval network
+/// is a bipartite b-matching, and on every shape measured the kernel beats
+/// the integrated push-relabel driver (docs/ALGORITHMS.md).  pinned() picks
+/// another catalog kind.
 struct ExecutionPolicy {
-  SelectionMode mode = SelectionMode::kFixedThreshold;
-  /// The kind used by kPinned mode (ignored otherwise).
-  SolverKind pinned_kind = SolverKind::kPushRelabelBinary;
+  SolverKind kind = SolverKind::kIntegratedMatching;
   /// Worker count for kParallelPushRelabelBinary (ignored by the
   /// sequential kinds; must be >= 1).
   int threads = 2;
 
   static ExecutionPolicy pinned(SolverKind kind, int threads = 2) {
-    ExecutionPolicy p;
-    p.mode = SelectionMode::kPinned;
-    p.pinned_kind = kind;
-    p.threads = threads;
-    return p;
+    return ExecutionPolicy{kind, threads};
   }
 };
 
@@ -74,7 +49,8 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// Apply the policy to one problem.  Records `policy.*` metrics.
+  /// The policy's kind for one problem.  Records `policy.decisions` and
+  /// the flight recorder's kPolicy event.
   SolverKind select(const RetrievalProblem& problem);
 
   /// select() + pooled solve, recording the per-kind run metrics.
@@ -97,11 +73,6 @@ class ExecutionContext {
   /// session records its reoptimize latency into the unified `session.*`
   /// instruments; see IncrementalQuerySession for the growth semantics).
   IncrementalQuerySession open_session(workload::SystemConfig system);
-
-  const ExecutionPolicy& policy() const { return policy_; }
-  /// Swap the policy; the pool's parallel slot is rebuilt only when the
-  /// thread count actually changed.
-  void set_policy(const ExecutionPolicy& policy);
 
   SolverPool& pool() { return pool_; }
   /// The context's reusable result buffer (capacity survives across

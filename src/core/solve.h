@@ -2,8 +2,7 @@
 // This is the primary public API entry point (see examples/quickstart.cpp).
 // Internally it delegates to a thread_local ExecutionContext
 // (docs/SERVING.md), the same spine the stream scheduler, batch solver, and
-// incremental sessions run on.  The selection rule, choose_solver(), is
-// declared in core/execution.h.
+// incremental sessions run on.
 #pragma once
 
 #include "core/execution.h"
@@ -12,8 +11,8 @@
 
 namespace repflow::core {
 
-/// Solve `problem` with the chosen algorithm; `solve(p, choose_solver(p))`
-/// runs the adaptive pick.  `threads` only matters for
+/// Solve `problem` with the chosen algorithm (the serving entry points
+/// default to kIntegratedMatching).  `threads` only matters for
 /// kParallelPushRelabelBinary, which runs the Hong & He engine (ignored
 /// otherwise; must be >= 1).
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,

@@ -8,10 +8,10 @@
 // schedules left on each disk, solving each query optimally with any solver
 // from the catalog, and recording per-query latency statistics.
 //
-// Solver selection and threading are owned by the scheduler's
-// ExecutionContext (docs/SERVING.md): construct with an ExecutionPolicy to
-// pin a kind or to use the degree-threshold adaptive rule
-// (choose_solver()).  Admission control under overload
+// The solver kind and threading are owned by the scheduler's
+// ExecutionContext (docs/SERVING.md): construct with ExecutionPolicy{} to
+// serve with the matching kernel, or ExecutionPolicy::pinned(kind, threads)
+// to pin another kind.  Admission control under overload
 // (shedding / coalescing) is layered on top by QueryRouter (core/router.h).
 #pragma once
 
@@ -75,8 +75,8 @@ struct StreamStats {
 class QueryStreamScheduler {
  public:
   /// `base_system` supplies cost C_j and delay D_j; its init_load entries
-  /// are ignored (the scheduler owns the busy horizon).  `policy` governs
-  /// per-query solver selection and threading.
+  /// are ignored (the scheduler owns the busy horizon).  `policy` names the
+  /// solver kind and its threads.
   QueryStreamScheduler(const decluster::ReplicatedAllocation& allocation,
                        workload::SystemConfig base_system,
                        ExecutionPolicy policy);
@@ -86,20 +86,6 @@ class QueryStreamScheduler {
   /// throws std::logic_error in this mode).
   QueryStreamScheduler(workload::SystemConfig base_system,
                        ExecutionPolicy policy);
-
-  /// Legacy pinned-kind forms (kept for source compatibility): equivalent
-  /// to passing ExecutionPolicy::pinned(solver, threads).
-  QueryStreamScheduler(const decluster::ReplicatedAllocation& allocation,
-                       workload::SystemConfig base_system,
-                       SolverKind solver = SolverKind::kPushRelabelBinary,
-                       int threads = 2)
-      : QueryStreamScheduler(allocation, std::move(base_system),
-                             ExecutionPolicy::pinned(solver, threads)) {}
-  explicit QueryStreamScheduler(
-      workload::SystemConfig base_system,
-      SolverKind solver = SolverKind::kPushRelabelBinary, int threads = 2)
-      : QueryStreamScheduler(std::move(base_system),
-                             ExecutionPolicy::pinned(solver, threads)) {}
 
   /// Process one query arriving at `arrival_ms` (must be non-decreasing
   /// across served calls; throws otherwise).  Returns the event record.  A
@@ -111,20 +97,6 @@ class QueryStreamScheduler {
   /// Trace).  Works in both modes.
   StreamEvent submit_replicas(std::vector<std::vector<DiskId>> replicas,
                               double arrival_ms);
-
-  /// Adaptive solver selection: when on, every query picks its solver via
-  /// choose_solver() (the degree-threshold rule) instead of the pinned
-  /// kind.  Shorthand for swapping the policy between kPinned and
-  /// kFixedThreshold.  The pooled shells for every chosen kind stay warm,
-  /// so flipping between kinds costs one rebuild each.
-  void set_adaptive_selection(bool on);
-  bool adaptive_selection() const {
-    return exec_.policy().mode != SelectionMode::kPinned;
-  }
-
-  /// The scheduler's serving policy (selection mode, pinned kind, threads).
-  const ExecutionPolicy& policy() const { return exec_.policy(); }
-  void set_policy(const ExecutionPolicy& policy) { exec_.set_policy(policy); }
 
   std::int32_t total_disks() const { return problem_.total_disks(); }
 
@@ -166,8 +138,6 @@ class QueryStreamScheduler {
   // in spare_lists_, since shrinking the vector would free them.
   RetrievalProblem problem_;
   std::vector<std::vector<DiskId>> spare_lists_;
-  /// The kind restored when adaptive selection is switched back off.
-  SolverKind pinned_kind_;
   // The serving context: pooled solver shells + reused scratch result, so
   // consecutive queries of the stream hit the same retained
   // networks/workspaces and the per-query solve itself performs zero

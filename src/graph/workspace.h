@@ -92,6 +92,8 @@ struct MatchingWorkspace {
   std::vector<std::uint32_t> bucket_epoch; // phase-stamped visited flags
   std::vector<std::uint32_t> disk_epoch;
   std::uint32_t epoch = 0;
+  std::vector<std::int32_t> disk_layer;   // BFS layer of a disk's slots
+  std::vector<std::int32_t> disk_cursor;  // DFS scan position in its slots
   std::vector<std::int32_t> queue;        // BFS frontier, capacity Q
   std::vector<std::int32_t> stack_bucket; // DFS frames: bucket per depth
   std::vector<std::int32_t> stack_arc;    //   current adjacency index
@@ -101,6 +103,7 @@ struct MatchingWorkspace {
     return (first.capacity() + adj.capacity() + in_degree.capacity() +
             disk_first.capacity() + match.capacity() + load.capacity() +
             slots.capacity() + free_buckets.capacity() + dist.capacity() +
+            disk_layer.capacity() + disk_cursor.capacity() +
             queue.capacity() + stack_bucket.capacity() +
             stack_arc.capacity() + stack_slot.capacity()) *
                sizeof(std::int32_t) +

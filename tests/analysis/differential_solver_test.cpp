@@ -313,25 +313,27 @@ TEST(DifferentialSolve, MatchingKernelOnHighReplicationShapes) {
                           oracle.response_time_ms, "brute_force");
     expect_exact_search(problem, oracle.response_time_ms);
   }
-}
-
-TEST(DifferentialSolve, AdaptiveFacadeMatchesOracle) {
-  // The adaptive pick, choose_solver(), must deliver the oracle optimum
-  // whatever kind it chooses.
-  Rng rng(424242);
-  for (int trial = 0; trial < 15; ++trial) {
-    const auto disks = static_cast<std::int32_t>(2 + rng.below(4));
-    const auto buckets = static_cast<std::int64_t>(1 + rng.below(8));
-    const RetrievalProblem problem =
-        random_general_problem(disks, buckets, rng);
-    const SolveResult oracle = core::BruteForceSolver(problem).solve();
-    const SolveResult adaptive =
-        core::solve(problem, core::choose_solver(problem));
-    EXPECT_DOUBLE_EQ(adaptive.response_time_ms, oracle.response_time_ms)
-        << "adaptive picked " << core::solver_id(core::choose_solver(problem));
-    const auto report = analysis::check_solve_result(problem, adaptive);
-    EXPECT_TRUE(report.ok()) << report.to_string();
+  // A hot-slow shape too large to enumerate: 32 disks x 50 buckets per disk,
+  // each bucket on 8 disks drawn with a cubed-uniform skew toward the low
+  // ids, which are also the slow ones.  The hot disks fill up and carry
+  // long slot lists, the case the kernel's per-disk scan cursor serves.
+  RetrievalProblem problem = basic_shell(32, 32 * 50);
+  for (auto& replica_set : problem.replicas) {
+    while (replica_set.size() < 8) {
+      const double u = rng.uniform01();
+      const auto d = static_cast<core::DiskId>(32 * u * u * u);
+      bool seen = false;
+      for (core::DiskId have : replica_set) seen = seen || have == d;
+      if (!seen) replica_set.push_back(d);
+    }
   }
+  for (std::size_t d = 0; d < 32; ++d) {
+    problem.system.cost_ms[d] = d < 8 ? 2.0 : d < 16 ? 1.0 : 0.5;
+  }
+  problem.validate();
+  expect_matches_oracle(problem, SolverKind::kIntegratedMatching,
+                        core::ReferenceSolver(problem).solve().response_time_ms,
+                        "reference");
 }
 
 TEST(DifferentialSolve, EmptyQueryDegenerate) {

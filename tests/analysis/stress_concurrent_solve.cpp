@@ -89,7 +89,8 @@ TEST(ConcurrentSolveStress, BatchSolverConsecutiveBatches) {
   Rng rng(202);
   core::BatchOptions options;
   options.threads = kThreads;
-  options.solver = SolverKind::kPushRelabelBinary;
+  options.policy =
+      core::ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary);
   core::BatchSolver batch(options);
   std::vector<SolveResult> results;
   for (int round = 0; round < kRounds; ++round) {
@@ -113,12 +114,12 @@ TEST(ConcurrentSolveStress, BatchSolverConsecutiveBatches) {
 }
 
 TEST(ConcurrentSolveStress, BatchSolverMatchingKernel) {
-  // Same shape as above, but the pooled workers run the b-matching kernel:
-  // TSan coverage for MatchingWorkspace reuse across worker threads.
+  // Same shape as above, but the pooled workers run the default policy,
+  // the b-matching kernel: TSan coverage for MatchingWorkspace reuse across
+  // worker threads.
   Rng rng(212);
   core::BatchOptions options;
   options.threads = kThreads;
-  options.solver = SolverKind::kIntegratedMatching;
   core::BatchSolver batch(options);
   std::vector<SolveResult> results;
   for (int round = 0; round < kRounds; ++round) {
@@ -199,7 +200,8 @@ TEST(ConcurrentSolveStress, PerThreadStreamSchedulers) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       core::QueryStreamScheduler scheduler(
-          system, SolverKind::kPushRelabelBinary, /*threads=*/2);
+          system,
+          core::ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary));
       double arrival = 0.0;
       for (const auto& replicas : queries) {
         const auto event = scheduler.submit_replicas(replicas, arrival);

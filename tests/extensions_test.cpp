@@ -191,7 +191,9 @@ TEST(BatchSolve, PropagatesErrorsAndValidatesOptions) {
   bad.system.model = {"a", "b"};
   bad.replicas = {{0, 1}};
   core::BatchOptions options;
-  options.solver = core::SolverKind::kFordFulkersonBasic;  // requires basic
+  // The basic-only solver requires a basic system.
+  options.policy =
+      core::ExecutionPolicy::pinned(core::SolverKind::kFordFulkersonBasic);
   EXPECT_THROW(core::solve_batch({bad}, options), std::invalid_argument);
 }
 

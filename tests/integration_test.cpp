@@ -88,12 +88,13 @@ TEST(EndToEnd, StreamSaturationBehaviour) {
                                      workload::LoadKind::kLoad2);
 
   // Saturated: all queries arrive at t = 0.
-  core::QueryStreamScheduler saturated(rep, sys);
+  core::QueryStreamScheduler saturated(rep, sys,
+                                       core::ExecutionPolicy{});
   Rng qrng1(7);
   for (int i = 0; i < 12; ++i) saturated.submit(gen.next(qrng1), 0.0);
 
   // Idle: same queries, one per "hour".
-  core::QueryStreamScheduler idle(rep, sys);
+  core::QueryStreamScheduler idle(rep, sys, core::ExecutionPolicy{});
   Rng qrng2(7);
   for (int i = 0; i < 12; ++i) {
     idle.submit(gen.next(qrng2), static_cast<double>(i) * 3.6e6);

@@ -10,6 +10,7 @@
 #include "core/bipartite_matching.h"
 #include "graph/workspace.h"
 #include "support/rng.h"
+#include "workload/experiments.h"
 
 namespace repflow {
 namespace {
@@ -39,6 +40,32 @@ RetrievalProblem random_problem(std::int32_t disks, std::int64_t buckets,
     while (replica_set.size() < copies) {
       const auto d = static_cast<core::DiskId>(
           rng.below(static_cast<std::uint64_t>(disks)));
+      bool seen = false;
+      for (core::DiskId have : replica_set) seen = seen || have == d;
+      if (!seen) replica_set.push_back(d);
+    }
+  }
+  p.validate();
+  return p;
+}
+
+/// The hot-slow shape: `disks` * `per_disk` buckets on unit-cost disks,
+/// each on `copies` distinct disks drawn with a cubed-uniform skew toward
+/// low ids, so a few hot disks fill up and carry long slot lists.
+RetrievalProblem hot_slow_problem(std::int32_t disks, std::size_t copies,
+                                  std::int64_t per_disk, Rng& rng) {
+  RetrievalProblem p;
+  p.system.num_sites = 1;
+  p.system.disks_per_site = disks;
+  p.system.cost_ms.assign(static_cast<std::size_t>(disks), 1.0);
+  p.system.delay_ms.assign(static_cast<std::size_t>(disks), 0.0);
+  p.system.init_load_ms.assign(static_cast<std::size_t>(disks), 0.0);
+  p.system.model.assign(static_cast<std::size_t>(disks), "A");
+  p.replicas.resize(static_cast<std::size_t>(disks * per_disk));
+  for (auto& replica_set : p.replicas) {
+    while (replica_set.size() < copies) {
+      const double u = rng.uniform01();
+      const auto d = static_cast<core::DiskId>(disks * u * u * u);
       bool seen = false;
       for (core::DiskId have : replica_set) seen = seen || have == d;
       if (!seen) replica_set.push_back(d);
@@ -96,6 +123,40 @@ TEST(MatchingKernel, RetainedResumeAndSnapshotRestore) {
     matcher.set_capacities_for_time(t);
     EXPECT_EQ(matcher.augment_to_maximum(), fresh_matched(problem, t))
         << "t=" << t;
+  }
+}
+
+// The kernel's work per phase stays linear in the instance on a hot-slow
+// shape: each phase reads a full disk's slot list once (the per-disk scan
+// cursor), not once per arc into the disk.  `visits` counts every adjacency
+// entry and slot the BFS reads plus every arc and slot the DFS reads, so a
+// phase that reads each arc and each slot about twice stays under 2 * arcs.
+// On unit-cost disks the greedy seed leaves 3 buckets for one phase; on
+// Table IV Experiment 5's disks (two sites of 16) the same replica lists
+// take an 8-probe search with 13 phases.  Without the cursor, every scan
+// restarts at the head of a hot disk's slot list, and the kernel reads 1.1
+// to 22 times the bound.
+TEST(MatchingKernel, HotSlowWorkStaysLinearInArcs) {
+  for (const bool exp5_disks : {false, true}) {
+    Rng rng(1);
+    RetrievalProblem problem = hot_slow_problem(32, 8, 200, rng);
+    if (exp5_disks) {
+      problem.system = workload::make_experiment_system(5, 16, rng);
+      problem.validate();
+    }
+    std::uint64_t arcs = 0;
+    for (const auto& replica_set : problem.replicas) {
+      arcs += replica_set.size();
+    }
+    ASSERT_EQ(arcs, 51200u);
+    const core::SolveResult result =
+        core::IntegratedMatchingSolver(problem).solve();
+    EXPECT_EQ(result.schedule.assigned_disk.size(), 6400u);
+    const std::uint64_t phases = result.flow_stats.global_relabels;
+    EXPECT_GT(phases, 0u);
+    EXPECT_LE(result.flow_stats.dfs_visits, 2 * phases * arcs)
+        << (exp5_disks ? "Experiment 5" : "unit-cost") << " disks, "
+        << phases << " phases";
   }
 }
 

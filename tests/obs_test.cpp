@@ -387,7 +387,8 @@ TEST(Instrumentation, StreamStatsCarryLatencyHistograms) {
       decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
   Rng rng(91);
   core::QueryStreamScheduler stream(
-      rep, workload::make_experiment_system(1, n, rng));
+      rep, workload::make_experiment_system(1, n, rng),
+      core::ExecutionPolicy{});
   stream.submit({0, 1, 2}, 0.0);
   stream.submit({3, 4}, 1.0);
   const core::StreamStats stats = stream.stats();

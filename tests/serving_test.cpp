@@ -1,7 +1,7 @@
-// Tests for the serving layer: ExecutionPolicy / ExecutionContext (solver
-// selection modes, facade parity), the admission-controlled QueryRouter
-// (shed / coalesce semantics and merged-load exactness), batched capacity
-// stepping, and BatchSolver error-path hardening.
+// Tests for the serving layer: ExecutionPolicy / ExecutionContext (the
+// default and pinned kinds, facade parity), the admission-controlled
+// QueryRouter (shed / coalesce semantics and merged-load exactness), batched
+// capacity stepping, and BatchSolver error-path hardening.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -52,42 +52,15 @@ RetrievalProblem dense_problem() {
   p.system = uniform_system(40, 2.0);
   std::vector<DiskId> all;
   for (DiskId d = 0; d < 40; ++d) all.push_back(d);
-  p.replicas = {all, all};  // avg replica degree 40 > any sane threshold
+  p.replicas = {all, all};  // every bucket on every disk
   p.validate();
   return p;
 }
 
-/// `buckets` buckets on a 40-disk array, each replicated on `degree` disks.
-RetrievalProblem degree_problem(std::size_t buckets, DiskId degree) {
-  RetrievalProblem p;
-  p.system = uniform_system(40, 2.0);
-  std::vector<DiskId> replicas;
-  for (DiskId d = 0; d < degree; ++d) replicas.push_back(d);
-  p.replicas.assign(buckets, replicas);
-  p.validate();
-  return p;
-}
-
-TEST(ExecutionPolicy, ChooseSolverSplitsOnAverageDegree) {
-  EXPECT_EQ(choose_solver(sparse_problem()), SolverKind::kIntegratedMatching);
-  EXPECT_EQ(choose_solver(dense_problem()), SolverKind::kPushRelabelBinary);
-  // The cutover is inclusive: average degree == threshold stays matching.
-  const auto at = static_cast<DiskId>(kMatchingDegreeThreshold);
-  EXPECT_EQ(choose_solver(degree_problem(3, at)),
-            SolverKind::kIntegratedMatching);
-  EXPECT_EQ(choose_solver(degree_problem(3, at + 1)),
-            SolverKind::kPushRelabelBinary);
-  RetrievalProblem empty;
-  empty.system = uniform_system(2, 1.0);
-  EXPECT_EQ(choose_solver(empty), SolverKind::kIntegratedMatching);
-}
-
-TEST(ExecutionPolicy, AdaptiveContextSelectsWithChooseSolver) {
-  ExecutionContext context;  // ExecutionPolicy{} is the adaptive policy
-  for (const RetrievalProblem& p :
-       {sparse_problem(), dense_problem(), degree_problem(3, 17)}) {
-    EXPECT_EQ(context.select(p), choose_solver(p));
-  }
+TEST(ExecutionPolicy, DefaultServesMatching) {
+  ExecutionContext context;  // ExecutionPolicy{}
+  EXPECT_EQ(context.select(sparse_problem()), SolverKind::kIntegratedMatching);
+  EXPECT_EQ(context.select(dense_problem()), SolverKind::kIntegratedMatching);
 }
 
 TEST(ExecutionPolicy, PinnedModeIgnoresProblemShape) {
@@ -238,8 +211,8 @@ struct StreamFixture {
 
 TEST(QueryRouter, OffModeIsPassThrough) {
   StreamFixture f;
-  QueryStreamScheduler routed(f.rep, f.sys);
-  QueryStreamScheduler direct(f.rep, f.sys);
+  QueryStreamScheduler routed(f.rep, f.sys, ExecutionPolicy{});
+  QueryStreamScheduler direct(f.rep, f.sys, ExecutionPolicy{});
   QueryRouter router(routed, RouterOptions{});
   Rng arrivals_rng(9);
   double t = 0.0;
@@ -261,7 +234,7 @@ TEST(QueryRouter, OffModeIsPassThrough) {
 
 TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, ExecutionPolicy{});
   RouterOptions options;
   options.mode = AdmissionMode::kShed;
   options.max_backlog_ms = 10.0;
@@ -292,8 +265,8 @@ TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
 
 TEST(QueryRouter, CoalescedBatchMatchesDirectMergedSubmission) {
   StreamFixture f;
-  QueryStreamScheduler routed(f.rep, f.sys);
-  QueryStreamScheduler mirror(f.rep, f.sys);
+  QueryStreamScheduler routed(f.rep, f.sys, ExecutionPolicy{});
+  QueryStreamScheduler mirror(f.rep, f.sys, ExecutionPolicy{});
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 5.0;
@@ -344,7 +317,7 @@ TEST(QueryRouter, CoalescedBatchMatchesDirectMergedSubmission) {
 
 TEST(QueryRouter, CoalesceDedupsSharedBuckets) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, ExecutionPolicy{});
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 1.0;
@@ -365,7 +338,7 @@ TEST(QueryRouter, CoalesceDedupsSharedBuckets) {
 
 TEST(QueryRouter, FullBufferFlushesEvenWhileOverloaded) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, ExecutionPolicy{});
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 1.0;
@@ -386,7 +359,7 @@ TEST(QueryRouter, FullBufferFlushesEvenWhileOverloaded) {
 
 TEST(QueryRouter, FlushDrainsPendingAndEnforcesArrivalOrder) {
   StreamFixture f;
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler scheduler(f.rep, f.sys, ExecutionPolicy{});
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 1.0;
@@ -405,11 +378,9 @@ TEST(QueryRouter, FlushDrainsPendingAndEnforcesArrivalOrder) {
 
 TEST(QueryRouter, ReplayModeRejectsQuerySubmission) {
   StreamFixture f;
-  // Replay-mode scheduler with adaptive selection on: replica-list
-  // submission must work (through the router too), bucket-id submission
-  // must throw in both layers.
+  // Replay-mode scheduler: replica-list submission must work (through the
+  // router too), bucket-id submission must throw in both layers.
   QueryStreamScheduler scheduler(f.sys, ExecutionPolicy{});
-  EXPECT_TRUE(scheduler.adaptive_selection());
   EXPECT_EQ(scheduler.allocation(), nullptr);
   QueryRouter router(scheduler, RouterOptions{});
   EXPECT_THROW(router.submit(f.gen.next(f.rng), 0.0), std::logic_error);
@@ -420,23 +391,6 @@ TEST(QueryRouter, ReplayModeRejectsQuerySubmission) {
   EXPECT_GT(outcome.event->response_ms, 0.0);
   // Replay arrivals stay monotone through the router as well.
   EXPECT_THROW(router.submit_replicas({{0}}, -1.0), std::invalid_argument);
-}
-
-TEST(QueryStream, AdaptiveToggleRestoresPinnedKind) {
-  StreamFixture f;
-  QueryStreamScheduler scheduler(
-      f.rep, f.sys,
-      ExecutionPolicy::pinned(SolverKind::kFordFulkersonIncremental));
-  EXPECT_FALSE(scheduler.adaptive_selection());
-  scheduler.set_adaptive_selection(true);
-  EXPECT_TRUE(scheduler.adaptive_selection());
-  EXPECT_EQ(scheduler.policy().mode, SelectionMode::kFixedThreshold);
-  scheduler.set_adaptive_selection(false);
-  EXPECT_FALSE(scheduler.adaptive_selection());
-  EXPECT_EQ(scheduler.policy().pinned_kind,
-            SolverKind::kFordFulkersonIncremental);
-  scheduler.submit(f.gen.next(f.rng), 0.0);  // still serves queries
-  EXPECT_EQ(scheduler.events().size(), 1u);
 }
 
 // --- Rejected arrivals ---
@@ -479,8 +433,8 @@ TEST(RejectedArrival, StreamKeepsItsClock) {
   // Disk 7 does not exist on 2 disks.  The rejected arrival at 10 must not
   // move the clock: a valid one at 7 is served as on a fresh scheduler.
   const workload::SystemConfig sys = uniform_system(2, 1.0);
-  QueryStreamScheduler fresh(sys);
-  QueryStreamScheduler scheduler(sys);
+  QueryStreamScheduler fresh(sys, ExecutionPolicy{});
+  QueryStreamScheduler scheduler(sys, ExecutionPolicy{});
   EXPECT_THROW(scheduler.submit_replicas({{7}}, 10.0), std::invalid_argument);
   const StreamEvent first = scheduler.submit_replicas({{0}}, 7.0);
   EXPECT_EQ(first.response_ms, 1.0);
@@ -498,8 +452,8 @@ TEST(RejectedArrival, StreamKeepsItsClock) {
 
 TEST(RejectedArrival, StreamKeepsItsClockOnBucketIds) {
   StreamFixture f;
-  QueryStreamScheduler fresh(f.rep, f.sys);
-  QueryStreamScheduler scheduler(f.rep, f.sys);
+  QueryStreamScheduler fresh(f.rep, f.sys, ExecutionPolicy{});
+  QueryStreamScheduler scheduler(f.rep, f.sys, ExecutionPolicy{});
   const workload::Query outside = {f.rep.grid_n() * f.rep.grid_n()};
   EXPECT_THROW(scheduler.submit(outside, 10.0), std::invalid_argument);
   for (const double at : {7.0, 8.0, 30.0}) {
@@ -510,8 +464,8 @@ TEST(RejectedArrival, StreamKeepsItsClockOnBucketIds) {
 
 TEST(RejectedArrival, RouterKeepsBothClocks) {
   const workload::SystemConfig sys = uniform_system(2, 1.0);
-  QueryStreamScheduler routed(sys);
-  QueryStreamScheduler mirror(sys);
+  QueryStreamScheduler routed(sys, ExecutionPolicy{});
+  QueryStreamScheduler mirror(sys, ExecutionPolicy{});
   QueryRouter router(routed, RouterOptions{});
   QueryRouter fresh(mirror, RouterOptions{});
   EXPECT_THROW(router.submit_replicas({{7}}, 10.0), std::invalid_argument);
@@ -534,8 +488,8 @@ TEST(RejectedArrival, CoalesceBufferKeepsItsQueries) {
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 0.5;
   options.max_coalesce = 2;
-  QueryStreamScheduler routed(sys);
-  QueryStreamScheduler mirror(sys);
+  QueryStreamScheduler routed(sys, ExecutionPolicy{});
+  QueryStreamScheduler mirror(sys, ExecutionPolicy{});
   QueryRouter router(routed, options);
   QueryRouter fresh(mirror, options);
   const std::vector<std::pair<ReplicaLists, double>> before = {
@@ -567,7 +521,7 @@ TEST(RejectedArrival, ThrowingFlushReArmsTheBuffer) {
   RouterOptions options;
   options.mode = AdmissionMode::kCoalesce;
   options.max_backlog_ms = 0.5;
-  QueryStreamScheduler scheduler(sys);
+  QueryStreamScheduler scheduler(sys, ExecutionPolicy{});
   QueryRouter router(scheduler, options);
   router.submit_replicas({{0}, {0}}, 0.0);
   ASSERT_EQ(router.submit_replicas({{1}}, 1.0).decision,
@@ -662,32 +616,6 @@ TEST(BatchSolver, ConcurrentThrowsRaceTheErrorSlotSafely) {
     for (const auto& r : results) {
       EXPECT_NEAR(r.response_time_ms, expected, kTimeEps);
     }
-  }
-}
-
-TEST(BatchSolver, PolicyOverridesPinnedKind) {
-  Rng rng(42);
-  const auto rep =
-      decluster::make_orthogonal(8, decluster::SiteMapping::kCopyPerSite);
-  const auto sys = workload::make_experiment_system(5, 8, rng);
-  const workload::QueryGenerator gen(8, workload::QueryType::kArbitrary,
-                                     workload::LoadKind::kLoad2);
-  std::vector<RetrievalProblem> problems;
-  for (int i = 0; i < 8; ++i) {
-    problems.push_back(build_problem(rep, gen.next(rng), sys));
-  }
-  BatchOptions options;
-  options.threads = 2;
-  options.solver = SolverKind::kBlackBoxBinary;  // overridden below
-  options.policy = ExecutionPolicy{};
-  EXPECT_EQ(options.effective_policy().mode, SelectionMode::kFixedThreshold);
-  const auto results = solve_batch(problems, options);
-  ASSERT_EQ(results.size(), problems.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_NEAR(results[i].response_time_ms,
-                solve(problems[i], SolverKind::kFordFulkersonIncremental)
-                    .response_time_ms,
-                kTimeEps);
   }
 }
 
