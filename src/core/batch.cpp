@@ -4,47 +4,23 @@
 
 namespace repflow::core {
 
-BatchSolver::BatchSolver(BatchOptions options) : options_(options) {
-  if (options_.threads < 1 || options_.policy.threads < 1) {
+namespace {
+
+// Checked before any member is built, so bad counts spawn no thread.
+BatchOptions validated(BatchOptions options) {
+  if (options.threads < 1 || options.policy.threads < 1) {
     throw std::invalid_argument("BatchSolver: bad thread counts");
   }
+  return options;
+}
+
+}  // namespace
+
+BatchSolver::BatchSolver(BatchOptions options)
+    : options_(validated(options)), pool_(options_.threads) {
   contexts_.reserve(static_cast<std::size_t>(options_.threads));
   for (int t = 0; t < options_.threads; ++t) {
     contexts_.push_back(std::make_unique<ExecutionContext>(options_.policy));
-  }
-  if (options_.threads > 1) {
-    workers_.reserve(static_cast<std::size_t>(options_.threads));
-    for (int t = 0; t < options_.threads; ++t) {
-      workers_.emplace_back([this, t] { worker_entry(t); });
-    }
-  }
-}
-
-BatchSolver::~BatchSolver() {
-  {
-    support::MutexLock lock(pool_mutex_);
-    shutdown_ = true;
-  }
-  pool_cv_.notify_all();
-  for (auto& th : workers_) th.join();
-}
-
-void BatchSolver::worker_entry(int index) {
-  std::uint64_t seen_generation = 0;
-  for (;;) {
-    {
-      support::MutexLock lock(pool_mutex_);
-      while (!shutdown_ && generation_ == seen_generation) {
-        pool_cv_.wait(pool_mutex_);
-      }
-      if (shutdown_) return;
-      seen_generation = generation_;
-    }
-    drain(index);
-    {
-      support::MutexLock lock(pool_mutex_);
-      if (--workers_running_ == 0) pool_cv_.notify_all();
-    }
   }
 }
 
@@ -57,7 +33,7 @@ void BatchSolver::drain(int index) {
     // worker's first_error_ write (under error_mutex_) is visible.
     if (abort_.load(std::memory_order_acquire)) return;
     // mo: relaxed — the cursor is a bare ticket; the claimed problem slot
-    // was published by the pool_mutex_ generation handoff, not by this RMW.
+    // was published by the WorkerPool handoff, not by this RMW.
     const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (i >= problems_->size()) return;
     try {
@@ -79,32 +55,23 @@ void BatchSolver::solve_into(const std::vector<RetrievalProblem>& problems,
   results.resize(problems.size());
   problems_ = &problems;
   results_ = &results;
-  // mo: relaxed — re-arming between batches; the pool_mutex_ generation
-  // handoff below publishes these stores to the workers.
+  // mo: relaxed — re-arming between batches; the WorkerPool handoff below
+  // publishes these stores to the workers.
   cursor_.store(0, std::memory_order_relaxed);
   abort_.store(false, std::memory_order_relaxed);
   {
     // Thread-safety analysis found this re-arm running without
-    // error_mutex_; the previous batch's workers have quiesced (the
-    // generation handoff), but the guarded discipline is now explicit
-    // instead of relying on that reasoning at a distance.
+    // error_mutex_; the previous batch's workers have quiesced (the pool
+    // handoff), but the guarded discipline is now explicit instead of
+    // relying on that reasoning at a distance.
     support::MutexLock lock(error_mutex_);
     first_error_ = nullptr;
   }
 
-  if (options_.threads == 1 || problems.size() <= 1) {
+  if (problems.size() <= 1) {
     drain(0);
   } else {
-    {
-      support::MutexLock lock(pool_mutex_);
-      workers_running_ = options_.threads;
-      ++generation_;
-    }
-    pool_cv_.notify_all();
-    {
-      support::MutexLock lock(pool_mutex_);
-      while (workers_running_ != 0) pool_cv_.wait(pool_mutex_);
-    }
+    pool_.run([this](int index) { drain(index); });
   }
 
   problems_ = nullptr;

@@ -8,15 +8,14 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <exception>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/execution.h"
 #include "core/problem.h"
 #include "core/solver.h"
+#include "parallel/worker_pool.h"
 #include "support/thread_annotations.h"
 
 namespace repflow::core {
@@ -28,7 +27,8 @@ struct BatchOptions {
   ExecutionPolicy policy{};
 };
 
-/// Reusable batch executor: worker threads and their per-worker
+/// Reusable batch executor: worker threads (a parallel::WorkerPool, the
+/// same spawn-once pool the Hong & He engine runs on) and their per-worker
 /// ExecutionContexts persist across solve() calls, so consecutive batches
 /// reuse every solver shell instead of reconstructing them per batch.
 /// Problems are distributed dynamically (an atomic cursor), so skewed query
@@ -43,7 +43,6 @@ struct BatchOptions {
 class BatchSolver {
  public:
   explicit BatchSolver(BatchOptions options = {});
-  ~BatchSolver();
 
   BatchSolver(const BatchSolver&) = delete;
   BatchSolver& operator=(const BatchSolver&) = delete;
@@ -61,7 +60,6 @@ class BatchSolver {
   const BatchOptions& options() const { return options_; }
 
  private:
-  void worker_entry(int index);
   /// Drain the shared cursor using worker `index`'s context.
   void drain(int index);
 
@@ -71,8 +69,8 @@ class BatchSolver {
   std::vector<std::unique_ptr<ExecutionContext>> contexts_;
 
   // Per-batch shared state (set by solve_into before waking the workers;
-  // the pool_mutex_ generation handoff publishes it to the workers, so no
-  // lock is held while they read it — deliberately unannotated).
+  // the WorkerPool handoff publishes it to the workers, so no lock is held
+  // while they read it — deliberately unannotated).
   const std::vector<RetrievalProblem>* problems_ = nullptr;
   std::vector<SolveResult>* results_ = nullptr;
   std::atomic<std::size_t> cursor_{0};
@@ -82,15 +80,9 @@ class BatchSolver {
   support::Mutex error_mutex_;
   std::exception_ptr first_error_ REPFLOW_GUARDED_BY(error_mutex_);
 
-  // Persistent worker pool (only used when options_.threads > 1), same
-  // generation handoff as the parallel engine's pool.  pool_mutex_ guards
-  // the handoff state below (compile-time checked; docs/ANALYSIS.md).
-  std::vector<std::thread> workers_;
-  support::Mutex pool_mutex_;
-  support::CondVar pool_cv_;
-  std::uint64_t generation_ REPFLOW_GUARDED_BY(pool_mutex_) = 0;
-  int workers_running_ REPFLOW_GUARDED_BY(pool_mutex_) = 0;
-  bool shutdown_ REPFLOW_GUARDED_BY(pool_mutex_) = false;
+  // Persistent workers (threads == 1 runs inline).  Declared last so its
+  // threads are joined before any state they touch is destroyed.
+  parallel::WorkerPool pool_;
 };
 
 /// Solve all problems with a one-shot BatchSolver; results are returned in

@@ -49,6 +49,36 @@ SolverMetrics& metrics_for(SolverKind kind) {
   throw std::invalid_argument("metrics_for: unknown solver kind");
 }
 
+// Engine work summed over every catalog solve (`graph.*`), resolved once
+// per process like the per-kind handles above.
+struct FlowMetrics {
+  obs::Counter& augmentations;
+  obs::Counter& pushes;
+  obs::Counter& relabels;
+  obs::Counter& global_relabels;
+  obs::Counter& gap_jumps;
+  obs::Counter& dfs_visits;
+};
+
+void fold_flow_stats(const graph::FlowStats& stats) {
+  static FlowMetrics metrics = {
+      obs::Registry::global().counter("graph.augmentations"),
+      obs::Registry::global().counter("graph.pushes"),
+      obs::Registry::global().counter("graph.relabels"),
+      obs::Registry::global().counter("graph.global_relabels"),
+      obs::Registry::global().counter("graph.gap_jumps"),
+      obs::Registry::global().counter("graph.dfs_visits")};
+  auto fold = [](obs::Counter& counter, std::uint64_t value) {
+    if (value != 0) counter.add(value);
+  };
+  fold(metrics.augmentations, stats.augmentations);
+  fold(metrics.pushes, stats.pushes);
+  fold(metrics.relabels, stats.relabels);
+  fold(metrics.global_relabels, stats.global_relabels);
+  fold(metrics.gap_jumps, stats.gap_jumps);
+  fold(metrics.dfs_visits, stats.dfs_visits);
+}
+
 }  // namespace
 
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
@@ -94,6 +124,7 @@ void ExecutionContext::solve_into(const RetrievalProblem& problem,
       static_cast<std::uint64_t>(result.capacity_steps));
   metrics.binary_probes.add(static_cast<std::uint64_t>(result.binary_probes));
   metrics.maxflow_runs.add(static_cast<std::uint64_t>(result.maxflow_runs));
+  fold_flow_stats(result.flow_stats);
 
   const obs::ActiveQuery active = obs::QueryScope::current();
   if (active.id != 0) {
@@ -134,16 +165,6 @@ SolveResult ExecutionContext::solve(const RetrievalProblem& problem) {
   SolveResult result;
   solve_into(problem, result);
   return result;
-}
-
-IncrementalQuerySession ExecutionContext::open_session(
-    workload::SystemConfig system) {
-  static obs::Counter& sessions =
-      obs::Registry::global().counter("session.opened");
-  sessions.add(1);
-  // Guaranteed copy elision: the session is constructed in the caller's
-  // storage, so its internal engine-to-network references stay valid.
-  return IncrementalQuerySession(std::move(system));
 }
 
 }  // namespace repflow::core

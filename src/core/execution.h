@@ -1,6 +1,6 @@
 // The serving spine: one policy object + one context through which every
-// public entry point (the solve() facade, QueryStreamScheduler, BatchSolver,
-// IncrementalQuerySession) reaches the solver catalog.
+// public entry point (the solve() facade, QueryStreamScheduler, BatchSolver)
+// reaches the solver catalog.
 //
 // ExecutionPolicy is the one value type for the solver kind and thread
 // count, and ExecutionContext owns the machinery every caller needs anyway:
@@ -9,7 +9,6 @@
 // metrics) are implemented once, here, instead of once per entry point.
 #pragma once
 
-#include "core/incremental_session.h"
 #include "core/problem.h"
 #include "core/solver.h"
 #include "core/solver_pool.h"
@@ -68,11 +67,6 @@ class ExecutionContext {
 
   /// Convenience wrapper returning a fresh result.
   SolveResult solve(const RetrievalProblem& problem);
-
-  /// Open an incremental query session on this context's serving spine (the
-  /// session records its reoptimize latency into the unified `session.*`
-  /// instruments; see IncrementalQuerySession for the growth semantics).
-  IncrementalQuerySession open_session(workload::SystemConfig system);
 
   SolverPool& pool() { return pool_; }
   /// The context's reusable result buffer (capacity survives across

@@ -13,25 +13,35 @@ CapacityIncrementer::CapacityIncrementer(RetrievalNetwork& network) {
 }
 
 void CapacityIncrementer::rebind(RetrievalNetwork& network) {
-  network_ = &network;
-  const std::int32_t disks = network.problem().total_disks();
+  rebind(network.net(), network.problem().system, network.sink_arcs(),
+         network.in_degrees());
+}
+
+void CapacityIncrementer::rebind(graph::FlowNetwork& net,
+                                 const workload::SystemConfig& system,
+                                 std::span<const graph::ArcId> sink_arcs,
+                                 std::span<const std::int32_t> in_degrees) {
+  net_ = &net;
+  system_ = &system;
+  sink_arcs_ = sink_arcs;
+  in_degrees_ = in_degrees;
   caps_.clear();
-  caps_.reserve(static_cast<std::size_t>(disks));
+  caps_.reserve(sink_arcs.size());
   live_.clear();
-  for (DiskId d = 0; d < disks; ++d) {
-    caps_.push_back(network.net().capacity(network.sink_arc(d)));
+  for (std::size_t d = 0; d < sink_arcs.size(); ++d) {
+    caps_.push_back(net.capacity(sink_arcs[d]));
     // A disk already saturated by its in-degree never joins the live set
     // (Algorithm 3 lines 3-5 would delete it on the first step anyway).
-    if (network.in_degree(d) > caps_.back()) live_.push_back(d);
+    if (in_degrees[d] > caps_.back()) live_.push_back(static_cast<DiskId>(d));
   }
   steps_ = 0;
   total_increments_ = 0;
 }
 
 void CapacityIncrementer::bump(DiskId d) {
-  ++caps_[static_cast<std::size_t>(d)];
-  network_->net().set_capacity(network_->sink_arc(d),
-                               caps_[static_cast<std::size_t>(d)]);
+  const auto i = static_cast<std::size_t>(d);
+  ++caps_[i];
+  net_->set_capacity(sink_arcs_[i], caps_[i]);
   ++total_increments_;
   // Per-disk attribution of the integrated drivers' capacity grants: this
   // is the one seam every IncrementMinCost step passes through (one acquire
@@ -40,7 +50,7 @@ void CapacityIncrementer::bump(DiskId d) {
 }
 
 double CapacityIncrementer::increment_min_cost() {
-  const auto& sys = network_->problem().system;
+  const workload::SystemConfig& sys = *system_;
   // Pass 1 (Algorithm 3 lines 1-9): drop exhausted disks, find the minimum
   // next-completion cost among the survivors.
   // Infinity, not max(): a completion time that overflows to inf must
@@ -50,7 +60,7 @@ double CapacityIncrementer::increment_min_cost() {
   for (std::size_t i = 0; i < live_.size(); ++i) {
     const DiskId d = live_[i];
     const std::int64_t cap = caps_[static_cast<std::size_t>(d)];
-    if (network_->in_degree(d) <= cap) {
+    if (in_degrees_[static_cast<std::size_t>(d)] <= cap) {
       continue;  // delete from E
     }
     live_[alive++] = d;

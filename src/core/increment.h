@@ -9,9 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/network.h"
+#include "graph/flow_network.h"
+#include "workload/disks.h"
 
 namespace repflow::core {
 
@@ -29,6 +32,14 @@ class CapacityIncrementer {
   /// same-footprint network performs no heap allocation.
   void rebind(RetrievalNetwork& network);
 
+  /// The same on any flow network whose disk d drains into the sink over
+  /// `sink_arcs[d]`, priced by `system` and bounded by `in_degrees[d]`
+  /// (IncrementalQuerySession's network).  The spans must stay valid, and
+  /// the in-degrees fixed, until the next rebind.
+  void rebind(graph::FlowNetwork& net, const workload::SystemConfig& system,
+              std::span<const graph::ArcId> sink_arcs,
+              std::span<const std::int32_t> in_degrees);
+
   /// One IncrementMinCost step.  Returns the minimum next-completion cost
   /// (the candidate response time just admitted).  Throws std::logic_error
   /// if no live edge remains (the caller exceeded total capacity c*|Q|).
@@ -43,7 +54,10 @@ class CapacityIncrementer {
  private:
   void bump(DiskId d);
 
-  RetrievalNetwork* network_ = nullptr;
+  graph::FlowNetwork* net_ = nullptr;
+  const workload::SystemConfig* system_ = nullptr;
+  std::span<const graph::ArcId> sink_arcs_;    // per disk
+  std::span<const std::int32_t> in_degrees_;   // per disk
   std::vector<DiskId> live_;        // disks whose sink arc is still in E
   std::vector<std::int64_t> caps_;  // mirror of sink-arc capacities
   std::int64_t steps_ = 0;

@@ -1,6 +1,5 @@
 #include "core/incremental_session.h"
 
-#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -14,6 +13,9 @@ IncrementalQuerySession::IncrementalQuerySession(
     throw std::invalid_argument("IncrementalQuerySession: no disks");
   }
   reset();
+  static obs::Counter& opened =
+      obs::Registry::global().counter("session.opened");
+  opened.add(1);
 }
 
 void IncrementalQuerySession::reset() {
@@ -27,7 +29,6 @@ void IncrementalQuerySession::reset() {
     sink_arcs_.push_back(
         net_.add_arc(static_cast<graph::Vertex>(2 + d), sink_, 0));
   }
-  caps_.assign(static_cast<std::size_t>(disks), 0);
   in_degree_.assign(static_cast<std::size_t>(disks), 0);
   replicas_.clear();
   bucket_vertex_.clear();
@@ -66,53 +67,28 @@ std::int64_t IncrementalQuerySession::add_bucket(
   return static_cast<std::int64_t>(replicas_.size() - 1);
 }
 
-void IncrementalQuerySession::increment_min_cost() {
-  // Infinity, not max(): a completion time that overflows to inf must
-  // still be admitted, or the step bumps nothing and the driver spins.
-  double min_cost = std::numeric_limits<double>::infinity();
-  bool any = false;
-  for (DiskId d = 0; d < system_.total_disks(); ++d) {
-    if (in_degree_[d] <= caps_[static_cast<std::size_t>(d)]) continue;
-    any = true;
-    min_cost = std::min(
-        min_cost,
-        system_.completion_time(d, caps_[static_cast<std::size_t>(d)] + 1));
-  }
-  if (!any) {
-    throw std::logic_error(
-        "IncrementalQuerySession: capacity exhausted before feasibility");
-  }
-  for (DiskId d = 0; d < system_.total_disks(); ++d) {
-    if (in_degree_[d] <= caps_[static_cast<std::size_t>(d)]) continue;
-    // Exact tie, as in CapacityIncrementer::increment_min_cost().
-    if (system_.completion_time(d, caps_[static_cast<std::size_t>(d)] + 1) ==
-        min_cost) {
-      ++caps_[static_cast<std::size_t>(d)];
-      net_.set_capacity(sink_arcs_[d], caps_[static_cast<std::size_t>(d)]);
-      // Bumps only happen while cap < in-degree, so caps_ <= in_degree_
-      // holds throughout and the usable capacity grows by exactly one.
-      ++usable_;
-    }
-  }
-  ++capacity_steps_;
-}
-
 double IncrementalQuerySession::reoptimize() {
   static obs::Histogram& reoptimize_ms =
       obs::Registry::global().histogram("session.reoptimize_ms");
   obs::ScopedLatency latency(reoptimize_ms);
-  const auto q = static_cast<graph::Cap>(replicas_.size());
+  const auto q = static_cast<std::int64_t>(replicas_.size());
+  // The in-degrees grew since the last call, so the live edge set is
+  // captured afresh.  Bumps only happen while cap < in-degree, so each one
+  // grows the usable capacity sum_d min(cap_d, in_degree_d) by exactly one.
+  incrementer_.rebind(net_, system_, sink_arcs_, in_degree_);
+  auto usable = [&] { return usable_ + incrementer_.total_increments(); };
   graph::Cap reached = engine_->resume();
   while (reached != q) {
-    // Batched stepping: any flow is bounded by the usable capacity
-    // sum_d min(cap_d, in_degree_d), so resuming the engine before that sum
-    // reaches |Q| is futile.  The admitted capacity sequence — and
-    // therefore the response time and capacity_steps() — is bit-identical
-    // to stepping one at a time.
-    increment_min_cost();
-    while (usable_ < static_cast<std::int64_t>(q)) increment_min_cost();
+    // Batched stepping: any flow is bounded by the usable capacity, so
+    // resuming the engine before it reaches |Q| is futile.  The admitted
+    // capacity sequence — and therefore the response time and
+    // capacity_steps() — is bit-identical to stepping one at a time.
+    incrementer_.increment_min_cost();
+    while (usable() < q) incrementer_.increment_min_cost();
     reached = engine_->resume();
   }
+  usable_ = usable();
+  capacity_steps_ += incrementer_.steps();
   clean_ = true;
   return schedule().response_time(system_);
 }
@@ -152,7 +128,6 @@ void IncrementalQuerySession::schedule_into(Schedule& s) const {
 std::size_t IncrementalQuerySession::retained_bytes() const {
   return net_.retained_bytes() + workspace_.retained_bytes() +
          sink_arcs_.capacity() * sizeof(graph::ArcId) +
-         caps_.capacity() * sizeof(std::int64_t) +
          in_degree_.capacity() * sizeof(std::int32_t);
 }
 

@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/increment.h"
 #include "core/schedule.h"
 #include "core/solver.h"
 #include "graph/flow_network.h"
@@ -64,8 +65,6 @@ class IncrementalQuerySession {
   std::size_t retained_bytes() const;
 
  private:
-  void increment_min_cost();
-
   workload::SystemConfig system_;
   graph::FlowNetwork net_;
   graph::MaxflowWorkspace workspace_;
@@ -73,8 +72,8 @@ class IncrementalQuerySession {
   graph::Vertex source_ = 0;
   graph::Vertex sink_ = 1;
   std::vector<graph::ArcId> sink_arcs_;       // per disk
-  std::vector<std::int64_t> caps_;            // per disk
   std::vector<std::int32_t> in_degree_;       // per disk
+  CapacityIncrementer incrementer_;
   std::vector<std::vector<DiskId>> replicas_; // per bucket
   std::vector<graph::Vertex> bucket_vertex_;  // per bucket
   bool clean_ = true;  // no buckets added since last reoptimize

@@ -45,6 +45,7 @@ class RetrievalNetwork {
     return source_arcs_[bucket];
   }
   graph::ArcId sink_arc(DiskId disk) const { return sink_arcs_[disk]; }
+  std::span<const graph::ArcId> sink_arcs() const { return sink_arcs_; }
 
   std::int32_t in_degree(DiskId disk) const { return in_degree_[disk]; }
   std::span<const std::int32_t> in_degrees() const { return in_degree_; }

@@ -1,5 +1,7 @@
 #include "core/solve.h"
 
+#include <stdexcept>
+
 namespace repflow::core {
 
 namespace {
@@ -16,8 +18,15 @@ ExecutionContext& thread_execution_context() {
 
 SolveResult solve(const RetrievalProblem& problem, SolverKind kind,
                   int threads) {
+  if (threads < 1) {
+    throw std::invalid_argument("solve: threads < 1");
+  }
   ExecutionContext& context = thread_execution_context();
-  context.pool().set_threads(threads);
+  // Only the parallel kind reads the count; setting it for the sequential
+  // kinds would drop the pooled parallel engine on every alternation.
+  if (kind == SolverKind::kParallelPushRelabelBinary) {
+    context.pool().set_threads(threads);
+  }
   SolveResult result;
   context.solve_into(problem, kind, result);
   return result;

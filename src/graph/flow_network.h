@@ -68,6 +68,11 @@ class FlowNetwork {
   Cap flow(ArcId a) const { return flow_[a]; }
   Cap residual(ArcId a) const { return cap_[a] - flow_[a]; }
 
+  /// The per-arc flow array itself, for the parallel engine, which pushes
+  /// on it in place through std::atomic_ref.  Invalidated by topology
+  /// edits.
+  std::span<Cap> flows() { return flow_; }
+
   /// Replace the capacity of one directed arc (used by the retrieval
   /// algorithms to retune sink-edge capacities between max-flow runs).
   void set_capacity(ArcId a, Cap cap) { cap_[a] = cap; }
@@ -98,7 +103,7 @@ class FlowNetwork {
   /// out_arcs() rebuilds lazily, which mutates the (mutable) cache inside a
   /// const member — fine single-threaded, but a data race the moment a
   /// "read-only" network is shared across threads while still dirty (the
-  /// parallel engine's copy_in and any concurrent bench reader would race
+  /// parallel engine's workers and any concurrent bench reader would race
   /// on the first touch).  Builders (RetrievalNetwork::rebuild, generators)
   /// call this once at the end of an edit batch so the network they hand
   /// out is genuinely immutable-for-readers.

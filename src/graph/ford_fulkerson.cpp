@@ -27,8 +27,6 @@ FordFulkerson::FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
   rebind(source, sink);
 }
 
-FordFulkerson::~FordFulkerson() { publish_flow_stats(stats_); }
-
 void FordFulkerson::validate_endpoints() const {
   if (source_ < 0 || source_ >= net_.num_vertices() || sink_ < 0 ||
       sink_ >= net_.num_vertices() || source_ == sink_) {

@@ -25,9 +25,6 @@ class FordFulkerson {
   explicit FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
                          SearchOrder order = SearchOrder::kDfs,
                          MaxflowWorkspace* workspace = nullptr);
-  /// Publishes the accumulated FlowStats to the obs registry.
-  ~FordFulkerson();
-
   /// Re-target the engine after the network was rebuilt in place.  Keeps
   /// buffer capacity and the cumulative stats() total.
   void rebind(Vertex source, Vertex sink);

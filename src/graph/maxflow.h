@@ -53,10 +53,4 @@ struct MaxflowResult {
   FlowStats stats;
 };
 
-/// Fold a FlowStats total into the process-global obs registry (counters
-/// `graph.augmentations`, `graph.pushes`, ...).  Engines call this once per
-/// lifetime from their destructor so the hot paths stay atomic-free; the
-/// per-run FlowStats remains the caller-facing view of the same events.
-void publish_flow_stats(const FlowStats& stats);
-
 }  // namespace repflow::graph

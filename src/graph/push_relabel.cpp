@@ -21,8 +21,6 @@ PushRelabel::PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
   rebind(source, sink);
 }
 
-PushRelabel::~PushRelabel() { publish_flow_stats(stats_); }
-
 void PushRelabel::validate_endpoints() const {
   if (source_ < 0 || source_ >= net_.num_vertices() || sink_ < 0 ||
       sink_ >= net_.num_vertices() || source_ == sink_) {

@@ -43,9 +43,6 @@ class PushRelabel {
   PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
               PushRelabelOptions options = {},
               MaxflowWorkspace* workspace = nullptr);
-  /// Publishes the accumulated FlowStats to the obs registry.
-  ~PushRelabel();
-
   /// Re-target the engine after the network was rebuilt in place (same
   /// FlowNetwork object, possibly different topology).  Clears all engine
   /// state as if freshly constructed, but keeps buffer capacity and the

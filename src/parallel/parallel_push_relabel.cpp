@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,7 +12,7 @@
 // Memory-order audit of the lock-free engine (verified under
 // ThreadSanitizer by tests/analysis/stress_concurrent_solve.cpp):
 //
-//   * flow_/excess_/height_ on the discharge hot path use acquire loads and
+//   * flow/excess_/height_ on the discharge hot path use acquire loads and
 //     acq_rel RMWs: each fetch_add/fetch_sub both publishes the writer's
 //     preceding state (release half) and observes every earlier RMW on the
 //     same cell (acquire half), so the residual/excess a worker computes is
@@ -27,12 +28,16 @@
 //     the acquire spin-loads, so no worker resumes with pre-relabel
 //     heights.
 //
-//   * relaxed is confined to (a) single-threaded phases — copy_in/copy_out,
-//     exact_heights, and the resume() prologue/epilogue run while every
-//     worker is parked or joined, with the worker pool's mutex + condition
+//   * relaxed is confined to (a) single-threaded phases — exact_heights,
+//     the drain, and the resume() prologue/epilogue run while every worker
+//     is parked or joined, with the worker pool's mutex + condition
 //     variable handoff providing the happens-before into and out of the
 //     run — and (b) pure statistics (relabels_since_gr_), where a lost
 //     update only nudges the relabel cadence.
+//
+// Every atomic access goes through a std::atomic_ref temporary, never
+// stored, so between resumes no atomic_ref exists and the driver's plain flow
+// reads and writes are legal C++20.
 namespace repflow::parallel {
 
 using graph::ArcId;
@@ -45,13 +50,10 @@ namespace {
 // thread's private slot so the hot path stays write-contention free.
 thread_local int t_worker_index = 0;
 
-/// Grow-only replacement for a vector of atomics (not resizable in place);
-/// fresh slots are value-initialized to zero, and callers re-initialize the
-/// live prefix on every run anyway.
-template <typename T>
-void ensure_atomic_size(std::vector<std::atomic<T>>& v, std::size_t n) {
-  if (v.size() < n) v = std::vector<std::atomic<T>>(n);
-}
+static_assert(std::atomic_ref<Cap>::is_always_lock_free &&
+              std::atomic_ref<Cap>::required_alignment == alignof(Cap));
+static_assert(std::atomic_ref<std::int32_t>::is_always_lock_free);
+static_assert(std::atomic_ref<std::uint8_t>::is_always_lock_free);
 
 }  // namespace
 
@@ -93,12 +95,7 @@ ParallelPushRelabel::ParallelPushRelabel(graph::FlowNetwork& net,
     throw std::invalid_argument("ParallelPushRelabel: threads < 1");
   }
   counters_.resize(static_cast<std::size_t>(threads));
-  cumulative_.resize(static_cast<std::size_t>(threads));
   rebind(source, sink);
-}
-
-ParallelPushRelabel::~ParallelPushRelabel() {
-  graph::publish_flow_stats(stats_);
 }
 
 void ParallelPushRelabel::rebind(Vertex source, Vertex sink) {
@@ -108,27 +105,11 @@ void ParallelPushRelabel::rebind(Vertex source, Vertex sink) {
   }
   source_ = source;
   sink_ = sink;
+  net_.finalize_adjacency();
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  const auto m = static_cast<std::size_t>(net_.num_arcs());
-  adj_offset_.resize(n + 1);
-  adj_arcs_.clear();
-  adj_arcs_.reserve(m);
-  for (std::size_t v = 0; v < n; ++v) {
-    adj_offset_[v] = static_cast<std::int32_t>(adj_arcs_.size());
-    for (ArcId a : net_.out_arcs(static_cast<Vertex>(v))) {
-      adj_arcs_.push_back(a);
-    }
-  }
-  adj_offset_[n] = static_cast<std::int32_t>(adj_arcs_.size());
-  arc_head_.resize(m);
-  for (ArcId a = 0; a < static_cast<ArcId>(m); ++a) {
-    arc_head_[a] = net_.head(a);
-  }
-  cap_.resize(m);
-  ensure_atomic_size(flow_, m);
-  ensure_atomic_size(excess_, n);
-  ensure_atomic_size(height_, n);
-  ensure_atomic_size(queued_, n);
+  excess_.resize(n);
+  height_.resize(n);
+  queued_.resize(n);
   if (2 * n + 4 > queue_capacity_) {
     queue_capacity_ = 2 * n + 4;
     queue_ = std::make_unique<MpmcQueue<Vertex>>(queue_capacity_);
@@ -139,44 +120,18 @@ void ParallelPushRelabel::rebind(Vertex source, Vertex sink) {
   drain_walk_.reserve(n);
 }
 
-void ParallelPushRelabel::copy_in() {
-  const auto n = static_cast<std::size_t>(net_.num_vertices());
-  const auto m = static_cast<std::size_t>(net_.num_arcs());
-  // mo: relaxed — single-threaded prologue; the WorkerPool run() handoff
-  // publishes every store here to the workers (worker_pool.h contract).
-  for (std::size_t a = 0; a < m; ++a) {
-    cap_[a] = net_.capacity(static_cast<ArcId>(a));
-    flow_[a].store(net_.flow(static_cast<ArcId>(a)),
-                   std::memory_order_relaxed);
-  }
-  // Excess is implied by the conserved flows: inflow minus outflow.
-  // mo: relaxed — same prologue contract as the flow stores above.
-  for (std::size_t v = 0; v < n; ++v) {
-    excess_[v].store(-net_.net_out_flow(static_cast<Vertex>(v)),
-                     std::memory_order_relaxed);
-  }
-  excess_[source_].store(0, std::memory_order_relaxed);
-}
-
-void ParallelPushRelabel::copy_out() {
-  // mo: relaxed — single-threaded epilogue; run() returning gave this
-  // thread a happens-after edge from every worker write.
-  for (ArcId a = 0; a < net_.num_arcs(); a += 2) {
-    net_.set_pair_flow(a, flow_[a].load(std::memory_order_relaxed));
-  }
-}
-
 void ParallelPushRelabel::saturate_source_arcs() {
-  // mo: relaxed — single-threaded prologue phase (see copy_in note).
-  for (std::int32_t i = adj_offset_[source_]; i < adj_offset_[source_ + 1];
-       ++i) {
-    const ArcId a = adj_arcs_[i];
-    const Cap delta = cap_[a] - flow_[a].load(std::memory_order_relaxed);
+  const std::span<Cap> flow = net_.flows();
+  // mo: relaxed — single-threaded prologue phase (see the resume() note).
+  for (const ArcId a : net_.out_arcs(source_)) {
+    const Cap delta = net_.capacity(a) -
+                      std::atomic_ref(flow[a]).load(std::memory_order_relaxed);
     if (delta <= 0) continue;
-    // mo: relaxed — single-threaded prologue phase (see copy_in note).
-    flow_[a].fetch_add(delta, std::memory_order_relaxed);
-    flow_[a ^ 1].fetch_sub(delta, std::memory_order_relaxed);
-    excess_[arc_head_[a]].fetch_add(delta, std::memory_order_relaxed);
+    // mo: relaxed — single-threaded prologue phase (see the resume() note).
+    std::atomic_ref(flow[a]).fetch_add(delta, std::memory_order_relaxed);
+    std::atomic_ref(flow[a ^ 1]).fetch_sub(delta, std::memory_order_relaxed);
+    std::atomic_ref(excess_[net_.head(a)])
+        .fetch_add(delta, std::memory_order_relaxed);
   }
 }
 
@@ -186,10 +141,12 @@ void ParallelPushRelabel::reverse_bfs_heights() {
   std::vector<std::int32_t>& h = bfs_height_;
   std::fill(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(n), kUnset);
   std::vector<Vertex>& queue = bfs_queue_;
+  const std::span<Cap> flow = net_.flows();
   // mo: relaxed — global relabel runs between parallel phases (workers
   // parked), so the pool handoff already ordered every flow write.
   auto residual = [&](ArcId a) {
-    return cap_[a] - flow_[a].load(std::memory_order_relaxed);
+    return net_.capacity(a) -
+           std::atomic_ref(flow[a]).load(std::memory_order_relaxed);
   };
   auto backward_bfs = [&](Vertex root, std::int32_t base) {
     h[root] = base;
@@ -198,9 +155,8 @@ void ParallelPushRelabel::reverse_bfs_heights() {
     std::size_t qi = 0;
     while (qi < queue.size()) {
       const Vertex v = queue[qi++];
-      for (std::int32_t i = adj_offset_[v]; i < adj_offset_[v + 1]; ++i) {
-        const ArcId a = adj_arcs_[i];
-        const Vertex w = arc_head_[a];
+      for (const ArcId a : net_.out_arcs(v)) {
+        const Vertex w = net_.head(a);
         if (h[w] != kUnset || residual(a ^ 1) <= 0) continue;
         h[w] = h[v] + 1;
         queue.push_back(w);
@@ -222,6 +178,7 @@ void ParallelPushRelabel::drain_stranded_excess() {
   // parallel phase; the pool handoff ordered all worker writes, and the
   // per-site tags below inherit this note.
   const auto n = static_cast<std::size_t>(net_.num_vertices());
+  const std::span<Cap> flow = net_.flows();
   std::vector<std::int32_t>& visit_pos = drain_visit_pos_;
   std::fill(visit_pos.begin(),
             visit_pos.begin() + static_cast<std::ptrdiff_t>(n), -1);
@@ -229,16 +186,17 @@ void ParallelPushRelabel::drain_stranded_excess() {
   // of cur's out-slot b.
   auto inflow_arc = [&](Vertex cur) -> ArcId {
     // mo: relaxed — see the epilogue note at the top of this function.
-    for (std::int32_t i = adj_offset_[cur]; i < adj_offset_[cur + 1]; ++i) {
-      const ArcId b = adj_arcs_[i];
-      if (flow_[b ^ 1].load(std::memory_order_relaxed) > 0) return b ^ 1;
+    for (const ArcId b : net_.out_arcs(cur)) {
+      if (std::atomic_ref(flow[b ^ 1]).load(std::memory_order_relaxed) > 0) {
+        return b ^ 1;
+      }
     }
     return graph::kInvalidArc;
   };
   for (Vertex v = 0; v < net_.num_vertices(); ++v) {
     if (v == source_ || v == sink_) continue;
     // mo: relaxed — see the epilogue note at the top of this function.
-    while (excess_[v].load(std::memory_order_relaxed) > 0) {
+    while (std::atomic_ref(excess_[v]).load(std::memory_order_relaxed) > 0) {
       // Walk backward from v; walk[i] is the flow-carrying arc entering the
       // vertex at depth i.
       std::vector<ArcId>& walk = drain_walk_;
@@ -252,10 +210,10 @@ void ParallelPushRelabel::drain_stranded_excess() {
         if (in == graph::kInvalidArc) {
           // Impossible for a vertex with surplus inflow; guard anyway.
           // mo: relaxed — epilogue note at the top of this function.
-          excess_[v].store(0, std::memory_order_relaxed);
+          std::atomic_ref(excess_[v]).store(0, std::memory_order_relaxed);
           break;
         }
-        const Vertex prev = arc_head_[in ^ 1];  // tail of (prev -> cur)
+        const Vertex prev = net_.tail(in);  // tail of (prev -> cur)
         if (prev == source_) {
           walk.push_back(in);
           reached_source = true;
@@ -264,25 +222,31 @@ void ParallelPushRelabel::drain_stranded_excess() {
         if (visit_pos[prev] >= 0) {
           // Cancel the flow cycle prev -> ... -> cur -> prev.
           // mo: relaxed — epilogue note at the top of this function.
-          Cap cycle_min = flow_[in].load(std::memory_order_relaxed);
-          for (std::size_t k = static_cast<std::size_t>(visit_pos[prev]);
-               k < walk.size(); ++k) {
-            cycle_min = std::min(
-                cycle_min, flow_[walk[k]].load(std::memory_order_relaxed));
-          }
-          // mo: relaxed — epilogue note at the top of this function.
-          flow_[in].fetch_sub(cycle_min, std::memory_order_relaxed);
-          flow_[in ^ 1].fetch_add(cycle_min, std::memory_order_relaxed);
+          Cap cycle_min =
+              std::atomic_ref(flow[in]).load(std::memory_order_relaxed);
           for (std::size_t k = static_cast<std::size_t>(visit_pos[prev]);
                k < walk.size(); ++k) {
             // mo: relaxed — epilogue note at the top of this function.
-            flow_[walk[k]].fetch_sub(cycle_min, std::memory_order_relaxed);
-            flow_[walk[k] ^ 1].fetch_add(cycle_min,
-                                         std::memory_order_relaxed);
+            const Cap f =
+                std::atomic_ref(flow[walk[k]]).load(std::memory_order_relaxed);
+            cycle_min = std::min(cycle_min, f);
+          }
+          // mo: relaxed — epilogue note at the top of this function.
+          std::atomic_ref(flow[in]).fetch_sub(cycle_min,
+                                              std::memory_order_relaxed);
+          std::atomic_ref(flow[in ^ 1]).fetch_add(cycle_min,
+                                                  std::memory_order_relaxed);
+          for (std::size_t k = static_cast<std::size_t>(visit_pos[prev]);
+               k < walk.size(); ++k) {
+            // mo: relaxed — epilogue note at the top of this function.
+            std::atomic_ref(flow[walk[k]]).fetch_sub(cycle_min,
+                                          std::memory_order_relaxed);
+            std::atomic_ref(flow[walk[k] ^ 1]).fetch_add(cycle_min,
+                                              std::memory_order_relaxed);
           }
           // Rewind the walk to prev, unmarking the tails of popped arcs.
           while (walk.size() > static_cast<std::size_t>(visit_pos[prev])) {
-            visit_pos[arc_head_[walk.back() ^ 1]] = -1;
+            visit_pos[net_.tail(walk.back())] = -1;
             walk.pop_back();
           }
           // visit_pos bookkeeping: prev keeps its position; resume there.
@@ -295,16 +259,19 @@ void ParallelPushRelabel::drain_stranded_excess() {
       }
       if (!reached_source) continue;
       // mo: relaxed — epilogue note at the top of this function.
-      Cap delta = excess_[v].load(std::memory_order_relaxed);
+      Cap delta = std::atomic_ref(excess_[v]).load(std::memory_order_relaxed);
       for (ArcId a : walk) {
-        delta = std::min(delta, flow_[a].load(std::memory_order_relaxed));
+        delta = std::min(
+            delta, std::atomic_ref(flow[a]).load(std::memory_order_relaxed));
       }
       // mo: relaxed — epilogue note at the top of this function.
       for (ArcId a : walk) {
-        flow_[a].fetch_sub(delta, std::memory_order_relaxed);
-        flow_[a ^ 1].fetch_add(delta, std::memory_order_relaxed);
+        std::atomic_ref(flow[a]).fetch_sub(delta, std::memory_order_relaxed);
+        std::atomic_ref(flow[a ^ 1])
+            .fetch_add(delta, std::memory_order_relaxed);
       }
-      excess_[v].fetch_sub(delta, std::memory_order_relaxed);
+      // mo: relaxed — epilogue note at the top of this function.
+      std::atomic_ref(excess_[v]).fetch_sub(delta, std::memory_order_relaxed);
     }
   }
 }
@@ -318,7 +285,8 @@ void ParallelPushRelabel::exact_heights() {
   // mo: relaxed — single-threaded (workers parked); the gr_state_ release
   // or the pool handoff publishes the fresh heights to the workers.
   for (std::size_t v = 0; v < n; ++v) {
-    height_[v].store(bfs_height_[v], std::memory_order_relaxed);
+    std::atomic_ref(height_[v])
+        .store(bfs_height_[v], std::memory_order_relaxed);
   }
 }
 
@@ -327,7 +295,7 @@ void ParallelPushRelabel::enqueue(Vertex v) {
   // mo: acq_rel — the winning exchange must see the prior owner's release
   // clear (and its preceding drains); the count RMW pairs with the
   // termination check's acquire load so active work is never undercounted.
-  if (!queued_[v].exchange(true, std::memory_order_acq_rel)) {
+  if (std::atomic_ref(queued_[v]).exchange(1, std::memory_order_acq_rel) == 0) {
     active_count_.fetch_add(1, std::memory_order_acq_rel);
     while (!queue_->try_push(v)) {
       // The queue is sized so this cannot stay full; spin defensively.
@@ -337,7 +305,7 @@ void ParallelPushRelabel::enqueue(Vertex v) {
 }
 
 void ParallelPushRelabel::seed_queue() {
-  // mo: relaxed — single-threaded prologue (see the copy_in note); the
+  // mo: relaxed — single-threaded prologue (see the resume() note); the
   // pool handoff publishes all of this.
   active_count_.store(0, std::memory_order_relaxed);
   Vertex drained;
@@ -347,8 +315,8 @@ void ParallelPushRelabel::seed_queue() {
   for (Vertex v = 0; v < net_.num_vertices(); ++v) {
     if (v == source_ || v == sink_) continue;
     // mo: relaxed — same single-threaded prologue as above.
-    if (excess_[v].load(std::memory_order_relaxed) > 0 &&
-        height_[v].load(std::memory_order_relaxed) < n) {
+    if (std::atomic_ref(excess_[v]).load(std::memory_order_relaxed) > 0 &&
+        std::atomic_ref(height_[v]).load(std::memory_order_relaxed) < n) {
       enqueue(v);
     }
   }
@@ -358,9 +326,10 @@ void ParallelPushRelabel::discharge(Vertex v) {
   ThreadCounters& counters =
       counters_[static_cast<std::size_t>(t_worker_index)];
   const auto n = static_cast<std::int32_t>(net_.num_vertices());
+  const std::span<Cap> flow = net_.flows();
   // mo: acquire — pairs with peers' acq_rel excess RMWs so a newly pushed
   // delta (and the flow writes before it) is visible before we discharge.
-  while (excess_[v].load(std::memory_order_acquire) > 0) {
+  while (std::atomic_ref(excess_[v]).load(std::memory_order_acquire) > 0) {
     // Yield to a pending global relabel at a safe boundary (never
     // mid-push); the worker loop re-arms this vertex.
     // mo: relaxed — advisory peek; maybe_global_relabel() re-checks with
@@ -373,18 +342,23 @@ void ParallelPushRelabel::discharge(Vertex v) {
     // naive excess return (phase-two of classic push-relabel).
     // mo: acquire — pairs with relabel's release store; the parked-vertex
     // decision must see the latest height.
-    if (height_[v].load(std::memory_order_acquire) >= n) return;
+    if (std::atomic_ref(height_[v]).load(std::memory_order_acquire) >= n) {
+      return;
+    }
     // Find the lowest residual neighbor (Hong & He's v-bar).
     std::int32_t min_height = std::numeric_limits<std::int32_t>::max();
     ArcId best = graph::kInvalidArc;
-    for (std::int32_t i = adj_offset_[v]; i < adj_offset_[v + 1]; ++i) {
-      const ArcId a = adj_arcs_[i];
+    for (const ArcId a : net_.out_arcs(v)) {
       // mo: acquire — residual and neighbor height must be no older than
       // the last release that touched them (Hong & He's validity argument
       // tolerates stale-but-ordered reads; see the lemma note below).
-      if (cap_[a] - flow_[a].load(std::memory_order_acquire) <= 0) continue;
-      const std::int32_t hw =
-          height_[arc_head_[a]].load(std::memory_order_acquire);
+      const Cap residual =
+          net_.capacity(a) -
+          std::atomic_ref(flow[a]).load(std::memory_order_acquire);
+      if (residual <= 0) continue;
+      // mo: acquire — see the residual note above.
+      const std::int32_t hw = std::atomic_ref(height_[net_.head(a)])
+                                  .load(std::memory_order_acquire);
       if (hw < min_height) {
         min_height = hw;
         best = a;
@@ -394,33 +368,38 @@ void ParallelPushRelabel::discharge(Vertex v) {
       return;  // no residual arc: cannot be active (defensive)
     }
     // mo: acquire — own height may have been rewritten by a global relabel.
-    const std::int32_t hv = height_[v].load(std::memory_order_acquire);
+    const std::int32_t hv =
+        std::atomic_ref(height_[v]).load(std::memory_order_acquire);
     if (hv > min_height) {
       // Push.  Only this thread decreases excess(v) and residual(best), so
       // the stale reads can only underestimate the budget.
       // mo: acquire — see the lemma note; underestimates are safe, and the
       // RMWs below are acq_rel so each push is a full synchronization
       // point on the cells it touches.
-      const Cap e = excess_[v].load(std::memory_order_acquire);
-      const Cap r = cap_[best] - flow_[best].load(std::memory_order_acquire);
+      const Cap e = std::atomic_ref(excess_[v]).load(std::memory_order_acquire);
+      const Cap r = net_.capacity(best) -
+                    std::atomic_ref(flow[best]).load(std::memory_order_acquire);
       const Cap delta = std::min(e, r);
       if (delta <= 0) continue;  // neighbor refunded concurrently; rescan
       // mo: acq_rel — the push must release our prior writes to the
       // receiving vertex (whose discharge acquires excess) and acquire the
       // neighbor's prior pushes before compounding on them.
-      excess_[v].fetch_sub(delta, std::memory_order_acq_rel);
-      flow_[best].fetch_add(delta, std::memory_order_acq_rel);
-      flow_[best ^ 1].fetch_sub(delta, std::memory_order_acq_rel);
-      const Vertex w = arc_head_[best];
+      std::atomic_ref(excess_[v]).fetch_sub(delta, std::memory_order_acq_rel);
+      std::atomic_ref(flow[best]).fetch_add(delta, std::memory_order_acq_rel);
       // mo: acq_rel — see the push note above.
-      excess_[w].fetch_add(delta, std::memory_order_acq_rel);
+      std::atomic_ref(flow[best ^ 1])
+          .fetch_sub(delta, std::memory_order_acq_rel);
+      const Vertex w = net_.head(best);
+      // mo: acq_rel — see the push note above.
+      std::atomic_ref(excess_[w]).fetch_add(delta, std::memory_order_acq_rel);
       enqueue(w);
       ++counters.pushes;
     } else {
       // Relabel to one above the lowest residual neighbor.
       // mo: release — publishes the new height to the acquire loads in
       // peers' neighbor scans and parked-vertex checks.
-      height_[v].store(min_height + 1, std::memory_order_release);
+      std::atomic_ref(height_[v])
+          .store(min_height + 1, std::memory_order_release);
       ++counters.relabels;
       // mo: relaxed — heuristic trigger counter; the coordinator only
       // compares it against a threshold.
@@ -487,14 +466,14 @@ void ParallelPushRelabel::worker() {
       discharge(v);
       // mo: release — hands the vertex off; the next enqueue's acq_rel
       // exchange must see every write from this drain.
-      queued_[v].store(false, std::memory_order_release);
+      std::atomic_ref(queued_[v]).store(0, std::memory_order_release);
       // Re-arm if excess arrived between the last drain and the flag clear.
       // Vertices parked at height >= n stay parked: their excess is
       // provably sink-unreachable and is returned by the drain phase.
       // mo: acquire — must observe a peer's push that landed after our
       // last excess check, else the vertex would strand with excess.
-      if (excess_[v].load(std::memory_order_acquire) > 0 &&
-          height_[v].load(std::memory_order_acquire) < n) {
+      if (std::atomic_ref(excess_[v]).load(std::memory_order_acquire) > 0 &&
+          std::atomic_ref(height_[v]).load(std::memory_order_acquire) < n) {
         enqueue(v);
       }
       // mo: acq_rel — pairs with the termination check's acquire load.
@@ -517,13 +496,17 @@ void ParallelPushRelabel::worker() {
 }
 
 Cap ParallelPushRelabel::resume() {
-  copy_in();
   const auto n = static_cast<std::size_t>(net_.num_vertices());
+  // Excess is implied by the conserved flows: inflow minus outflow.
   // mo: relaxed — single-threaded prologue; the pool_.run() handoff below
   // publishes every store in this block to the workers.
   for (std::size_t v = 0; v < n; ++v) {
-    queued_[v].store(false, std::memory_order_relaxed);
+    const Cap excess = -net_.net_out_flow(static_cast<Vertex>(v));
+    std::atomic_ref(excess_[v]).store(excess, std::memory_order_relaxed);
+    std::atomic_ref(queued_[v]).store(0, std::memory_order_relaxed);
   }
+  // mo: relaxed — same prologue contract as the loop above.
+  std::atomic_ref(excess_[source_]).store(0, std::memory_order_relaxed);
   saturate_source_arcs();
   exact_heights();
   seed_queue();
@@ -555,10 +538,6 @@ Cap ParallelPushRelabel::resume() {
     const ThreadCounters& c = counters_[t];
     stats_.pushes += c.pushes;
     stats_.relabels += c.relabels;
-    cumulative_[t].pushes += c.pushes;
-    cumulative_[t].relabels += c.relabels;
-    cumulative_[t].discharges += c.discharges;
-    cumulative_[t].queue_yields += c.queue_yields;
     registry_.pushes.add(c.pushes);
     registry_.relabels.add(c.relabels);
     registry_.discharges.add(c.discharges);
@@ -573,14 +552,13 @@ Cap ParallelPushRelabel::resume() {
   registry_.contention.set(static_cast<double>(run_yields));
   std::fill(counters_.begin(), counters_.end(), ThreadCounters{});
 
-  copy_out();
   // mo: relaxed — single-threaded epilogue (workers joined by run()).
-  const Cap value = excess_[sink_].load(std::memory_order_relaxed);
-  // Post-solve seam (single-threaded epilogue; all workers joined above, so
-  // the relaxed loads in copy_out observed final values via the pool's
-  // mutex/cv handoff): flows copied back to the shared network must be a
-  // conserved flow whose sink inflow matches the engine's own excess
-  // accounting.
+  const Cap value =
+      std::atomic_ref(excess_[sink_]).load(std::memory_order_relaxed);
+  // Post-solve seam (single-threaded epilogue; all workers joined above,
+  // and the pool's mutex/cv handoff orders their pushes before these plain
+  // reads): the network's flows must be conserved, and the sink inflow
+  // must match the engine's own excess accounting.
   REPFLOW_CHECK_FLOW(net_, source_, sink_, "parallel_pr.post_resume");
 #if REPFLOW_INVARIANTS_ENABLED
   if (net_.flow_into(sink_) != value) {
@@ -600,14 +578,9 @@ void ParallelPushRelabel::reset_excess_after_restore(Cap /*sink_excess*/) {
 }
 
 std::size_t ParallelPushRelabel::retained_bytes() const {
-  return adj_offset_.capacity() * sizeof(std::int32_t) +
-         adj_arcs_.capacity() * sizeof(ArcId) +
-         arc_head_.capacity() * sizeof(Vertex) +
-         cap_.capacity() * sizeof(Cap) +
-         flow_.size() * sizeof(std::atomic<Cap>) +
-         excess_.size() * sizeof(std::atomic<Cap>) +
-         height_.size() * sizeof(std::atomic<std::int32_t>) +
-         queued_.size() * sizeof(std::atomic<bool>) +
+  return excess_.capacity() * sizeof(Cap) +
+         height_.capacity() * sizeof(std::int32_t) +
+         queued_.capacity() * sizeof(std::uint8_t) +
          bfs_height_.capacity() * sizeof(std::int32_t) +
          bfs_queue_.capacity() * sizeof(Vertex) +
          drain_visit_pos_.capacity() * sizeof(std::int32_t) +

@@ -17,14 +17,18 @@
 // place of the sequential PushRelabel (Section V changes only line 29):
 // resume() conserves the flows already on the FlowNetwork, saturates
 // residual source arcs, recomputes exact heights, and runs the
-// multithreaded loop; flows are copied back on completion.
+// multithreaded loop.
 //
-// All shared arrays are grow-only: std::atomic is neither copyable nor
-// movable, so a vector of atomics cannot resize in place — rebind()
-// replaces them only when the network outgrows the retained capacity, and
-// every loop bounds itself by the live network sizes, not the array sizes.
-// Rebinding to a same-footprint problem therefore performs zero heap
-// allocations and the worker pool persists across queries.
+// No copy of the network: the workers read the FlowNetwork's CSR
+// adjacency, heads and capacities directly and push on its own per-arc
+// flow array.  The flow array and the engine's per-vertex arrays (excess,
+// height, queued flag) are plain vectors that every access reaches through
+// a std::atomic_ref temporary; none is ever stored, because C++20 allows
+// the driver's plain reads and writes between resumes (save, restore,
+// capacity changes) only while no atomic_ref to the cell exists.  The
+// worker pool's handoff orders those plain accesses against the workers.
+// Rebinding to a same-footprint problem performs zero heap allocations
+// and the worker pool persists across queries.
 #pragma once
 
 #include <atomic>
@@ -42,27 +46,15 @@ namespace repflow::parallel {
 
 class ParallelPushRelabel final : public core::IntegratedEngine {
  public:
-  /// Per-worker operation counters (each slot written by one thread only).
-  /// `queue_yields` counts scheduler yields while the work queue was empty
-  /// but other threads still held active vertices — the engine's contention
-  /// signal.
-  struct ThreadCounters {
-    std::uint64_t pushes = 0;
-    std::uint64_t relabels = 0;
-    std::uint64_t discharges = 0;
-    std::uint64_t queue_yields = 0;
-  };
-
   ParallelPushRelabel(graph::FlowNetwork& net, graph::Vertex source,
                       graph::Vertex sink, int threads);
-  /// Folds the engine's cumulative FlowStats into the obs registry.
-  ~ParallelPushRelabel() override;
 
   ParallelPushRelabel(const ParallelPushRelabel&) = delete;
   ParallelPushRelabel& operator=(const ParallelPushRelabel&) = delete;
 
-  /// Re-validate the endpoints and recapture the network topology in
-  /// place (CSR arrays, capacities, atomic flow/excess/height arrays).
+  /// Re-validate the endpoints, finalize the network's CSR adjacency (so
+  /// no worker can trigger its lazy rebuild) and size the per-vertex
+  /// arrays in place.
   void rebind(graph::Vertex source, graph::Vertex sink) override;
 
   /// Retained working-memory footprint across all reusable buffers.
@@ -78,21 +70,18 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   void reset_excess_after_restore(graph::Cap sink_excess) override;
 
   const graph::FlowStats& stats() const override { return stats_; }
-  int threads() const { return threads_; }
-
-  /// Cumulative per-thread counters over every resume() so far (index =
-  /// worker thread; single-threaded runs use slot 0).
-  const std::vector<ThreadCounters>& per_thread_counters() const {
-    return cumulative_;
-  }
 
  private:
-  /// Load capacities, flows, and the implied excess (inflow minus outflow)
-  /// from the network.  Single-threaded prologue; relaxed stores.
-  void copy_in();
-
-  /// Write the engine's flows back onto the network, pairwise.
-  void copy_out();
+  /// Per-worker operation counters (each slot written by one thread only).
+  /// `queue_yields` counts scheduler yields while the work queue was empty
+  /// but other threads still held active vertices — the engine's contention
+  /// signal.
+  struct ThreadCounters {
+    std::uint64_t pushes = 0;
+    std::uint64_t relabels = 0;
+    std::uint64_t discharges = 0;
+    std::uint64_t queue_yields = 0;
+  };
 
   /// Saturate every residual source arc, crediting the heads' excess
   /// (Algorithm 5 lines 4-10).  Single-threaded prologue.
@@ -132,17 +121,11 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   int threads_;
   graph::FlowStats stats_;
 
-  // Flattened topology (CSR) captured at construction / rebind().
-  std::vector<std::int32_t> adj_offset_;
-  std::vector<graph::ArcId> adj_arcs_;
-  std::vector<graph::Vertex> arc_head_;
-
-  // Shared mutable state (see header comment for the grow-only contract).
-  std::vector<graph::Cap> cap_;
-  std::vector<std::atomic<graph::Cap>> flow_;
-  std::vector<std::atomic<graph::Cap>> excess_;
-  std::vector<std::atomic<std::int32_t>> height_;
-  std::vector<std::atomic<bool>> queued_;
+  // Shared per-vertex state, reached only through std::atomic_ref (see
+  // the header comment); the flow array is the network's own.
+  std::vector<graph::Cap> excess_;
+  std::vector<std::int32_t> height_;
+  std::vector<std::uint8_t> queued_;
   std::unique_ptr<MpmcQueue<graph::Vertex>> queue_;
   std::size_t queue_capacity_ = 0;
   std::atomic<std::int64_t> active_count_{0};
@@ -161,10 +144,9 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   std::atomic<std::uint64_t> relabels_since_gr_{0};
   std::uint64_t gr_threshold_ = 0;
 
-  // Per-run operation counters folded into stats_, cumulative_, and the
-  // obs registry after each run.
+  // Per-run operation counters folded into stats_ and the obs registry
+  // after each run.
   std::vector<ThreadCounters> counters_;
-  std::vector<ThreadCounters> cumulative_;
 
   // Registry handles resolved once at construction (lookup is mutex-guarded;
   // the fold in resume() must not be).

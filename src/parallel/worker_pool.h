@@ -1,4 +1,5 @@
-// Persistent worker pool of the parallel max-flow engine.
+// Persistent worker pool of the parallel max-flow engine and of
+// core::BatchSolver.
 //
 // A spawn-once / run-many protocol: `threads` OS threads are created at
 // construction and parked on a condition variable; run(job) publishes the

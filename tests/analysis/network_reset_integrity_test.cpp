@@ -133,7 +133,7 @@ TEST(NetworkReset, RetrievalNetworkRebuildFinalizesAdjacency) {
 
   core::RetrievalNetwork network(small);
   // The builder seam must hand out a finalized network: concurrent readers
-  // (parallel engine copy_in, stream workers) never trigger the lazy
+  // (parallel engine workers, stream workers) never trigger the lazy
   // rebuild through a const reference.
   EXPECT_FALSE(network.net().adjacency_dirty());
   expect_csr_clean(network.net(), "first build");

@@ -311,6 +311,22 @@ TEST(IncrementalSession, ApiGuards) {
   EXPECT_THROW(session.schedule(), std::logic_error);  // dirty
   EXPECT_NEAR(session.reoptimize(), 1.0, kTimeEps);
   EXPECT_NO_THROW(session.schedule());
+
+  // The rejected buckets left no trace: the session keeps matching a fresh
+  // one bit for bit as the query grows.
+  core::IncrementalQuerySession fresh(sys);
+  fresh.add_bucket({0, 1});
+  EXPECT_EQ(session.reoptimize(), fresh.reoptimize());
+  for (const std::vector<core::DiskId>& replicas :
+       {std::vector<core::DiskId>{0}, {0, 1}, {1}, {0}, {0, 1}}) {
+    session.add_bucket(replicas);
+    fresh.add_bucket(replicas);
+    EXPECT_EQ(session.reoptimize(), fresh.reoptimize());
+    EXPECT_EQ(session.schedule().assigned_disk,
+              fresh.schedule().assigned_disk);
+    EXPECT_EQ(session.capacity_steps(), fresh.capacity_steps());
+  }
+  EXPECT_GT(session.capacity_steps(), 0);
   session.reset();
   EXPECT_EQ(session.num_buckets(), 0);
   EXPECT_NEAR(session.reoptimize(), 0.0, kTimeEps);  // empty query

@@ -1,7 +1,8 @@
 // Tests for the serving layer: ExecutionPolicy / ExecutionContext (the
-// default and pinned kinds, facade parity), the admission-controlled
-// QueryRouter (shed / coalesce semantics and merged-load exactness), batched
-// capacity stepping, and BatchSolver error-path hardening.
+// default and pinned kinds, facade parity, live engine-work counters), the
+// admission-controlled QueryRouter (shed / coalesce semantics and
+// merged-load exactness), batched capacity stepping, and BatchSolver
+// error-path hardening.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,11 +10,13 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/batch.h"
 #include "core/execution.h"
+#include "core/incremental_session.h"
 #include "core/router.h"
 #include "core/solve.h"
 #include "core/stream.h"
@@ -164,14 +167,77 @@ INSTANTIATE_TEST_SUITE_P(Catalog, InvalidInput,
                          });
 
 TEST(ExecutionContext, OpenSessionMatchesOneShotSolve) {
-  ExecutionContext context;
   const RetrievalProblem p = sparse_problem();
-  auto session = context.open_session(p.system);
+  IncrementalQuerySession session(p.system);
   for (const auto& replicas : p.replicas) session.add_bucket(replicas);
   const double incremental = session.reoptimize();
   EXPECT_EQ(incremental,
             solve(p, SolverKind::kPushRelabelBinary).response_time_ms);
 }
+
+#if !defined(REPFLOW_OBS_DISABLED)
+std::uint64_t counter_in_snapshot(const char* name) {
+  const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
+  const auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? 0 : it->second;
+}
+
+TEST(ExecutionContext, LiveSnapshotSeesEngineWork) {
+  // graph.* is folded once per solve, so a scrape taken while the context
+  // and its pooled engines are alive already holds every operation.
+  const char* const names[] = {"graph.augmentations", "graph.pushes",
+                               "graph.relabels",      "graph.global_relabels",
+                               "graph.gap_jumps",     "graph.dfs_visits"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(counter_in_snapshot(name));
+  ExecutionContext context(
+      ExecutionPolicy::pinned(SolverKind::kPushRelabelBinary));
+  graph::FlowStats total;
+  Rng rng(31);
+  for (int i = 0; i < 6; ++i) {
+    RetrievalProblem p;
+    p.system = uniform_system(8, 1.0);
+    for (std::size_t d = 0; d < 8; ++d) {
+      p.system.cost_ms[d] = 1.0 + static_cast<double>(rng.below(5));
+    }
+    for (int b = 0; b < 40; ++b) {
+      const auto picks = rng.sample_without_replacement(8, 2);
+      p.replicas.push_back({picks.begin(), picks.end()});
+    }
+    p.validate();
+    SolveResult result;
+    context.solve_into(p, result);
+    total += result.flow_stats;
+    context.solve_into(p, SolverKind::kIntegratedMatching, result);
+    total += result.flow_stats;
+  }
+  ASSERT_GT(total.pushes, 0u);
+  ASSERT_GT(total.augmentations, 0u);
+  const std::uint64_t expected[] = {total.augmentations,  total.pushes,
+                                    total.relabels,       total.global_relabels,
+                                    total.gap_jumps,      total.dfs_visits};
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(counter_in_snapshot(names[i]) - before[i], expected[i])
+        << names[i];
+  }
+}
+
+TEST(SolveFacade, SequentialKindsKeepThePooledParallelEngine) {
+  // The thread count only configures the parallel kind: alternating it
+  // with a sequential kind must not tear down and rebuild the pooled
+  // Hong & He engine (and its worker threads) on every call.
+  const RetrievalProblem p = sparse_problem();
+  const std::uint64_t before = counter_in_snapshot("workspace.rebuilds");
+  std::thread([&p] {  // a fresh thread_local facade context
+    for (int i = 0; i < 5; ++i) {
+      solve(p, SolverKind::kPushRelabelBinary, 1);
+      solve(p, SolverKind::kParallelPushRelabelBinary, 2);
+    }
+  }).join();
+  // One shell per kind.
+  EXPECT_EQ(counter_in_snapshot("workspace.rebuilds") - before, 2u);
+}
+#endif
 
 TEST(CapacityIncrementer, TieHeavyInstancesStayExact) {
   // Uniform systems make every capacity step a full tie: all disks admit

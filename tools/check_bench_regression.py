@@ -16,7 +16,8 @@ Inputs:
   * a metrics sidecar JSON (``--parallel-metrics``) from
     ``fig10_parallel_speedup --metrics-json=...``, which must show the
     Section V Hong & He engine actually ran (``parallel.resumes`` and
-    ``parallel.pushes`` counters > 0).
+    ``parallel.pushes`` counters > 0) on pooled shells
+    (``workspace.rebuilds`` <= 2: one sequential, one parallel).
 
 CI runners are noisy shared machines, so the timing comparison is
 deliberately generous: a benchmark only fails when it is more than
@@ -124,7 +125,9 @@ def check_router_metrics(baseline: dict, metrics_path: str):
 
 
 def check_parallel_metrics(metrics_path: str):
-    """The fig10 run must have exercised the Hong & He engine."""
+    """The fig10 run must have exercised the Hong & He engine, and its
+    alternating sequential and parallel solves must have kept one pooled
+    shell each instead of rebuilding the engine per query."""
     counters = load_json(metrics_path).get("counters", {})
     failures = []
     for name in ("parallel.resumes", "parallel.pushes"):
@@ -134,6 +137,12 @@ def check_parallel_metrics(metrics_path: str):
             failures.append(
                 f"{name} counter is {value} in {metrics_path}: the Hong & He "
                 f"engine never ran")
+    rebuilds = counters.get("workspace.rebuilds", 0)
+    print(f"workspace.rebuilds = {rebuilds}")
+    if rebuilds > 2:
+        failures.append(
+            f"workspace.rebuilds is {rebuilds} > 2 in {metrics_path}: solver "
+            f"shells were rebuilt between queries")
     return failures
 
 
