@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the Ford-Fulkerson and push-relabel
-// engines on bipartite and layered synthetic networks.  Not a paper
-// artifact; quantifies the engine building blocks behind Figures 5-9 and
-// the heuristic ablations.
+// engines on bipartite and layered synthetic networks, and of the worker
+// pool's handoff.  Not a paper artifact; quantifies the engine building
+// blocks behind Figures 5-10 and the heuristic ablations.
 //
 // The *_Reused and *_Pooled variants measure the zero-allocation solve path:
 // a persistent engine (or SolverPool shell) is rebound/reused across
@@ -9,12 +9,15 @@
 // no heap.  Compare them against their fresh-construction twins.
 #include <benchmark/benchmark.h>
 
+#include <functional>
+
 #include "core/problem.h"
 #include "core/solver.h"
 #include "core/solver_pool.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "graph/push_relabel.h"
+#include "parallel/worker_pool.h"
 #include "support/rng.h"
 
 namespace {
@@ -182,6 +185,15 @@ void BM_SolverPooled_FordFulkersonIncremental(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverPooled_FordFulkersonIncremental)->Arg(100)->Arg(400);
+
+// Back-to-back WorkerPool::run() of an empty job at `threads`: the handoff
+// every Hong & He phase and every BatchSolver batch pays on top of its work.
+void BM_WorkerPool_EmptyRun(benchmark::State& state) {
+  parallel::WorkerPool pool(static_cast<int>(state.range(0)));
+  const std::function<void(int)> job = [](int) {};
+  for (auto _ : state) pool.run(job);
+}
+BENCHMARK(BM_WorkerPool_EmptyRun)->Arg(1)->Arg(2)->Arg(3)->UseRealTime();
 
 }  // namespace
 

@@ -15,11 +15,13 @@
 // every binary-scaling driver return the oracle's optimum bit for bit, and
 // the binary-scaling drivers do so within ceil(log2 n) + 1 resumes for the
 // n candidates in their tight window and without capacity steps.  Every
-// input also checks tmin <= |Q|-th smallest completion <= T* <= greedy T
-// <= tmax, with tmin and tmax from the paper's Algorithm 6 formulas, and
-// the driver's seed: one call before the first snapshot, carrying the
-// greedy schedule trimmed to the lower bound's capacities, recomputed here
-// from its definition.
+// input also checks tmin <= L <= T* <= greedy T <= tmax, where L is the
+// larger of the |Q|-th smallest completion and the bucket bound (each
+// bucket's least first completion, maximized over buckets; it is checked
+// against T* on its own too), with tmin and tmax from the paper's
+// Algorithm 6 formulas, and the driver's seed: one call before the first
+// snapshot, carrying the greedy schedule trimmed to caps(L), recomputed
+// here from its definition.
 //
 // Any disagreement in optimal response time, any invariant violation
 // (flow conservation, schedule feasibility, recomputed response time), or
@@ -139,12 +141,15 @@ void check_result(const RetrievalProblem& problem, const SolveResult& result,
 }
 
 /// The binary-scaling drivers' search window, from its definition: the
-/// |Q|-th smallest completion D_j + X_j + k*C_j (k <= min(in-degree_j,
-/// |Q|)), the T of the greedy schedule that sends each bucket, in query
-/// order, to the replica with the least next completion (the first listed
-/// on a tie), and the number of completions in between, both included.
+/// larger of the |Q|-th smallest completion D_j + X_j + k*C_j (k <=
+/// min(in-degree_j, |Q|)) and the bucket bound (the largest over buckets of
+/// the least D_j + X_j + C_j among its replicas), the T of the greedy
+/// schedule that sends each bucket, in query order, to the replica with the
+/// least next completion (the first listed on a tie), and the number of
+/// completions in between, both included.
 struct TightWindow {
   double lower = 0.0;
+  double bucket_bound = 0.0;
   double upper = 0.0;
   std::int64_t candidates = 0;
   std::vector<std::int32_t> greedy;  // the greedy's disk per bucket
@@ -165,19 +170,23 @@ TightWindow tight_window(const RetrievalProblem& problem) {
   std::vector<std::int64_t> load(
       static_cast<std::size_t>(problem.total_disks()), 0);
   TightWindow window;
-  window.lower = completions[static_cast<std::size_t>(q - 1)];
   for (const auto& replica_set : problem.replicas) {
     repflow::core::DiskId pick = replica_set.front();
+    double least = problem.completion_time(pick, 1);
     for (const repflow::core::DiskId d : replica_set) {
       if (problem.completion_time(d, load[d] + 1) <
           problem.completion_time(pick, load[pick] + 1)) {
         pick = d;
       }
+      least = std::min(least, problem.completion_time(d, 1));
     }
+    window.bucket_bound = std::max(window.bucket_bound, least);
     window.upper =
         std::max(window.upper, problem.completion_time(pick, ++load[pick]));
     window.greedy.push_back(pick);
   }
+  window.lower = std::max(completions[static_cast<std::size_t>(q - 1)],
+                          window.bucket_bound);
   for (const double t : completions) {
     if (t >= window.lower && t <= window.upper) ++window.candidates;
   }
@@ -289,9 +298,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   // The binary-scaling drivers search the exact candidate set: the optimum
   // is bit-identical to the oracle's, within the probe bound of the tight
-  // window [|Q|-th smallest completion, greedy T], which itself lies inside
-  // the paper's [tmin, tmax].  Both windows are recomputed here from their
-  // definitions.
+  // window [L, greedy T], which itself lies inside the paper's [tmin, tmax].
+  // Both windows are recomputed here from their definitions.
   std::int64_t probe_bound = 0;
   if (problem.query_size() > 0) {
     const TightWindow window = tight_window(problem);
@@ -305,12 +313,15 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       tmin = std::min(tmin, fixed + (q / n) * problem.system.cost_ms[d]);
       tmax = std::max(tmax, fixed + q * problem.system.cost_ms[d]);
     }
-    if (!(tmin <= window.lower && window.lower <= expected &&
-          expected <= window.upper && window.upper <= tmax)) {
-      char buf[192];
+    if (!(tmin <= window.lower && window.bucket_bound <= expected &&
+          window.lower <= expected && expected <= window.upper &&
+          window.upper <= tmax)) {
+      char buf[240];
       std::snprintf(buf, sizeof buf,
-                    "tmin=%.17g lower=%.17g T*=%.17g greedy=%.17g tmax=%.17g",
-                    tmin, window.lower, expected, window.upper, tmax);
+                    "tmin=%.17g lower=%.17g bucket=%.17g T*=%.17g "
+                    "greedy=%.17g tmax=%.17g",
+                    tmin, window.lower, window.bucket_bound, expected,
+                    window.upper, tmax);
       die(problem, "search window out of order", buf);
     }
     while ((std::int64_t{1} << probe_bound) < window.candidates) {

@@ -21,7 +21,8 @@
 namespace repflow::core {
 
 struct BatchOptions {
-  /// Worker threads, each with its own ExecutionContext (>= 1).
+  /// Threads that drain a batch, counting the calling thread, each with its
+  /// own ExecutionContext (>= 1); threads - 1 are pool workers.
   int threads = 2;
   /// Every worker's serving policy.
   ExecutionPolicy policy{};
@@ -30,7 +31,8 @@ struct BatchOptions {
 /// Reusable batch executor: worker threads (a parallel::WorkerPool, the
 /// same spawn-once pool the Hong & He engine runs on) and their per-worker
 /// ExecutionContexts persist across solve() calls, so consecutive batches
-/// reuse every solver shell instead of reconstructing them per batch.
+/// reuse every solver shell instead of reconstructing them per batch.  The
+/// calling thread drains too, as worker 0 with the first context.
 /// Problems are distributed dynamically (an atomic cursor), so skewed query
 /// sizes load-balance.
 ///
@@ -80,8 +82,9 @@ class BatchSolver {
   support::Mutex error_mutex_;
   std::exception_ptr first_error_ REPFLOW_GUARDED_BY(error_mutex_);
 
-  // Persistent workers (threads == 1 runs inline).  Declared last so its
-  // threads are joined before any state they touch is destroyed.
+  // Persistent workers 1..threads-1 (the caller is worker 0; threads == 1
+  // runs inline).  Declared last so its threads are joined before any state
+  // they touch is destroyed.
   parallel::WorkerPool pool_;
 };
 

@@ -9,11 +9,12 @@
 
 namespace repflow::core {
 
-double BinaryScalingDriver::greedy_response_time(
+BinaryScalingDriver::GreedyPass BinaryScalingDriver::greedy_pass(
     const RetrievalProblem& problem) {
   greedy_load_.assign(static_cast<std::size_t>(problem.total_disks()), 0);
   greedy_disk_.resize(problem.replicas.size());
-  double response = -std::numeric_limits<double>::infinity();
+  GreedyPass pass{-std::numeric_limits<double>::infinity(),
+                  -std::numeric_limits<double>::infinity()};
   for (std::size_t b = 0; b < problem.replicas.size(); ++b) {
     const auto& replicas = problem.replicas[b];
     if (replicas.empty()) {
@@ -22,18 +23,21 @@ double BinaryScalingDriver::greedy_response_time(
     }
     DiskId pick = replicas.front();
     double pick_t = problem.completion_time(pick, greedy_load_[pick] + 1);
+    double first_slot = std::numeric_limits<double>::infinity();
     for (const DiskId d : replicas) {
       const double t = problem.completion_time(d, greedy_load_[d] + 1);
       if (t < pick_t) {  // strict: the first-listed replica wins ties
         pick = d;
         pick_t = t;
       }
+      first_slot = std::min(first_slot, problem.completion_time(d, 1));
     }
     ++greedy_load_[pick];
     greedy_disk_[b] = pick;
-    response = std::max(response, pick_t);
+    pass.response = std::max(pass.response, pick_t);
+    pass.bucket_bound = std::max(pass.bucket_bound, first_slot);
   }
-  return response;
+  return pass;
 }
 
 void BinaryScalingDriver::trim_greedy_to(const RetrievalProblem& problem,
@@ -63,7 +67,8 @@ void BinaryScalingDriver::run(const RetrievalProblem& problem,
   // The greedy schedule's T is feasible, so it is the best one known.  Every
   // disk it loads with k buckets has its first k completions at or below
   // it, so at least |Q| candidates are collected.
-  double best = greedy_response_time(problem);
+  const GreedyPass greedy = greedy_pass(problem);
+  double best = greedy.response;
   candidates_.clear();
   candidates_.reserve(
       std::accumulate(in_degree.begin(), in_degree.end(), std::size_t{0}));
@@ -83,16 +88,20 @@ void BinaryScalingDriver::run(const RetrievalProblem& problem,
     return kernel.resume() == q;
   };
 
-  // Live range [first, last): the candidates from the |Q|-th smallest, the
-  // lower bound, up to but excluding the best feasible one.
+  // Live range [first, last): the candidates from the lower bound, the
+  // larger of the |Q|-th smallest and the bucket bound, up to but excluding
+  // the best feasible one.
   auto first = candidates_.begin() + (q - 1);
   std::nth_element(candidates_.begin(), first, candidates_.end());
+  const double lower = std::max(*first, greedy.bucket_bound);
+  first = std::partition(first, candidates_.end(),
+                         [lower](double t) { return t < lower; });
   auto last = std::partition(first, candidates_.end(),
                              [best](double t) { return t < best; });
-  // Every probe is at least the lower bound *first, so the greedy schedule
-  // trimmed to its capacities fits them all: what the search starts from
-  // and what a feasible first probe falls back to.
-  trim_greedy_to(problem, *first);
+  // Every probe is at least the lower bound, so the greedy schedule trimmed
+  // to its capacities fits them all: what the search starts from and what a
+  // feasible first probe falls back to.
+  trim_greedy_to(problem, lower);
   kernel.seed(greedy_disk_);
   kernel.save();
   bool holds_optimum = false;  // the kernel's flow is complete at caps(best)

@@ -3,17 +3,22 @@
 // The paper bisects a real-valued t inside [tmin, tmax] until the window is
 // narrower than the fastest disk's block time, then finishes with
 // IncrementMinCost steps.  But the optimum T* is always a completion time
-// D_j + X_j + k*C_j with k <= min(in-degree_j, |Q|), and two exact bounds
-// pin it tighter than the paper's window:
+// D_j + X_j + k*C_j with k <= min(in-degree_j, |Q|), and exact bounds pin
+// it tighter than the paper's window:
 //
 //   * upper: a greedy pass sends each bucket, in query order, to the replica
 //     with the least next completion.  Its T is feasible and a candidate.
-//   * lower: feasibility at t needs |Q| units across the sink cut, so at
-//     least |Q| candidates <= t; T* is at least the |Q|-th smallest one.
+//   * lower, by count: feasibility at t needs |Q| units across the sink
+//     cut, so at least |Q| candidates <= t; T* is at least the |Q|-th
+//     smallest one.
+//   * lower, by bucket: every bucket needs one of its replicas, so T* is at
+//     least max over buckets b of min over j in R(b) of D_j + X_j + C_j, a
+//     k = 1 candidate.  The greedy pass computes it on the way.
 //
-// The driver searches the candidates in that closed window by selection:
-// each probe is the nth_element median of the live range; a feasible probe
-// keeps only smaller candidates, an infeasible one only larger.  Every
+// The driver searches the candidates in the closed window [L, greedy T], L
+// the larger lower bound, by selection: each probe is the nth_element
+// median of the live range; a feasible probe keeps only smaller
+// candidates, an infeasible one only larger.  Every
 // probe discards its median, so a solve takes at most ceil(log2 n) + 1
 // resumes for the n candidates in the window, with no IncrementMinCost tail
 // and O(arcs) window work.
@@ -85,11 +90,17 @@ class BinaryScalingDriver {
   }
 
  private:
-  /// T of the greedy schedule: each bucket, in query order, goes to the
-  /// replica with the least completion_time(d, load_d + 1); the
-  /// first-listed replica wins ties.  The picks are left in greedy_disk_.
-  /// Throws std::invalid_argument on a bucket without a replica.
-  double greedy_response_time(const RetrievalProblem& problem);
+  struct GreedyPass {
+    double response;      // T of the greedy schedule, an upper bound on T*
+    double bucket_bound;  // max over buckets of the least first completion
+  };
+
+  /// The greedy schedule: each bucket, in query order, goes to the replica
+  /// with the least completion_time(d, load_d + 1); the first-listed
+  /// replica wins ties.  The picks are left in greedy_disk_.  The same scan
+  /// takes each bucket's least completion_time(d, 1).  Throws
+  /// std::invalid_argument on a bucket without a replica.
+  GreedyPass greedy_pass(const RetrievalProblem& problem);
 
   /// Trim greedy_disk_ to the capacities of time `lower`: each disk keeps
   /// its first slots_within(d, lower) buckets in query order, the rest

@@ -25,8 +25,8 @@
 //
 //   * The initial sequence stores in the constructor are relaxed: the
 //     constructor is single-threaded and the object is published to workers
-//     via the engine's mutex/condition-variable handoff, which provides the
-//     necessary happens-before.
+//     via the engine's worker-pool handoff (a release/acquire generation
+//     bump), which provides the necessary happens-before.
 #pragma once
 
 #include <atomic>

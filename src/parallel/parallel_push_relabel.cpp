@@ -30,10 +30,11 @@
 //
 //   * relaxed is confined to (a) single-threaded phases — exact_heights,
 //     the drain, and the resume() prologue/epilogue run while every worker
-//     is parked or joined, with the worker pool's mutex + condition
-//     variable handoff providing the happens-before into and out of the
-//     run — and (b) pure statistics (relabels_since_gr_), where a lost
-//     update only nudges the relabel cadence.
+//     is idle, with the worker pool's handoff (a release/acquire
+//     generation bump in, acq_rel completion count out) providing the
+//     happens-before into and out of the run — and (b) pure statistics
+//     (relabels_since_gr_), where a lost update only nudges the relabel
+//     cadence.
 //
 // Every atomic access goes through a std::atomic_ref temporary, never
 // stored, so between resumes no atomic_ref exists and the driver's plain flow
@@ -556,7 +557,7 @@ Cap ParallelPushRelabel::resume() {
   const Cap value =
       std::atomic_ref(excess_[sink_]).load(std::memory_order_relaxed);
   // Post-solve seam (single-threaded epilogue; all workers joined above,
-  // and the pool's mutex/cv handoff orders their pushes before these plain
+  // and the pool's handoff orders their pushes before these plain
   // reads): the network's flows must be conserved, and the sink inflow
   // must match the engine's own excess accounting.
   REPFLOW_CHECK_FLOW(net_, source_, sink_, "parallel_pr.post_resume");

@@ -62,9 +62,10 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
 
   /// Integrated run from the network's current flows; returns the flow
   /// value reached (the sink's excess).  Worker threads persist across
-  /// calls (Algorithm 6 resumes many times per query); the worker pool's
-  /// condition-variable handoff is the only locking, and it sits outside
-  /// the push/relabel operations as [31] requires.
+  /// calls (Algorithm 6 resumes many times per query), and the caller is
+  /// worker 0.  The worker pool's handoff is the only synchronization
+  /// outside the push/relabel atomics, and it parks a thread only after a
+  /// bounded spin, outside the push/relabel operations as [31] requires.
   graph::Cap resume() override;
 
   void reset_excess_after_restore(graph::Cap sink_excess) override;
@@ -165,8 +166,9 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   };
   RegistryHandles registry_;
 
-  // Persistent worker pool (spawns only when threads_ > 1).  Declared last
-  // so its threads are joined before any state they touch is destroyed.
+  // Persistent worker pool (spawns threads_ - 1 workers; the caller is
+  // worker 0).  Declared last so its threads are joined before any state
+  // they touch is destroyed.
   WorkerPool pool_;
 };
 

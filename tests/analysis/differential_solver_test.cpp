@@ -13,8 +13,9 @@
 //
 // The binary-scaling drivers (Algorithm 6's candidate search) are also held
 // to their termination argument: at most ceil(log2 n) + 1 resumes for the n
-// candidates between the |Q|-th smallest completion and a greedy
-// schedule's T, and no capacity steps, including on magnitudes (1e-300
+// candidates between the lower bound (the larger of the |Q|-th smallest
+// completion and the bucket bound) and a greedy schedule's T, and no
+// capacity steps, including on magnitudes (1e-300
 // next to 1e300) where a real-valued bisection never narrows below its
 // resolution.
 #include <gtest/gtest.h>
@@ -137,11 +138,28 @@ double greedy_response_time(const RetrievalProblem& problem) {
   return response;
 }
 
-/// The driver's closed search window: from the |Q|-th smallest candidate
-/// (fewer than |Q| sink slots below it) up to the greedy schedule's T.
+/// The largest over buckets of the least D_j + X_j + C_j among its
+/// replicas: every bucket needs one of them.
+double bucket_bound(const RetrievalProblem& problem) {
+  double bound = 0.0;
+  for (const auto& replica_set : problem.replicas) {
+    double least = problem.completion_time(replica_set.front(), 1);
+    for (core::DiskId d : replica_set) {
+      least = std::min(least, problem.completion_time(d, 1));
+    }
+    bound = std::max(bound, least);
+  }
+  return bound;
+}
+
+/// The driver's closed search window: from the larger of the |Q|-th
+/// smallest candidate (fewer than |Q| sink slots below it) and the bucket
+/// bound up to the greedy schedule's T.
 std::pair<double, double> tight_window(const RetrievalProblem& problem) {
   const std::vector<double> candidates = sorted_candidates(problem);
-  return {candidates[static_cast<std::size_t>(problem.query_size() - 1)],
+  const double by_count =
+      candidates[static_cast<std::size_t>(problem.query_size() - 1)];
+  return {std::max(by_count, bucket_bound(problem)),
           greedy_response_time(problem)};
 }
 

@@ -235,9 +235,10 @@ class RecordingKernel final : public ScalingKernel {
   double optimum_;
 };
 
-/// The |Q|-th smallest completion D_j + X_j + k*C_j, k <= min(in-degree,
-/// |Q|): the driver's lower bound, from its definition.
-double count_lower_bound(const RetrievalProblem& p) {
+/// The driver's lower bound, from its definition: the larger of the |Q|-th
+/// smallest completion D_j + X_j + k*C_j, k <= min(in-degree, |Q|), and the
+/// largest over buckets of the least D_j + X_j + C_j among its replicas.
+double search_lower_bound(const RetrievalProblem& p) {
   std::vector<double> completions;
   const auto degree = p.disk_in_degrees();
   for (DiskId d = 0; d < p.total_disks(); ++d) {
@@ -248,7 +249,15 @@ double count_lower_bound(const RetrievalProblem& p) {
     }
   }
   std::sort(completions.begin(), completions.end());
-  return completions[static_cast<std::size_t>(p.query_size() - 1)];
+  double lower = completions[static_cast<std::size_t>(p.query_size() - 1)];
+  for (const auto& replicas : p.replicas) {
+    double least = p.completion_time(replicas.front(), 1);
+    for (const DiskId d : replicas) {
+      least = std::min(least, p.completion_time(d, 1));
+    }
+    lower = std::max(lower, least);
+  }
+  return lower;
 }
 
 /// Runs the driver on a RecordingKernel and checks its seed: exactly one,
@@ -265,7 +274,7 @@ std::vector<double> driver_probes(const RetrievalProblem& p, double optimum,
   EXPECT_EQ(kernel.calls.substr(0, 2), "sv");
   EXPECT_EQ(std::count(kernel.calls.begin(), kernel.calls.end(), 's'), 1);
   EXPECT_EQ(std::ssize(kernel.seeded), p.query_size());
-  const double lower = count_lower_bound(p);
+  const double lower = search_lower_bound(p);
   std::vector<std::int64_t> load(static_cast<std::size_t>(p.total_disks()));
   for (std::size_t b = 0; b < kernel.seeded.size(); ++b) {
     const DiskId d = kernel.seeded[b];
@@ -319,6 +328,31 @@ TEST(SearchWindow, ProbesStayBetweenCountBoundAndGreedy) {
   EXPECT_EQ(driver_probes(loose, 2.0, &seeded),
             (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(seeded, (std::vector<std::int32_t>{0, -1, 1}));
+}
+
+TEST(SearchWindow, BucketBoundSkipsProbesBelowIt) {
+  // Bucket 0 lives only on the slow disk 1, so T* >= 10 = C_1, and the
+  // fast disks 0 and 2 share buckets 1-3.  The |Q|-th (4th) smallest
+  // completion is only 2 (1, 1, 2, 2, 3, 3, 10), which would leave 2, 2, 3
+  // and 3 to probe below the greedy T = 10.  The bucket bound is 10 = the
+  // greedy T, so one probe at 10 ends the search.
+  RetrievalProblem p;
+  p.system = unit_system(3);
+  p.system.cost_ms = {1.0, 10.0, 1.0};
+  p.replicas = {{1}, {0, 2}, {0, 2}, {0, 2}};
+  p.validate();
+  std::vector<std::int32_t> seeded;
+  EXPECT_EQ(driver_probes(p, 10.0, &seeded), std::vector<double>{10.0});
+  // caps(10) holds the whole greedy schedule.
+  EXPECT_EQ(seeded, (std::vector<std::int32_t>{1, 0, 2, 0}));
+  for (SolverKind kind :
+       {SolverKind::kPushRelabelBinary, SolverKind::kIntegratedMatching,
+        SolverKind::kBlackBoxBinary, SolverKind::kParallelPushRelabelBinary}) {
+    const SolveResult r = solve(p, kind, 2);
+    EXPECT_EQ(r.response_time_ms, 10.0) << solver_name(kind);
+    EXPECT_EQ(r.binary_probes, 1) << solver_name(kind);
+    EXPECT_TRUE(check_schedule(p, r.schedule).empty()) << solver_name(kind);
+  }
 }
 
 TEST(ScheduleTest, ResponseTimeAndBottleneck) {

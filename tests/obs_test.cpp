@@ -28,13 +28,6 @@
 namespace repflow::obs {
 namespace {
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 // The full API must compile and be callable in both build modes.
 TEST(Obs, ApiSurfaceIsAlwaysAvailable) {
   Counter c;
@@ -59,6 +52,13 @@ TEST(Obs, ApiSurfaceIsAlwaysAvailable) {
 }
 
 #if !defined(REPFLOW_OBS_DISABLED)
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
 TEST(Counter, AddAndReset) {
   Counter c;

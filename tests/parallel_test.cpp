@@ -1,9 +1,12 @@
 // Tests for the parallel push-relabel engine (Section V, Hong & He): the
-// MPMC queue, flow-value agreement with the sequential engine on random
-// networks, integrated resume semantics, and multi-thread stress runs.
+// worker pool's handoff, the MPMC queue, flow-value agreement with the
+// sequential engine on random networks, integrated resume semantics, and
+// multi-thread stress runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "parallel/mpmc_queue.h"
 #include "parallel/parallel_engine.h"
 #include "parallel/parallel_push_relabel.h"
+#include "parallel/worker_pool.h"
 #include "support/rng.h"
 
 namespace repflow::parallel {
@@ -21,6 +25,112 @@ namespace {
 using graph::Cap;
 using graph::FlowNetwork;
 using graph::Vertex;
+
+// Far longer than WorkerPool::kSpinLimit pauses, even under a sanitizer,
+// so a run after it finds every waiter parked on its condition variable.
+constexpr auto kPastTheSpin = std::chrono::milliseconds(30);
+
+TEST(WorkerPool, RunsEveryIndexOnceWithTheCallerAsIndexZero) {
+  for (const int threads : {1, 2, 3, 4}) {
+    WorkerPool pool(threads);
+    const auto n = static_cast<std::size_t>(threads);
+    std::vector<int> runs(n, 0);  // each index writes only its own slot
+    std::vector<std::thread::id> ran_on(n);
+    for (int round = 0; round < 50; ++round) {
+      pool.run([&](int index) {
+        ++runs[static_cast<std::size_t>(index)];
+        ran_on[static_cast<std::size_t>(index)] = std::this_thread::get_id();
+      });
+      EXPECT_EQ(ran_on[0], std::this_thread::get_id()) << "threads=" << threads;
+      for (std::size_t i = 1; i < n; ++i) {
+        EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "index " << i;
+      }
+    }
+    EXPECT_EQ(runs, std::vector<int>(n, 50)) << "threads=" << threads;
+  }
+}
+
+TEST(WorkerPool, HandoffPublishesPlainWritesBothWays) {
+  constexpr int kThreads = 4;
+  WorkerPool pool(kThreads);
+  std::vector<long> input(kThreads, 0);
+  std::vector<long> output(kThreads, 0);
+  std::vector<char> saw_input(kThreads, 0);
+  for (long round = 1; round <= 200; ++round) {
+    for (long& x : input) x = round;  // plain writes before run()
+    pool.run([&](int index) {
+      const auto i = static_cast<std::size_t>(index);
+      saw_input[i] = input[i] == round;
+      output[i] = round * 10 + index;  // plain write read after run()
+    });
+    for (int i = 0; i < kThreads; ++i) {
+      ASSERT_TRUE(saw_input[static_cast<std::size_t>(i)]) << "round " << round;
+      ASSERT_EQ(output[static_cast<std::size_t>(i)], round * 10 + i);
+    }
+  }
+}
+
+TEST(WorkerPool, BackToBackRunsOnTheSpinPath) {
+  constexpr int kThreads = 3;
+  constexpr int kRuns = 10000;
+  WorkerPool pool(kThreads);
+  std::vector<long> sums(kThreads, 0);
+  for (int r = 0; r < kRuns; ++r) {
+    pool.run([&](int index) { sums[static_cast<std::size_t>(index)] += r; });
+  }
+  const long expected = static_cast<long>(kRuns) * (kRuns - 1) / 2;
+  EXPECT_EQ(sums, std::vector<long>(kThreads, expected));
+}
+
+TEST(WorkerPool, RunsAfterEveryWaiterParked) {
+  constexpr int kThreads = 3;
+  WorkerPool pool(kThreads);
+  std::vector<int> runs(kThreads, 0);
+  for (int r = 0; r < 4; ++r) {
+    std::this_thread::sleep_for(kPastTheSpin);  // idle workers park
+    pool.run([&](int index) {
+      // Index 0 outlasts the spin too, so the caller parks on the others.
+      if (index == 1) std::this_thread::sleep_for(kPastTheSpin);
+      ++runs[static_cast<std::size_t>(index)];
+    });
+  }
+  EXPECT_EQ(runs, std::vector<int>(kThreads, 4));
+}
+
+TEST(WorkerPool, DestroysSpinningAndParkedWorkers) {
+  { WorkerPool never_ran(4); }  // workers still spin on their first wait
+  {
+    WorkerPool pool(4);
+    std::atomic<int> ran{0};
+    pool.run([&](int) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 4);
+  }  // destroyed while its workers spin for the next run
+  {
+    WorkerPool pool(4);
+    std::atomic<int> ran{0};
+    pool.run([&](int) { ran.fetch_add(1); });
+    std::this_thread::sleep_for(kPastTheSpin);
+    EXPECT_EQ(ran.load(), 4);
+  }  // destroyed with its workers parked
+}
+
+TEST(WorkerPool, CallerThrowWaitsForTheWorkers) {
+  constexpr int kThreads = 3;
+  WorkerPool pool(kThreads);
+  std::vector<char> finished(kThreads, 0);
+  EXPECT_THROW(pool.run([&](int index) {
+                 if (index == 0) throw std::runtime_error("job 0");
+                 std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                 finished[static_cast<std::size_t>(index)] = 1;
+               }),
+               std::runtime_error);
+  EXPECT_EQ(finished, (std::vector<char>{0, 1, 1}));
+  int after = 0;
+  pool.run([&](int index) {
+    if (index == 0) after = 1;
+  });
+  EXPECT_EQ(after, 1);  // the pool stays usable
+}
 
 TEST(MpmcQueue, FifoSingleThread) {
   MpmcQueue<int> q(8);

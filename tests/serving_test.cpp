@@ -305,8 +305,10 @@ TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
   options.mode = AdmissionMode::kShed;
   options.max_backlog_ms = 10.0;
   QueryRouter router(scheduler, options);
+#if !defined(REPFLOW_OBS_DISABLED)
   const std::uint64_t shed_before =
       obs::RouterInstruments::global().shed.value();
+#endif
   // Everything arrives at t=0: the first queries build backlog past the
   // threshold, after which arrivals must be dropped.
   std::int64_t shed = 0;

@@ -273,12 +273,12 @@ TEST(StopWatch, AccumulatesIntervals) {
   StopWatch sw;
   sw.start();
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   sw.stop();
   const double first = sw.elapsed_ms();
   EXPECT_GT(first, 0.0);
   sw.start();
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   sw.stop();
   EXPECT_GT(sw.elapsed_ms(), first);
   sw.reset();
@@ -291,11 +291,11 @@ TEST(StopWatch, DoubleStartKeepsInFlightInterval) {
   StopWatch sw;
   sw.start();
   volatile double sink = 0;
-  for (int i = 0; i < 200000; ++i) sink += i;
+  for (int i = 0; i < 200000; ++i) sink = sink + i;
   const double mid = sw.elapsed_ms();
   EXPECT_GT(mid, 0.0);
   sw.start();  // restart without stop(): prior interval must survive
-  for (int i = 0; i < 200000; ++i) sink += i;
+  for (int i = 0; i < 200000; ++i) sink = sink + i;
   sw.stop();
   EXPECT_GT(sw.elapsed_ms(), mid);
 }
