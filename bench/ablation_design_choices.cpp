@@ -33,6 +33,17 @@ struct Column {
   std::function<core::SolveResult(const core::RetrievalProblem&)> solve;
 };
 
+/// One solve on a freshly constructed shell: every column pays its own
+/// construction, as a one-off caller would.
+template <typename Solver, typename... Args>
+core::SolveResult solve_fresh(const core::RetrievalProblem& problem,
+                              Args&&... args) {
+  Solver solver(std::forward<Args>(args)...);
+  core::SolveResult result;
+  solver.solve_into(problem, result);
+  return result;
+}
+
 /// One timed construction + solve; the result is moved out after the clock
 /// stops.
 double time_ms(const Column& column, const core::RetrievalProblem& problem,
@@ -54,28 +65,23 @@ int main(int argc, char** argv) {
       "Ablation: design choices on Experiment 5 / Orthogonal / Arb Load 2",
       config);
 
-  graph::PushRelabelOptions zero_heights;
-  zero_heights.height_init = graph::HeightInit::kZero;
-  zero_heights.use_gap_heuristic = false;
-  zero_heights.global_relabel_interval_factor = 0;
   const std::vector<Column> columns = {
       {"Alg6 (int+scal)", "alg6_ms",
        [](const core::RetrievalProblem& p) {
-         return core::PushRelabelBinarySolver(p).solve();
+         return solve_fresh<core::PushRelabelBinarySolver>(p);
        }},
       {"Alg5 (int only)", "alg5_ms",
        [](const core::RetrievalProblem& p) {
-         return core::PushRelabelIncrementalSolver(p).solve();
+         return solve_fresh<core::PushRelabelIncrementalSolver>(p);
        }},
       {"Alg6 zero-h", "alg6_zeroheights_ms",
-       [&zero_heights](const core::RetrievalProblem& p) {
-         return core::PushRelabelBinarySolver(
-                    p, core::sequential_engine_factory(zero_heights))
-             .solve();
+       [](const core::RetrievalProblem& p) {
+         return solve_fresh<core::PushRelabelBinarySolver>(
+             p, core::sequential_engine_factory(graph::HeightInit::kZero));
        }},
       {"BB push-relabel", "bb_pr_ms",
        [](const core::RetrievalProblem& p) {
-         return core::BlackBoxBinarySolver(p).solve();
+         return solve_fresh<core::BlackBoxBinarySolver>(p);
        }},
   };
 

@@ -70,12 +70,9 @@ BENCHMARK(BM_PushRelabel_Bipartite)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_PushRelabel_NoHeuristics_Bipartite(benchmark::State& state) {
   auto g = make_bipartite(state.range(0));
-  graph::PushRelabelOptions options;
-  options.height_init = graph::HeightInit::kZero;
-  options.use_gap_heuristic = false;
-  options.global_relabel_interval_factor = 0;
   for (auto _ : state) {
-    graph::PushRelabel engine(g.net, g.source, g.sink, options);
+    graph::PushRelabel engine(g.net, g.source, g.sink,
+                              graph::HeightInit::kZero);
     benchmark::DoNotOptimize(engine.solve_from_zero().value);
   }
 }
@@ -94,9 +91,7 @@ BENCHMARK(BM_PushRelabel_Layered)->Arg(8)->Arg(32);
 
 void BM_PushRelabel_Bipartite_Reused(benchmark::State& state) {
   auto g = make_bipartite(state.range(0));
-  graph::MaxflowWorkspace workspace;
-  graph::PushRelabel engine(g.net, g.source, g.sink,
-                            graph::PushRelabelOptions{}, &workspace);
+  graph::PushRelabel engine(g.net, g.source, g.sink);
   for (auto _ : state) {
     engine.rebind(g.source, g.sink);
     benchmark::DoNotOptimize(engine.solve_from_zero().value);
@@ -106,9 +101,8 @@ BENCHMARK(BM_PushRelabel_Bipartite_Reused)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_FordFulkersonBfs_Bipartite_Reused(benchmark::State& state) {
   auto g = make_bipartite(state.range(0));
-  graph::MaxflowWorkspace workspace;
   graph::FordFulkerson engine(g.net, g.source, g.sink,
-                              graph::SearchOrder::kBfs, &workspace);
+                              graph::SearchOrder::kBfs);
   for (auto _ : state) {
     engine.rebind(g.source, g.sink);
     benchmark::DoNotOptimize(engine.solve_from_zero().value);
@@ -145,8 +139,10 @@ core::RetrievalProblem make_problem(std::int32_t disks, std::int64_t buckets) {
 void BM_SolverFresh_PushRelabelBinary(benchmark::State& state) {
   const auto problem = make_problem(16, state.range(0));
   for (auto _ : state) {
-    core::PushRelabelBinarySolver solver(problem);
-    benchmark::DoNotOptimize(solver.solve().response_time_ms);
+    core::PushRelabelBinarySolver solver;
+    core::SolveResult result;
+    solver.solve_into(problem, result);
+    benchmark::DoNotOptimize(result.response_time_ms);
   }
 }
 BENCHMARK(BM_SolverFresh_PushRelabelBinary)->Arg(100)->Arg(400)->Arg(1600);
@@ -166,8 +162,10 @@ BENCHMARK(BM_SolverPooled_PushRelabelBinary)->Arg(100)->Arg(400)->Arg(1600);
 void BM_SolverFresh_FordFulkersonIncremental(benchmark::State& state) {
   const auto problem = make_problem(16, state.range(0));
   for (auto _ : state) {
-    core::FordFulkersonIncrementalSolver solver(problem);
-    benchmark::DoNotOptimize(solver.solve().response_time_ms);
+    core::FordFulkersonIncrementalSolver solver;
+    core::SolveResult result;
+    solver.solve_into(problem, result);
+    benchmark::DoNotOptimize(result.response_time_ms);
   }
 }
 BENCHMARK(BM_SolverFresh_FordFulkersonIncremental)->Arg(100)->Arg(400);

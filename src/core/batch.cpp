@@ -84,18 +84,13 @@ void BatchSolver::solve_into(const std::vector<RetrievalProblem>& problems,
   if (error) std::rethrow_exception(error);
 }
 
-std::vector<SolveResult> BatchSolver::solve(
-    const std::vector<RetrievalProblem>& problems) {
-  std::vector<SolveResult> results;
-  solve_into(problems, results);
-  return results;
-}
-
 std::vector<SolveResult> solve_batch(
     const std::vector<RetrievalProblem>& problems,
     const BatchOptions& options) {
   BatchSolver batch(options);
-  return batch.solve(problems);
+  std::vector<SolveResult> results;
+  batch.solve_into(problems, results);
+  return results;
 }
 
 }  // namespace repflow::core

@@ -30,9 +30,10 @@ struct BatchOptions {
 
 /// Reusable batch executor: worker threads (a parallel::WorkerPool, the
 /// same spawn-once pool the Hong & He engine runs on) and their per-worker
-/// ExecutionContexts persist across solve() calls, so consecutive batches
-/// reuse every solver shell instead of reconstructing them per batch.  The
-/// calling thread drains too, as worker 0 with the first context.
+/// ExecutionContexts persist across solve_into() calls, so consecutive
+/// batches reuse every solver shell instead of reconstructing them per
+/// batch.  The calling thread drains too, as worker 0 with the first
+/// context.
 /// Problems are distributed dynamically (an atomic cursor), so skewed query
 /// sizes load-balance.
 ///
@@ -54,10 +55,6 @@ class BatchSolver {
   /// are in input order.
   void solve_into(const std::vector<RetrievalProblem>& problems,
                   std::vector<SolveResult>& results);
-
-  /// Convenience wrapper returning a fresh result vector.
-  std::vector<SolveResult> solve(
-      const std::vector<RetrievalProblem>& problems);
 
   const BatchOptions& options() const { return options_; }
 

@@ -41,7 +41,7 @@ MatchingMetrics& matching_metrics() {
 // c > 2 adversarial shapes spend most of their DFS time here scanning
 // mostly-ineligible slots, where a branchy scan mispredicts per slot.  Dead
 // buckets carry dist == -1, so they never match.
-inline std::int32_t scan_slots(const graph::MatchingWorkspace& ws,
+inline std::int32_t scan_slots(const MatchingWorkspace& ws,
                                std::int32_t s, const std::int32_t s_end,
                                const std::uint32_t epoch,
                                const std::int32_t next_dist,
@@ -66,7 +66,7 @@ inline std::int32_t scan_slots(const graph::MatchingWorkspace& ws,
 // Apply the augmenting path held in the DFS stack frames [0..top]: the
 // terminal disk appends the deepest bucket, and every intermediate slot is
 // handed from child to parent.
-inline void apply_path(graph::MatchingWorkspace& ws, const std::int32_t top,
+inline void apply_path(MatchingWorkspace& ws, const std::int32_t top,
                        const std::int32_t d) {
   const std::int32_t deepest = ws.stack_bucket[static_cast<std::size_t>(top)];
   ws.slots[static_cast<std::size_t>(
@@ -86,7 +86,7 @@ inline void apply_path(graph::MatchingWorkspace& ws, const std::int32_t top,
 }  // namespace
 
 void BipartiteMatcher::rebind(const RetrievalProblem& problem,
-                              graph::MatchingWorkspace& workspace) {
+                              MatchingWorkspace& workspace) {
   problem_ = &problem;
   ws_ = &workspace;
   q_ = static_cast<std::int32_t>(problem.query_size());
@@ -377,20 +377,10 @@ void BipartiteMatcher::extract_schedule_into(Schedule& schedule) const {
   }
 }
 
-SolveResult IntegratedMatchingSolver::solve() {
-  if (bound_problem_ == nullptr) {
-    throw std::logic_error(
-        "IntegratedMatchingSolver::solve: no bound problem; use solve_into");
-  }
-  SolveResult result;
-  solve_into(*bound_problem_, result);
-  return result;
-}
-
 void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
                                           SolveResult& result) {
   result.clear();
-  matcher_.rebind(problem, workspace_.matching);
+  matcher_.rebind(problem, workspace_);
   driver_.run(problem, matcher_.in_degrees(), *this, result,
               "matching.probe");
   result.flow_stats.augmentations =

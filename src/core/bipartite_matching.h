@@ -26,6 +26,7 @@
 // on this kernel.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -34,18 +35,63 @@
 #include "core/problem.h"
 #include "core/schedule.h"
 #include "core/solver.h"
-#include "graph/workspace.h"
 #include "obs/metrics.h"
 
 namespace repflow::core {
+
+/// Scratch + state buffers of the b-matching kernel.  The matcher never
+/// materializes the flow network: the instance lives in two flat CSR arrays
+/// (bucket->replica-disk adjacency and per-disk matched-bucket slot lists)
+/// and the matching state in a handful of parallel vectors.  Every vector
+/// grows monotonically, so re-binding a same-footprint problem performs
+/// zero heap allocations.
+struct MatchingWorkspace {
+  // --- instance topology (rebuilt per bind) ---
+  std::vector<std::int32_t> first;       // bucket CSR offsets, size Q+1
+  std::vector<std::int32_t> adj;         // replica disk ids, bucket-major
+  std::vector<std::int32_t> in_degree;   // buckets adjacent to each disk
+  std::vector<std::int32_t> disk_first;  // slot-segment offsets, size N+1
+
+  // --- matching state ---
+  std::vector<std::int32_t> match;        // bucket -> matched disk, or -1
+  std::vector<std::int64_t> cap;          // current sink capacity per disk
+  std::vector<std::int32_t> load;         // buckets matched to each disk
+  std::vector<std::int32_t> slots;        // per-disk matched-bucket lists
+  std::vector<std::int32_t> free_buckets; // currently unmatched buckets
+
+  // --- per-phase scratch (Hopcroft-Karp BFS layering + DFS) ---
+  std::vector<std::int32_t> dist;          // bucket BFS layer (-1 = dead)
+  std::vector<std::uint32_t> bucket_epoch; // phase-stamped visited flags
+  std::vector<std::uint32_t> disk_epoch;
+  std::uint32_t epoch = 0;
+  std::vector<std::int32_t> disk_layer;   // BFS layer of a disk's slots
+  std::vector<std::int32_t> disk_cursor;  // DFS scan position in its slots
+  std::vector<std::int32_t> queue;        // BFS frontier, capacity Q
+  std::vector<std::int32_t> stack_bucket; // DFS frames: bucket per depth
+  std::vector<std::int32_t> stack_arc;    //   current adjacency index
+  std::vector<std::int32_t> stack_slot;   //   current slot index (-1 = none)
+
+  /// Capacity-based footprint (counts retained heap blocks).
+  std::size_t retained_bytes() const {
+    return (first.capacity() + adj.capacity() + in_degree.capacity() +
+            disk_first.capacity() + match.capacity() + load.capacity() +
+            slots.capacity() + free_buckets.capacity() + dist.capacity() +
+            disk_layer.capacity() + disk_cursor.capacity() +
+            queue.capacity() + stack_bucket.capacity() +
+            stack_arc.capacity() + stack_slot.capacity()) *
+               sizeof(std::int32_t) +
+           cap.capacity() * sizeof(std::int64_t) +
+           (bucket_epoch.capacity() + disk_epoch.capacity()) *
+               sizeof(std::uint32_t);
+  }
+};
 
 class BipartiteMatcher {
  public:
   /// Bind `problem` onto `workspace` (rebuilding the CSR topology in place;
   /// same-footprint rebinds allocate nothing) and clear the matching.
   /// Both must outlive the matcher's use.
-  void rebind(const RetrievalProblem& problem,
-              graph::MatchingWorkspace& workspace);
+  void rebind(const RetrievalProblem& problem, MatchingWorkspace& workspace);
 
   /// Set every disk capacity from candidate response time `t` by the same
   /// rule as RetrievalNetwork::capacity_for_time
@@ -97,7 +143,7 @@ class BipartiteMatcher {
   void augment_pass(std::int32_t limit);
 
   const RetrievalProblem* problem_ = nullptr;
-  graph::MatchingWorkspace* ws_ = nullptr;
+  MatchingWorkspace* ws_ = nullptr;
   std::int32_t q_ = 0;
   std::int32_t n_ = 0;
   std::int64_t matched_ = 0;
@@ -115,13 +161,6 @@ class IntegratedMatchingSolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   IntegratedMatchingSolver() = default;
-
-  /// One-problem convenience binding (mirrors the other catalog shells).
-  explicit IntegratedMatchingSolver(const RetrievalProblem& problem)
-      : bound_problem_(&problem) {}
-
-  /// Solve the constructor-bound problem.
-  SolveResult solve();
 
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
@@ -142,8 +181,7 @@ class IntegratedMatchingSolver : private ScalingKernel {
     matcher_.restore_matching(disk_of_bucket);
   }
 
-  const RetrievalProblem* bound_problem_ = nullptr;
-  graph::MaxflowWorkspace workspace_;
+  MatchingWorkspace workspace_;
   BipartiteMatcher matcher_;
   BinaryScalingDriver driver_;
   std::vector<std::int32_t> saved_match_;

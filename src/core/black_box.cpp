@@ -1,7 +1,5 @@
 #include "core/black_box.h"
 
-#include <stdexcept>
-
 #include "analysis/schedule_invariants.h"
 #include "obs/span.h"
 
@@ -22,16 +20,6 @@ std::int64_t BlackBoxBinarySolver::resume() {
   return r.value;
 }
 
-SolveResult BlackBoxBinarySolver::solve() {
-  if (bound_problem_ == nullptr) {
-    throw std::logic_error(
-        "BlackBoxBinarySolver::solve: no bound problem; use solve_into");
-  }
-  SolveResult result;
-  solve_into(*bound_problem_, result);
-  return result;
-}
-
 void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
                                       SolveResult& result) {
   result.clear();
@@ -40,7 +28,7 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
   const graph::Vertex s = network_.source();
   const graph::Vertex t = network_.sink();
   if (!pr_) {
-    pr_.emplace(net, s, t, graph::PushRelabelOptions{}, &workspace_);
+    pr_.emplace(net, s, t);
   } else {
     pr_->rebind(s, t);
   }
@@ -55,7 +43,7 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
 }
 
 std::size_t BlackBoxBinarySolver::retained_bytes() const {
-  return network_.retained_bytes() + workspace_.retained_bytes() +
+  return network_.retained_bytes() + (pr_ ? pr_->retained_bytes() : 0) +
          driver_.retained_bytes();
 }
 

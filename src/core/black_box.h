@@ -21,20 +21,13 @@ class BlackBoxBinarySolver : private ScalingKernel {
   /// Reusable shell: construct once, serve many problems via solve_into().
   BlackBoxBinarySolver() = default;
 
-  /// One-problem convenience binding (the original API).
-  explicit BlackBoxBinarySolver(const RetrievalProblem& problem)
-      : bound_problem_(&problem) {}
-
-  /// Solve the constructor-bound problem.
-  SolveResult solve();
-
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
   void solve_into(const RetrievalProblem& problem, SolveResult& result);
 
   const RetrievalNetwork& network() const { return network_; }
 
-  /// Retained working-memory footprint (network + engine workspace +
+  /// Retained working-memory footprint (network + engine buffers +
   /// candidate buffer).
   std::size_t retained_bytes() const;
 
@@ -46,11 +39,9 @@ class BlackBoxBinarySolver : private ScalingKernel {
   void restore() override {}
   void seed(const std::vector<std::int32_t>&) override {}
 
-  const RetrievalProblem* bound_problem_ = nullptr;
   SolveResult* result_ = nullptr;  // the solve in progress (run counters)
   RetrievalNetwork network_;
   BinaryScalingDriver driver_;
-  graph::MaxflowWorkspace workspace_;
   // Engaged on the first solve; persists across solves (rebound in place)
   // so probes reuse its working buffers.
   std::optional<graph::PushRelabel> pr_;

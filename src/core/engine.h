@@ -32,17 +32,16 @@ class IntegratedEngine {
   virtual const graph::FlowStats& stats() const = 0;
 
   /// Capacity-based estimate of the engine's retained working memory.
-  virtual std::size_t retained_bytes() const { return 0; }
+  virtual std::size_t retained_bytes() const = 0;
 };
 
 /// Sequential engine: the paper's Algorithm 4/5 machinery.
 class SequentialPushRelabelEngine final : public IntegratedEngine {
  public:
-  SequentialPushRelabelEngine(graph::FlowNetwork& net, graph::Vertex source,
-                              graph::Vertex sink,
-                              graph::PushRelabelOptions options = {},
-                              graph::MaxflowWorkspace* workspace = nullptr)
-      : solver_(net, source, sink, options, workspace) {}
+  SequentialPushRelabelEngine(
+      graph::FlowNetwork& net, graph::Vertex source, graph::Vertex sink,
+      graph::HeightInit init = graph::HeightInit::kGlobalRelabel)
+      : solver_(net, source, sink, init) {}
 
   graph::Cap resume() override { return solver_.resume(); }
   void reset_excess_after_restore(graph::Cap sink_excess) override {
@@ -53,7 +52,7 @@ class SequentialPushRelabelEngine final : public IntegratedEngine {
   }
   const graph::FlowStats& stats() const override { return solver_.stats(); }
   std::size_t retained_bytes() const override {
-    return solver_.workspace().retained_bytes();
+    return solver_.retained_bytes();
   }
 
  private:

@@ -155,16 +155,4 @@ void ExecutionContext::solve_into(const RetrievalProblem& problem,
   }
 }
 
-const SolveResult& ExecutionContext::solve_scratch(
-    const RetrievalProblem& problem) {
-  solve_into(problem, scratch_);
-  return scratch_;
-}
-
-SolveResult ExecutionContext::solve(const RetrievalProblem& problem) {
-  SolveResult result;
-  solve_into(problem, result);
-  return result;
-}
-
 }  // namespace repflow::core

@@ -61,13 +61,6 @@ class ExecutionContext {
   void solve_into(const RetrievalProblem& problem, SolverKind kind,
                   SolveResult& result);
 
-  /// solve_into() the context's reusable scratch buffer; the reference is
-  /// valid until the next solve through this context.
-  const SolveResult& solve_scratch(const RetrievalProblem& problem);
-
-  /// Convenience wrapper returning a fresh result.
-  SolveResult solve(const RetrievalProblem& problem);
-
   SolverPool& pool() { return pool_; }
   /// The context's reusable result buffer (capacity survives across
   /// solves, so callers looping over queries stay allocation-free).

@@ -18,22 +18,6 @@ void require_basic(const RetrievalProblem& problem) {
 }
 }  // namespace
 
-FordFulkersonBasicSolver::FordFulkersonBasicSolver(
-    const RetrievalProblem& problem)
-    : bound_problem_(&problem) {
-  require_basic(problem);
-}
-
-SolveResult FordFulkersonBasicSolver::solve() {
-  if (bound_problem_ == nullptr) {
-    throw std::logic_error(
-        "FordFulkersonBasicSolver::solve: no bound problem; use solve_into");
-  }
-  SolveResult result;
-  solve_into(*bound_problem_, result);
-  return result;
-}
-
 void FordFulkersonBasicSolver::solve_into(const RetrievalProblem& problem,
                                           SolveResult& result) {
   require_basic(problem);
@@ -55,7 +39,7 @@ void FordFulkersonBasicSolver::solve_into(const RetrievalProblem& problem,
 
   if (!engine_) {
     engine_.emplace(net, network_.source(), network_.sink(),
-                    graph::SearchOrder::kDfs, &workspace_);
+                    graph::SearchOrder::kDfs);
   } else {
     engine_->rebind(network_.source(), network_.sink());
   }
@@ -79,7 +63,8 @@ void FordFulkersonBasicSolver::solve_into(const RetrievalProblem& problem,
 }
 
 std::size_t FordFulkersonBasicSolver::retained_bytes() const {
-  return network_.retained_bytes() + workspace_.retained_bytes();
+  return network_.retained_bytes() +
+         (engine_ ? engine_->retained_bytes() : 0);
 }
 
 }  // namespace repflow::core

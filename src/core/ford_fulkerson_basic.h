@@ -20,28 +20,21 @@ class FordFulkersonBasicSolver {
   /// Reusable shell: construct once, serve many problems via solve_into().
   FordFulkersonBasicSolver() = default;
 
-  /// One-problem convenience binding (the original API).
-  /// `problem.system.is_basic()` must hold; throws otherwise.
-  explicit FordFulkersonBasicSolver(const RetrievalProblem& problem);
-
-  /// Solve the constructor-bound problem.
-  SolveResult solve();
-
-  /// Rebuild internal state in place and solve `problem`.  Network, engine
-  /// workspace, and result buffers all retain capacity, so steady-state
-  /// calls on same-footprint problems perform zero heap allocations.
+  /// Rebuild internal state in place and solve `problem`, which must
+  /// satisfy `problem.system.is_basic()` (throws std::invalid_argument
+  /// otherwise).  Network, engine, and result buffers all retain capacity,
+  /// so steady-state calls on same-footprint problems perform zero heap
+  /// allocations.
   void solve_into(const RetrievalProblem& problem, SolveResult& result);
 
-  /// The network after solve() (tests inspect flows directly).
+  /// The network after solve_into() (tests inspect flows directly).
   const RetrievalNetwork& network() const { return network_; }
 
-  /// Retained working-memory footprint (network + engine workspace).
+  /// Retained working-memory footprint (network + engine buffers).
   std::size_t retained_bytes() const;
 
  private:
-  const RetrievalProblem* bound_problem_ = nullptr;
   RetrievalNetwork network_;
-  graph::MaxflowWorkspace workspace_;
   std::optional<graph::FordFulkerson> engine_;
 };
 

@@ -1,27 +1,10 @@
 #include "core/ford_fulkerson_incremental.h"
 
-#include <stdexcept>
-
 #include "analysis/schedule_invariants.h"
 
 #include "obs/span.h"
 
 namespace repflow::core {
-
-FordFulkersonIncrementalSolver::FordFulkersonIncrementalSolver(
-    const RetrievalProblem& problem)
-    : bound_problem_(&problem) {}
-
-SolveResult FordFulkersonIncrementalSolver::solve() {
-  if (bound_problem_ == nullptr) {
-    throw std::logic_error(
-        "FordFulkersonIncrementalSolver::solve: no bound problem; use "
-        "solve_into");
-  }
-  SolveResult result;
-  solve_into(*bound_problem_, result);
-  return result;
-}
 
 void FordFulkersonIncrementalSolver::solve_into(
     const RetrievalProblem& problem, SolveResult& result) {
@@ -40,7 +23,7 @@ void FordFulkersonIncrementalSolver::solve_into(
 
   if (!engine_) {
     engine_.emplace(net, network_.source(), network_.sink(),
-                    graph::SearchOrder::kDfs, &workspace_);
+                    graph::SearchOrder::kDfs);
   } else {
     engine_->rebind(network_.source(), network_.sink());
   }
@@ -63,7 +46,8 @@ void FordFulkersonIncrementalSolver::solve_into(
 }
 
 std::size_t FordFulkersonIncrementalSolver::retained_bytes() const {
-  return network_.retained_bytes() + workspace_.retained_bytes();
+  return network_.retained_bytes() +
+         (engine_ ? engine_->retained_bytes() : 0);
 }
 
 }  // namespace repflow::core

@@ -22,26 +22,18 @@ class FordFulkersonIncrementalSolver {
   /// Reusable shell: construct once, serve many problems via solve_into().
   FordFulkersonIncrementalSolver() = default;
 
-  /// One-problem convenience binding (the original API).
-  explicit FordFulkersonIncrementalSolver(const RetrievalProblem& problem);
-
-  /// Solve the constructor-bound problem.
-  SolveResult solve();
-
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
   void solve_into(const RetrievalProblem& problem, SolveResult& result);
 
   const RetrievalNetwork& network() const { return network_; }
 
-  /// Retained working-memory footprint (network + engine workspace).
+  /// Retained working-memory footprint (network + engine buffers).
   std::size_t retained_bytes() const;
 
  private:
-  const RetrievalProblem* bound_problem_ = nullptr;
   RetrievalNetwork network_;
   CapacityIncrementer incrementer_;
-  graph::MaxflowWorkspace workspace_;
   std::optional<graph::FordFulkerson> engine_;
 };
 

@@ -35,8 +35,7 @@ void IncrementalQuerySession::reset() {
   // rebind() fully clears the engine's excess/queue state, which is what a
   // fresh session needs (resume() relies on a clean start).
   if (!engine_) {
-    engine_.emplace(net_, source_, sink_, graph::PushRelabelOptions{},
-                    &workspace_);
+    engine_.emplace(net_, source_, sink_);
   } else {
     engine_->rebind(source_, sink_);
   }
@@ -126,7 +125,7 @@ void IncrementalQuerySession::schedule_into(Schedule& s) const {
 }
 
 std::size_t IncrementalQuerySession::retained_bytes() const {
-  return net_.retained_bytes() + workspace_.retained_bytes() +
+  return net_.retained_bytes() + engine_->retained_bytes() +
          sink_arcs_.capacity() * sizeof(graph::ArcId) +
          in_degree_.capacity() * sizeof(std::int32_t);
 }

@@ -25,7 +25,6 @@
 #include "core/solver.h"
 #include "graph/flow_network.h"
 #include "graph/push_relabel.h"
-#include "graph/workspace.h"
 #include "workload/disks.h"
 
 namespace repflow::core {
@@ -52,22 +51,21 @@ class IncrementalQuerySession {
   std::int64_t capacity_steps() const { return capacity_steps_; }
 
   /// Drop all buckets and flows (capacities reset to zero); the system
-  /// configuration is retained.  Rebuilds in place: the network, engine,
-  /// and workspace keep their buffers, so reset() + re-add allocates
-  /// nothing on same-footprint sessions.
+  /// configuration is retained.  Rebuilds in place: the network and the
+  /// engine keep their buffers, so reset() + re-add allocates nothing on
+  /// same-footprint sessions.
   void reset();
 
   /// Schedule of the last reoptimize() written into `out` (capacity-
   /// reusing); throws if buckets were added since.
   void schedule_into(Schedule& out) const;
 
-  /// Retained working-memory footprint (network + engine workspace).
+  /// Retained working-memory footprint (network + engine buffers).
   std::size_t retained_bytes() const;
 
  private:
   workload::SystemConfig system_;
   graph::FlowNetwork net_;
-  graph::MaxflowWorkspace workspace_;
   std::optional<graph::PushRelabel> engine_;
   graph::Vertex source_ = 0;
   graph::Vertex sink_ = 1;

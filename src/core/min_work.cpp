@@ -20,8 +20,9 @@ double schedule_total_work(const RetrievalProblem& problem,
 
 MinWorkResult solve_min_total_work(const RetrievalProblem& problem) {
   // Phase 1: the optimal response time.
-  PushRelabelBinarySolver primary(problem);
-  const SolveResult primary_result = primary.solve();
+  PushRelabelBinarySolver primary;
+  SolveResult primary_result;
+  primary.solve_into(problem, primary_result);
   const double t_star = primary_result.response_time_ms;
 
   // Phase 2: min-cost max-flow under caps(t*); assigning a bucket to disk

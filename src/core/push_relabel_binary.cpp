@@ -1,36 +1,21 @@
 #include "core/push_relabel_binary.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "analysis/schedule_invariants.h"
 
 namespace repflow::core {
 
-EngineFactory sequential_engine_factory(graph::PushRelabelOptions options) {
-  return [options](graph::FlowNetwork& net, graph::Vertex source,
-                   graph::Vertex sink) -> std::unique_ptr<IntegratedEngine> {
+EngineFactory sequential_engine_factory(graph::HeightInit init) {
+  return [init](graph::FlowNetwork& net, graph::Vertex source,
+                graph::Vertex sink) -> std::unique_ptr<IntegratedEngine> {
     return std::make_unique<SequentialPushRelabelEngine>(net, source, sink,
-                                                         options);
+                                                         init);
   };
 }
 
 PushRelabelBinarySolver::PushRelabelBinarySolver(EngineFactory factory)
     : factory_(std::move(factory)) {}
-
-PushRelabelBinarySolver::PushRelabelBinarySolver(
-    const RetrievalProblem& problem, EngineFactory factory)
-    : bound_problem_(&problem), factory_(std::move(factory)) {}
-
-SolveResult PushRelabelBinarySolver::solve() {
-  if (bound_problem_ == nullptr) {
-    throw std::logic_error(
-        "PushRelabelBinarySolver::solve: no bound problem; use solve_into");
-  }
-  SolveResult result;
-  solve_into(*bound_problem_, result);
-  return result;
-}
 
 void PushRelabelBinarySolver::solve_into(const RetrievalProblem& problem,
                                          SolveResult& result) {

@@ -30,7 +30,8 @@ using EngineFactory = std::function<std::unique_ptr<IntegratedEngine>(
     graph::FlowNetwork&, graph::Vertex source, graph::Vertex sink)>;
 
 /// Default factory: the sequential FIFO push-relabel engine.
-EngineFactory sequential_engine_factory(graph::PushRelabelOptions options = {});
+EngineFactory sequential_engine_factory(
+    graph::HeightInit init = graph::HeightInit::kGlobalRelabel);
 
 class PushRelabelBinarySolver : private ScalingKernel {
  public:
@@ -39,14 +40,6 @@ class PushRelabelBinarySolver : private ScalingKernel {
   /// cleared, buffers kept) on every subsequent one.
   explicit PushRelabelBinarySolver(EngineFactory factory =
                                        sequential_engine_factory());
-
-  /// One-problem convenience binding (the original API).
-  explicit PushRelabelBinarySolver(const RetrievalProblem& problem,
-                                   EngineFactory factory =
-                                       sequential_engine_factory());
-
-  /// Solve the constructor-bound problem.
-  SolveResult solve();
 
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
@@ -65,7 +58,6 @@ class PushRelabelBinarySolver : private ScalingKernel {
   void restore() override;
   void seed(const std::vector<std::int32_t>& disk_of_bucket) override;
 
-  const RetrievalProblem* bound_problem_ = nullptr;
   RetrievalNetwork network_;
   EngineFactory factory_;
   std::unique_ptr<IntegratedEngine> engine_;

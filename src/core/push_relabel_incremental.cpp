@@ -1,27 +1,10 @@
 #include "core/push_relabel_incremental.h"
 
-#include <stdexcept>
-
 #include "analysis/schedule_invariants.h"
 
 #include "obs/span.h"
 
 namespace repflow::core {
-
-PushRelabelIncrementalSolver::PushRelabelIncrementalSolver(
-    const RetrievalProblem& problem, graph::PushRelabelOptions options)
-    : bound_problem_(&problem), options_(options) {}
-
-SolveResult PushRelabelIncrementalSolver::solve() {
-  if (bound_problem_ == nullptr) {
-    throw std::logic_error(
-        "PushRelabelIncrementalSolver::solve: no bound problem; use "
-        "solve_into");
-  }
-  SolveResult result;
-  solve_into(*bound_problem_, result);
-  return result;
-}
 
 void PushRelabelIncrementalSolver::solve_into(const RetrievalProblem& problem,
                                               SolveResult& result) {
@@ -32,8 +15,7 @@ void PushRelabelIncrementalSolver::solve_into(const RetrievalProblem& problem,
   network_.set_uniform_capacities(0);
   incrementer_.rebind(network_);
   if (!engine_) {
-    engine_.emplace(network_.net(), network_.source(), network_.sink(),
-                    options_, &workspace_);
+    engine_.emplace(network_.net(), network_.source(), network_.sink());
   } else {
     engine_->rebind(network_.source(), network_.sink());
   }
@@ -56,7 +38,8 @@ void PushRelabelIncrementalSolver::solve_into(const RetrievalProblem& problem,
 }
 
 std::size_t PushRelabelIncrementalSolver::retained_bytes() const {
-  return network_.retained_bytes() + workspace_.retained_bytes();
+  return network_.retained_bytes() +
+         (engine_ ? engine_->retained_bytes() : 0);
 }
 
 }  // namespace repflow::core

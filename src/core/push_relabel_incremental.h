@@ -8,27 +8,17 @@
 
 #include <optional>
 
-#include "core/engine.h"
 #include "core/increment.h"
 #include "core/network.h"
 #include "core/solver.h"
+#include "graph/push_relabel.h"
 
 namespace repflow::core {
 
 class PushRelabelIncrementalSolver {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
-  explicit PushRelabelIncrementalSolver(
-      graph::PushRelabelOptions options = {})
-      : options_(options) {}
-
-  /// One-problem convenience binding (the original API).
-  explicit PushRelabelIncrementalSolver(
-      const RetrievalProblem& problem,
-      graph::PushRelabelOptions options = {});
-
-  /// Solve the constructor-bound problem.
-  SolveResult solve();
+  PushRelabelIncrementalSolver() = default;
 
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
@@ -36,16 +26,13 @@ class PushRelabelIncrementalSolver {
 
   const RetrievalNetwork& network() const { return network_; }
 
-  /// Retained working-memory footprint (network + engine workspace).
+  /// Retained working-memory footprint (network + engine buffers).
   std::size_t retained_bytes() const;
 
  private:
-  const RetrievalProblem* bound_problem_ = nullptr;
-  graph::PushRelabelOptions options_;
   RetrievalNetwork network_;
   CapacityIncrementer incrementer_;
-  graph::MaxflowWorkspace workspace_;
-  std::optional<SequentialPushRelabelEngine> engine_;
+  std::optional<graph::PushRelabel> engine_;
 };
 
 }  // namespace repflow::core

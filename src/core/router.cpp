@@ -1,5 +1,6 @@
 #include "core/router.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -65,6 +66,9 @@ void QueryRouter::buffer(const workload::Query* query,
 }
 
 void QueryRouter::require_in_order(double arrival_ms) const {
+  if (!std::isfinite(arrival_ms)) {
+    throw std::invalid_argument("QueryRouter: arrival is not finite");
+  }
   if (arrival_ms < last_arrival_ms_) {
     throw std::invalid_argument(
         "QueryRouter: arrivals must be non-decreasing");

@@ -142,8 +142,8 @@ class QueryRouter {
   const RouterStats& stats() const { return stats_; }
 
  private:
-  /// Throws std::invalid_argument when `arrival_ms` precedes the last
-  /// served arrival.
+  /// Throws std::invalid_argument when `arrival_ms` is not finite or
+  /// precedes the last served arrival.
   void require_in_order(double arrival_ms) const;
   /// An arrival comes as bucket ids (`query`, mapped through the
   /// scheduler's allocation; enables dedup) or as replica lists

@@ -96,13 +96,6 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
   pool_metrics().retained_bytes.set(static_cast<double>(retained_bytes()));
 }
 
-SolveResult SolverPool::solve(const RetrievalProblem& problem,
-                              SolverKind kind) {
-  SolveResult result;
-  solve_into(problem, kind, result);
-  return result;
-}
-
 std::size_t SolverPool::retained_bytes() const {
   std::size_t total = 0;
   if (ff_basic_) total += ff_basic_->retained_bytes();

@@ -41,10 +41,6 @@ class SolverPool {
   void solve_into(const RetrievalProblem& problem, SolverKind kind,
                   SolveResult& result);
 
-  /// Convenience wrapper returning a fresh result (allocates the result's
-  /// schedule vectors; the solver shells are still reused).
-  SolveResult solve(const RetrievalProblem& problem, SolverKind kind);
-
   /// Worker count for the parallel engine.  Changing it drops only the
   /// parallel slot, which is rebuilt with the new count on next use.
   void set_threads(int threads);

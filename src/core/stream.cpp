@@ -1,6 +1,7 @@
 #include "core/stream.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -80,6 +81,9 @@ double QueryStreamScheduler::max_backlog_at(double arrival_ms) const {
 }
 
 double QueryStreamScheduler::advance_loads(double arrival_ms) {
+  if (!std::isfinite(arrival_ms)) {
+    throw std::invalid_argument("QueryStreamScheduler: arrival is not finite");
+  }
   if (arrival_ms < last_arrival_ms_) {
     throw std::invalid_argument(
         "QueryStreamScheduler: arrivals must be non-decreasing");
@@ -116,6 +120,13 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   exec_.solve_into(problem, kind, exec_.scratch());
   const SolveResult& result = exec_.scratch();
   solve_watch.stop();
+  // A finite problem can still finish at +inf (two blocks at C = 1e308).
+  // That optimum is legal for one query, but as a busy horizon it would
+  // fail every later one, so the stream refuses it.
+  if (!std::isfinite(arrival_ms + result.response_time_ms)) {
+    throw std::invalid_argument(
+        "QueryStreamScheduler: completion time is not finite");
+  }
   // Commit the clock only now: a problem the seam rejected left the stream
   // as it was, so an earlier arrival may still follow it.
   last_arrival_ms_ = arrival_ms;
@@ -190,26 +201,10 @@ StreamStats QueryStreamScheduler::stats() const {
   StreamStats s;
   s.queries = static_cast<std::int64_t>(events_.size());
   if (events_.empty()) return s;
-  // The makespan is a property of absolute completion times, which the
-  // histograms (observing relative latencies) do not carry.
-  for (const auto& e : events_) {
-    s.makespan_ms = std::max(s.makespan_ms, e.completion_ms);
-  }
-  s.queue_wait = queue_wait_hist_.summary();
-  s.solve_time = solve_hist_.summary();
-  s.response_time = response_hist_.summary();
-#if !defined(REPFLOW_OBS_DISABLED)
-  // The scalar fields are views over the histograms, which saw exactly one
-  // observation per event in the same order (count/sum/min/max are exact in
-  // obs::Histogram; only percentiles are bucket estimates), so these match
-  // an event-log pass bit for bit.
-  s.mean_response_ms = s.response_time.mean;
-  s.max_response_ms = s.response_time.max;
-  s.mean_queue_wait_ms = s.queue_wait.mean;
-  s.mean_solve_ms = s.solve_time.mean;
-#else
-  // Kill-switch builds compile the histograms to inert stubs (all-zero
-  // summaries), so the scalars fall back to the event log.
+  // One pass over the event log.  The histograms saw the same values in
+  // the same order, summed from 0.0, so each mean_* equals its histogram's
+  // mean bit for bit; the makespan is a property of absolute completion
+  // times, which the histograms (observing relative latencies) do not carry.
   double total_response = 0.0;
   double total_wait = 0.0;
   double total_solve = 0.0;
@@ -218,11 +213,15 @@ StreamStats QueryStreamScheduler::stats() const {
     total_wait += e.max_initial_load_ms;
     total_solve += e.solve_ms;
     s.max_response_ms = std::max(s.max_response_ms, e.response_ms);
+    s.makespan_ms = std::max(s.makespan_ms, e.completion_ms);
   }
-  s.mean_response_ms = total_response / static_cast<double>(s.queries);
-  s.mean_queue_wait_ms = total_wait / static_cast<double>(s.queries);
-  s.mean_solve_ms = total_solve / static_cast<double>(s.queries);
-#endif
+  const auto count = static_cast<double>(s.queries);
+  s.mean_response_ms = total_response / count;
+  s.mean_queue_wait_ms = total_wait / count;
+  s.mean_solve_ms = total_solve / count;
+  s.queue_wait = queue_wait_hist_.summary();
+  s.solve_time = solve_hist_.summary();
+  s.response_time = response_hist_.summary();
   return s;
 }
 

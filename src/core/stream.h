@@ -47,12 +47,11 @@ struct StreamEvent {
 
 /// Latency statistics over a scheduler's processed queries.
 ///
-/// The scalar mean_*/max_* fields are *views over the same observations*
-/// the HistogramSummary members carry: in normal builds they are computed
-/// from the per-scheduler histograms (count/sum/min/max are exact; only
-/// percentiles are bucket-estimates).  Under REPFLOW_OBS_DISABLED the
-/// histograms compile to inert stubs, so the scalars fall back to a direct
-/// pass over the event log and the summaries read all-zero.
+/// The scalar fields come from one pass over the event log in every build.
+/// The HistogramSummary members carry the same observations (their
+/// count/sum/min/max are exact, so each mean_* equals its summary's mean;
+/// only percentiles are bucket estimates).  Under REPFLOW_OBS_DISABLED the
+/// histograms compile to inert stubs and the summaries read all-zero.
 struct StreamStats {
   std::int64_t queries = 0;
   double mean_response_ms = 0.0;
@@ -87,10 +86,12 @@ class QueryStreamScheduler {
   QueryStreamScheduler(workload::SystemConfig base_system,
                        ExecutionPolicy policy);
 
-  /// Process one query arriving at `arrival_ms` (must be non-decreasing
-  /// across served calls; throws otherwise).  Returns the event record.  A
-  /// query the solve seam rejects (std::invalid_argument) leaves the
-  /// scheduler as it was, its clock included.
+  /// Process one query arriving at `arrival_ms` (must be finite and
+  /// non-decreasing across served calls; throws std::invalid_argument
+  /// otherwise).  Returns the event record.  A query the solve seam rejects,
+  /// or whose completion time `arrival_ms + T` is not finite, throws
+  /// std::invalid_argument and leaves the scheduler as it was, its clock
+  /// and busy horizon included.
   StreamEvent submit(const workload::Query& query, double arrival_ms);
 
   /// Same, but with the bucket replica lists given directly (e.g. from a
@@ -126,9 +127,10 @@ class QueryStreamScheduler {
   void fill_replicas(const workload::Query& query);
   /// Fold the backlog left by earlier schedules into problem_'s X_j loads
   /// for a query arriving at `arrival_ms`; returns the busiest backlog.
-  /// Throws when the arrival precedes the last served one.
+  /// Throws when the arrival is not finite or precedes the last served one.
   double advance_loads(double arrival_ms);
-  /// Solve problem_ and record the event.
+  /// Solve problem_ and record the event; throws, before committing
+  /// anything, when the completion time is not finite.
   StreamEvent submit_problem(double arrival_ms, double max_backlog);
 
   const decluster::ReplicatedAllocation* allocation_;  // null in replay mode

@@ -18,12 +18,8 @@ std::string FlowStats::to_string() const {
 }
 
 FordFulkerson::FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
-                             SearchOrder order, MaxflowWorkspace* workspace)
-    : net_(net),
-      source_(source),
-      sink_(sink),
-      order_(order),
-      ws_(workspace != nullptr ? workspace : &owned_workspace_) {
+                             SearchOrder order)
+    : net_(net), source_(source), sink_(sink), order_(order) {
   rebind(source, sink);
 }
 
@@ -36,9 +32,9 @@ void FordFulkerson::validate_endpoints() const {
 
 void FordFulkerson::ensure_sizes() {
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  if (ws_->visited_mark.size() < n) ws_->visited_mark.resize(n, 0);
-  if (ws_->parent_arc.size() < n) ws_->parent_arc.resize(n, kInvalidArc);
-  if (ws_->arc_cursor.size() < n) ws_->arc_cursor.resize(n, 0);
+  if (visited_mark_.size() < n) visited_mark_.resize(n, 0);
+  if (parent_arc_.size() < n) parent_arc_.resize(n, kInvalidArc);
+  if (arc_cursor_.size() < n) arc_cursor_.resize(n, 0);
 }
 
 void FordFulkerson::rebind(Vertex source, Vertex sink) {
@@ -64,11 +60,11 @@ Cap FordFulkerson::augment_once(Vertex from) {
 }
 
 Cap FordFulkerson::dfs_augment(Vertex from) {
-  const std::uint32_t epoch = ++ws_->mark_epoch;
-  auto& visited = ws_->visited_mark;
-  auto& cursor = ws_->arc_cursor;
-  auto& path = ws_->arc_path;
-  auto& stack = ws_->vertex_scratch;
+  const std::uint32_t epoch = ++mark_epoch_;
+  auto& visited = visited_mark_;
+  auto& cursor = arc_cursor_;
+  auto& path = path_;
+  auto& stack = stack_;
   path.clear();
   // Iterative DFS over residual arcs; cursor[v] indexes v's out-arc list
   // for the current epoch.
@@ -109,10 +105,10 @@ Cap FordFulkerson::dfs_augment(Vertex from) {
 }
 
 Cap FordFulkerson::bfs_augment(Vertex from) {
-  const std::uint32_t epoch = ++ws_->mark_epoch;
-  auto& visited = ws_->visited_mark;
-  auto& parent = ws_->parent_arc;
-  auto& queue = ws_->vertex_scratch;
+  const std::uint32_t epoch = ++mark_epoch_;
+  auto& visited = visited_mark_;
+  auto& parent = parent_arc_;
+  auto& queue = stack_;
   queue.clear();
   queue.push_back(from);
   visited[from] = epoch;
@@ -155,6 +151,13 @@ Cap FordFulkerson::run() {
   Cap pushed = 0;
   while (Cap delta = augment_once()) pushed += delta;
   return pushed;
+}
+
+std::size_t FordFulkerson::retained_bytes() const {
+  return (visited_mark_.capacity() + arc_cursor_.capacity()) *
+             sizeof(std::uint32_t) +
+         (parent_arc_.capacity() + path_.capacity()) * sizeof(ArcId) +
+         stack_.capacity() * sizeof(Vertex);
 }
 
 MaxflowResult FordFulkerson::solve_from_zero() {

@@ -4,14 +4,16 @@
 // single-augmentation primitive so the paper's integrated Algorithms 1 and 2
 // can interleave capacity incrementation with per-bucket augmentations.
 //
-// Search scratch lives in a MaxflowWorkspace (graph/workspace.h); inject one
-// to share buffers with sibling engines, or omit it for a private workspace.
+// The engine owns its search scratch (visited marks, cursors, parent arcs,
+// the path and the stack); the buffers are retained across runs and
+// rebind(), so a persistent engine reruns without allocating.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/maxflow.h"
-#include "graph/workspace.h"
 
 namespace repflow::graph {
 
@@ -23,8 +25,7 @@ enum class SearchOrder {
 class FordFulkerson {
  public:
   explicit FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
-                         SearchOrder order = SearchOrder::kDfs,
-                         MaxflowWorkspace* workspace = nullptr);
+                         SearchOrder order = SearchOrder::kDfs);
   /// Re-target the engine after the network was rebuilt in place.  Keeps
   /// buffer capacity and the cumulative stats() total.
   void rebind(Vertex source, Vertex sink);
@@ -45,8 +46,8 @@ class FordFulkerson {
   const FlowStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// The workspace in use (injected or owned) — for footprint reporting.
-  const MaxflowWorkspace& workspace() const { return *ws_; }
+  /// Capacity-based footprint of the retained search buffers.
+  std::size_t retained_bytes() const;
 
  private:
   void validate_endpoints() const;
@@ -60,8 +61,12 @@ class FordFulkerson {
   SearchOrder order_;
   FlowStats stats_;
 
-  MaxflowWorkspace owned_workspace_;  // used when none is injected
-  MaxflowWorkspace* ws_;
+  std::vector<std::uint32_t> visited_mark_;  // epoch-stamped visited flags
+  std::uint32_t mark_epoch_ = 0;
+  std::vector<std::uint32_t> arc_cursor_;    // DFS scan position per vertex
+  std::vector<ArcId> parent_arc_;            // BFS predecessor arcs
+  std::vector<ArcId> path_;                  // DFS augmenting path
+  std::vector<Vertex> stack_;                // DFS stack / BFS queue
 };
 
 }  // namespace repflow::graph

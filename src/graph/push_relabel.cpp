@@ -9,15 +9,8 @@
 namespace repflow::graph {
 
 PushRelabel::PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
-                         PushRelabelOptions options,
-                         MaxflowWorkspace* workspace)
-    : net_(net),
-      source_(source),
-      sink_(sink),
-      options_(options),
-      ws_(workspace != nullptr ? workspace : &owned_workspace_) {
-  // Full rebind clear: an injected workspace may hold state from a previous
-  // engine, and resume() (unlike solve_from_zero) relies on a clean start.
+                         HeightInit init)
+    : net_(net), source_(source), sink_(sink), init_(init) {
   rebind(source, sink);
 }
 
@@ -30,14 +23,14 @@ void PushRelabel::validate_endpoints() const {
 
 void PushRelabel::ensure_sizes() {
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  if (ws_->excess.size() < n) {
-    ws_->excess.resize(n, 0);
-    ws_->height.resize(n, 0);
-    ws_->in_queue.resize(n, 0);
-    ws_->height_count.assign(2 * n + 2, 0);
+  if (excess_.size() < n) {
+    excess_.resize(n, 0);
+    height_.resize(n, 0);
+    in_queue_.resize(n, 0);
+    height_count_.assign(2 * n + 2, 0);
   }
-  if (ws_->arc_cursor.size() < n) ws_->arc_cursor.resize(n, 0);
-  ws_->fifo.ensure_capacity(n);
+  if (arc_cursor_.size() < n) arc_cursor_.resize(n, 0);
+  fifo_.ensure_capacity(n);
 }
 
 void PushRelabel::rebind(Vertex source, Vertex sink) {
@@ -46,17 +39,17 @@ void PushRelabel::rebind(Vertex source, Vertex sink) {
   validate_endpoints();
   ensure_sizes();
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  std::fill_n(ws_->excess.begin(), n, Cap{0});
-  std::fill_n(ws_->in_queue.begin(), n, std::uint8_t{0});
-  ws_->fifo.clear();
+  std::fill_n(excess_.begin(), n, Cap{0});
+  std::fill_n(in_queue_.begin(), n, std::uint8_t{0});
+  fifo_.clear();
   relabels_since_global_ = 0;
 }
 
 void PushRelabel::enqueue_if_active(Vertex v) {
   if (v == source_ || v == sink_) return;
-  if (ws_->excess[v] > 0 && !ws_->in_queue[v]) {
-    ws_->in_queue[v] = 1;
-    ws_->fifo.push(v);
+  if (excess_[v] > 0 && !in_queue_[v]) {
+    in_queue_[v] = 1;
+    fifo_.push(v);
   }
 }
 
@@ -67,7 +60,7 @@ void PushRelabel::saturate_source_arcs() {
     if (delta <= 0) continue;
     net_.push_on(a, delta);
     const Vertex v = net_.head(a);
-    ws_->excess[v] += delta;
+    excess_[v] += delta;
     enqueue_if_active(v);
   }
 }
@@ -75,14 +68,14 @@ void PushRelabel::saturate_source_arcs() {
 void PushRelabel::reinitialize_heights() {
   ensure_sizes();
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  ws_->excess[source_] = 0;
-  std::fill(ws_->arc_cursor.begin(), ws_->arc_cursor.end(), 0u);
-  if (options_.height_init == HeightInit::kZero) {
-    std::fill(ws_->height.begin(), ws_->height.end(), 0);
-    ws_->height[source_] = static_cast<std::int32_t>(n);
-    std::fill(ws_->height_count.begin(), ws_->height_count.end(), 0);
-    ws_->height_count[0] = static_cast<std::int32_t>(n - 1);
-    ws_->height_count[n] = 1;
+  excess_[source_] = 0;
+  std::fill(arc_cursor_.begin(), arc_cursor_.end(), 0u);
+  if (init_ == HeightInit::kZero) {
+    std::fill(height_.begin(), height_.end(), 0);
+    height_[source_] = static_cast<std::int32_t>(n);
+    std::fill(height_count_.begin(), height_count_.end(), 0);
+    height_count_[0] = static_cast<std::int32_t>(n - 1);
+    height_count_[n] = 1;
   } else {
     global_relabel();
   }
@@ -91,60 +84,57 @@ void PushRelabel::reinitialize_heights() {
 
 void PushRelabel::global_relabel() {
   ++stats_.global_relabels;
-  auto& height = ws_->height;
   const auto n = static_cast<std::size_t>(net_.num_vertices());
   constexpr std::int32_t kUnset = -1;
-  std::fill(height.begin(), height.end(), kUnset);
+  std::fill(height_.begin(), height_.end(), kUnset);
   // Backward BFS from the sink over residual arcs: w can reach v along
   // (w -> v) iff residual(reverse(out-arc of v pointing at w)) > 0.
   auto backward_bfs = [&](Vertex root, std::int32_t base) {
-    height[root] = base;
-    auto& queue = ws_->vertex_scratch;
-    queue.clear();
-    queue.push_back(root);
+    height_[root] = base;
+    bfs_queue_.clear();
+    bfs_queue_.push_back(root);
     std::size_t qi = 0;
-    while (qi < queue.size()) {
-      const Vertex v = queue[qi++];
+    while (qi < bfs_queue_.size()) {
+      const Vertex v = bfs_queue_[qi++];
       for (ArcId a : net_.out_arcs(v)) {
         const Vertex w = net_.head(a);
-        if (height[w] != kUnset) continue;
+        if (height_[w] != kUnset) continue;
         if (net_.residual(net_.reverse(a)) <= 0) continue;
-        height[w] = height[v] + 1;
-        queue.push_back(w);
+        height_[w] = height_[v] + 1;
+        bfs_queue_.push_back(w);
       }
     }
   };
   backward_bfs(sink_, 0);
   const auto height_s = static_cast<std::int32_t>(n);
-  if (height[source_] == kUnset) height[source_] = height_s;
+  if (height_[source_] == kUnset) height_[source_] = height_s;
   // Vertices cut off from the sink route their excess back to the source.
   backward_bfs(source_, height_s);
   for (std::size_t v = 0; v < n; ++v) {
-    if (height[v] == kUnset) {
+    if (height_[v] == kUnset) {
       // Isolated from both s and t in the residual graph; such a vertex can
       // never be active, park it at the ceiling.
-      height[v] = static_cast<std::int32_t>(2 * n);
+      height_[v] = static_cast<std::int32_t>(2 * n);
     }
   }
-  height[source_] = height_s;  // BFS from source must not lower it
-  std::fill(ws_->height_count.begin(), ws_->height_count.end(), 0);
-  for (std::size_t v = 0; v < n; ++v) ++ws_->height_count[height[v]];
-  std::fill(ws_->arc_cursor.begin(), ws_->arc_cursor.end(), 0u);
+  height_[source_] = height_s;  // BFS from source must not lower it
+  std::fill(height_count_.begin(), height_count_.end(), 0);
+  for (std::size_t v = 0; v < n; ++v) ++height_count_[height_[v]];
+  std::fill(arc_cursor_.begin(), arc_cursor_.end(), 0u);
   relabels_since_global_ = 0;
   // Post-relabel-batch seam: exact heights must form a valid labeling
   // (heights only ever rise within a run, so a lowered label here would
   // mean the BFS saw stale flows).
-  REPFLOW_CHECK_LABELING(net_, source_, sink_, ws_->height,
+  REPFLOW_CHECK_LABELING(net_, source_, sink_, height_,
                          "push_relabel.post_global_relabel");
 }
 
 void PushRelabel::relabel(Vertex v) {
-  auto& height = ws_->height;
   const auto n = static_cast<std::size_t>(net_.num_vertices());
   std::int32_t min_height = std::numeric_limits<std::int32_t>::max();
   for (ArcId a : net_.out_arcs(v)) {
     if (net_.residual(a) > 0) {
-      min_height = std::min(min_height, height[net_.head(a)]);
+      min_height = std::min(min_height, height_[net_.head(a)]);
     }
   }
   if (min_height == std::numeric_limits<std::int32_t>::max()) {
@@ -152,22 +142,23 @@ void PushRelabel::relabel(Vertex v) {
     // without receiving flow, which would create a residual reverse arc).
     min_height = static_cast<std::int32_t>(2 * n) - 1;
   }
-  const std::int32_t old_height = height[v];
+  const std::int32_t old_height = height_[v];
   const std::int32_t new_height =
       std::min(min_height + 1, static_cast<std::int32_t>(2 * n));
   if (new_height <= old_height) {
     // An admissible arc appeared behind the cursor (created by an incoming
     // push after the cursor passed it).  Rescan instead of lifting.
-    ws_->arc_cursor[v] = 0;
+    arc_cursor_[v] = 0;
     return;
   }
-  --ws_->height_count[old_height];
-  height[v] = new_height;
-  ++ws_->height_count[new_height];
-  ws_->arc_cursor[v] = 0;
+  --height_count_[old_height];
+  height_[v] = new_height;
+  ++height_count_[new_height];
+  arc_cursor_[v] = 0;
   ++stats_.relabels;
   ++relabels_since_global_;
-  if (options_.use_gap_heuristic && ws_->height_count[old_height] == 0 &&
+  if (init_ == HeightInit::kGlobalRelabel &&
+      height_count_[old_height] == 0 &&
       old_height < static_cast<std::int32_t>(n)) {
     apply_gap(old_height);
   }
@@ -176,15 +167,14 @@ void PushRelabel::relabel(Vertex v) {
 void PushRelabel::apply_gap(std::int32_t emptied_height) {
   // Any vertex with emptied_height < h < n can no longer reach the sink;
   // lift it above n so its excess heads back to the source directly.
-  auto& height = ws_->height;
   const auto n = static_cast<std::int32_t>(net_.num_vertices());
   for (Vertex v = 0; v < n; ++v) {
     if (v == source_ || v == sink_) continue;
-    if (height[v] > emptied_height && height[v] < n) {
-      --ws_->height_count[height[v]];
-      height[v] = n + 1;
-      ++ws_->height_count[height[v]];
-      ws_->arc_cursor[v] = 0;
+    if (height_[v] > emptied_height && height_[v] < n) {
+      --height_count_[height_[v]];
+      height_[v] = n + 1;
+      ++height_count_[height_[v]];
+      arc_cursor_[v] = 0;
       ++stats_.gap_jumps;
     }
   }
@@ -193,44 +183,44 @@ void PushRelabel::apply_gap(std::int32_t emptied_height) {
 void PushRelabel::discharge(Vertex v) {
   const auto n = static_cast<std::size_t>(net_.num_vertices());
   auto arcs = net_.out_arcs(v);
-  while (ws_->excess[v] > 0) {
-    if (ws_->arc_cursor[v] >= arcs.size()) {
+  while (excess_[v] > 0) {
+    if (arc_cursor_[v] >= arcs.size()) {
       relabel(v);
-      if (ws_->height[v] >= static_cast<std::int32_t>(2 * n)) {
+      if (height_[v] >= static_cast<std::int32_t>(2 * n)) {
         break;  // at the ceiling with no residual out-arc; cannot be active
       }
       continue;  // relabel reset the cursor; rescan for admissible arcs
     }
-    const ArcId a = arcs[ws_->arc_cursor[v]];
+    const ArcId a = arcs[arc_cursor_[v]];
     const Vertex w = net_.head(a);
-    if (net_.residual(a) > 0 && ws_->height[v] == ws_->height[w] + 1) {
-      const Cap delta = std::min(ws_->excess[v], net_.residual(a));
+    if (net_.residual(a) > 0 && height_[v] == height_[w] + 1) {
+      const Cap delta = std::min(excess_[v], net_.residual(a));
       net_.push_on(a, delta);
-      ws_->excess[v] -= delta;
-      ws_->excess[w] += delta;
+      excess_[v] -= delta;
+      excess_[w] += delta;
       ++stats_.pushes;
       enqueue_if_active(w);
-      if (net_.residual(a) == 0) ++ws_->arc_cursor[v];
+      if (net_.residual(a) == 0) ++arc_cursor_[v];
     } else {
-      ++ws_->arc_cursor[v];
+      ++arc_cursor_[v];
     }
   }
 }
 
 Cap PushRelabel::run() {
   ensure_sizes();
-  const auto n = static_cast<std::uint64_t>(net_.num_vertices());
+  // kGlobalRelabel recomputes exact heights after every n relabels; kZero
+  // never does.
   const std::uint64_t global_interval =
-      options_.global_relabel_interval_factor == 0
-          ? 0
-          : options_.global_relabel_interval_factor * n;
-  auto& fifo = ws_->fifo;
-  while (!fifo.empty()) {
+      init_ == HeightInit::kGlobalRelabel
+          ? static_cast<std::uint64_t>(net_.num_vertices())
+          : 0;
+  while (!fifo_.empty()) {
     if (global_interval != 0 && relabels_since_global_ >= global_interval) {
       global_relabel();
     }
-    const Vertex v = fifo.pop();
-    ws_->in_queue[v] = 0;
+    const Vertex v = fifo_.pop();
+    in_queue_[v] = 0;
     discharge(v);
     // A discharge interrupted by the ceiling guard may leave excess; requeue
     // would spin, so assert-quietly: such a vertex has no residual out-arc
@@ -241,7 +231,7 @@ Cap PushRelabel::run() {
   // its excess (to the sink or back past n to the source), so the preflow
   // is a flow again — the property Algorithms 5/6 conserve across probes.
   REPFLOW_CHECK_FLOW(net_, source_, sink_, "push_relabel.post_run");
-  return ws_->excess[sink_];
+  return excess_[sink_];
 }
 
 Cap PushRelabel::resume() {
@@ -254,9 +244,9 @@ MaxflowResult PushRelabel::solve_from_zero() {
   ensure_sizes();
   net_.clear_flow();
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  std::fill_n(ws_->excess.begin(), n, Cap{0});
-  std::fill_n(ws_->in_queue.begin(), n, std::uint8_t{0});
-  ws_->fifo.clear();
+  std::fill_n(excess_.begin(), n, Cap{0});
+  std::fill_n(in_queue_.begin(), n, std::uint8_t{0});
+  fifo_.clear();
   const FlowStats before = stats_;
   MaxflowResult result;
   result.value = resume();
@@ -265,13 +255,22 @@ MaxflowResult PushRelabel::solve_from_zero() {
   return result;
 }
 
+std::size_t PushRelabel::retained_bytes() const {
+  return excess_.capacity() * sizeof(Cap) +
+         (height_.capacity() + height_count_.capacity()) *
+             sizeof(std::int32_t) +
+         in_queue_.capacity() * sizeof(std::uint8_t) +
+         arc_cursor_.capacity() * sizeof(std::uint32_t) +
+         bfs_queue_.capacity() * sizeof(Vertex) + fifo_.retained_bytes();
+}
+
 void PushRelabel::reset_excess_after_restore(Cap sink_excess) {
   ensure_sizes();
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  std::fill_n(ws_->excess.begin(), n, Cap{0});
-  ws_->excess[sink_] = sink_excess;
-  std::fill_n(ws_->in_queue.begin(), n, std::uint8_t{0});
-  ws_->fifo.clear();
+  std::fill_n(excess_.begin(), n, Cap{0});
+  excess_[sink_] = sink_excess;
+  std::fill_n(in_queue_.begin(), n, std::uint8_t{0});
+  fifo_.clear();
 }
 
 }  // namespace repflow::graph

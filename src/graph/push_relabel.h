@@ -2,47 +2,89 @@
 // Cherkassky-Goldberg exact-height (global relabeling) and gap heuristics.
 //
 // This class is designed for *integrated* use by the retrieval algorithms of
-// the paper: its height/excess state is exposed so Algorithm 5/6 can conserve
-// flows across capacity changes, re-saturate only source arcs with residual
-// capacity, and re-run the push/relabel loop from the preserved preflow.
+// the paper: its height/excess state persists between calls so Algorithm 5/6
+// can conserve flows across capacity changes, re-saturate only source arcs
+// with residual capacity, and re-run the push/relabel loop from the
+// preserved preflow.
 //
 // The engine maintains the invariant that after run() returns, every vertex
 // except source and sink has zero excess: excess that cannot reach the sink
 // is returned to the source by relabeling past n (heights are bounded by
 // 2n-1), exactly as required for the paper's flow-conservation scheme.
 //
-// Working memory lives in a MaxflowWorkspace (graph/workspace.h).  Pass one
-// in to share buffers with other engines of the same solver; omit it and the
-// engine owns a private workspace.  Either way the buffers are retained
-// across runs and across rebind(), so steady-state reruns allocate nothing.
+// The engine owns its working buffers (excess, heights, arc cursors, the
+// active-vertex FIFO and the global-relabel BFS queue).  They grow
+// monotonically and are retained across runs and across rebind(), so a
+// persistent engine reruns on a same-footprint network without allocating.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/maxflow.h"
-#include "graph/workspace.h"
 
 namespace repflow::graph {
 
-/// How heights are initialized at the start of a (re)run.
+/// How heights are initialized at the start of a (re)run, and with them
+/// which heuristics run.
 enum class HeightInit {
-  kZero,           ///< all zero except height[s] = n (paper's Algorithm 4/5)
-  kGlobalRelabel,  ///< exact distances to the sink (Cherkassky-Goldberg [19])
+  /// The paper's Algorithm 4/5: all zero except height[s] = n, and neither
+  /// the gap heuristic nor periodic global relabeling.
+  kZero,
+  /// Exact distances to the sink (Cherkassky-Goldberg [19]), recomputed
+  /// after every n relabels, plus the gap heuristic.
+  kGlobalRelabel,
 };
 
-struct PushRelabelOptions {
-  HeightInit height_init = HeightInit::kGlobalRelabel;
-  /// Re-run global relabeling after this many relabel operations
-  /// (0 disables periodic global relabeling).
-  std::uint64_t global_relabel_interval_factor = 1;  // x num_vertices
-  bool use_gap_heuristic = true;
+/// Fixed-capacity FIFO of vertices backed by a ring buffer: capacity is
+/// retained across runs and push/pop never allocate.  Each vertex is
+/// enqueued at most once at a time, so a capacity of num_vertices + 1 can
+/// never overflow.
+class VertexFifo {
+ public:
+  /// Make room for `vertices` distinct entries; clears the queue when the
+  /// ring has to grow (callers resize only between runs).
+  void ensure_capacity(std::size_t vertices) {
+    if (buf_.size() < vertices + 1) {
+      buf_.resize(vertices + 1);
+      head_ = tail_ = 0;
+    }
+  }
+
+  bool empty() const { return head_ == tail_; }
+
+  void push(Vertex v) {
+    buf_[tail_] = v;
+    tail_ = next(tail_);
+  }
+
+  Vertex pop() {
+    const Vertex v = buf_[head_];
+    head_ = next(head_);
+    return v;
+  }
+
+  void clear() { head_ = tail_ = 0; }
+
+  std::size_t retained_bytes() const {
+    return buf_.capacity() * sizeof(Vertex);
+  }
+
+ private:
+  std::size_t next(std::size_t i) const {
+    return i + 1 == buf_.size() ? 0 : i + 1;
+  }
+
+  std::vector<Vertex> buf_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
 };
 
 class PushRelabel {
  public:
   PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
-              PushRelabelOptions options = {},
-              MaxflowWorkspace* workspace = nullptr);
+              HeightInit init = HeightInit::kGlobalRelabel);
   /// Re-target the engine after the network was rebuilt in place (same
   /// FlowNetwork object, possibly different topology).  Clears all engine
   /// state as if freshly constructed, but keeps buffer capacity and the
@@ -63,8 +105,8 @@ class PushRelabel {
   /// carries excess from an earlier run (none after a completed run).
   void saturate_source_arcs();
 
-  /// Lines 11-14 of Algorithm 5: reset heights (per `options.height_init`)
-  /// and zero the source's excess bookkeeping.
+  /// Lines 11-14 of Algorithm 5: reset heights (per the engine's
+  /// HeightInit) and zero the source's excess bookkeeping.
   void reinitialize_heights();
 
   /// Drain the FIFO queue with push/relabel operations; returns excess[t],
@@ -76,9 +118,6 @@ class PushRelabel {
 
   // ---- State inspection / manipulation for Algorithm 6 ----
 
-  Cap excess(Vertex v) const { return ws_->excess[v]; }
-  std::int32_t height(Vertex v) const { return ws_->height[v]; }
-
   /// After restoring a flow snapshot into the network, realign the engine's
   /// excess bookkeeping: all conserved vertices zero, sink = `sink_excess`.
   void reset_excess_after_restore(Cap sink_excess);
@@ -86,8 +125,9 @@ class PushRelabel {
   const FlowStats& stats() const { return stats_; }
   void reset_stats() { stats_.reset(); }
 
-  /// The workspace in use (injected or owned) — for footprint reporting.
-  const MaxflowWorkspace& workspace() const { return *ws_; }
+  /// Capacity-based footprint of the retained working buffers (feeds the
+  /// workspace.retained_bytes gauge); counts heap blocks, not live elements.
+  std::size_t retained_bytes() const;
 
  private:
   void validate_endpoints() const;
@@ -101,11 +141,16 @@ class PushRelabel {
   FlowNetwork& net_;
   Vertex source_;
   Vertex sink_;
-  PushRelabelOptions options_;
+  HeightInit init_;
   FlowStats stats_;
 
-  MaxflowWorkspace owned_workspace_;  // used when none is injected
-  MaxflowWorkspace* ws_;
+  std::vector<Cap> excess_;
+  std::vector<std::int32_t> height_;
+  std::vector<std::int32_t> height_count_;  // gap heuristic: count per height
+  std::vector<std::uint8_t> in_queue_;
+  std::vector<std::uint32_t> arc_cursor_;   // admissible-arc scan position
+  std::vector<Vertex> bfs_queue_;           // global relabel
+  VertexFifo fifo_;
   std::uint64_t relabels_since_global_ = 0;
 };
 

@@ -147,6 +147,10 @@ std::string HttpExporter::handle(std::string_view target) const {
                        "/flightrecorder\n");
 }
 
+std::string HttpExporter::respond(std::string_view request) const {
+  return handle(request_target(request));
+}
+
 void HttpExporter::serve_loop() {
   // mo: acquire — pairs with stop()'s acq_rel exchange; seeing false means
   // the socket teardown that follows in stop() has not happened yet (stop
@@ -169,8 +173,7 @@ void HttpExporter::serve_loop() {
     if (n > 0) {
       buf[n] = '\0';
       const std::string response =
-          handle(request_target(std::string_view(buf,
-                                                 static_cast<std::size_t>(n))));
+          respond(std::string_view(buf, static_cast<std::size_t>(n)));
       std::size_t sent = 0;
       while (sent < response.size()) {
         const ssize_t w = ::send(client, response.data() + sent,

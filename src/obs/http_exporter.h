@@ -21,9 +21,11 @@
 // ring slots, so the steady-state solve path stays zero-allocation with the
 // exporter attached.
 //
-// `handle()` renders a full HTTP response for a request target without any
-// socket, so tests (and the REPFLOW_OBS_DISABLED build, where snapshots are
-// simply empty) can exercise routing and payloads hermetically.
+// `respond()` renders the full HTTP response to the raw bytes of one
+// request, and `handle()` to a request target, without any socket, so tests,
+// the request fuzzer (fuzz/fuzz_http_request.cpp) and the
+// REPFLOW_OBS_DISABLED build (where snapshots are simply empty) exercise
+// parsing, routing and payloads hermetically.
 #pragma once
 
 #include <atomic>
@@ -81,6 +83,12 @@ class HttpExporter {
   /// target ("/metrics", "/healthz", "/flightrecorder"; anything else is
   /// 404).  Pure with respect to sockets.
   std::string handle(std::string_view target) const;
+
+  /// Full HTTP/1.1 response to the raw bytes of one request (at most one
+  /// 4 KiB receive): handle() of the token between the first two spaces,
+  /// with any query string dropped.  A request without both spaces gets
+  /// the 404 of an unknown endpoint.  This is what the accept loop sends.
+  std::string respond(std::string_view request) const;
 
  private:
   void serve_loop();

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/flow_invariants.h"
@@ -78,7 +79,9 @@ TEST(NetworkReset, GrowingResetAfterReadIsConsistent) {
 TEST(NetworkReset, InterleavedResetAddArcSolveKeepsIntegrity) {
   Rng rng(411);
   FlowNetwork net;
-  graph::MaxflowWorkspace workspace;
+  // One persistent engine rebound each round, the way the solver shells
+  // reuse theirs across problems.
+  std::optional<graph::PushRelabel> engine;
   for (int round = 0; round < 40; ++round) {
     // Alternate footprints so the reset path exercises both the shrink and
     // the grow direction of every retained buffer.
@@ -101,9 +104,12 @@ TEST(NetworkReset, InterleavedResetAddArcSolveKeepsIntegrity) {
     }
     net.finalize_adjacency();
     expect_csr_clean(net, "pre-solve");
-    graph::PushRelabel engine(net, source, sink, graph::PushRelabelOptions{},
-                              &workspace);
-    const auto result = engine.solve_from_zero();
+    if (!engine) {
+      engine.emplace(net, source, sink);
+    } else {
+      engine->rebind(source, sink);
+    }
+    const auto result = engine->solve_from_zero();
     EXPECT_GE(result.value, 0);
     expect_csr_clean(net, "post-solve");
     const auto flow_report = analysis::check_flow_invariants(net, source, sink);

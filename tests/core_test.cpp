@@ -478,7 +478,9 @@ TEST(Solvers, TableTwoParameters) {
 TEST(Solvers, BasicSolverRejectsGeneralizedSystems) {
   RetrievalProblem p = tiny_problem();
   p.system.cost_ms = {1.0, 2.0};
-  EXPECT_THROW(FordFulkersonBasicSolver{p}, std::invalid_argument);
+  FordFulkersonBasicSolver solver;
+  SolveResult result;
+  EXPECT_THROW(solver.solve_into(p, result), std::invalid_argument);
 }
 
 TEST(Solvers, BlackBoxCountsRunsIntegratedDoesNot) {

@@ -3,6 +3,7 @@
 // decomposition.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <limits>
 #include <stdexcept>
 
@@ -123,11 +124,7 @@ TEST(PushRelabel, ClrsValue) {
 TEST(PushRelabel, ZeroHeightInitAlsoCorrect) {
   Vertex s, t;
   FlowNetwork net = clrs_network(s, t);
-  PushRelabelOptions options;
-  options.height_init = HeightInit::kZero;
-  options.use_gap_heuristic = false;
-  options.global_relabel_interval_factor = 0;
-  PushRelabel engine(net, s, t, options);
+  PushRelabel engine(net, s, t, HeightInit::kZero);
   EXPECT_EQ(engine.solve_from_zero().value, 23);
   EXPECT_TRUE(validate_flow(net, s, t).ok);
 }
@@ -171,6 +168,28 @@ TEST(PushRelabel, ResetExcessAfterRestore) {
   EXPECT_TRUE(validate_flow(net, 0, 2).ok);
 }
 
+TEST(Engines, KeepTheirBuffersAcrossRebind) {
+  // Each engine owns the buffers its first run grew; a rerun after
+  // rebind() on the same network keeps exactly that footprint.
+  Vertex s, t;
+  FlowNetwork net = clrs_network(s, t);
+  PushRelabel pr(net, s, t);
+  EXPECT_EQ(pr.solve_from_zero().value, 23);
+  const std::size_t pr_bytes = pr.retained_bytes();
+  EXPECT_GT(pr_bytes, 0u);
+  pr.rebind(s, t);
+  EXPECT_EQ(pr.solve_from_zero().value, 23);
+  EXPECT_EQ(pr.retained_bytes(), pr_bytes);
+
+  FordFulkerson ff(net, s, t);
+  EXPECT_EQ(ff.solve_from_zero().value, 23);
+  const std::size_t ff_bytes = ff.retained_bytes();
+  EXPECT_GT(ff_bytes, 0u);
+  ff.rebind(s, t);
+  EXPECT_EQ(ff.solve_from_zero().value, 23);
+  EXPECT_EQ(ff.retained_bytes(), ff_bytes);
+}
+
 struct EngineCase {
   const char* name;
   Cap (*solve)(FlowNetwork&, Vertex, Vertex);
@@ -186,11 +205,7 @@ Cap solve_pr(FlowNetwork& n, Vertex s, Vertex t) {
   return PushRelabel(n, s, t).solve_from_zero().value;
 }
 Cap solve_pr_plain(FlowNetwork& n, Vertex s, Vertex t) {
-  PushRelabelOptions o;
-  o.height_init = HeightInit::kZero;
-  o.use_gap_heuristic = false;
-  o.global_relabel_interval_factor = 0;
-  return PushRelabel(n, s, t, o).solve_from_zero().value;
+  return PushRelabel(n, s, t, HeightInit::kZero).solve_from_zero().value;
 }
 
 class EnginesAgree : public ::testing::TestWithParam<int> {};

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/bipartite_matching.h"
-#include "graph/workspace.h"
 #include "support/rng.h"
 #include "workload/experiments.h"
 
@@ -78,7 +77,7 @@ RetrievalProblem hot_slow_problem(std::int32_t disks, std::size_t copies,
 /// Maximum matching size under caps(t), from a freshly bound matcher.
 std::int64_t fresh_matched(const RetrievalProblem& problem, double t) {
   core::BipartiteMatcher matcher;
-  graph::MatchingWorkspace ws;
+  core::MatchingWorkspace ws;
   matcher.rebind(problem, ws);
   matcher.set_capacities_for_time(t);
   return matcher.augment_to_maximum();
@@ -93,7 +92,7 @@ TEST(MatchingKernel, RetainedResumeAndSnapshotRestore) {
   const RetrievalProblem problem = random_problem(8, 60, rng);
 
   core::BipartiteMatcher matcher;
-  graph::MatchingWorkspace ws;
+  core::MatchingWorkspace ws;
   matcher.rebind(problem, ws);
 
   // Infeasible probe: a partial matching, retained.
@@ -149,8 +148,9 @@ TEST(MatchingKernel, HotSlowWorkStaysLinearInArcs) {
       arcs += replica_set.size();
     }
     ASSERT_EQ(arcs, 51200u);
-    const core::SolveResult result =
-        core::IntegratedMatchingSolver(problem).solve();
+    core::IntegratedMatchingSolver solver;
+    core::SolveResult result;
+    solver.solve_into(problem, result);
     EXPECT_EQ(result.schedule.assigned_disk.size(), 6400u);
     const std::uint64_t phases = result.flow_stats.global_relabels;
     EXPECT_GT(phases, 0u);

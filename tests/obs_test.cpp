@@ -397,8 +397,12 @@ TEST(Instrumentation, StreamStatsCarryLatencyHistograms) {
   EXPECT_EQ(stats.response_time.count, 2u);
   EXPECT_GT(stats.solve_time.sum, 0.0);
   EXPECT_GT(stats.response_time.mean, 0.0);
-  // The per-scheduler view and the event log agree.
-  EXPECT_DOUBLE_EQ(stats.response_time.max, stats.max_response_ms);
+  // The per-scheduler view and the event log agree bit for bit: the
+  // histograms saw the same values in the same order, summed from 0.0.
+  EXPECT_EQ(stats.response_time.max, stats.max_response_ms);
+  EXPECT_EQ(stats.response_time.mean, stats.mean_response_ms);
+  EXPECT_EQ(stats.queue_wait.mean, stats.mean_queue_wait_ms);
+  EXPECT_EQ(stats.solve_time.mean, stats.mean_solve_ms);
 }
 
 TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {

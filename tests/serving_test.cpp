@@ -87,7 +87,8 @@ TEST(ExecutionContext, MatchesFacadeBitForBit) {
     const auto problem = build_problem(rep, gen.next(rng), sys);
     const SolveResult via_facade =
         solve(problem, SolverKind::kIntegratedMatching);
-    const SolveResult& via_context = context.solve_scratch(problem);
+    context.solve_into(problem, context.scratch());
+    const SolveResult& via_context = context.scratch();
     EXPECT_EQ(via_context.response_time_ms, via_facade.response_time_ms);
     EXPECT_EQ(via_context.schedule.assigned_disk,
               via_facade.schedule.assigned_disk);
@@ -580,10 +581,82 @@ TEST(RejectedArrival, CoalesceBufferKeepsItsQueries) {
   EXPECT_EQ(router.pending(), 0u);
 }
 
+TEST(RejectedArrival, NonFiniteArrivalLeavesStreamAndRouterAsTheyWere) {
+  // Three blocks keep disk 0 busy until 3.  A NaN or infinite arrival must
+  // be refused without touching the clock or the busy horizon: the backlog
+  // at 1 is still 2, and a query at 0.5 still waits for it (response 3.5).
+  const workload::SystemConfig sys = uniform_system(2, 1.0);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double non_finite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               kInf, -kInf};
+  const ReplicaLists busy = {{0}, {0}, {0}};
+
+  QueryStreamScheduler fresh(sys, ExecutionPolicy{});
+  QueryStreamScheduler scheduler(sys, ExecutionPolicy{});
+  expect_same_event(scheduler.submit_replicas(busy, 0.0),
+                    fresh.submit_replicas(busy, 0.0));
+  for (const double at : non_finite) {
+    EXPECT_THROW(scheduler.submit_replicas({{0}}, at), std::invalid_argument)
+        << at;
+  }
+  EXPECT_EQ(scheduler.disk_free_at(0), 3.0);
+  EXPECT_EQ(scheduler.max_backlog_at(1.0), 2.0);
+  const StreamEvent later = scheduler.submit_replicas({{0}}, 0.5);
+  EXPECT_EQ(later.response_ms, 3.5);
+  expect_same_event(later, fresh.submit_replicas({{0}}, 0.5));
+  EXPECT_EQ(scheduler.events().size(), fresh.events().size());
+
+  QueryStreamScheduler routed(sys, ExecutionPolicy{});
+  QueryStreamScheduler mirror(sys, ExecutionPolicy{});
+  QueryRouter router(routed, RouterOptions{});
+  QueryRouter fresh_router(mirror, RouterOptions{});
+  expect_same_outcome(router.submit_replicas(busy, 0.0),
+                      fresh_router.submit_replicas(busy, 0.0));
+  for (const double at : non_finite) {
+    EXPECT_THROW(router.submit_replicas({{0}}, at), std::invalid_argument)
+        << at;
+    EXPECT_THROW(router.flush(at), std::invalid_argument) << at;
+  }
+  // The router's clock stayed at 0, so an earlier arrival is still refused.
+  EXPECT_THROW(router.submit_replicas({{0}}, -1.0), std::invalid_argument);
+  expect_same_outcome(router.submit_replicas({{0}}, 0.5),
+                      fresh_router.submit_replicas({{0}}, 0.5));
+  expect_same_stats(router.stats(), fresh_router.stats());
+}
+
+TEST(RejectedArrival, InfiniteCompletionLeavesTheStreamAsItWas) {
+  // Two blocks at C = 1e308 finish at +inf.  The facade returns that
+  // optimum, but as a busy horizon it would fail every later query, so the
+  // stream refuses it and keeps its clock, horizon and event log.
+  workload::SystemConfig sys = uniform_system(2, 1.0);
+  sys.cost_ms[0] = 1e308;
+  RetrievalProblem overflow;
+  overflow.system = sys;
+  overflow.replicas = {{0}, {0}};
+  overflow.validate();
+  EXPECT_EQ(solve(overflow, SolverKind::kIntegratedMatching).response_time_ms,
+            std::numeric_limits<double>::infinity());
+
+  QueryStreamScheduler fresh(sys, ExecutionPolicy{});
+  QueryStreamScheduler scheduler(sys, ExecutionPolicy{});
+  EXPECT_THROW(scheduler.submit_replicas(overflow.replicas, 1.0),
+               std::invalid_argument);
+  EXPECT_TRUE(scheduler.events().empty());
+  EXPECT_EQ(scheduler.disk_free_at(0), 0.0);
+  EXPECT_EQ(scheduler.max_backlog_at(0.0), 0.0);
+  for (const auto& [replicas, at] :
+       std::vector<std::pair<ReplicaLists, double>>{
+           {{{1}, {1}}, 0.5}, {{{0}, {1}}, 2.0}}) {
+    expect_same_event(scheduler.submit_replicas(replicas, at),
+                      fresh.submit_replicas(replicas, at));
+  }
+  EXPECT_EQ(scheduler.events().size(), fresh.events().size());
+}
+
 TEST(RejectedArrival, ThrowingFlushReArmsTheBuffer) {
-  // Two blocks at C = 1e308 finish at +inf, a legal optimum, so the next
-  // query sees a non-finite backlog and the solve seam rejects it.  The
-  // buffer is emptied before the solve, and neither clock moves.
+  // The merged query puts two blocks at C = 1e308 on disk 0, which finish
+  // at +inf, so the stream refuses the flush's solve.  The buffer is
+  // emptied before the solve, and neither clock moves.
   workload::SystemConfig sys = uniform_system(2, 1.0);
   sys.cost_ms[0] = 1e308;
   RouterOptions options;
@@ -591,8 +664,8 @@ TEST(RejectedArrival, ThrowingFlushReArmsTheBuffer) {
   options.max_backlog_ms = 0.5;
   QueryStreamScheduler scheduler(sys, ExecutionPolicy{});
   QueryRouter router(scheduler, options);
-  router.submit_replicas({{0}, {0}}, 0.0);
-  ASSERT_EQ(router.submit_replicas({{1}}, 1.0).decision,
+  router.submit_replicas({{1}, {1}}, 0.0);
+  ASSERT_EQ(router.submit_replicas({{0}, {0}}, 1.0).decision,
             RouterDecision::kCoalesced);
   EXPECT_THROW(router.flush(2.0), std::invalid_argument);
   EXPECT_EQ(router.pending(), 0u);

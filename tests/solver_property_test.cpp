@@ -67,8 +67,9 @@ TEST_P(SolversAgree, OnRandomInstances) {
 
     // Algorithm 1 also applies when the system is basic (Experiment 1).
     if (problem.system.is_basic()) {
-      FordFulkersonBasicSolver basic(problem);
-      const SolveResult r = basic.solve();
+      FordFulkersonBasicSolver basic;
+      SolveResult r;
+      basic.solve_into(problem, r);
       EXPECT_EQ(r.response_time_ms, optimum) << "Alg1";
       EXPECT_TRUE(check_schedule(problem, r.schedule).empty()) << "Alg1";
       const auto check = graph::validate_flow(basic.network().net(),
@@ -112,8 +113,9 @@ TEST_P(FlowInvariants, FinalFlowIsValidMaxFlow) {
   const auto query = gen.next(rng);
   const auto problem = build_problem(rep, query, sys);
 
-  PushRelabelBinarySolver solver(problem);
-  const SolveResult r = solver.solve();
+  PushRelabelBinarySolver solver;
+  SolveResult r;
+  solver.solve_into(problem, r);
   const auto& network = solver.network();
   const auto check = graph::validate_flow(network.net(), network.source(),
                                           network.sink());

@@ -1,12 +1,10 @@
 // Stress and configuration-matrix tests.
 //
-// These push the engines through every heuristic configuration and through
+// These push the engines through both heuristic configurations and through
 // larger instances than the unit tests, checking the invariants that must
 // hold regardless of configuration: identical max-flow values, identical
 // optimal response times, saturated min cuts, and unit path decompositions.
 #include <gtest/gtest.h>
-
-#include <tuple>
 
 #include "core/push_relabel_binary.h"
 #include "core/reference.h"
@@ -25,19 +23,14 @@ namespace {
 
 using graph::Cap;
 using graph::HeightInit;
-using graph::PushRelabelOptions;
 
-// All eight push-relabel heuristic configurations agree on random networks.
-using PrConfig = std::tuple<HeightInit, bool, std::uint64_t>;
-
-class PushRelabelOptionMatrix : public ::testing::TestWithParam<PrConfig> {};
+// Both push-relabel configurations (the paper's zero heights, and exact
+// heights with global relabeling and the gap heuristic) agree on random
+// networks.
+class PushRelabelOptionMatrix : public ::testing::TestWithParam<HeightInit> {};
 
 TEST_P(PushRelabelOptionMatrix, MatchesReferenceOnRandomNetworks) {
-  const auto [init, gap, global_factor] = GetParam();
-  PushRelabelOptions options;
-  options.height_init = init;
-  options.use_gap_heuristic = gap;
-  options.global_relabel_interval_factor = global_factor;
+  const HeightInit init = GetParam();
   Rng rng(0xC0FFEE);
   for (int trial = 0; trial < 10; ++trial) {
     auto g = graph::random_general(
@@ -49,7 +42,7 @@ TEST_P(PushRelabelOptionMatrix, MatchesReferenceOnRandomNetworks) {
                             graph::SearchOrder::kBfs);
     const Cap expected = ek.solve_from_zero().value;
 
-    graph::PushRelabel engine(g.net, g.source, g.sink, options);
+    graph::PushRelabel engine(g.net, g.source, g.sink, init);
     EXPECT_EQ(engine.solve_from_zero().value, expected) << "trial " << trial;
     EXPECT_TRUE(graph::validate_flow(g.net, g.source, g.sink).ok);
 
@@ -65,18 +58,14 @@ TEST_P(PushRelabelOptionMatrix, MatchesReferenceOnRandomNetworks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, PushRelabelOptionMatrix,
-    ::testing::Combine(::testing::Values(HeightInit::kZero,
-                                         HeightInit::kGlobalRelabel),
-                       ::testing::Bool(), ::testing::Values(0ull, 1ull)),
-    [](const ::testing::TestParamInfo<PrConfig>& info) {
-      return std::string(std::get<0>(info.param) == HeightInit::kZero
-                             ? "ZeroInit"
-                             : "ExactInit") +
-             (std::get<1>(info.param) ? "Gap" : "NoGap") +
-             (std::get<2>(info.param) ? "Global" : "NoGlobal");
+    ::testing::Values(HeightInit::kZero, HeightInit::kGlobalRelabel),
+    [](const ::testing::TestParamInfo<HeightInit>& info) {
+      return std::string(info.param == HeightInit::kZero
+                             ? "ZeroInitNoGapNoGlobal"
+                             : "ExactInitGapGlobal");
     });
 
-// Algorithm 6 with every engine configuration still finds the optimum.
+// Algorithm 6 with either engine configuration still finds the optimum.
 TEST(StressSolvers, BinarySolverUnderAllEngineConfigs) {
   Rng rng(0xBEEF);
   const std::int32_t n = 10;
@@ -90,14 +79,11 @@ TEST(StressSolvers, BinarySolverUnderAllEngineConfigs) {
     const double optimum =
         core::ReferenceSolver(problem).solve().response_time_ms;
     for (auto init : {HeightInit::kZero, HeightInit::kGlobalRelabel}) {
-      for (bool gap : {false, true}) {
-        PushRelabelOptions options;
-        options.height_init = init;
-        options.use_gap_heuristic = gap;
-        core::PushRelabelBinarySolver solver(
-            problem, core::sequential_engine_factory(options));
-        EXPECT_NEAR(solver.solve().response_time_ms, optimum, 1e-6);
-      }
+      core::PushRelabelBinarySolver solver(
+          core::sequential_engine_factory(init));
+      core::SolveResult result;
+      solver.solve_into(problem, result);
+      EXPECT_NEAR(result.response_time_ms, optimum, 1e-6);
     }
   }
 }

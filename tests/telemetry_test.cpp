@@ -302,6 +302,26 @@ TEST(HttpExporter, RoutesEndpointsAndFlipsHealth) {
             std::string::npos);
 }
 
+TEST(HttpExporter, RespondParsesTheRequestLine) {
+  obs::HttpExporter exporter;  // not started: respond() needs no socket
+  const auto status = [&](std::string_view request) {
+    const std::string response = exporter.respond(request);
+    return response.substr(0, response.find("\r\n"));
+  };
+  EXPECT_EQ(status("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"),
+            "HTTP/1.1 200 OK");
+  EXPECT_EQ(status("GET /metrics?name[]=a&b HTTP/1.1\r\n\r\n"),
+            "HTTP/1.1 200 OK");
+  EXPECT_EQ(status("GET /flightrecorder/ HTTP/1.0\r\n\r\n"),
+            "HTTP/1.1 200 OK");
+  // No version after the target, no target, or nothing at all: 404.
+  EXPECT_EQ(status("GET /metrics"), "HTTP/1.1 404 Not Found");
+  EXPECT_EQ(status("GET"), "HTTP/1.1 404 Not Found");
+  EXPECT_EQ(status(""), "HTTP/1.1 404 Not Found");
+  EXPECT_EQ(status(std::string_view("GET /metrics\0 HTTP/1.1", 22)),
+            "HTTP/1.1 404 Not Found");
+}
+
 /// A TCP client connected to the exporter on loopback, with a 10 s receive
 /// deadline so a stalled server fails the test instead of hanging it; -1 on
 /// failure.

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "analysis/check.h"
@@ -137,27 +138,35 @@ RetrievalProblem random_general_problem(std::int32_t disks,
   return p;
 }
 
-/// One freshly constructed (legacy one-problem ctor) solver run.
+/// One solve on a freshly constructed shell of `Solver`.
+template <typename Solver, typename... Args>
+SolveResult solve_once(const RetrievalProblem& problem, Args&&... args) {
+  Solver solver(std::forward<Args>(args)...);
+  SolveResult result;
+  solver.solve_into(problem, result);
+  return result;
+}
+
+/// One solve on a freshly constructed shell of `kind`.
 SolveResult fresh_solve(const RetrievalProblem& problem, SolverKind kind) {
   switch (kind) {
     case SolverKind::kFordFulkersonBasic:
-      return core::FordFulkersonBasicSolver(problem).solve();
+      return solve_once<core::FordFulkersonBasicSolver>(problem);
     case SolverKind::kFordFulkersonIncremental:
-      return core::FordFulkersonIncrementalSolver(problem).solve();
+      return solve_once<core::FordFulkersonIncrementalSolver>(problem);
     case SolverKind::kPushRelabelIncremental:
-      return core::PushRelabelIncrementalSolver(problem).solve();
+      return solve_once<core::PushRelabelIncrementalSolver>(problem);
     case SolverKind::kPushRelabelBinary:
-      return core::PushRelabelBinarySolver(problem).solve();
+      return solve_once<core::PushRelabelBinarySolver>(problem);
     case SolverKind::kBlackBoxBinary:
-      return core::BlackBoxBinarySolver(problem).solve();
+      return solve_once<core::BlackBoxBinarySolver>(problem);
     case SolverKind::kParallelPushRelabelBinary:
       // threads = 1 keeps the discharge order (and thus the schedule)
       // deterministic for the bit-identical comparison.
-      return core::PushRelabelBinarySolver(
-                 problem, parallel::parallel_engine_factory(1))
-          .solve();
+      return solve_once<core::PushRelabelBinarySolver>(
+          problem, parallel::parallel_engine_factory(1));
     case SolverKind::kIntegratedMatching:
-      return core::IntegratedMatchingSolver(problem).solve();
+      return solve_once<core::IntegratedMatchingSolver>(problem);
   }
   return {};
 }
@@ -210,6 +219,10 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
     for (const RetrievalProblem& problem : problems) {
       pool.solve_into(problem, kind, result);
     }
+    // Every shell reports a footprint (network, driver and engine
+    // buffers), and a warm pass keeps exactly the one the warm-up grew.
+    const std::size_t warm_bytes = pool.retained_bytes();
+    EXPECT_GT(warm_bytes, 0u) << core::solver_id(kind);
 
     // Steady-state pass over the same problems must not touch the heap.
     g_alloc_count.store(0);
@@ -224,6 +237,7 @@ TEST(WorkspaceReuse, SecondAndLaterPooledSolvesAllocateNothing) {
         << core::solver_id(kind) << ": " << g_alloc_count.load()
         << " steady-state allocations (" << g_alloc_bytes.load()
         << " bytes)";
+    EXPECT_EQ(pool.retained_bytes(), warm_bytes) << core::solver_id(kind);
     EXPECT_GT(result.response_time_ms, 0.0);
   }
 }
