@@ -10,15 +10,19 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <vector>
 
 #include "core/problem.h"
 #include "core/solver.h"
 #include "core/solver_pool.h"
+#include "decluster/schemes.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "graph/push_relabel.h"
 #include "parallel/worker_pool.h"
 #include "support/rng.h"
+#include "workload/experiments.h"
+#include "workload/query_load.h"
 
 namespace {
 
@@ -158,6 +162,45 @@ void BM_SolverPooled_PushRelabelBinary(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverPooled_PushRelabelBinary)->Arg(100)->Arg(400)->Arg(1600);
+
+// Every other cell solves one problem over and over, which trains the
+// branch predictor on that problem's flow state and hides what a
+// data-dependent branch costs.  This one cycles 512 distinct seeded
+// Experiment 5 problems (N = 10, orthogonal allocation, Load-2 range and
+// arbitrary queries, a fresh system per problem: the shape of the serving
+// benchmark's batch_burst) through one warm pool; the time is per solve.
+void BM_SolverPooled_PushRelabelBinary_Distinct(benchmark::State& state) {
+  constexpr std::int32_t kDisks = 10;
+  constexpr std::size_t kProblems = 512;
+  Rng rng(45);
+  const auto allocation = decluster::make_orthogonal(
+      kDisks, decluster::SiteMapping::kCopyPerSite);
+  const workload::QueryGenerator range(kDisks, workload::QueryType::kRange,
+                                       workload::LoadKind::kLoad2);
+  const workload::QueryGenerator arbitrary(
+      kDisks, workload::QueryType::kArbitrary, workload::LoadKind::kLoad2);
+  std::vector<core::RetrievalProblem> problems;
+  problems.reserve(kProblems);
+  for (std::size_t i = 0; i < kProblems; ++i) {
+    const workload::Query query =
+        (rng.chance(0.5) ? range : arbitrary).next(rng);
+    problems.push_back(core::build_problem(
+        allocation, query, workload::make_experiment_system(5, kDisks, rng)));
+  }
+  core::SolverPool pool(/*threads=*/1);
+  core::SolveResult result;
+  for (const auto& problem : problems) {
+    pool.solve_into(problem, core::SolverKind::kPushRelabelBinary, result);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    pool.solve_into(problems[next], core::SolverKind::kPushRelabelBinary,
+                    result);
+    benchmark::DoNotOptimize(result.response_time_ms);
+    next = next + 1 == kProblems ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_SolverPooled_PushRelabelBinary_Distinct);
 
 void BM_SolverFresh_FordFulkersonIncremental(benchmark::State& state) {
   const auto problem = make_problem(16, state.range(0));

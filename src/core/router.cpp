@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -13,9 +14,17 @@ namespace repflow::core {
 QueryRouter::QueryRouter(QueryStreamScheduler& scheduler,
                          RouterOptions options)
     : scheduler_(scheduler), options_(options) {
-  if (options_.max_backlog_ms < 0.0) {
-    throw std::invalid_argument("QueryRouter: negative backlog threshold");
-  }
+  // Each threshold is compared with `>`, which is false against NaN, so a
+  // NaN would silently switch its bound off; 0 and +inf stay legal.
+  const auto require_non_negative = [](double value, const char* name) {
+    if (!(value >= 0.0)) {
+      throw std::invalid_argument(std::string("QueryRouter: ") + name +
+                                  " must be >= 0 and not NaN");
+    }
+  };
+  require_non_negative(options_.max_backlog_ms, "max_backlog_ms");
+  require_non_negative(options_.max_coalesce_age_ms, "max_coalesce_age_ms");
+  require_non_negative(options_.latency_budget_ms, "latency_budget_ms");
   if (options_.max_coalesce < 1) {
     throw std::invalid_argument("QueryRouter: max_coalesce must be >= 1");
   }

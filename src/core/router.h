@@ -118,6 +118,9 @@ struct RouterStats {
 /// were, clocks, stats and merge buffer included.
 class QueryRouter {
  public:
+  /// Throws std::invalid_argument when max_coalesce is 0 or when
+  /// max_backlog_ms, max_coalesce_age_ms or latency_budget_ms is negative
+  /// or NaN (0 and +inf are legal).
   QueryRouter(QueryStreamScheduler& scheduler, RouterOptions options);
 
   /// Route one query arriving at `arrival_ms`.  Throws std::logic_error if

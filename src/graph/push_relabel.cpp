@@ -1,12 +1,47 @@
 #include "graph/push_relabel.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "analysis/check.h"
+#include "graph/exact_heights.h"
 
 namespace repflow::graph {
+
+namespace {
+
+// Branch-free blocked scan of arcs[from, end) for the first admissible arc
+// (residual, and leading to a vertex at height `target`, one below the
+// discharging vertex), returning its position or arcs.size().  Sixteen-arc
+// blocks fold the predicate into a bitmask with no per-arc branch and
+// countr_zero picks the hit, as the matching kernel's scan_slots does: both
+// predicates depend on the flow state, so a per-arc branch mispredicts.
+std::uint32_t first_admissible(const FlowNetwork& net,
+                               const std::span<const ArcId> arcs,
+                               const std::int32_t* height, std::uint32_t from,
+                               const std::int32_t target) {
+  const auto end = static_cast<std::uint32_t>(arcs.size());
+  while (from < end) {
+    const std::uint32_t block_end = std::min(from + 16, end);
+    unsigned mask = 0;
+    for (std::uint32_t k = from; k < block_end; ++k) {
+      const ArcId a = arcs[k];
+      const unsigned ok = static_cast<unsigned>(net.residual(a) > 0) &
+                          static_cast<unsigned>(height[net.head(a)] == target);
+      mask |= ok << (k - from);
+    }
+    if (mask != 0) {
+      return from + static_cast<std::uint32_t>(std::countr_zero(mask));
+    }
+    from = block_end;
+  }
+  return end;
+}
+
+}  // namespace
 
 PushRelabel::PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
                          HeightInit init)
@@ -28,6 +63,7 @@ void PushRelabel::ensure_sizes() {
     height_.resize(n, 0);
     in_queue_.resize(n, 0);
     height_count_.assign(2 * n + 2, 0);
+    bfs_queue_.resize(n + 1);
   }
   if (arc_cursor_.size() < n) arc_cursor_.resize(n, 0);
   fifo_.ensure_capacity(n);
@@ -67,15 +103,15 @@ void PushRelabel::saturate_source_arcs() {
 
 void PushRelabel::reinitialize_heights() {
   ensure_sizes();
-  const auto n = static_cast<std::size_t>(net_.num_vertices());
   excess_[source_] = 0;
-  std::fill(arc_cursor_.begin(), arc_cursor_.end(), 0u);
   if (init_ == HeightInit::kZero) {
-    std::fill(height_.begin(), height_.end(), 0);
+    const auto n = static_cast<std::size_t>(net_.num_vertices());
+    std::fill_n(height_.begin(), n, 0);
     height_[source_] = static_cast<std::int32_t>(n);
-    std::fill(height_count_.begin(), height_count_.end(), 0);
+    std::fill_n(height_count_.begin(), 2 * n + 1, 0);
     height_count_[0] = static_cast<std::int32_t>(n - 1);
     height_count_[n] = 1;
+    std::fill_n(arc_cursor_.begin(), n, 0u);
   } else {
     global_relabel();
   }
@@ -85,42 +121,15 @@ void PushRelabel::reinitialize_heights() {
 void PushRelabel::global_relabel() {
   ++stats_.global_relabels;
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  constexpr std::int32_t kUnset = -1;
-  std::fill(height_.begin(), height_.end(), kUnset);
-  // Backward BFS from the sink over residual arcs: w can reach v along
-  // (w -> v) iff residual(reverse(out-arc of v pointing at w)) > 0.
-  auto backward_bfs = [&](Vertex root, std::int32_t base) {
-    height_[root] = base;
-    bfs_queue_.clear();
-    bfs_queue_.push_back(root);
-    std::size_t qi = 0;
-    while (qi < bfs_queue_.size()) {
-      const Vertex v = bfs_queue_[qi++];
-      for (ArcId a : net_.out_arcs(v)) {
-        const Vertex w = net_.head(a);
-        if (height_[w] != kUnset) continue;
-        if (net_.residual(net_.reverse(a)) <= 0) continue;
-        height_[w] = height_[v] + 1;
-        bfs_queue_.push_back(w);
-      }
-    }
-  };
-  backward_bfs(sink_, 0);
-  const auto height_s = static_cast<std::int32_t>(n);
-  if (height_[source_] == kUnset) height_[source_] = height_s;
-  // Vertices cut off from the sink route their excess back to the source.
-  backward_bfs(source_, height_s);
+  compute_exact_heights(
+      net_, source_, sink_, [this](ArcId a) { return net_.residual(a); },
+      height_, bfs_queue_);
+  // Heights never exceed 2n, so the live counts are [0, 2n].
+  std::fill_n(height_count_.begin(), 2 * n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
-    if (height_[v] == kUnset) {
-      // Isolated from both s and t in the residual graph; such a vertex can
-      // never be active, park it at the ceiling.
-      height_[v] = static_cast<std::int32_t>(2 * n);
-    }
+    ++height_count_[height_[v]];
+    arc_cursor_[v] = 0;
   }
-  height_[source_] = height_s;  // BFS from source must not lower it
-  std::fill(height_count_.begin(), height_count_.end(), 0);
-  for (std::size_t v = 0; v < n; ++v) ++height_count_[height_[v]];
-  std::fill(arc_cursor_.begin(), arc_cursor_.end(), 0u);
   relabels_since_global_ = 0;
   // Post-relabel-batch seam: exact heights must form a valid labeling
   // (heights only ever rise within a run, so a lowered label here would
@@ -131,20 +140,24 @@ void PushRelabel::global_relabel() {
 
 void PushRelabel::relabel(Vertex v) {
   const auto n = static_cast<std::size_t>(net_.num_vertices());
-  std::int32_t min_height = std::numeric_limits<std::int32_t>::max();
-  for (ArcId a : net_.out_arcs(v)) {
-    if (net_.residual(a) > 0) {
-      min_height = std::min(min_height, height_[net_.head(a)]);
-    }
+  // Lowest head over the residual out-arcs, without a branch: heights are
+  // never negative, so a saturated arc's head reads as UINT32_MAX.
+  std::uint32_t min_height = std::numeric_limits<std::uint32_t>::max();
+  for (const ArcId a : net_.out_arcs(v)) {
+    const std::uint32_t blocked =
+        0u - static_cast<std::uint32_t>(net_.residual(a) <= 0);
+    min_height = std::min(
+        min_height, static_cast<std::uint32_t>(height_[net_.head(a)]) | blocked);
   }
-  if (min_height == std::numeric_limits<std::int32_t>::max()) {
-    // No residual out-arc at all: park at ceiling (cannot be active again
-    // without receiving flow, which would create a residual reverse arc).
-    min_height = static_cast<std::int32_t>(2 * n) - 1;
-  }
-  const std::int32_t old_height = height_[v];
+  // No residual out-arc at all parks v at the ceiling 2n: it cannot be
+  // active again without receiving flow, which would create a residual
+  // reverse arc.
+  const auto ceiling = static_cast<std::int32_t>(2 * n);
   const std::int32_t new_height =
-      std::min(min_height + 1, static_cast<std::int32_t>(2 * n));
+      static_cast<std::int32_t>(std::min(
+          min_height, static_cast<std::uint32_t>(ceiling - 1))) +
+      1;
+  const std::int32_t old_height = height_[v];
   if (new_height <= old_height) {
     // An admissible arc appeared behind the cursor (created by an incoming
     // push after the cursor passed it).  Rescan instead of lifting.
@@ -181,29 +194,29 @@ void PushRelabel::apply_gap(std::int32_t emptied_height) {
 }
 
 void PushRelabel::discharge(Vertex v) {
-  const auto n = static_cast<std::size_t>(net_.num_vertices());
-  auto arcs = net_.out_arcs(v);
+  const auto ceiling = static_cast<std::int32_t>(2 * net_.num_vertices());
+  const std::span<const ArcId> arcs = net_.out_arcs(v);
+  // relabel() and apply_gap() reset the cursor through arc_cursor_ itself.
+  std::uint32_t& cursor = arc_cursor_[v];
   while (excess_[v] > 0) {
-    if (arc_cursor_[v] >= arcs.size()) {
+    cursor = first_admissible(net_, arcs, height_.data(), cursor,
+                              height_[v] - 1);
+    if (cursor >= arcs.size()) {
       relabel(v);
-      if (height_[v] >= static_cast<std::int32_t>(2 * n)) {
+      if (height_[v] >= ceiling) {
         break;  // at the ceiling with no residual out-arc; cannot be active
       }
       continue;  // relabel reset the cursor; rescan for admissible arcs
     }
-    const ArcId a = arcs[arc_cursor_[v]];
+    const ArcId a = arcs[cursor];
     const Vertex w = net_.head(a);
-    if (net_.residual(a) > 0 && height_[v] == height_[w] + 1) {
-      const Cap delta = std::min(excess_[v], net_.residual(a));
-      net_.push_on(a, delta);
-      excess_[v] -= delta;
-      excess_[w] += delta;
-      ++stats_.pushes;
-      enqueue_if_active(w);
-      if (net_.residual(a) == 0) ++arc_cursor_[v];
-    } else {
-      ++arc_cursor_[v];
-    }
+    const Cap delta = std::min(excess_[v], net_.residual(a));
+    net_.push_on(a, delta);
+    excess_[v] -= delta;
+    excess_[w] += delta;
+    ++stats_.pushes;
+    enqueue_if_active(w);
+    if (net_.residual(a) == 0) ++cursor;
   }
 }
 

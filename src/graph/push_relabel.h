@@ -32,8 +32,9 @@ enum class HeightInit {
   /// The paper's Algorithm 4/5: all zero except height[s] = n, and neither
   /// the gap heuristic nor periodic global relabeling.
   kZero,
-  /// Exact distances to the sink (Cherkassky-Goldberg [19]), recomputed
-  /// after every n relabels, plus the gap heuristic.
+  /// Exact distances to the sink (Cherkassky-Goldberg [19], computed by
+  /// graph/exact_heights.h), recomputed after every n relabels, plus the
+  /// gap heuristic.
   kGlobalRelabel,
 };
 

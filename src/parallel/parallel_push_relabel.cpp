@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "analysis/check.h"
+#include "graph/exact_heights.h"
 
 // Memory-order audit of the lock-free engine (verified under
 // ThreadSanitizer by tests/analysis/stress_concurrent_solve.cpp):
@@ -116,7 +117,7 @@ void ParallelPushRelabel::rebind(Vertex source, Vertex sink) {
     queue_ = std::make_unique<MpmcQueue<Vertex>>(queue_capacity_);
   }
   bfs_height_.resize(n);
-  bfs_queue_.reserve(n);
+  bfs_queue_.resize(n + 1);
   drain_visit_pos_.resize(n);
   drain_walk_.reserve(n);
 }
@@ -134,44 +135,6 @@ void ParallelPushRelabel::saturate_source_arcs() {
     std::atomic_ref(excess_[net_.head(a)])
         .fetch_add(delta, std::memory_order_relaxed);
   }
-}
-
-void ParallelPushRelabel::reverse_bfs_heights() {
-  const auto n = static_cast<std::size_t>(net_.num_vertices());
-  constexpr std::int32_t kUnset = -1;
-  std::vector<std::int32_t>& h = bfs_height_;
-  std::fill(h.begin(), h.begin() + static_cast<std::ptrdiff_t>(n), kUnset);
-  std::vector<Vertex>& queue = bfs_queue_;
-  const std::span<Cap> flow = net_.flows();
-  // mo: relaxed — global relabel runs between parallel phases (workers
-  // parked), so the pool handoff already ordered every flow write.
-  auto residual = [&](ArcId a) {
-    return net_.capacity(a) -
-           std::atomic_ref(flow[a]).load(std::memory_order_relaxed);
-  };
-  auto backward_bfs = [&](Vertex root, std::int32_t base) {
-    h[root] = base;
-    queue.clear();
-    queue.push_back(root);
-    std::size_t qi = 0;
-    while (qi < queue.size()) {
-      const Vertex v = queue[qi++];
-      for (const ArcId a : net_.out_arcs(v)) {
-        const Vertex w = net_.head(a);
-        if (h[w] != kUnset || residual(a ^ 1) <= 0) continue;
-        h[w] = h[v] + 1;
-        queue.push_back(w);
-      }
-    }
-  };
-  backward_bfs(sink_, 0);
-  const auto hs = static_cast<std::int32_t>(n);
-  if (h[source_] == kUnset) h[source_] = hs;
-  backward_bfs(source_, hs);
-  for (std::size_t v = 0; v < n; ++v) {
-    if (h[v] == kUnset) h[v] = static_cast<std::int32_t>(2 * n);
-  }
-  h[source_] = hs;
 }
 
 void ParallelPushRelabel::drain_stranded_excess() {
@@ -280,9 +243,17 @@ void ParallelPushRelabel::drain_stranded_excess() {
 void ParallelPushRelabel::exact_heights() {
   ++stats_.global_relabels;
   const auto n = static_cast<std::size_t>(net_.num_vertices());
+  const std::span<Cap> flow = net_.flows();
+  const auto residual = [&](ArcId a) {
+    // mo: relaxed — global relabel runs between parallel phases (workers
+    // parked), so the pool handoff already ordered every flow write.
+    return net_.capacity(a) -
+           std::atomic_ref(flow[a]).load(std::memory_order_relaxed);
+  };
   // Runs single-threaded (coordinator with workers parked, or between
   // runs), so the BFS scratch is safe to reuse here.
-  reverse_bfs_heights();
+  graph::compute_exact_heights(net_, source_, sink_, residual, bfs_height_,
+                               bfs_queue_);
   // mo: relaxed — single-threaded (workers parked); the gr_state_ release
   // or the pool handoff publishes the fresh heights to the workers.
   for (std::size_t v = 0; v < n; ++v) {

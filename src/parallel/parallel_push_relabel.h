@@ -88,13 +88,6 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   /// (Algorithm 5 lines 4-10).  Single-threaded prologue.
   void saturate_source_arcs();
 
-  /// Sequential backward BFS heights into bfs_height_: distance-to-sink
-  /// from the sink, then a second BFS from the source at base n assigns
-  /// source-side heights (unreached vertices get 2n), so excess can climb
-  /// back toward the source through [n, 2n).  h[source] = n on return.
-  /// Must run quiesced.
-  void reverse_bfs_heights();
-
   /// Single-threaded epilogue (workers quiesced): return the excess of
   /// stranded vertices to the source by walking positive-flow arcs
   /// backward, canceling flow cycles encountered on the way.  Equivalent
@@ -102,6 +95,10 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   /// relabeling.
   void drain_stranded_excess();
 
+  /// Exact heights (graph/exact_heights.h) into bfs_height_ from relaxed
+  /// flow loads, then published to height_: distance to the sink, source-
+  /// side vertices at n plus their distance to the source, unreached ones
+  /// at 2n.  Must run quiesced.
   void exact_heights();
   void seed_queue();
   void worker();
@@ -131,7 +128,7 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   std::size_t queue_capacity_ = 0;
   std::atomic<std::int64_t> active_count_{0};
 
-  // Single-threaded scratch for reverse_bfs_heights / drain, kept across
+  // Single-threaded scratch for exact_heights / drain, kept across
   // runs so the steady-state path allocates nothing.
   std::vector<std::int32_t> bfs_height_;
   std::vector<graph::Vertex> bfs_queue_;

@@ -1,19 +1,30 @@
 // Unit and property tests for the graph substrate: FlowNetwork, the
-// Ford-Fulkerson and push-relabel engines, validity checks, min-cut,
-// decomposition.
+// Ford-Fulkerson and push-relabel engines, exact heights, validity checks,
+// min-cut, decomposition, and the push-relabel engines' work pinned on
+// fixed networks and Algorithm 6 solves.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "core/problem.h"
+#include "core/push_relabel_binary.h"
+#include "core/solver.h"
+#include "decluster/schemes.h"
 #include "graph/checks.h"
+#include "graph/exact_heights.h"
 #include "graph/flow_network.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "graph/maxflow.h"
 #include "graph/push_relabel.h"
+#include "parallel/parallel_engine.h"
 #include "support/rng.h"
+#include "workload/experiments.h"
+#include "workload/query_load.h"
 
 namespace repflow::graph {
 namespace {
@@ -166,6 +177,128 @@ TEST(PushRelabel, ResetExcessAfterRestore) {
   net.set_capacity(at, 3);
   EXPECT_EQ(engine.resume(), 3);
   EXPECT_TRUE(validate_flow(net, 0, 2).ok);
+}
+
+// Exact heights from the sink, from the source for vertices cut off from
+// the sink, and 2n for vertices that reach neither.
+std::vector<std::int32_t> exact_heights_of(const FlowNetwork& net, Vertex s,
+                                           Vertex t) {
+  const auto n = static_cast<std::size_t>(net.num_vertices());
+  std::vector<std::int32_t> height(n);
+  std::vector<Vertex> queue(n + 1);
+  compute_exact_heights(
+      net, s, t, [&net](ArcId a) { return net.residual(a); }, height, queue);
+  return height;
+}
+
+TEST(ExactHeights, SourceSideAndUnreachedVertices) {
+  // s=0, a=1, b=2, t=3, d=4, with s -> a -> t and s -> b each carrying one
+  // unit: a still reaches t; b only reaches s, back along its unit of flow,
+  // since s (its arcs saturated) reaches nothing; d is isolated.
+  FlowNetwork net(5);
+  net.push_on(net.add_arc(0, 1, 1), 1);
+  net.push_on(net.add_arc(1, 3, 2), 1);
+  net.push_on(net.add_arc(0, 2, 1), 1);
+  EXPECT_EQ(exact_heights_of(net, 0, 3),
+            (std::vector<std::int32_t>{5, 1, 6, 0, 10}));
+}
+
+TEST(ExactHeights, EveryVertexButTheSaturatedSourceReachesTheSink) {
+  // s -> a is saturated, so the sink-side pass labels a and t but not s;
+  // the source-side pass, which could label nothing, is skipped.
+  FlowNetwork net(3);
+  net.push_on(net.add_arc(0, 1, 1), 1);
+  net.push_on(net.add_arc(1, 2, 2), 1);
+  EXPECT_EQ(exact_heights_of(net, 0, 2),
+            (std::vector<std::int32_t>{3, 1, 0}));
+  // Unsaturated, s is reached from the sink too, and still ends at n.
+  FlowNetwork open(3);
+  open.add_arc(0, 1, 1);
+  open.add_arc(1, 2, 1);
+  EXPECT_EQ(exact_heights_of(open, 0, 2),
+            (std::vector<std::int32_t>{3, 1, 0}));
+}
+
+// --- Pinned engine work ---
+//
+// How the engines find heights and admissible arcs must not change what
+// they do: each case pins the pushes, relabels, global relabels and gap
+// jumps of one fixed input, bit for bit.
+
+struct Work {
+  std::uint64_t pushes;
+  std::uint64_t relabels;
+  std::uint64_t global_relabels;
+  std::uint64_t gap_jumps;
+  bool operator==(const Work&) const = default;
+};
+
+void PrintTo(const Work& w, std::ostream* os) {
+  *os << "{pushes " << w.pushes << ", relabels " << w.relabels
+      << ", global relabels " << w.global_relabels << ", gap jumps "
+      << w.gap_jumps << "}";
+}
+
+Work work_of(const FlowStats& stats) {
+  return {stats.pushes, stats.relabels, stats.global_relabels,
+          stats.gap_jumps};
+}
+
+// The index-th arbitrary Experiment 5 query under `load` on `disks` disks
+// (orthogonal allocation, one copy per site), drawn from `seed`.
+core::RetrievalProblem exp5_problem(std::int32_t disks, std::uint64_t seed,
+                                    workload::LoadKind load, int index) {
+  Rng rng(seed);
+  const auto rep =
+      decluster::make_orthogonal(disks, decluster::SiteMapping::kCopyPerSite);
+  const auto sys = workload::make_experiment_system(5, disks, rng);
+  const workload::QueryGenerator gen(disks, workload::QueryType::kArbitrary,
+                                     load);
+  workload::Query query = gen.next(rng);
+  for (int i = 0; i < index; ++i) query = gen.next(rng);
+  return core::build_problem(rep, query, sys);
+}
+
+Work alg6_work(const core::RetrievalProblem& problem,
+               core::EngineFactory factory) {
+  core::PushRelabelBinarySolver solver(std::move(factory));
+  core::SolveResult result;
+  solver.solve_into(problem, result);
+  return work_of(result.flow_stats);
+}
+
+TEST(PinnedWork, SolveFromZero) {
+  Rng bipartite_rng(7);
+  auto bipartite = random_bipartite(200, 20, 3, 8, bipartite_rng);
+  EXPECT_EQ(work_of(PushRelabel(bipartite.net, bipartite.source,
+                                bipartite.sink)
+                        .solve_from_zero()
+                        .stats),
+            (Work{513, 97, 1, 220}));
+  Rng layered_rng(8);
+  auto layered = layered_network(8, 10, 4, layered_rng);
+  EXPECT_EQ(
+      work_of(PushRelabel(layered.net, layered.source, layered.sink)
+                  .solve_from_zero()
+                  .stats),
+      (Work{312, 82, 2, 0}));
+}
+
+TEST(PinnedWork, Algorithm6) {
+  // Every probe of this solve starts with vertices cut off from the sink,
+  // so each exact-height pass runs its source side.
+  const auto stranded = exp5_problem(8, 2, workload::LoadKind::kLoad1, 0);
+  // Here every vertex but the source reaches the sink at every probe, so
+  // the source side is skipped throughout.
+  const auto reaching = exp5_problem(8, 42, workload::LoadKind::kLoad1, 2);
+  EXPECT_EQ(alg6_work(stranded, core::sequential_engine_factory()),
+            (Work{50, 16, 4, 18}));
+  EXPECT_EQ(alg6_work(reaching, core::sequential_engine_factory()),
+            (Work{124, 44, 4, 61}));
+  // The Hong & He engine runs inline at one thread, so its work repeats
+  // bit for bit too; it has no gap heuristic.
+  EXPECT_EQ(alg6_work(stranded, parallel::parallel_engine_factory(1)),
+            (Work{108, 50, 8, 0}));
 }
 
 TEST(Engines, KeepTheirBuffersAcrossRebind) {

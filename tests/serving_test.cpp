@@ -462,6 +462,32 @@ TEST(QueryRouter, ReplayModeRejectsQuerySubmission) {
   EXPECT_THROW(router.submit_replicas({{0}}, -1.0), std::invalid_argument);
 }
 
+// Every threshold is compared with `>`, so a NaN one would switch its bound
+// off without a word (kShed with a NaN backlog threshold shed nothing).
+TEST(QueryRouter, RejectsNaNAndNegativeThresholds) {
+  StreamFixture f;
+  QueryStreamScheduler scheduler(f.rep, f.sys, ExecutionPolicy{});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double RouterOptions::*field :
+       {&RouterOptions::max_backlog_ms, &RouterOptions::max_coalesce_age_ms,
+        &RouterOptions::latency_budget_ms}) {
+    for (const double bad : {nan, -nan, -1.0, -inf}) {
+      RouterOptions options;
+      options.mode = AdmissionMode::kShed;
+      options.*field = bad;
+      EXPECT_THROW(QueryRouter router(scheduler, options),
+                   std::invalid_argument);
+    }
+    for (const double good : {0.0, inf}) {
+      RouterOptions options;
+      options.mode = AdmissionMode::kShed;
+      options.*field = good;
+      EXPECT_NO_THROW(QueryRouter router(scheduler, options));
+    }
+  }
+}
+
 // --- Rejected arrivals ---
 //
 // An arrival the stack rejects must leave router and scheduler exactly as
