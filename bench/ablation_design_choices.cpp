@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       {"Alg6 zero-h", "alg6_zeroheights_ms",
        [](const core::RetrievalProblem& p) {
          return solve_fresh<core::PushRelabelBinarySolver>(
-             p, core::sequential_engine_factory(graph::HeightInit::kZero));
+             p, graph::HeightInit::kZero);
        }},
       {"BB push-relabel", "bb_pr_ms",
        [](const core::RetrievalProblem& p) {

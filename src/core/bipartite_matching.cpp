@@ -85,13 +85,11 @@ inline void apply_path(MatchingWorkspace& ws, const std::int32_t top,
 
 }  // namespace
 
-void BipartiteMatcher::rebind(const RetrievalProblem& problem,
-                              MatchingWorkspace& workspace) {
+void BipartiteMatcher::rebind(const RetrievalProblem& problem) {
   problem_ = &problem;
-  ws_ = &workspace;
   q_ = static_cast<std::int32_t>(problem.query_size());
   n_ = problem.total_disks();
-  auto& ws = workspace;
+  auto& ws = ws_;
   const auto qs = static_cast<std::size_t>(q_);
   const auto ns = static_cast<std::size_t>(n_);
 
@@ -155,7 +153,7 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem,
 void BipartiteMatcher::set_capacities_for_time(double t) {
   const auto& sys = problem_->system;
   for (std::int32_t d = 0; d < n_; ++d) {
-    ws_->cap[static_cast<std::size_t>(d)] = sys.slots_within(d, t);
+    ws_.cap[static_cast<std::size_t>(d)] = sys.slots_within(d, t);
   }
 }
 
@@ -170,7 +168,7 @@ void BipartiteMatcher::set_capacities_for_time(double t) {
 // rewinds its DFS scan cursor.  Every adjacency entry and slot read counts
 // one visit.
 bool BipartiteMatcher::bfs_phase(std::int32_t& limit) {
-  auto& ws = *ws_;
+  auto& ws = ws_;
   const std::uint32_t epoch = ++ws.epoch;
   limit = kUnreachable;
   std::int32_t qt = 0;
@@ -238,7 +236,7 @@ bool BipartiteMatcher::bfs_phase(std::int32_t& limit) {
 // scan reads count one visit.
 bool BipartiteMatcher::try_augment(const std::int32_t root,
                                    const std::int32_t limit) {
-  auto& ws = *ws_;
+  auto& ws = ws_;
   const std::uint32_t epoch = ws.epoch;
   if (ws.bucket_epoch[static_cast<std::size_t>(root)] != epoch ||
       ws.dist[static_cast<std::size_t>(root)] != 0) {
@@ -305,7 +303,7 @@ bool BipartiteMatcher::try_augment(const std::int32_t root,
 }
 
 void BipartiteMatcher::augment_pass(const std::int32_t limit) {
-  auto& ws = *ws_;
+  auto& ws = ws_;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < ws.free_buckets.size(); ++i) {
     const std::int32_t u = ws.free_buckets[i];
@@ -339,12 +337,12 @@ void BipartiteMatcher::publish_metrics() const {
 
 void BipartiteMatcher::save_matching_into(
     std::vector<std::int32_t>& out) const {
-  out.assign(ws_->match.begin(), ws_->match.end());
+  out.assign(ws_.match.begin(), ws_.match.end());
 }
 
 void BipartiteMatcher::restore_matching(
     const std::vector<std::int32_t>& saved) {
-  auto& ws = *ws_;
+  auto& ws = ws_;
   std::fill(ws.load.begin(), ws.load.end(), 0);
   ws.free_buckets.clear();
   matched_ = 0;
@@ -367,7 +365,7 @@ void BipartiteMatcher::extract_schedule_into(Schedule& schedule) const {
   if (matched_ != q_) {
     throw std::logic_error("BipartiteMatcher: matching is not complete");
   }
-  const auto& ws = *ws_;
+  const auto& ws = ws_;
   schedule.assigned_disk.assign(static_cast<std::size_t>(q_), -1);
   schedule.per_disk_count.assign(static_cast<std::size_t>(n_), 0);
   for (std::int32_t u = 0; u < q_; ++u) {
@@ -380,7 +378,7 @@ void BipartiteMatcher::extract_schedule_into(Schedule& schedule) const {
 void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
                                           SolveResult& result) {
   result.clear();
-  matcher_.rebind(problem, workspace_);
+  matcher_.rebind(problem);
   driver_.run(problem, matcher_.in_degrees(), *this, result,
               "matching.probe");
   result.flow_stats.augmentations =
@@ -397,7 +395,7 @@ void IntegratedMatchingSolver::solve_into(const RetrievalProblem& problem,
 }
 
 std::size_t IntegratedMatchingSolver::retained_bytes() const {
-  return workspace_.retained_bytes() +
+  return matcher_.workspace().retained_bytes() +
          saved_match_.capacity() * sizeof(std::int32_t) +
          driver_.retained_bytes();
 }

@@ -39,12 +39,12 @@
 
 namespace repflow::core {
 
-/// Scratch + state buffers of the b-matching kernel.  The matcher never
-/// materializes the flow network: the instance lives in two flat CSR arrays
-/// (bucket->replica-disk adjacency and per-disk matched-bucket slot lists)
-/// and the matching state in a handful of parallel vectors.  Every vector
-/// grows monotonically, so re-binding a same-footprint problem performs
-/// zero heap allocations.
+/// Scratch + state buffers of the b-matching kernel, owned by its
+/// BipartiteMatcher.  The matcher never materializes the flow network: the
+/// instance lives in two flat CSR arrays (bucket->replica-disk adjacency
+/// and per-disk matched-bucket slot lists) and the matching state in a
+/// handful of parallel vectors.  Every vector grows monotonically, so
+/// re-binding a same-footprint problem performs zero heap allocations.
 struct MatchingWorkspace {
   // --- instance topology (rebuilt per bind) ---
   std::vector<std::int32_t> first;       // bucket CSR offsets, size Q+1
@@ -88,10 +88,10 @@ struct MatchingWorkspace {
 
 class BipartiteMatcher {
  public:
-  /// Bind `problem` onto `workspace` (rebuilding the CSR topology in place;
-  /// same-footprint rebinds allocate nothing) and clear the matching.
-  /// Both must outlive the matcher's use.
-  void rebind(const RetrievalProblem& problem, MatchingWorkspace& workspace);
+  /// Bind `problem` (rebuilding the CSR topology in the matcher's own
+  /// buffers; same-footprint rebinds allocate nothing) and clear the
+  /// matching.  `problem` must outlive the matcher's use.
+  void rebind(const RetrievalProblem& problem);
 
   /// Set every disk capacity from candidate response time `t` by the same
   /// rule as RetrievalNetwork::capacity_for_time
@@ -100,10 +100,10 @@ class BipartiteMatcher {
   void set_capacities_for_time(double t);
 
   /// Per-disk replica in-degrees.
-  std::span<const std::int32_t> in_degrees() const { return ws_->in_degree; }
+  std::span<const std::int32_t> in_degrees() const { return ws_.in_degree; }
 
   /// The current per-disk capacities.
-  const std::vector<std::int64_t>& capacities() const { return ws_->cap; }
+  const std::vector<std::int64_t>& capacities() const { return ws_.cap; }
 
   /// Hopcroft-Karp phases until no augmenting path remains; returns the
   /// matched bucket count (== |Q| iff the current capacities are feasible).
@@ -137,13 +137,16 @@ class BipartiteMatcher {
   /// augmenting loop touches no atomics.
   void publish_metrics() const;
 
+  /// The kernel's own buffers, read-only.
+  const MatchingWorkspace& workspace() const { return ws_; }
+
  private:
   bool bfs_phase(std::int32_t& limit);
   bool try_augment(std::int32_t root, std::int32_t limit);
   void augment_pass(std::int32_t limit);
 
   const RetrievalProblem* problem_ = nullptr;
-  MatchingWorkspace* ws_ = nullptr;
+  MatchingWorkspace ws_;
   std::int32_t q_ = 0;
   std::int32_t n_ = 0;
   std::int64_t matched_ = 0;
@@ -166,7 +169,7 @@ class IntegratedMatchingSolver : private ScalingKernel {
   /// calls on same-footprint problems perform zero heap allocations.
   void solve_into(const RetrievalProblem& problem, SolveResult& result);
 
-  /// Retained working-memory footprint (workspace + snapshot buffer +
+  /// Retained working-memory footprint (matcher buffers + snapshot buffer +
   /// candidate buffer).
   std::size_t retained_bytes() const;
 
@@ -181,7 +184,6 @@ class IntegratedMatchingSolver : private ScalingKernel {
     matcher_.restore_matching(disk_of_bucket);
   }
 
-  MatchingWorkspace workspace_;
   BipartiteMatcher matcher_;
   BinaryScalingDriver driver_;
   std::vector<std::int32_t> saved_match_;

@@ -15,7 +15,7 @@ std::int64_t BlackBoxBinarySolver::resume() {
   obs::ScopedSpan span("blackbox.maxflow_run");
   SolveResult& result = *result_;
   ++result.maxflow_runs;
-  const graph::MaxflowResult r = pr_->solve_from_zero();
+  const graph::MaxflowResult r = engine_.solve_from_zero();
   result.flow_stats += r.stats;
   return r.value;
 }
@@ -24,14 +24,7 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
                                       SolveResult& result) {
   result.clear();
   network_.rebuild(problem);
-  auto& net = network_.net();
-  const graph::Vertex s = network_.source();
-  const graph::Vertex t = network_.sink();
-  if (!pr_) {
-    pr_.emplace(net, s, t);
-  } else {
-    pr_->rebind(s, t);
-  }
+  engine_.rebind(network_.source(), network_.sink());
 
   result_ = &result;
   driver_.run(problem, network_.in_degrees(), *this, result,
@@ -43,7 +36,7 @@ void BlackBoxBinarySolver::solve_into(const RetrievalProblem& problem,
 }
 
 std::size_t BlackBoxBinarySolver::retained_bytes() const {
-  return network_.retained_bytes() + (pr_ ? pr_->retained_bytes() : 0) +
+  return network_.retained_bytes() + engine_.retained_bytes() +
          driver_.retained_bytes();
 }
 

@@ -6,8 +6,6 @@
 // (7, 8, 9) compare against.
 #pragma once
 
-#include <optional>
-
 #include "core/binary_scaling.h"
 #include "core/network.h"
 #include "core/solver.h"
@@ -20,6 +18,11 @@ class BlackBoxBinarySolver : private ScalingKernel {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   BlackBoxBinarySolver() = default;
+
+  // The engine is bound to this shell's network: a copy or a move would
+  // drive the original's.
+  BlackBoxBinarySolver(const BlackBoxBinarySolver&) = delete;
+  BlackBoxBinarySolver& operator=(const BlackBoxBinarySolver&) = delete;
 
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
@@ -41,10 +44,8 @@ class BlackBoxBinarySolver : private ScalingKernel {
 
   SolveResult* result_ = nullptr;  // the solve in progress (run counters)
   RetrievalNetwork network_;
+  graph::PushRelabel engine_{network_.net()};  // bound to network_
   BinaryScalingDriver driver_;
-  // Engaged on the first solve; persists across solves (rebound in place)
-  // so probes reuse its working buffers.
-  std::optional<graph::PushRelabel> pr_;
 };
 
 }  // namespace repflow::core

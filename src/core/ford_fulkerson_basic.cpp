@@ -23,6 +23,7 @@ void FordFulkersonBasicSolver::solve_into(const RetrievalProblem& problem,
   require_basic(problem);
   result.clear();
   network_.rebuild(problem);
+  engine_.rebind(network_.source(), network_.sink());
   auto& net = network_.net();
   const std::int64_t q = problem.query_size();
 
@@ -37,18 +38,12 @@ void FordFulkersonBasicSolver::solve_into(const RetrievalProblem& problem,
     net.set_pair_flow(network_.source_arc(b), 1);
   }
 
-  if (!engine_) {
-    engine_.emplace(net, network_.source(), network_.sink(),
-                    graph::SearchOrder::kDfs);
-  } else {
-    engine_->rebind(network_.source(), network_.sink());
-  }
-  const graph::FlowStats stats_before = engine_->stats();
+  const graph::FlowStats stats_before = engine_.stats();
   for (std::int64_t b = 0; b < q; ++b) {
     // Lines 3-8: augment from this bucket; bump every sink capacity by one
     // whenever the residual graph has no bucket->sink path.
     obs::ScopedSpan span("alg1.augment");
-    while (engine_->augment_once(network_.bucket_vertex(b)) == 0) {
+    while (engine_.augment_once(network_.bucket_vertex(b)) == 0) {
       obs::ScopedSpan step("alg1.capacity_step");
       ++cap;
       network_.set_uniform_capacities(cap);
@@ -56,15 +51,14 @@ void FordFulkersonBasicSolver::solve_into(const RetrievalProblem& problem,
     }
   }
 
-  result.flow_stats = engine_->stats() - stats_before;
+  result.flow_stats = engine_.stats() - stats_before;
   extract_schedule_into(network_, result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_SOLVE(problem, network_, result, "alg1_ff_basic.post_solve");
 }
 
 std::size_t FordFulkersonBasicSolver::retained_bytes() const {
-  return network_.retained_bytes() +
-         (engine_ ? engine_->retained_bytes() : 0);
+  return network_.retained_bytes() + engine_.retained_bytes();
 }
 
 }  // namespace repflow::core

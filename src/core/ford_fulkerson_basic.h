@@ -7,8 +7,6 @@
 // sink capacities are incremented together.  Worst case O(c * |Q|^2).
 #pragma once
 
-#include <optional>
-
 #include "core/network.h"
 #include "core/solver.h"
 #include "graph/ford_fulkerson.h"
@@ -19,6 +17,12 @@ class FordFulkersonBasicSolver {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   FordFulkersonBasicSolver() = default;
+
+  // The engine is bound to this shell's network: a copy or a move would
+  // drive the original's.
+  FordFulkersonBasicSolver(const FordFulkersonBasicSolver&) = delete;
+  FordFulkersonBasicSolver& operator=(const FordFulkersonBasicSolver&) =
+      delete;
 
   /// Rebuild internal state in place and solve `problem`, which must
   /// satisfy `problem.system.is_basic()` (throws std::invalid_argument
@@ -35,7 +39,7 @@ class FordFulkersonBasicSolver {
 
  private:
   RetrievalNetwork network_;
-  std::optional<graph::FordFulkerson> engine_;
+  graph::FordFulkerson engine_{network_.net(), graph::SearchOrder::kDfs};
 };
 
 }  // namespace repflow::core

@@ -10,6 +10,7 @@ void FordFulkersonIncrementalSolver::solve_into(
     const RetrievalProblem& problem, SolveResult& result) {
   result.clear();
   network_.rebuild(problem);
+  engine_.rebind(network_.source(), network_.sink());
   auto& net = network_.net();
   const std::int64_t q = problem.query_size();
 
@@ -21,33 +22,26 @@ void FordFulkersonIncrementalSolver::solve_into(
     net.set_pair_flow(network_.source_arc(b), 1);
   }
 
-  if (!engine_) {
-    engine_.emplace(net, network_.source(), network_.sink(),
-                    graph::SearchOrder::kDfs);
-  } else {
-    engine_->rebind(network_.source(), network_.sink());
-  }
-  const graph::FlowStats stats_before = engine_->stats();
+  const graph::FlowStats stats_before = engine_.stats();
   for (std::int64_t b = 0; b < q; ++b) {
     // Lines 3-7: augment this bucket, admitting the cheapest next
     // completion slot whenever the residual graph has no path.
     obs::ScopedSpan span("alg2.augment");
-    while (engine_->augment_once(network_.bucket_vertex(b)) == 0) {
+    while (engine_.augment_once(network_.bucket_vertex(b)) == 0) {
       obs::ScopedSpan step("alg2.capacity_step");
       incrementer_.increment_min_cost();
     }
   }
 
   result.capacity_steps = incrementer_.steps();
-  result.flow_stats = engine_->stats() - stats_before;
+  result.flow_stats = engine_.stats() - stats_before;
   extract_schedule_into(network_, result.schedule);
   result.response_time_ms = result.schedule.response_time(problem.system);
   REPFLOW_CHECK_SOLVE(problem, network_, result, "alg2_ff_incremental.post_solve");
 }
 
 std::size_t FordFulkersonIncrementalSolver::retained_bytes() const {
-  return network_.retained_bytes() +
-         (engine_ ? engine_->retained_bytes() : 0);
+  return network_.retained_bytes() + engine_.retained_bytes();
 }
 
 }  // namespace repflow::core

@@ -8,8 +8,6 @@
 // case O(c^2 * |Q|^2).
 #pragma once
 
-#include <optional>
-
 #include "core/increment.h"
 #include "core/network.h"
 #include "core/solver.h"
@@ -21,6 +19,13 @@ class FordFulkersonIncrementalSolver {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   FordFulkersonIncrementalSolver() = default;
+
+  // The engine is bound to this shell's network: a copy or a move would
+  // drive the original's.
+  FordFulkersonIncrementalSolver(const FordFulkersonIncrementalSolver&) =
+      delete;
+  FordFulkersonIncrementalSolver& operator=(
+      const FordFulkersonIncrementalSolver&) = delete;
 
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
@@ -34,7 +39,7 @@ class FordFulkersonIncrementalSolver {
  private:
   RetrievalNetwork network_;
   CapacityIncrementer incrementer_;
-  std::optional<graph::FordFulkerson> engine_;
+  graph::FordFulkerson engine_{network_.net(), graph::SearchOrder::kDfs};
 };
 
 }  // namespace repflow::core

@@ -34,11 +34,7 @@ void IncrementalQuerySession::reset() {
   bucket_vertex_.clear();
   // rebind() fully clears the engine's excess/queue state, which is what a
   // fresh session needs (resume() relies on a clean start).
-  if (!engine_) {
-    engine_.emplace(net_, source_, sink_);
-  } else {
-    engine_->rebind(source_, sink_);
-  }
+  engine_.rebind(source_, sink_);
   clean_ = true;
   capacity_steps_ = 0;
   usable_ = 0;
@@ -76,7 +72,7 @@ double IncrementalQuerySession::reoptimize() {
   // grows the usable capacity sum_d min(cap_d, in_degree_d) by exactly one.
   incrementer_.rebind(net_, system_, sink_arcs_, in_degree_);
   auto usable = [&] { return usable_ + incrementer_.total_increments(); };
-  graph::Cap reached = engine_->resume();
+  graph::Cap reached = engine_.resume();
   while (reached != q) {
     // Batched stepping: any flow is bounded by the usable capacity, so
     // resuming the engine before it reaches |Q| is futile.  The admitted
@@ -84,7 +80,7 @@ double IncrementalQuerySession::reoptimize() {
     // capacity_steps() — is bit-identical to stepping one at a time.
     incrementer_.increment_min_cost();
     while (usable() < q) incrementer_.increment_min_cost();
-    reached = engine_->resume();
+    reached = engine_.resume();
   }
   usable_ = usable();
   capacity_steps_ += incrementer_.steps();
@@ -125,7 +121,7 @@ void IncrementalQuerySession::schedule_into(Schedule& s) const {
 }
 
 std::size_t IncrementalQuerySession::retained_bytes() const {
-  return net_.retained_bytes() + engine_->retained_bytes() +
+  return net_.retained_bytes() + engine_.retained_bytes() +
          sink_arcs_.capacity() * sizeof(graph::ArcId) +
          in_degree_.capacity() * sizeof(std::int32_t);
 }

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/increment.h"
@@ -32,6 +31,11 @@ namespace repflow::core {
 class IncrementalQuerySession {
  public:
   explicit IncrementalQuerySession(workload::SystemConfig system);
+
+  // The engine is bound to this session's network: a copy or a move would
+  // drive the original's.
+  IncrementalQuerySession(const IncrementalQuerySession&) = delete;
+  IncrementalQuerySession& operator=(const IncrementalQuerySession&) = delete;
 
   /// Append one bucket with its replica disks; cheap (no solving).
   /// Returns the bucket's session index.
@@ -66,7 +70,7 @@ class IncrementalQuerySession {
  private:
   workload::SystemConfig system_;
   graph::FlowNetwork net_;
-  std::optional<graph::PushRelabel> engine_;
+  graph::PushRelabel engine_{net_};  // bound to net_, so declared after it
   graph::Vertex source_ = 0;
   graph::Vertex sink_ = 1;
   std::vector<graph::ArcId> sink_arcs_;       // per disk

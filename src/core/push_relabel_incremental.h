@@ -6,8 +6,6 @@
 // conserved flows until the sink's excess reaches |Q|.
 #pragma once
 
-#include <optional>
-
 #include "core/increment.h"
 #include "core/network.h"
 #include "core/solver.h"
@@ -19,6 +17,12 @@ class PushRelabelIncrementalSolver {
  public:
   /// Reusable shell: construct once, serve many problems via solve_into().
   PushRelabelIncrementalSolver() = default;
+
+  // The engine is bound to this shell's network: a copy or a move would
+  // drive the original's.
+  PushRelabelIncrementalSolver(const PushRelabelIncrementalSolver&) = delete;
+  PushRelabelIncrementalSolver& operator=(
+      const PushRelabelIncrementalSolver&) = delete;
 
   /// Rebuild internal state in place and solve `problem`; steady-state
   /// calls on same-footprint problems perform zero heap allocations.
@@ -32,7 +36,7 @@ class PushRelabelIncrementalSolver {
  private:
   RetrievalNetwork network_;
   CapacityIncrementer incrementer_;
-  std::optional<graph::PushRelabel> engine_;
+  graph::PushRelabel engine_{network_.net()};
 };
 
 }  // namespace repflow::core

@@ -79,28 +79,4 @@ void extract_schedule_into(const RetrievalNetwork& network,
   }
 }
 
-std::string check_schedule(const RetrievalProblem& problem,
-                           const Schedule& schedule) {
-  if (schedule.assigned_disk.size() !=
-      static_cast<std::size_t>(problem.query_size())) {
-    return "assignment arity mismatch";
-  }
-  std::vector<std::int64_t> counts(
-      static_cast<std::size_t>(problem.total_disks()), 0);
-  for (std::size_t b = 0; b < schedule.assigned_disk.size(); ++b) {
-    const DiskId d = schedule.assigned_disk[b];
-    if (d < 0 || d >= problem.total_disks()) {
-      return "bucket " + std::to_string(b) + " assigned out-of-range disk";
-    }
-    const auto& options = problem.replicas[b];
-    if (std::find(options.begin(), options.end(), d) == options.end()) {
-      return "bucket " + std::to_string(b) + " assigned to non-replica disk " +
-             std::to_string(d);
-    }
-    ++counts[static_cast<std::size_t>(d)];
-  }
-  if (counts != schedule.per_disk_count) return "per-disk counts inconsistent";
-  return {};
-}
-
 }  // namespace repflow::core

@@ -35,10 +35,4 @@ Schedule extract_schedule(const RetrievalNetwork& network);
 void extract_schedule_into(const RetrievalNetwork& network,
                            Schedule& schedule);
 
-/// Validate a schedule against its problem: every bucket assigned to one of
-/// its replicas and per-disk counts consistent.  Returns an empty string on
-/// success, else a description of the violation.
-std::string check_schedule(const RetrievalProblem& problem,
-                           const Schedule& schedule);
-
 }  // namespace repflow::core

@@ -1,8 +1,8 @@
 // One-call façade: run any solver of the catalog on a problem instance.
 // This is the primary public API entry point (see examples/quickstart.cpp).
 // Internally it delegates to a thread_local ExecutionContext
-// (docs/SERVING.md), the same spine the stream scheduler, batch solver, and
-// incremental sessions run on.
+// (docs/SERVING.md), the same spine the stream scheduler and the batch
+// solver run on.  Incremental sessions keep their own network and engine.
 #pragma once
 
 #include "core/execution.h"

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "parallel/parallel_engine.h"
 
 namespace repflow::core {
 
@@ -77,17 +76,7 @@ void SolverPool::solve_into(const RetrievalProblem& problem, SolverKind kind,
       slot(black_box_).solve_into(problem, result);
       break;
     case SolverKind::kParallelPushRelabelBinary:
-      // Not slot(): the factory argument must only be built when the slot
-      // is actually constructed, or every reuse hit would re-create a
-      // std::function.
-      if (parallel_) {
-        pool_metrics().reuse_hits.add(1);
-      } else {
-        pool_metrics().rebuilds.add(1);
-        parallel_ = std::make_unique<PushRelabelBinarySolver>(
-            parallel::parallel_engine_factory(threads_));
-      }
-      parallel_->solve_into(problem, result);
+      slot(parallel_, threads_).solve_into(problem, result);
       break;
     case SolverKind::kIntegratedMatching:
       slot(matching_).solve_into(problem, result);

@@ -57,7 +57,7 @@ class SolverPool {
   std::unique_ptr<PushRelabelIncrementalSolver> pr_incremental_;
   std::unique_ptr<PushRelabelBinarySolver> pr_binary_;
   std::unique_ptr<BlackBoxBinarySolver> black_box_;
-  std::unique_ptr<PushRelabelBinarySolver> parallel_;
+  std::unique_ptr<ParallelPushRelabelBinarySolver> parallel_;
   std::unique_ptr<IntegratedMatchingSolver> matching_;
 };
 

@@ -2,52 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 
 namespace repflow::graph {
-
-FlowCheck validate_flow(const FlowNetwork& net, Vertex source, Vertex sink) {
-  FlowCheck check;
-  auto fail = [&](std::string why) {
-    check.ok = false;
-    check.reason = std::move(why);
-    return check;
-  };
-  for (ArcId a = 0; a < net.num_arcs(); a += 2) {
-    if (net.flow(a) < 0) {
-      std::ostringstream os;
-      os << "negative flow on arc " << a << " (" << net.tail(a) << "->"
-         << net.head(a) << "): " << net.flow(a);
-      return fail(os.str());
-    }
-    if (net.flow(a) > net.capacity(a)) {
-      std::ostringstream os;
-      os << "capacity violated on arc " << a << " (" << net.tail(a) << "->"
-         << net.head(a) << "): flow " << net.flow(a) << " > cap "
-         << net.capacity(a);
-      return fail(os.str());
-    }
-    if (net.flow(a ^ 1) != -net.flow(a)) {
-      std::ostringstream os;
-      os << "antisymmetry violated on arc pair " << a;
-      return fail(os.str());
-    }
-  }
-  for (Vertex v = 0; v < net.num_vertices(); ++v) {
-    if (v == source || v == sink) continue;
-    if (net.net_out_flow(v) != 0) {
-      std::ostringstream os;
-      os << "conservation violated at vertex " << v << ": net out-flow "
-         << net.net_out_flow(v);
-      return fail(os.str());
-    }
-  }
-  return check;
-}
-
-Cap flow_value(const FlowNetwork& net, Vertex sink) {
-  return net.flow_into(sink);
-}
 
 Cut residual_min_cut(const FlowNetwork& net, Vertex source) {
   Cut cut;

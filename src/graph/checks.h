@@ -1,29 +1,15 @@
-// Flow validity checks, min-cut extraction, and flow decomposition.
+// Min-cut extraction and flow decomposition.
 //
-// These back the property tests: every engine's output must satisfy the
-// capacity and conservation constraints (Equation 1 of the paper), and the
-// max-flow value must equal the min-cut capacity.
+// These back the property tests: the max-flow value must equal the min-cut
+// capacity, and a flow must decompose into source-sink paths.  Flow
+// validity (Equation 1 of the paper) is checked by analysis/flow_invariants.h.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/flow_network.h"
 
 namespace repflow::graph {
-
-/// Outcome of validate_flow; `ok` plus a human-readable reason on failure.
-struct FlowCheck {
-  bool ok = true;
-  std::string reason;
-};
-
-/// Check 0 <= flow <= cap on every forward arc, antisymmetry of the arc
-/// pairs, and conservation at every vertex except source and sink.
-FlowCheck validate_flow(const FlowNetwork& net, Vertex source, Vertex sink);
-
-/// Value of the current flow (net flow into the sink).
-Cap flow_value(const FlowNetwork& net, Vertex sink);
 
 /// An s-t cut as the source-side vertex set plus its capacity.
 struct Cut {

@@ -17,9 +17,12 @@ std::string FlowStats::to_string() const {
   return os.str();
 }
 
+FordFulkerson::FordFulkerson(FlowNetwork& net, SearchOrder order)
+    : net_(net), order_(order) {}
+
 FordFulkerson::FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
                              SearchOrder order)
-    : net_(net), source_(source), sink_(sink), order_(order) {
+    : FordFulkerson(net, order) {
   rebind(source, sink);
 }
 

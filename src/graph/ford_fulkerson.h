@@ -24,8 +24,13 @@ enum class SearchOrder {
 
 class FordFulkerson {
  public:
-  explicit FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
+  /// An engine over `net` with no endpoints yet: rebind() before the first
+  /// search.  A solver shell constructs it next to its own network and
+  /// rebinds at the start of every solve.
+  explicit FordFulkerson(FlowNetwork& net,
                          SearchOrder order = SearchOrder::kDfs);
+  FordFulkerson(FlowNetwork& net, Vertex source, Vertex sink,
+                SearchOrder order = SearchOrder::kDfs);
   /// Re-target the engine after the network was rebuilt in place.  Keeps
   /// buffer capacity and the cumulative stats() total.
   void rebind(Vertex source, Vertex sink);
@@ -44,7 +49,6 @@ class FordFulkerson {
   MaxflowResult solve_from_zero();
 
   const FlowStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
 
   /// Capacity-based footprint of the retained search buffers.
   std::size_t retained_bytes() const;
@@ -56,8 +60,8 @@ class FordFulkerson {
   Cap bfs_augment(Vertex from);
 
   FlowNetwork& net_;
-  Vertex source_;
-  Vertex sink_;
+  Vertex source_ = kInvalidVertex;
+  Vertex sink_ = kInvalidVertex;
   SearchOrder order_;
   FlowStats stats_;
 

@@ -43,9 +43,12 @@ std::uint32_t first_admissible(const FlowNetwork& net,
 
 }  // namespace
 
+PushRelabel::PushRelabel(FlowNetwork& net, HeightInit init)
+    : net_(net), init_(init) {}
+
 PushRelabel::PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
                          HeightInit init)
-    : net_(net), source_(source), sink_(sink), init_(init) {
+    : PushRelabel(net, init) {
   rebind(source, sink);
 }
 

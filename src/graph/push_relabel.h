@@ -84,6 +84,11 @@ class VertexFifo {
 
 class PushRelabel {
  public:
+  /// An engine over `net` with no endpoints yet: rebind() before the first
+  /// run.  A solver shell constructs it next to its own network and
+  /// rebinds at the start of every solve.
+  explicit PushRelabel(FlowNetwork& net,
+                       HeightInit init = HeightInit::kGlobalRelabel);
   PushRelabel(FlowNetwork& net, Vertex source, Vertex sink,
               HeightInit init = HeightInit::kGlobalRelabel);
   /// Re-target the engine after the network was rebuilt in place (same
@@ -100,6 +105,27 @@ class PushRelabel {
 
   // ---- Integrated interface (Algorithms 5 and 6) ----
 
+  /// Drain the FIFO queue with push/relabel operations; returns excess[t],
+  /// i.e. the value of the current flow.
+  Cap run();
+
+  /// Lines 4-14 of Algorithm 5, then run(): saturate the residual source
+  /// arcs, reset heights, and push/relabel from the conserved flows.
+  Cap resume();
+
+  // ---- State inspection / manipulation for Algorithm 6 ----
+
+  /// After restoring a flow snapshot into the network, realign the engine's
+  /// excess bookkeeping: all conserved vertices zero, sink = `sink_excess`.
+  void reset_excess_after_restore(Cap sink_excess);
+
+  const FlowStats& stats() const { return stats_; }
+
+  /// Capacity-based footprint of the retained working buffers (feeds the
+  /// workspace.retained_bytes gauge); counts heap blocks, not live elements.
+  std::size_t retained_bytes() const;
+
+ private:
   /// Lines 4-10 of Algorithm 5: for every source out-arc with residual
   /// capacity, saturate it, credit the head's excess, and activate the head.
   /// Existing flows are conserved.  Also re-activates any vertex that still
@@ -110,27 +136,6 @@ class PushRelabel {
   /// HeightInit) and zero the source's excess bookkeeping.
   void reinitialize_heights();
 
-  /// Drain the FIFO queue with push/relabel operations; returns excess[t],
-  /// i.e. the value of the current flow.
-  Cap run();
-
-  /// Convenience: saturate + reinit heights + run.
-  Cap resume();
-
-  // ---- State inspection / manipulation for Algorithm 6 ----
-
-  /// After restoring a flow snapshot into the network, realign the engine's
-  /// excess bookkeeping: all conserved vertices zero, sink = `sink_excess`.
-  void reset_excess_after_restore(Cap sink_excess);
-
-  const FlowStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
-
-  /// Capacity-based footprint of the retained working buffers (feeds the
-  /// workspace.retained_bytes gauge); counts heap blocks, not live elements.
-  std::size_t retained_bytes() const;
-
- private:
   void validate_endpoints() const;
   void ensure_sizes();
   void enqueue_if_active(Vertex v);
@@ -140,8 +145,8 @@ class PushRelabel {
   void global_relabel();
 
   FlowNetwork& net_;
-  Vertex source_;
-  Vertex sink_;
+  Vertex source_ = kInvalidVertex;
+  Vertex sink_ = kInvalidVertex;
   HeightInit init_;
   FlowStats stats_;
 

@@ -85,11 +85,8 @@ ParallelPushRelabel::RegistryHandles::make(int threads) {
 }
 
 ParallelPushRelabel::ParallelPushRelabel(graph::FlowNetwork& net,
-                                         Vertex source, Vertex sink,
                                          int threads)
     : net_(net),
-      source_(source),
-      sink_(sink),
       threads_(threads),
       registry_(RegistryHandles::make(threads)),
       pool_(threads) {
@@ -97,6 +94,12 @@ ParallelPushRelabel::ParallelPushRelabel(graph::FlowNetwork& net,
     throw std::invalid_argument("ParallelPushRelabel: threads < 1");
   }
   counters_.resize(static_cast<std::size_t>(threads));
+}
+
+ParallelPushRelabel::ParallelPushRelabel(graph::FlowNetwork& net,
+                                         Vertex source, Vertex sink,
+                                         int threads)
+    : ParallelPushRelabel(net, threads) {
   rebind(source, sink);
 }
 

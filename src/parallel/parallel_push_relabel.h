@@ -13,11 +13,10 @@
 // residual(u, v); concurrent threads can only *increase* them, which keeps
 // every computed delta valid.
 //
-// The engine is an IntegratedEngine, so Algorithm 6's driver runs it in
-// place of the sequential PushRelabel (Section V changes only line 29):
-// resume() conserves the flows already on the FlowNetwork, saturates
-// residual source arcs, recomputes exact heights, and runs the
-// multithreaded loop.
+// Algorithm 6 runs it in place of the sequential PushRelabel through the
+// same integrated interface (Section V changes only line 29): resume()
+// conserves the flows already on the FlowNetwork, saturates residual
+// source arcs, recomputes exact heights, and runs the multithreaded loop.
 //
 // No copy of the network: the workers read the FlowNetwork's CSR
 // adjacency, heads and capacities directly and push on its own per-arc
@@ -32,11 +31,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "core/engine.h"
 #include "graph/maxflow.h"
 #include "obs/metrics.h"
 #include "parallel/mpmc_queue.h"
@@ -44,8 +43,11 @@
 
 namespace repflow::parallel {
 
-class ParallelPushRelabel final : public core::IntegratedEngine {
+class ParallelPushRelabel {
  public:
+  /// An engine of `threads` workers over `net` with no endpoints yet:
+  /// rebind() before the first resume().  Throws on threads < 1.
+  ParallelPushRelabel(graph::FlowNetwork& net, int threads);
   ParallelPushRelabel(graph::FlowNetwork& net, graph::Vertex source,
                       graph::Vertex sink, int threads);
 
@@ -55,10 +57,10 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   /// Re-validate the endpoints, finalize the network's CSR adjacency (so
   /// no worker can trigger its lazy rebuild) and size the per-vertex
   /// arrays in place.
-  void rebind(graph::Vertex source, graph::Vertex sink) override;
+  void rebind(graph::Vertex source, graph::Vertex sink);
 
   /// Retained working-memory footprint across all reusable buffers.
-  std::size_t retained_bytes() const override;
+  std::size_t retained_bytes() const;
 
   /// Integrated run from the network's current flows; returns the flow
   /// value reached (the sink's excess).  Worker threads persist across
@@ -66,11 +68,11 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   /// worker 0.  The worker pool's handoff is the only synchronization
   /// outside the push/relabel atomics, and it parks a thread only after a
   /// bounded spin, outside the push/relabel operations as [31] requires.
-  graph::Cap resume() override;
+  graph::Cap resume();
 
-  void reset_excess_after_restore(graph::Cap sink_excess) override;
+  void reset_excess_after_restore(graph::Cap sink_excess);
 
-  const graph::FlowStats& stats() const override { return stats_; }
+  const graph::FlowStats& stats() const { return stats_; }
 
  private:
   /// Per-worker operation counters (each slot written by one thread only).
@@ -114,8 +116,8 @@ class ParallelPushRelabel final : public core::IntegratedEngine {
   bool maybe_global_relabel();
 
   graph::FlowNetwork& net_;
-  graph::Vertex source_;
-  graph::Vertex sink_;
+  graph::Vertex source_ = graph::kInvalidVertex;
+  graph::Vertex sink_ = graph::kInvalidVertex;
   int threads_;
   graph::FlowStats stats_;
 

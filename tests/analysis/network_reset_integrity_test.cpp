@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analysis/flow_invariants.h"
+#include "analysis/schedule_invariants.h"
 #include "core/network.h"
 #include "core/schedule.h"
 #include "core/solver_pool.h"
@@ -157,7 +158,7 @@ TEST(NetworkReset, RetrievalNetworkRebuildFinalizesAdjacency) {
     engine.solve_from_zero();
     EXPECT_EQ(network.flow_value(), problem->query_size());
     const auto schedule = core::extract_schedule(network);
-    EXPECT_TRUE(core::check_schedule(*problem, schedule).empty());
+    EXPECT_TRUE(analysis::check_schedule_feasibility(*problem, schedule).ok());
   }
 }
 

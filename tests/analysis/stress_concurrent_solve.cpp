@@ -115,7 +115,7 @@ TEST(ConcurrentSolveStress, BatchSolverConsecutiveBatches) {
 
 TEST(ConcurrentSolveStress, BatchSolverMatchingKernel) {
   // Same shape as above, but the pooled workers run the default policy,
-  // the b-matching kernel: TSan coverage for MatchingWorkspace reuse across
+  // the b-matching kernel: TSan coverage for matcher buffer reuse across
   // worker threads.
   Rng rng(212);
   core::BatchOptions options;

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/schedule_invariants.h"
 #include "core/binary_scaling.h"
 #include "core/ford_fulkerson_basic.h"
 #include "core/ford_fulkerson_incremental.h"
@@ -351,7 +352,8 @@ TEST(SearchWindow, BucketBoundSkipsProbesBelowIt) {
     const SolveResult r = solve(p, kind, 2);
     EXPECT_EQ(r.response_time_ms, 10.0) << solver_name(kind);
     EXPECT_EQ(r.binary_probes, 1) << solver_name(kind);
-    EXPECT_TRUE(check_schedule(p, r.schedule).empty()) << solver_name(kind);
+    EXPECT_TRUE(analysis::check_schedule_feasibility(p, r.schedule).ok())
+        << solver_name(kind);
   }
 }
 
@@ -362,10 +364,11 @@ TEST(ScheduleTest, ResponseTimeAndBottleneck) {
   s.per_disk_count = {2, 1};
   EXPECT_DOUBLE_EQ(s.response_time(p.system), 2.0);
   EXPECT_EQ(s.bottleneck_disk(p.system), 0);
-  EXPECT_TRUE(check_schedule(p, s).empty());
+  EXPECT_TRUE(analysis::check_schedule_feasibility(p, s).ok());
   s.assigned_disk = {1, 0, 1};  // bucket 1 is only on disk 0
   s.per_disk_count = {1, 2};
-  EXPECT_FALSE(check_schedule(p, {{1, 1, 1}, {0, 3}}).empty());
+  EXPECT_FALSE(
+      analysis::check_schedule_feasibility(p, {{1, 1, 1}, {0, 3}}).ok());
 }
 
 TEST(Solvers, TinyProblemAllAgree) {
@@ -381,7 +384,8 @@ TEST(Solvers, TinyProblemAllAgree) {
     const SolveResult r = solve(p, kind, 2);
     EXPECT_EQ(r.response_time_ms, expected)
         << solver_name(kind);
-    EXPECT_TRUE(check_schedule(p, r.schedule).empty()) << solver_name(kind);
+    EXPECT_TRUE(analysis::check_schedule_feasibility(p, r.schedule).ok())
+        << solver_name(kind);
   }
   EXPECT_EQ(ReferenceSolver(p).solve().response_time_ms, expected);
 }
@@ -465,7 +469,7 @@ TEST(Solvers, TableTwoParameters) {
         SolverKind::kBlackBoxBinary, SolverKind::kParallelPushRelabelBinary}) {
     const SolveResult r = solve(problem, kind, 2);
     EXPECT_EQ(r.response_time_ms, reference) << solver_name(kind);
-    EXPECT_TRUE(check_schedule(problem, r.schedule).empty())
+    EXPECT_TRUE(analysis::check_schedule_feasibility(problem, r.schedule).ok())
         << solver_name(kind);
   }
   // With 6 buckets, 6 distinct replica disks exist (orthogonality), so at

@@ -3,7 +3,7 @@
 // integrated algorithms verified on randomized capacity schedules.
 #include <gtest/gtest.h>
 
-#include "graph/checks.h"
+#include "analysis/flow_invariants.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "graph/push_relabel.h"
@@ -107,8 +107,8 @@ TEST_P(IntegratedEquivalence, ResumeEqualsFromScratchOnRandomSchedules) {
                                    graph::SearchOrder::kBfs);
     EXPECT_EQ(via_resume, reference.solve_from_zero().value)
         << "step " << step;
-    const auto check = graph::validate_flow(g.net, g.source, g.sink);
-    EXPECT_TRUE(check.ok) << check.reason;
+    const auto check = analysis::check_flow_invariants(g.net, g.source, g.sink);
+    EXPECT_TRUE(check.ok()) << check.to_string();
   }
 }
 

@@ -1,15 +1,15 @@
 // Unit and property tests for the graph substrate: FlowNetwork, the
-// Ford-Fulkerson and push-relabel engines, exact heights, validity checks,
-// min-cut, decomposition, and the push-relabel engines' work pinned on
-// fixed networks and Algorithm 6 solves.
+// Ford-Fulkerson and push-relabel engines, exact heights, min-cut,
+// decomposition, and the push-relabel engines' work pinned on fixed
+// networks and Algorithm 6 solves.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
+#include "analysis/flow_invariants.h"
 #include "core/problem.h"
 #include "core/push_relabel_binary.h"
 #include "core/solver.h"
@@ -21,7 +21,6 @@
 #include "graph/generators.h"
 #include "graph/maxflow.h"
 #include "graph/push_relabel.h"
-#include "parallel/parallel_engine.h"
 #include "support/rng.h"
 #include "workload/experiments.h"
 #include "workload/query_load.h"
@@ -82,7 +81,7 @@ TEST(FlowNetwork, SaveRestoreFlows) {
   EXPECT_EQ(net.flow_into(t), 0);
   net.restore_flows(snapshot);
   EXPECT_EQ(net.flow_into(t), 23);
-  EXPECT_TRUE(validate_flow(net, s, t).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, s, t).ok());
 }
 
 TEST(FlowNetwork, RestoreRejectsSizeMismatch) {
@@ -96,7 +95,7 @@ TEST(FordFulkerson, ClrsValueDfs) {
   FlowNetwork net = clrs_network(s, t);
   FordFulkerson engine(net, s, t, SearchOrder::kDfs);
   EXPECT_EQ(engine.solve_from_zero().value, 23);
-  EXPECT_TRUE(validate_flow(net, s, t).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, s, t).ok());
 }
 
 TEST(FordFulkerson, ClrsValueBfs) {
@@ -104,7 +103,7 @@ TEST(FordFulkerson, ClrsValueBfs) {
   FlowNetwork net = clrs_network(s, t);
   FordFulkerson engine(net, s, t, SearchOrder::kBfs);
   EXPECT_EQ(engine.solve_from_zero().value, 23);
-  EXPECT_TRUE(validate_flow(net, s, t).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, s, t).ok());
 }
 
 TEST(FordFulkerson, IncrementalAugmentation) {
@@ -129,7 +128,7 @@ TEST(PushRelabel, ClrsValue) {
   FlowNetwork net = clrs_network(s, t);
   PushRelabel engine(net, s, t);
   EXPECT_EQ(engine.solve_from_zero().value, 23);
-  EXPECT_TRUE(validate_flow(net, s, t).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, s, t).ok());
 }
 
 TEST(PushRelabel, ZeroHeightInitAlsoCorrect) {
@@ -137,7 +136,7 @@ TEST(PushRelabel, ZeroHeightInitAlsoCorrect) {
   FlowNetwork net = clrs_network(s, t);
   PushRelabel engine(net, s, t, HeightInit::kZero);
   EXPECT_EQ(engine.solve_from_zero().value, 23);
-  EXPECT_TRUE(validate_flow(net, s, t).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, s, t).ok());
 }
 
 TEST(PushRelabel, DisconnectedSinkGivesZero) {
@@ -146,7 +145,7 @@ TEST(PushRelabel, DisconnectedSinkGivesZero) {
   net.add_arc(2, 3, 5);
   PushRelabel engine(net, 0, 3);
   EXPECT_EQ(engine.solve_from_zero().value, 0);
-  EXPECT_TRUE(validate_flow(net, 0, 3).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, 0, 3).ok());
 }
 
 TEST(PushRelabel, IntegratedResumeAfterCapacityIncrease) {
@@ -159,7 +158,7 @@ TEST(PushRelabel, IntegratedResumeAfterCapacityIncrease) {
   EXPECT_EQ(engine.solve_from_zero().value, 3);
   net.set_capacity(at, 7);
   EXPECT_EQ(engine.resume(), 7);
-  EXPECT_TRUE(validate_flow(net, 0, 2).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, 0, 2).ok());
   EXPECT_EQ(net.flow(sa), 7);
 }
 
@@ -176,7 +175,7 @@ TEST(PushRelabel, ResetExcessAfterRestore) {
   engine.reset_excess_after_restore(2);
   net.set_capacity(at, 3);
   EXPECT_EQ(engine.resume(), 3);
-  EXPECT_TRUE(validate_flow(net, 0, 2).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, 0, 2).ok());
 }
 
 // Exact heights from the sink, from the source for vertices cut off from
@@ -259,9 +258,9 @@ core::RetrievalProblem exp5_problem(std::int32_t disks, std::uint64_t seed,
   return core::build_problem(rep, query, sys);
 }
 
-Work alg6_work(const core::RetrievalProblem& problem,
-               core::EngineFactory factory) {
-  core::PushRelabelBinarySolver solver(std::move(factory));
+template <typename Solver, typename... Setting>
+Work alg6_work(const core::RetrievalProblem& problem, Setting... setting) {
+  Solver solver(setting...);
   core::SolveResult result;
   solver.solve_into(problem, result);
   return work_of(result.flow_stats);
@@ -291,13 +290,13 @@ TEST(PinnedWork, Algorithm6) {
   // Here every vertex but the source reaches the sink at every probe, so
   // the source side is skipped throughout.
   const auto reaching = exp5_problem(8, 42, workload::LoadKind::kLoad1, 2);
-  EXPECT_EQ(alg6_work(stranded, core::sequential_engine_factory()),
+  EXPECT_EQ(alg6_work<core::PushRelabelBinarySolver>(stranded),
             (Work{50, 16, 4, 18}));
-  EXPECT_EQ(alg6_work(reaching, core::sequential_engine_factory()),
+  EXPECT_EQ(alg6_work<core::PushRelabelBinarySolver>(reaching),
             (Work{124, 44, 4, 61}));
   // The Hong & He engine runs inline at one thread, so its work repeats
   // bit for bit too; it has no gap heuristic.
-  EXPECT_EQ(alg6_work(stranded, parallel::parallel_engine_factory(1)),
+  EXPECT_EQ(alg6_work<core::ParallelPushRelabelBinarySolver>(stranded, 1),
             (Work{108, 50, 8, 0}));
 }
 
@@ -352,7 +351,7 @@ TEST_P(EnginesAgree, OnRandomGeneralNetworks) {
   EXPECT_EQ(solve_ff_dfs(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr(g.net, g.source, g.sink), reference);
   EXPECT_EQ(solve_pr_plain(g.net, g.source, g.sink), reference);
-  EXPECT_TRUE(validate_flow(g.net, g.source, g.sink).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(g.net, g.source, g.sink).ok());
   // Max-flow equals min-cut on the final (push-relabel) flow.
   const Cut cut = residual_min_cut(g.net, g.source);
   EXPECT_EQ(cut.capacity, reference);
@@ -383,26 +382,6 @@ TEST_P(EnginesAgree, OnLayeredNetworks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, EnginesAgree, ::testing::Range(0, 25));
-
-TEST(Checks, DetectsCapacityViolation) {
-  FlowNetwork net(3);
-  const ArcId a = net.add_arc(0, 1, 1);
-  net.add_arc(1, 2, 1);
-  net.set_pair_flow(a, 5);
-  const auto check = validate_flow(net, 0, 2);
-  EXPECT_FALSE(check.ok);
-  EXPECT_NE(check.reason.find("capacity"), std::string::npos);
-}
-
-TEST(Checks, DetectsConservationViolation) {
-  FlowNetwork net(3);
-  const ArcId a = net.add_arc(0, 1, 2);
-  net.add_arc(1, 2, 2);
-  net.set_pair_flow(a, 1);  // 1 unit enters vertex 1, nothing leaves
-  const auto check = validate_flow(net, 0, 2);
-  EXPECT_FALSE(check.ok);
-  EXPECT_NE(check.reason.find("conservation"), std::string::npos);
-}
 
 TEST(Checks, DecomposePathsCoversValue) {
   Vertex s, t;

@@ -77,8 +77,7 @@ RetrievalProblem hot_slow_problem(std::int32_t disks, std::size_t copies,
 /// Maximum matching size under caps(t), from a freshly bound matcher.
 std::int64_t fresh_matched(const RetrievalProblem& problem, double t) {
   core::BipartiteMatcher matcher;
-  core::MatchingWorkspace ws;
-  matcher.rebind(problem, ws);
+  matcher.rebind(problem);
   matcher.set_capacities_for_time(t);
   return matcher.augment_to_maximum();
 }
@@ -92,8 +91,7 @@ TEST(MatchingKernel, RetainedResumeAndSnapshotRestore) {
   const RetrievalProblem problem = random_problem(8, 60, rng);
 
   core::BipartiteMatcher matcher;
-  core::MatchingWorkspace ws;
-  matcher.rebind(problem, ws);
+  matcher.rebind(problem);
 
   // Infeasible probe: a partial matching, retained.
   matcher.set_capacities_for_time(2.0);
@@ -103,8 +101,9 @@ TEST(MatchingKernel, RetainedResumeAndSnapshotRestore) {
 
   std::vector<std::int32_t> snapshot;
   matcher.save_matching_into(snapshot);
-  const std::vector<std::int32_t> snapshot_load = ws.load;
-  const std::vector<std::int32_t> snapshot_free = ws.free_buckets;
+  const std::vector<std::int32_t> snapshot_load = matcher.workspace().load;
+  const std::vector<std::int32_t> snapshot_free =
+      matcher.workspace().free_buckets;
 
   // Retained resume at a laxer time: only free buckets are augmented from.
   matcher.set_capacities_for_time(50.0);
@@ -114,8 +113,8 @@ TEST(MatchingKernel, RetainedResumeAndSnapshotRestore) {
   // Backtrack to the snapshot: the matching state is rebuilt exactly.
   matcher.restore_matching(snapshot);
   EXPECT_EQ(matcher.matched(), partial);
-  EXPECT_EQ(ws.load, snapshot_load);
-  EXPECT_EQ(ws.free_buckets, snapshot_free);
+  EXPECT_EQ(matcher.workspace().load, snapshot_load);
+  EXPECT_EQ(matcher.workspace().free_buckets, snapshot_free);
 
   // Resume mid-range from the restored matching.
   for (const double t : {6.0, 12.0, 20.0}) {

@@ -10,11 +10,10 @@
 #include <thread>
 #include <vector>
 
-#include "graph/checks.h"
+#include "analysis/flow_invariants.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "parallel/mpmc_queue.h"
-#include "parallel/parallel_engine.h"
 #include "parallel/parallel_push_relabel.h"
 #include "parallel/worker_pool.h"
 #include "support/rng.h"
@@ -205,8 +204,8 @@ TEST_P(ParallelMatchesSequential, RandomGeneralNetworks) {
     net.clear_flow();
     ParallelPushRelabel engine(net, g.source, g.sink, threads);
     EXPECT_EQ(engine.resume(), reference) << "threads=" << threads;
-    const auto check = graph::validate_flow(net, g.source, g.sink);
-    EXPECT_TRUE(check.ok) << check.reason;
+    const auto check = analysis::check_flow_invariants(net, g.source, g.sink);
+    EXPECT_TRUE(check.ok()) << check.to_string();
   }
 }
 
@@ -238,8 +237,8 @@ TEST(ParallelIntegrated, ResumeConservesFlowAcrossCapacityChanges) {
   net.set_capacity(at, 8);
   EXPECT_EQ(engine.resume(), 8);
   EXPECT_EQ(net.flow(sa), 8);
-  const auto check = graph::validate_flow(net, 0, 2);
-  EXPECT_TRUE(check.ok) << check.reason;
+  const auto check = analysis::check_flow_invariants(net, 0, 2);
+  EXPECT_TRUE(check.ok()) << check.to_string();
 }
 
 TEST(ParallelIntegrated, RestoredSnapshotsAreHonored) {
@@ -262,7 +261,7 @@ TEST(ParallelEngineConfig, RejectsBadArguments) {
   net.add_arc(0, 1, 1);
   EXPECT_THROW(ParallelPushRelabel(net, 0, 2, 0), std::invalid_argument);
   EXPECT_THROW(ParallelPushRelabel(net, 0, 0, 1), std::invalid_argument);
-  EXPECT_THROW(parallel_engine_factory(0), std::invalid_argument);
+  EXPECT_THROW(ParallelPushRelabel(net, 0), std::invalid_argument);
 }
 
 TEST(ParallelStress, RepeatedRunsAreStable) {
@@ -276,7 +275,7 @@ TEST(ParallelStress, RepeatedRunsAreStable) {
     net.clear_flow();
     ParallelPushRelabel engine(net, g.source, g.sink, 4);
     ASSERT_EQ(engine.resume(), reference) << "iteration " << iter;
-    ASSERT_TRUE(graph::validate_flow(net, g.source, g.sink).ok);
+    ASSERT_TRUE(analysis::check_flow_invariants(net, g.source, g.sink).ok());
   }
 }
 

@@ -6,12 +6,13 @@
 #include <limits>
 #include <vector>
 
+#include "analysis/flow_invariants.h"
+#include "analysis/schedule_invariants.h"
 #include "core/incremental_session.h"
 #include "core/min_work.h"
 #include "core/reference.h"
 #include "core/solve.h"
 #include "decluster/schemes.h"
-#include "graph/checks.h"
 #include "graph/ford_fulkerson.h"
 #include "graph/generators.h"
 #include "graph/min_cost_flow.h"
@@ -40,7 +41,7 @@ TEST(MinCostFlow, HandComputedInstance) {
   const auto result = mcmf.solve_from_zero();
   EXPECT_EQ(result.flow, 6);
   EXPECT_NEAR(result.cost, 1 * 2.0 + 5 * 6.0, 1e-9);
-  EXPECT_TRUE(graph::validate_flow(net, 0, 3).ok);
+  EXPECT_TRUE(analysis::check_flow_invariants(net, 0, 3).ok());
 }
 
 TEST(MinCostFlow, ZeroCostsReduceToMaxflow) {
@@ -129,7 +130,9 @@ TEST_P(MinWork, KeepsOptimalResponseAndNeverIncreasesWork) {
 
   EXPECT_NEAR(refined.solve.response_time_ms, plain.response_time_ms,
               kTimeEps);
-  EXPECT_TRUE(core::check_schedule(problem, refined.solve.schedule).empty());
+  EXPECT_TRUE(
+      analysis::check_schedule_feasibility(problem, refined.solve.schedule)
+          .ok());
   EXPECT_LE(refined.total_work_ms,
             core::schedule_total_work(problem, plain.schedule) + kTimeEps);
 }
@@ -192,7 +195,7 @@ TEST(IncrementalSession, GrowingQueryTracksFromScratchOptimum) {
     ASSERT_NEAR(incremental, expected, kTimeEps)
         << "after " << so_far.size() << " buckets";
     const auto schedule = session.schedule();
-    EXPECT_TRUE(core::check_schedule(scratch, schedule).empty());
+    EXPECT_TRUE(analysis::check_schedule_feasibility(scratch, schedule).ok());
   }
 }
 
@@ -256,7 +259,9 @@ TEST(IncrementalSession, RandomizedGrowSequencesMatchFromScratchSolve) {
               .response_time_ms;
       ASSERT_NEAR(incremental, expected, kTimeEps)
           << "seed " << seed << " after " << so_far.size() << " buckets";
-      EXPECT_TRUE(core::check_schedule(scratch, session.schedule()).empty());
+      EXPECT_TRUE(
+          analysis::check_schedule_feasibility(scratch, session.schedule())
+              .ok());
     }
   }
 }

@@ -9,6 +9,8 @@
 
 #include <tuple>
 
+#include "analysis/flow_invariants.h"
+#include "analysis/schedule_invariants.h"
 #include "core/black_box.h"
 #include "core/ford_fulkerson_basic.h"
 #include "core/problem.h"
@@ -59,7 +61,8 @@ TEST_P(SolversAgree, OnRandomInstances) {
       EXPECT_EQ(r.response_time_ms, optimum)
           << solver_name(kind) << " trial " << trial << " |Q|="
           << query.size();
-      EXPECT_TRUE(check_schedule(problem, r.schedule).empty())
+      EXPECT_TRUE(
+          analysis::check_schedule_feasibility(problem, r.schedule).ok())
           << solver_name(kind);
       EXPECT_EQ(r.schedule.response_time(problem.system), r.response_time_ms)
           << solver_name(kind);
@@ -71,11 +74,13 @@ TEST_P(SolversAgree, OnRandomInstances) {
       SolveResult r;
       basic.solve_into(problem, r);
       EXPECT_EQ(r.response_time_ms, optimum) << "Alg1";
-      EXPECT_TRUE(check_schedule(problem, r.schedule).empty()) << "Alg1";
-      const auto check = graph::validate_flow(basic.network().net(),
-                                              basic.network().source(),
-                                              basic.network().sink());
-      EXPECT_TRUE(check.ok) << check.reason;
+      EXPECT_TRUE(
+          analysis::check_schedule_feasibility(problem, r.schedule).ok())
+          << "Alg1";
+      const auto check = analysis::check_flow_invariants(
+          basic.network().net(), basic.network().source(),
+          basic.network().sink());
+      EXPECT_TRUE(check.ok()) << check.to_string();
       EXPECT_EQ(basic.network().flow_value(), problem.query_size());
     }
   }
@@ -117,9 +122,9 @@ TEST_P(FlowInvariants, FinalFlowIsValidMaxFlow) {
   SolveResult r;
   solver.solve_into(problem, r);
   const auto& network = solver.network();
-  const auto check = graph::validate_flow(network.net(), network.source(),
-                                          network.sink());
-  EXPECT_TRUE(check.ok) << check.reason;
+  const auto check = analysis::check_flow_invariants(
+      network.net(), network.source(), network.sink());
+  EXPECT_TRUE(check.ok()) << check.to_string();
   EXPECT_EQ(network.flow_value(), problem.query_size());
 
   // Every used sink arc respects its capacity and implies completion time

@@ -6,6 +6,7 @@
 // optimal response times, saturated min cuts, and unit path decompositions.
 #include <gtest/gtest.h>
 
+#include "analysis/flow_invariants.h"
 #include "core/push_relabel_binary.h"
 #include "core/reference.h"
 #include "core/solve.h"
@@ -44,7 +45,7 @@ TEST_P(PushRelabelOptionMatrix, MatchesReferenceOnRandomNetworks) {
 
     graph::PushRelabel engine(g.net, g.source, g.sink, init);
     EXPECT_EQ(engine.solve_from_zero().value, expected) << "trial " << trial;
-    EXPECT_TRUE(graph::validate_flow(g.net, g.source, g.sink).ok);
+    EXPECT_TRUE(analysis::check_flow_invariants(g.net, g.source, g.sink).ok());
 
     // The residual min cut is saturated: every crossing arc carries flow
     // equal to its capacity.
@@ -79,8 +80,7 @@ TEST(StressSolvers, BinarySolverUnderAllEngineConfigs) {
     const double optimum =
         core::ReferenceSolver(problem).solve().response_time_ms;
     for (auto init : {HeightInit::kZero, HeightInit::kGlobalRelabel}) {
-      core::PushRelabelBinarySolver solver(
-          core::sequential_engine_factory(init));
+      core::PushRelabelBinarySolver solver(init);
       core::SolveResult result;
       solver.solve_into(problem, result);
       EXPECT_NEAR(result.response_time_ms, optimum, 1e-6);

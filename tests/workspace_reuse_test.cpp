@@ -13,11 +13,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "analysis/check.h"
 #include "core/execution.h"
+#include "core/incremental_session.h"
 #include "core/router.h"
 #include "core/solve.h"
 #include "core/solver_pool.h"
@@ -26,7 +28,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
-#include "parallel/parallel_engine.h"
 #include "support/rng.h"
 #include "workload/experiments.h"
 #include "workload/query_load.h"
@@ -92,6 +93,20 @@ namespace {
 using core::RetrievalProblem;
 using core::SolveResult;
 using core::SolverKind;
+
+// Each of these holds an engine bound to its own network, so a copy or a
+// move would leave the new object's engine driving the original's network.
+template <typename T>
+constexpr bool kPinned =
+    !std::is_copy_constructible_v<T> && !std::is_move_constructible_v<T> &&
+    !std::is_copy_assignable_v<T> && !std::is_move_assignable_v<T>;
+static_assert(kPinned<core::FordFulkersonBasicSolver>);
+static_assert(kPinned<core::FordFulkersonIncrementalSolver>);
+static_assert(kPinned<core::PushRelabelIncrementalSolver>);
+static_assert(kPinned<core::PushRelabelBinarySolver>);
+static_assert(kPinned<core::ParallelPushRelabelBinarySolver>);
+static_assert(kPinned<core::BlackBoxBinarySolver>);
+static_assert(kPinned<core::IncrementalQuerySession>);
 
 // The whole catalog (generated from REPFLOW_SOLVER_CATALOG), so any new
 // kind is automatically held to the zero-allocation and bit-identity bars.
@@ -163,8 +178,7 @@ SolveResult fresh_solve(const RetrievalProblem& problem, SolverKind kind) {
     case SolverKind::kParallelPushRelabelBinary:
       // threads = 1 keeps the discharge order (and thus the schedule)
       // deterministic for the bit-identical comparison.
-      return solve_once<core::PushRelabelBinarySolver>(
-          problem, parallel::parallel_engine_factory(1));
+      return solve_once<core::ParallelPushRelabelBinarySolver>(problem, 1);
     case SolverKind::kIntegratedMatching:
       return solve_once<core::IntegratedMatchingSolver>(problem);
   }

@@ -28,6 +28,11 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         src/, bench/, examples/, fuzz/ or perfbench/ other than its own
         .cpp — code that only its own tests reach is dead.  The test
         oracles (TEST_ORACLES) are exempt: tests compare against them.
+  LAYER01 no file under the layers below core (LOWER_LAYERS: src/support,
+        src/obs, src/graph, src/decluster, src/workload, src/parallel)
+        includes a `core/` header, so dependencies run one way
+        (core -> parallel -> graph); repflow_core links those libraries,
+        so an include back into core is a cycle.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -116,6 +121,11 @@ CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 INCLUDER_DIRS = ["src", "bench", "examples", "fuzz", "perfbench"]
 TEST_ORACLES = {"core/brute_force.h", "core/simulator.h"}
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# LAYER01: the source trees that repflow_core links and so must not include
+# back into it.
+LOWER_LAYERS = ["src/support", "src/obs", "src/graph", "src/decluster",
+                "src/workload", "src/parallel"]
 
 
 class Violation:
@@ -392,6 +402,24 @@ def check_dead_headers(root: str, files: Iterable[str]) -> List[Violation]:
     return out
 
 
+# --- LAYER01 --------------------------------------------------------------
+
+def check_layering(root: str, files: Iterable[str]) -> List[Violation]:
+    out: List[Violation] = []
+    for rel in files:
+        rel = rel.replace(os.sep, "/")
+        if not any(rel.startswith(layer + "/") for layer in LOWER_LAYERS):
+            continue
+        for i, line in enumerate(read_lines(root, rel)):
+            m = INCLUDE_RE.match(line)
+            if m and m.group(1).startswith("core/"):
+                out.append(Violation(
+                    "LAYER01", rel, i + 1,
+                    f"includes {m.group(1)}: the layers below core must not "
+                    "depend on it (core -> parallel -> graph)"))
+    return out
+
+
 RULES = {
     "MO01": (check_mo_tags, ["src"]),
     "RAW01": (check_raw, ["src"]),
@@ -399,6 +427,7 @@ RULES = {
     "MET01": (check_metric_docs, ["src"]),
     "MET02": (check_metric_registrations, ["src"]),
     "DEAD01": (check_dead_headers, ["src"]),
+    "LAYER01": (check_layering, ["src"]),
 }
 
 

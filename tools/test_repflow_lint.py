@@ -321,6 +321,39 @@ def test_dead01_flags_header_only_tests_reach():
         tree.cleanup()
 
 
+# --- LAYER01 --------------------------------------------------------------
+
+def test_layer01_flags_core_include_below_core():
+    tree = FixtureTree()
+    try:
+        rel = tree.write("src/parallel/engine.h",
+                         '#include <vector>\n'
+                         '#include "graph/maxflow.h"\n'
+                         '#include "core/engine.h"\n')
+        violations = run_rule(tree, "LAYER01", [rel])
+        assert len(violations) == 1, violations
+        assert violations[0].rule == "LAYER01" and violations[0].line == 3
+    finally:
+        tree.cleanup()
+
+
+def test_layer01_accepts_clean_layers_and_core_itself():
+    tree = FixtureTree()
+    try:
+        files = [tree.write(f"{layer}/x.cpp",
+                            '#include "graph/flow_network.h"\n'
+                            '#include "support/rng.h"\n')
+                 for layer in lint.LOWER_LAYERS]
+        # core/ and analysis/ sit above the rule's layers.
+        files.append(tree.write("src/core/solver.cpp",
+                                '#include "core/problem.h"\n'))
+        files.append(tree.write("src/analysis/check.cpp",
+                                '#include "core/schedule.h"\n'))
+        assert run_rule(tree, "LAYER01", files) == []
+    finally:
+        tree.cleanup()
+
+
 # --- end-to-end -----------------------------------------------------------
 
 def test_main_exit_codes():
