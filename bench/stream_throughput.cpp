@@ -146,13 +146,13 @@ int main(int argc, char** argv) {
       const std::string label =
           std::string("optimal (") + core::solver_id(*stream_kind) + ")";
       table.add_row({format_double(interarrival, 0), label,
-                     format_double(s.mean_response_ms, 2),
-                     format_double(s.max_response_ms, 2),
-                     format_double(s.mean_queue_wait_ms, 2)});
+                     format_double(s.response_time.mean, 2),
+                     format_double(s.response_time.max, 2),
+                     format_double(s.queue_wait.mean, 2)});
       csv.write_row({format_double(interarrival, 0), "optimal",
-                     format_double(s.mean_response_ms, 4),
-                     format_double(s.max_response_ms, 4),
-                     format_double(s.mean_queue_wait_ms, 4)});
+                     format_double(s.response_time.mean, 4),
+                     format_double(s.response_time.max, 4),
+                     format_double(s.queue_wait.mean, 4)});
     }
     // Naive first-replica scheduling (same arrival sequence).
     {

@@ -5,7 +5,7 @@
 //   1. Solver comparison — every query of the trace is solved by each
 //      solver in --solvers, so the span timeline carries the per-solver
 //      phase breakdown (alg2.augment / alg6.probe / alg5.capacity_step /
-//      blackbox.maxflow_run / ...) and the registry carries per-solver
+//      blackbox.probe / ...) and the registry carries per-solver
 //      latency histograms and operation counters.
 //   2. Stream replay — the trace's queries arrive back-to-back at a fixed
 //      inter-arrival gap and are scheduled by QueryStreamScheduler in
@@ -36,6 +36,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "support/cli.h"
+#include "support/stats.h"
 #include "support/table.h"
 
 namespace {
@@ -92,12 +93,10 @@ void print_span_digest(const std::vector<obs::SpanRecord>& spans) {
   table.print(std::cout);
 }
 
-void print_histogram(const std::string& name,
-                     const obs::HistogramSummary& s) {
+void print_summary(const std::string& name, const Summary& s) {
   std::printf(
-      "%-24s n=%llu mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms\n",
-      name.c_str(), static_cast<unsigned long long>(s.count), s.mean, s.p50,
-      s.p95, s.p99, s.max);
+      "%-24s n=%zu mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms\n",
+      name.c_str(), s.count, s.mean, s.median, s.p95, s.p99, s.max);
 }
 
 }  // namespace
@@ -204,9 +203,9 @@ int main(int argc, char** argv) {
       arrival += gap_ms;
     }
     const core::StreamStats stats = stream.stats();
-    print_histogram("queue wait", stats.queue_wait);
-    print_histogram("solver time", stats.solve_time);
-    print_histogram("response time", stats.response_time);
+    print_summary("queue wait", stats.queue_wait);
+    print_summary("solver time", stats.solve_time);
+    print_summary("response time", stats.response_time);
 
     // Snapshot + span digest.
     const auto snapshot = obs::Registry::global().snapshot();

@@ -19,7 +19,6 @@ constexpr std::int32_t kUnreachable = std::numeric_limits<std::int32_t>::max();
 // per solve (BipartiteMatcher::publish_metrics).
 struct MatchingMetrics {
   obs::Counter& phase_count;
-  obs::Counter& retained_hits;
   obs::Histogram& path_len;
   obs::Counter& visits;
 };
@@ -27,7 +26,6 @@ struct MatchingMetrics {
 MatchingMetrics& matching_metrics() {
   static MatchingMetrics metrics{
       obs::Registry::global().counter("matching.phase_count"),
-      obs::Registry::global().counter("matching.retained_matching_hits"),
       obs::Registry::global().histogram("matching.augmenting_path_len"),
       obs::Registry::global().counter("matching.visits")};
   return metrics;
@@ -146,7 +144,6 @@ void BipartiteMatcher::rebind(const RetrievalProblem& problem) {
   phases_ = 0;
   augmentations_ = 0;
   visits_ = 0;
-  retained_hits_ = 0;
   path_len_.clear();
 }
 
@@ -313,7 +310,6 @@ void BipartiteMatcher::augment_pass(const std::int32_t limit) {
 }
 
 std::int64_t BipartiteMatcher::augment_to_maximum() {
-  if (matched_ > 0) ++retained_hits_;
   while (matched_ < q_) {
     std::int32_t limit = 0;
     if (!bfs_phase(limit)) break;
@@ -330,7 +326,6 @@ std::int64_t BipartiteMatcher::augment_to_maximum() {
 void BipartiteMatcher::publish_metrics() const {
   MatchingMetrics& metrics = matching_metrics();
   metrics.phase_count.add(static_cast<std::uint64_t>(phases_));
-  metrics.retained_hits.add(static_cast<std::uint64_t>(retained_hits_));
   metrics.visits.add(static_cast<std::uint64_t>(visits_));
   metrics.path_len.merge(path_len_);
 }

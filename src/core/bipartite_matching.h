@@ -153,8 +153,7 @@ class BipartiteMatcher {
   std::int64_t phases_ = 0;
   std::int64_t augmentations_ = 0;
   std::int64_t visits_ = 0;
-  std::int64_t retained_hits_ = 0;  // resumes that started non-empty
-  obs::HistogramTally path_len_;    // augmenting path lengths
+  obs::HistogramTally path_len_;  // augmenting path lengths
 };
 
 /// Algorithm 6's search (BinaryScalingDriver) running on the matching

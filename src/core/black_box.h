@@ -42,7 +42,6 @@ class BlackBoxBinarySolver : private ScalingKernel {
   void restore() override {}
   void seed(const std::vector<std::int32_t>&) override {}
 
-  SolveResult* result_ = nullptr;  // the solve in progress (run counters)
   RetrievalNetwork network_;
   graph::PushRelabel engine_{network_.net()};  // bound to network_
   BinaryScalingDriver driver_;

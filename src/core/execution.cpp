@@ -60,6 +60,13 @@ struct FlowMetrics {
   obs::Counter& dfs_visits;
 };
 
+// Most fields of a solve's counts are zero for any one kind (Alg 6 takes
+// no capacity steps, only the black box runs from zero), so each counter
+// is touched only when its value moves.
+void fold(obs::Counter& counter, std::uint64_t value) {
+  if (value != 0) counter.add(value);
+}
+
 void fold_flow_stats(const graph::FlowStats& stats) {
   static FlowMetrics metrics = {
       obs::Registry::global().counter("graph.augmentations"),
@@ -68,9 +75,6 @@ void fold_flow_stats(const graph::FlowStats& stats) {
       obs::Registry::global().counter("graph.global_relabels"),
       obs::Registry::global().counter("graph.gap_jumps"),
       obs::Registry::global().counter("graph.dfs_visits")};
-  auto fold = [](obs::Counter& counter, std::uint64_t value) {
-    if (value != 0) counter.add(value);
-  };
   fold(metrics.augmentations, stats.augmentations);
   fold(metrics.pushes, stats.pushes);
   fold(metrics.relabels, stats.relabels);
@@ -83,25 +87,6 @@ void fold_flow_stats(const graph::FlowStats& stats) {
 
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
     : policy_(policy), pool_(policy.threads) {}
-
-SolverKind ExecutionContext::select(const RetrievalProblem& /*problem*/) {
-  obs::PolicyInstruments::global().decisions.add(1);
-  const SolverKind kind = policy_.kind;
-  // Tag the decision onto the ambient query's flight chain (id 0 = no query
-  // in flight, e.g. facade solves outside any serving loop).
-  const obs::ActiveQuery active = obs::QueryScope::current();
-  if (active.id != 0) {
-    obs::FlightRecorder::global().record(active.id,
-                                         obs::FlightEventKind::kPolicy, 0.0,
-                                         static_cast<std::int32_t>(kind));
-  }
-  return kind;
-}
-
-void ExecutionContext::solve_into(const RetrievalProblem& problem,
-                                  SolveResult& result) {
-  solve_into(problem, select(problem), result);
-}
 
 void ExecutionContext::solve_into(const RetrievalProblem& problem,
                                   SolverKind kind, SolveResult& result) {
@@ -120,12 +105,14 @@ void ExecutionContext::solve_into(const RetrievalProblem& problem,
   const double solve_wall_ms = watch.elapsed_ms();
   metrics.solve_ms.observe(solve_wall_ms);
   metrics.solves.add(1);
-  metrics.capacity_steps.add(
-      static_cast<std::uint64_t>(result.capacity_steps));
-  metrics.binary_probes.add(static_cast<std::uint64_t>(result.binary_probes));
-  metrics.maxflow_runs.add(static_cast<std::uint64_t>(result.maxflow_runs));
+  fold(metrics.capacity_steps,
+       static_cast<std::uint64_t>(result.capacity_steps));
+  fold(metrics.binary_probes, static_cast<std::uint64_t>(result.binary_probes));
+  fold(metrics.maxflow_runs, static_cast<std::uint64_t>(result.maxflow_runs));
   fold_flow_stats(result.flow_stats);
 
+  // Tag the solve onto the ambient query's flight chain (id 0 = no query
+  // in flight, e.g. facade solves outside any serving loop).
   const obs::ActiveQuery active = obs::QueryScope::current();
   if (active.id != 0) {
     obs::FlightRecorder::global().record(active.id,

@@ -48,16 +48,21 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// The policy's kind for one problem.  Records `policy.decisions` and
-  /// the flight recorder's kPolicy event.
-  SolverKind select(const RetrievalProblem& problem);
+  /// The policy's kind, whatever the problem: the kind solve_into(problem,
+  /// result) runs, for callers that tally it (the serving benchmark).
+  SolverKind select(const RetrievalProblem& /*problem*/) const {
+    return policy_.kind;
+  }
 
-  /// select() + pooled solve, recording the per-kind run metrics.
-  void solve_into(const RetrievalProblem& problem, SolveResult& result);
+  /// Pooled solve with the policy's kind, recording the per-kind run
+  /// metrics.
+  void solve_into(const RetrievalProblem& problem, SolveResult& result) {
+    solve_into(problem, policy_.kind, result);
+  }
 
-  /// Pooled solve with an explicit kind (bypasses selection, still
-  /// funnelled through the per-kind metrics).  Throws std::invalid_argument
-  /// when `problem.validate()` does, before any pooled state is touched.
+  /// Pooled solve with an explicit kind (still funnelled through the
+  /// per-kind metrics).  Throws std::invalid_argument when
+  /// `problem.validate()` does, before any pooled state is touched.
   void solve_into(const RetrievalProblem& problem, SolverKind kind,
                   SolveResult& result);
 

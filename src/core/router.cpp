@@ -103,8 +103,8 @@ RouterOutcome QueryRouter::dispatch(const workload::Query* query,
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   RouterOutcome outcome;
   // Every arrival gets a flight-recorder id at the front door; the ambient
-  // scope carries it (plus the latency budget) through policy selection,
-  // the solve, and the schedule (DESIGN.md, "query-id propagation").
+  // scope carries it (plus the latency budget) through the solve and the
+  // schedule (DESIGN.md, "query-id propagation").
   outcome.query_id = recorder.next_query_id();
   obs::QueryScope scope(outcome.query_id, options_.latency_budget_ms);
   outcome.backlog_ms = scheduler_.max_backlog_at(arrival_ms);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "support/timing.h"
 
@@ -114,10 +115,9 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   }
   StopWatch solve_watch;
   solve_watch.start();
-  // Policy selection + pooled solve into the reused scratch buffer: after
-  // the first query, the solver-internal path allocates nothing.
-  const SolverKind kind = exec_.select(problem);
-  exec_.solve_into(problem, kind, exec_.scratch());
+  // Pooled solve into the reused scratch buffer: after the first query,
+  // the solver-internal path allocates nothing.
+  exec_.solve_into(problem, exec_.scratch());
   const SolveResult& result = exec_.scratch();
   solve_watch.stop();
   // A finite problem can still finish at +inf (two blocks at C = 1e308).
@@ -163,7 +163,7 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   event.schedule = result.schedule;
 
   // Latency decomposition: backlog wait vs. solver cost vs. delivered
-  // response.  Recorded both per-scheduler (stats()) and process-globally.
+  // response, process-wide (stats() reads this scheduler's from events_).
   struct GlobalHists {
     obs::Histogram& queue_wait =
         obs::Registry::global().histogram("stream.queue_wait_ms");
@@ -173,9 +173,6 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
         obs::Registry::global().histogram("stream.response_ms");
   };
   static GlobalHists global_hists;
-  queue_wait_hist_.observe(max_backlog);
-  solve_hist_.observe(event.solve_ms);
-  response_hist_.observe(event.response_ms);
   global_hists.queue_wait.observe(max_backlog);
   global_hists.solve.observe(event.solve_ms);
   global_hists.response.observe(event.response_ms);
@@ -200,28 +197,16 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
 StreamStats QueryStreamScheduler::stats() const {
   StreamStats s;
   s.queries = static_cast<std::int64_t>(events_.size());
-  if (events_.empty()) return s;
-  // One pass over the event log.  The histograms saw the same values in
-  // the same order, summed from 0.0, so each mean_* equals its histogram's
-  // mean bit for bit; the makespan is a property of absolute completion
-  // times, which the histograms (observing relative latencies) do not carry.
-  double total_response = 0.0;
-  double total_wait = 0.0;
-  double total_solve = 0.0;
+  std::vector<double> wait, solve, response;
   for (const auto& e : events_) {
-    total_response += e.response_ms;
-    total_wait += e.max_initial_load_ms;
-    total_solve += e.solve_ms;
-    s.max_response_ms = std::max(s.max_response_ms, e.response_ms);
+    wait.push_back(e.max_initial_load_ms);
+    solve.push_back(e.solve_ms);
+    response.push_back(e.response_ms);
     s.makespan_ms = std::max(s.makespan_ms, e.completion_ms);
   }
-  const auto count = static_cast<double>(s.queries);
-  s.mean_response_ms = total_response / count;
-  s.mean_queue_wait_ms = total_wait / count;
-  s.mean_solve_ms = total_solve / count;
-  s.queue_wait = queue_wait_hist_.summary();
-  s.solve_time = solve_hist_.summary();
-  s.response_time = response_hist_.summary();
+  s.queue_wait = summarize(wait);
+  s.solve_time = summarize(solve);
+  s.response_time = summarize(response);
   return s;
 }
 

@@ -23,7 +23,7 @@
 #include "core/schedule.h"
 #include "core/solver.h"
 #include "decluster/allocation.h"
-#include "obs/metrics.h"
+#include "support/stats.h"
 #include "workload/disks.h"
 #include "workload/query.h"
 
@@ -45,27 +45,18 @@ struct StreamEvent {
   Schedule schedule;
 };
 
-/// Latency statistics over a scheduler's processed queries.
-///
-/// The scalar fields come from one pass over the event log in every build.
-/// The HistogramSummary members carry the same observations (their
-/// count/sum/min/max are exact, so each mean_* equals its summary's mean;
-/// only percentiles are bucket estimates).  Under REPFLOW_OBS_DISABLED the
-/// histograms compile to inert stubs and the summaries read all-zero.
+/// Latency statistics over a scheduler's processed queries, computed from
+/// the event log in every build, so the summaries are exact.
 struct StreamStats {
   std::int64_t queries = 0;
-  double mean_response_ms = 0.0;
-  double max_response_ms = 0.0;
-  double makespan_ms = 0.0;        ///< completion of the last query
-  double mean_queue_wait_ms = 0.0; ///< mean max initial load seen per query
-  double mean_solve_ms = 0.0;      ///< mean solver wall time per query
+  double makespan_ms = 0.0;  ///< completion of the last query
 
-  /// Latency decomposition of this scheduler's queries (zero in
-  /// REPFLOW_OBS_DISABLED builds): how long queries waited on disk backlog
-  /// vs. how long the solver took vs. the optimal response time delivered.
-  obs::HistogramSummary queue_wait;
-  obs::HistogramSummary solve_time;
-  obs::HistogramSummary response_time;
+  /// Latency decomposition of this scheduler's queries: how long queries
+  /// waited on disk backlog (each event's max_initial_load_ms) vs. how
+  /// long the solver took vs. the optimal response time delivered.
+  Summary queue_wait;
+  Summary solve_time;
+  Summary response_time;
 };
 
 /// Schedules a stream of queries against one replicated allocation,
@@ -148,12 +139,6 @@ class QueryStreamScheduler {
   std::vector<double> busy_until_;  // absolute ms per disk
   std::vector<StreamEvent> events_;
   double last_arrival_ms_ = 0.0;
-
-  // Per-scheduler latency histograms (this instance's queries only); the
-  // same observations also feed the process-global `stream.*` histograms.
-  obs::Histogram queue_wait_hist_;
-  obs::Histogram solve_hist_;
-  obs::Histogram response_hist_;
 };
 
 }  // namespace repflow::core

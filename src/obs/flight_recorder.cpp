@@ -11,7 +11,6 @@ const char* flight_event_kind_name(FlightEventKind kind) {
     case FlightEventKind::kShed: return "shed";
     case FlightEventKind::kCoalesce: return "coalesce";
     case FlightEventKind::kFlush: return "flush";
-    case FlightEventKind::kPolicy: return "policy";
     case FlightEventKind::kSolve: return "solve";
     case FlightEventKind::kSchedule: return "schedule";
     case FlightEventKind::kBreach: return "breach";

@@ -1,6 +1,6 @@
 // Per-query flight recorder: a fixed-size, lock-light ring buffer of the
 // serving pipeline's decision events, keyed by a query id that travels
-// admission -> policy decision -> solve -> schedule.
+// admission -> solve -> schedule.
 //
 // Purpose: when one query blows its latency budget, "which solver ran and
 // how long did each stage take *for that query*" is unanswerable from
@@ -17,7 +17,7 @@
 // rather than threading an id parameter through every solver signature:
 // QueryRouter opens a scope per arrival; QueryStreamScheduler self-assigns
 // an id when no scope is active (direct scheduler use); ExecutionContext
-// tags its policy/solve events with whatever scope is current.  The seam is
+// tags its solve events with whatever scope is current.  The seam is
 // documented in DESIGN.md ("query-id propagation").
 //
 // Under REPFLOW_OBS_DISABLED everything collapses to inert inline stubs
@@ -44,7 +44,6 @@ enum class FlightEventKind : std::uint8_t {
   kShed,      ///< router dropped the query (value = backlog_ms)
   kCoalesce,  ///< router parked the query in the merge buffer (value = backlog_ms)
   kFlush,     ///< merge buffer submitted (value = flush age ms, detail = batch)
-  kPolicy,    ///< execution policy picked a solver (detail = SolverKind index)
   kSolve,     ///< solver finished (value = solve wall ms, detail = kind index)
   kSchedule,  ///< schedule applied (value = response_ms, detail = bottleneck disk)
   kBreach,    ///< response exceeded the latency budget (value = response_ms)

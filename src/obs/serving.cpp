@@ -2,12 +2,6 @@
 
 namespace repflow::obs {
 
-PolicyInstruments& PolicyInstruments::global() {
-  static PolicyInstruments instruments{
-      Registry::global().counter("policy.decisions")};
-  return instruments;
-}
-
 RouterInstruments& RouterInstruments::global() {
   static RouterInstruments instruments{
       Registry::global().counter("router.admitted"),

@@ -1,10 +1,9 @@
-// Instrument bundles for the serving layer (execution policy + query
-// router).  The serving spine records a metric on every query decision, so
-// the handles are resolved once per process and cached here — the hot path
-// never takes the registry mutex.  The metric names are part of the
-// observability contract (docs/OBSERVABILITY.md):
+// Instrument bundles for the serving layer (query router + per-disk
+// accounting).  The serving spine records a metric on every query
+// decision, so the handles are resolved once per process and cached here —
+// the hot path never takes the registry mutex.  The metric names are part
+// of the observability contract (docs/OBSERVABILITY.md):
 //
-//   policy.decisions            counter  every ExecutionPolicy selection
 //   router.admitted             counter  queries passed straight through
 //   router.shed                 counter  queries dropped under overload
 //   router.coalesced            counter  queries deferred into the pending
@@ -49,14 +48,6 @@
 #include "support/thread_annotations.h"
 
 namespace repflow::obs {
-
-/// Cached handles for the ExecutionPolicy decision path.
-struct PolicyInstruments {
-  Counter& decisions;
-
-  /// Process-wide bundle (handles resolved on first use).
-  static PolicyInstruments& global();
-};
 
 /// Cached handles for the QueryRouter admission path.
 struct RouterInstruments {

@@ -64,19 +64,22 @@ Summary summarize(std::span<const double> samples) {
   Summary s;
   s.count = samples.size();
   if (samples.empty()) return s;
+  // The mean is the total in input order over the count, so a caller
+  // summing the same samples in the same order reads the same mean.
+  RunningStats rs;
+  for (double x : samples) rs.add(x);
+  s.total = rs.total();
+  s.mean = s.total / static_cast<double>(s.count);
+  s.stddev = rs.stddev();
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
-  RunningStats rs;
-  for (double x : sorted) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
   s.min = sorted.front();
   s.max = sorted.back();
-  s.total = rs.total();
   s.p25 = percentile_sorted(sorted, 0.25);
   s.median = percentile_sorted(sorted, 0.50);
   s.p75 = percentile_sorted(sorted, 0.75);
   s.p95 = percentile_sorted(sorted, 0.95);
+  s.p99 = percentile_sorted(sorted, 0.99);
   return s;
 }
 

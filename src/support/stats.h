@@ -43,6 +43,7 @@ struct Summary {
   double median = 0.0;
   double p75 = 0.0;
   double p95 = 0.0;
+  double p99 = 0.0;
   double max = 0.0;
   double total = 0.0;
 

@@ -45,22 +45,10 @@ class StopWatch {
     return std::chrono::duration<double, std::milli>(total).count();
   }
 
-  double elapsed_us() const { return elapsed_ms() * 1000.0; }
-
  private:
   clock::time_point start_{};
   clock::duration accumulated_{clock::duration::zero()};
   bool running_ = false;
 };
-
-/// Measure a single callable invocation in milliseconds.
-template <typename F>
-double time_call_ms(F&& fn) {
-  StopWatch sw;
-  sw.start();
-  fn();
-  sw.stop();
-  return sw.elapsed_ms();
-}
 
 }  // namespace repflow

@@ -149,7 +149,7 @@ TEST(Stream, BacklogRaisesResponseTimes) {
 
   const StreamStats stats = stream.stats();
   EXPECT_EQ(stats.queries, 3);
-  EXPECT_GE(stats.max_response_ms, second.response_ms - kTimeEps);
+  EXPECT_GE(stats.response_time.max, second.response_ms - kTimeEps);
   EXPECT_GT(stats.makespan_ms, 1e6);
 }
 

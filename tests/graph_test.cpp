@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analysis/flow_invariants.h"
+#include "core/black_box.h"
 #include "core/problem.h"
 #include "core/push_relabel_binary.h"
 #include "core/solver.h"
@@ -298,6 +299,18 @@ TEST(PinnedWork, Algorithm6) {
   // bit for bit too; it has no gap heuristic.
   EXPECT_EQ(alg6_work<core::ParallelPushRelabelBinarySolver>(stranded, 1),
             (Work{108, 50, 8, 0}));
+  // The black box runs the same search, each probe from zero flow.
+  EXPECT_EQ(alg6_work<core::BlackBoxBinarySolver>(stranded),
+            (Work{342, 66, 4, 30}));
+  EXPECT_EQ(alg6_work<core::BlackBoxBinarySolver>(reaching),
+            (Work{475, 102, 5, 22}));
+  for (const core::RetrievalProblem* problem : {&stranded, &reaching}) {
+    core::BlackBoxBinarySolver solver;
+    core::SolveResult result;
+    solver.solve_into(*problem, result);
+    EXPECT_GT(result.binary_probes, 0);
+    EXPECT_EQ(result.maxflow_runs, result.binary_probes);
+  }
 }
 
 TEST(Engines, KeepTheirBuffersAcrossRebind) {

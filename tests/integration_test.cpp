@@ -100,15 +100,15 @@ TEST(EndToEnd, StreamSaturationBehaviour) {
     idle.submit(gen.next(qrng2), static_cast<double>(i) * 3.6e6);
   }
 
-  EXPECT_GT(saturated.stats().mean_response_ms,
-            idle.stats().mean_response_ms);
-  EXPECT_DOUBLE_EQ(idle.stats().mean_queue_wait_ms, 0.0);
-  EXPECT_GT(saturated.stats().mean_queue_wait_ms, 0.0);
+  EXPECT_GT(saturated.stats().response_time.mean,
+            idle.stats().response_time.mean);
+  EXPECT_DOUBLE_EQ(idle.stats().queue_wait.mean, 0.0);
+  EXPECT_GT(saturated.stats().queue_wait.mean, 0.0);
   // Saturated makespan >= the sum-of-work lower bound (every query's
   // buckets are at least one block each on some disk) and >= idle per-query
   // response.
   EXPECT_GE(saturated.stats().makespan_ms,
-            saturated.stats().max_response_ms - kTimeEps);
+            saturated.stats().response_time.max - kTimeEps);
 }
 
 // The solver catalog behaves across the full Table IV matrix at a larger N

@@ -16,7 +16,6 @@
 
 #include "core/bipartite_matching.h"
 #include "core/solve.h"
-#include "core/stream.h"
 #include "decluster/schemes.h"
 #include "obs/export_csv.h"
 #include "obs/export_json.h"
@@ -379,30 +378,6 @@ TEST(Instrumentation, MatchingFoldsOncePerSolve) {
   EXPECT_GT(augmentations, 0u);
   EXPECT_EQ(path_len.summary().count - paths_before, augmentations);
   EXPECT_EQ(phases.value() - phases_before, phase_total);
-}
-
-TEST(Instrumentation, StreamStatsCarryLatencyHistograms) {
-  const std::int32_t n = 4;
-  const auto rep =
-      decluster::make_orthogonal(n, decluster::SiteMapping::kCopyPerSite);
-  Rng rng(91);
-  core::QueryStreamScheduler stream(
-      rep, workload::make_experiment_system(1, n, rng),
-      core::ExecutionPolicy{});
-  stream.submit({0, 1, 2}, 0.0);
-  stream.submit({3, 4}, 1.0);
-  const core::StreamStats stats = stream.stats();
-  EXPECT_EQ(stats.queue_wait.count, 2u);
-  EXPECT_EQ(stats.solve_time.count, 2u);
-  EXPECT_EQ(stats.response_time.count, 2u);
-  EXPECT_GT(stats.solve_time.sum, 0.0);
-  EXPECT_GT(stats.response_time.mean, 0.0);
-  // The per-scheduler view and the event log agree bit for bit: the
-  // histograms saw the same values in the same order, summed from 0.0.
-  EXPECT_EQ(stats.response_time.max, stats.max_response_ms);
-  EXPECT_EQ(stats.response_time.mean, stats.mean_response_ms);
-  EXPECT_EQ(stats.queue_wait.mean, stats.mean_queue_wait_ms);
-  EXPECT_EQ(stats.solve_time.mean, stats.mean_solve_ms);
 }
 
 TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {

@@ -5,6 +5,7 @@
 // error-path hardening.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -263,6 +264,42 @@ TEST(CapacityIncrementer, TieHeavyInstancesStayExact) {
     EXPECT_EQ(alg6.capacity_steps, 0);
     EXPECT_EQ(matching.capacity_steps, 0);
   }
+}
+
+// --- QueryStreamScheduler::stats ---
+
+TEST(StreamStats, SummariesAreExact) {
+  // 101 one-block queries reach one disk (C = 1 ms) at t = 0, so query i
+  // waits i ms behind the ones before it and responds at i + 1 ms: the
+  // waits are 0..100 and the responses 1..101, in every build.
+  QueryStreamScheduler stream(uniform_system(1, 1.0), ExecutionPolicy{});
+  for (int i = 0; i < 101; ++i) stream.submit_replicas({{0}}, 0.0);
+  const StreamStats stats = stream.stats();
+  EXPECT_EQ(stats.queries, 101);
+  EXPECT_EQ(stats.makespan_ms, 101.0);
+  const struct {
+    const char* name;
+    const Summary& summary;
+    double offset;
+  } series[] = {{"queue wait", stats.queue_wait, 0.0},
+                {"response", stats.response_time, 1.0}};
+  for (const auto& [name, s, offset] : series) {
+    EXPECT_EQ(s.count, 101u) << name;
+    EXPECT_EQ(s.min, offset) << name;
+    EXPECT_EQ(s.mean, 50.0 + offset) << name;
+    EXPECT_EQ(s.median, 50.0 + offset) << name;
+    EXPECT_EQ(s.p95, 95.0 + offset) << name;
+    EXPECT_EQ(s.p99, 99.0 + offset) << name;
+    EXPECT_EQ(s.max, 100.0 + offset) << name;
+  }
+  // Solver wall times are not known in advance, but the summary holds one
+  // per query and its max is the event log's.
+  double max_solve = 0.0;
+  for (const StreamEvent& e : stream.events()) {
+    max_solve = std::max(max_solve, e.solve_ms);
+  }
+  EXPECT_EQ(stats.solve_time.count, 101u);
+  EXPECT_EQ(stats.solve_time.max, max_solve);
 }
 
 // --- QueryRouter ---

@@ -173,6 +173,7 @@ TEST(Summary, OrderStatistics) {
   EXPECT_DOUBLE_EQ(s.max, 100.0);
   EXPECT_NEAR(s.median, 50.5, 1e-9);
   EXPECT_NEAR(s.p95, 95.05, 1e-9);
+  EXPECT_NEAR(s.p99, 99.01, 1e-9);
 }
 
 TEST(Summary, EmptyInput) {

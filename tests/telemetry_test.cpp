@@ -653,10 +653,53 @@ TEST(FlightRecorder, RouterBudgetBreachDumpsFullPipelineChain) {
   std::vector<obs::FlightEventKind> kinds;
   for (const obs::FlightEvent& e : dump.chain) kinds.push_back(e.kind);
   const std::vector<obs::FlightEventKind> want = {
-      obs::FlightEventKind::kAdmit, obs::FlightEventKind::kPolicy,
-      obs::FlightEventKind::kSolve, obs::FlightEventKind::kSchedule,
-      obs::FlightEventKind::kBreach};
+      obs::FlightEventKind::kAdmit, obs::FlightEventKind::kSolve,
+      obs::FlightEventKind::kSchedule, obs::FlightEventKind::kBreach};
   EXPECT_EQ(kinds, want);
+}
+
+TEST(ServingPath, RecordsEachFactOnce) {
+  // A routed query's chain is admit -> solve -> schedule, and each serving
+  // histogram gets exactly one observation per query.
+  const char* const histograms[] = {
+      "router.backlog_ms", "solver.matching.solve_ms", "stream.queue_wait_ms",
+      "stream.solve_ms", "stream.response_ms"};
+  const auto count_of = [](const obs::MetricsSnapshot& snapshot,
+                           const char* name) -> std::uint64_t {
+    const auto it = snapshot.histograms.find(name);
+    return it == snapshot.histograms.end() ? 0 : it->second.summary.count;
+  };
+  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+
+  core::QueryStreamScheduler sched(two_disk_system(),
+                                   core::ExecutionPolicy{});
+  core::QueryRouter router(sched, core::RouterOptions{});
+  constexpr int kArrivals = 12;
+  for (int i = 0; i < kArrivals; ++i) {
+    const core::RouterOutcome out = router.submit_replicas(
+        both_disk_query(1 + static_cast<std::size_t>(i % 5)),
+        static_cast<double>(i));
+    ASSERT_EQ(out.decision, core::RouterDecision::kAdmitted);
+    ASSERT_NE(out.query_id, 0u);
+    std::vector<obs::FlightEventKind> kinds;
+    for (const obs::FlightEvent& e :
+         obs::FlightRecorder::global().query_events(out.query_id)) {
+      kinds.push_back(e.kind);
+    }
+    const std::vector<obs::FlightEventKind> want = {
+        obs::FlightEventKind::kAdmit, obs::FlightEventKind::kSolve,
+        obs::FlightEventKind::kSchedule};
+    EXPECT_EQ(kinds, want) << "arrival " << i;
+  }
+
+  const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
+  for (const char* name : histograms) {
+    EXPECT_EQ(count_of(after, name) - count_of(before, name),
+              static_cast<std::uint64_t>(kArrivals))
+        << name;
+  }
+  EXPECT_EQ(after.counters.count("policy.decisions"), 0u);
+  EXPECT_EQ(after.counters.count("matching.retained_matching_hits"), 0u);
 }
 
 // ---------------------------------------------------------------------------

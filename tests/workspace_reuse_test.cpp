@@ -356,7 +356,7 @@ TEST(WorkspaceReuse, WarmStreamQueryAllocatesOnlyItsEvent) {
 // zero-allocation guarantee.  The exporter runs with a very long tick
 // interval so its background threads are parked during the counted window;
 // what is measured is the instrumented ExecutionContext path itself —
-// kPolicy/kSolve flight events, the per-disk busy_ms/assigned_buckets fold,
+// kSolve flight events, the per-disk busy_ms/assigned_buckets fold,
 // and histogram observations — all of which must be pre-warmed handle
 // writes only.
 TEST(WorkspaceReuse, InstrumentedSolvePathAllocatesNothingWithExporter) {

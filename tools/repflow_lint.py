@@ -33,6 +33,12 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         includes a `core/` header, so dependencies run one way
         (core -> parallel -> graph); repflow_core links those libraries,
         so an include back into core is a cycle.
+  FLT01 every flight-event label that flight_event_kind_name returns
+        (`case FlightEventKind::kX: return "x";`) is a row of the event
+        table under "Query flight recorder" in docs/OBSERVABILITY.md, and
+        every row there names a returned label — so a deleted event kind
+        cannot stay documented, nor a new one go undocumented.  Needs the
+        whole src/ tree.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -113,6 +119,13 @@ METRIC_PASTE_CALL_RE = re.compile(
 
 # The OBSERVABILITY.md section whose exact names MET02 holds to src/.
 WHO_RECORDS_WHAT = "### Who records what"
+
+# FLT01: the flight-recorder section, its event-table rows (first cell a
+# backticked label), and flight_event_kind_name's cases.
+FLIGHT_RECORDER = "## Query flight recorder"
+FLIGHT_ROW_RE = re.compile(r"^\|\s*`([a-z_]+)`\s*\|", re.MULTILINE)
+FLIGHT_CASE_RE = re.compile(
+    r"\bcase\s+FlightEventKind::\w+\s*:\s*return\s+\"([a-z_]+)\"")
 
 CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
@@ -330,6 +343,19 @@ def check_metric_docs(root: str, files: Iterable[str]) -> List[Violation]:
 
 # --- MET02 ----------------------------------------------------------------
 
+def doc_section(text: str, heading: str) -> Tuple[int, str]:
+    """(1-based line of `heading`, body up to the next heading), or
+    (0, "") when the heading is absent."""
+    start = text.find(heading)
+    if start < 0:
+        return 0, ""
+    body = text[start + len(heading):]
+    next_heading = re.search(r"\n#{1,3} ", body)
+    if next_heading:
+        body = body[:next_heading.start()]
+    return text.count("\n", 0, start) + 1, body
+
+
 def check_metric_registrations(root: str,
                                files: Iterable[str]) -> List[Violation]:
     doc_rel = "docs/OBSERVABILITY.md"
@@ -338,16 +364,10 @@ def check_metric_registrations(root: str,
         return [Violation("MET02", doc_rel, 1,
                           "missing docs/OBSERVABILITY.md (metric contract)")]
     with open(doc_path, encoding="utf-8") as f:
-        text = f.read()
-    start = text.find(WHO_RECORDS_WHAT)
-    if start < 0:
+        heading_line, body = doc_section(f.read(), WHO_RECORDS_WHAT)
+    if heading_line == 0:
         return [Violation("MET02", doc_rel, 1,
                           f"no `{WHO_RECORDS_WHAT}` section")]
-    heading_line = text.count("\n", 0, start) + 1
-    body = text[start + len(WHO_RECORDS_WHAT):]
-    next_heading = re.search(r"\n#{1,3} ", body)
-    if next_heading:
-        body = body[:next_heading.start()]
     documented, _, _ = documented_metric_names(body)
 
     literals: set = set()
@@ -420,6 +440,40 @@ def check_layering(root: str, files: Iterable[str]) -> List[Violation]:
     return out
 
 
+# --- FLT01 ----------------------------------------------------------------
+
+def check_flight_event_docs(root: str,
+                            files: Iterable[str]) -> List[Violation]:
+    doc_rel = "docs/OBSERVABILITY.md"
+    doc_path = os.path.join(root, doc_rel)
+    if not os.path.isfile(doc_path):
+        return [Violation("FLT01", doc_rel, 1,
+                          "missing docs/OBSERVABILITY.md (event contract)")]
+    with open(doc_path, encoding="utf-8") as f:
+        heading_line, body = doc_section(f.read(), FLIGHT_RECORDER)
+    if heading_line == 0:
+        return [Violation("FLT01", doc_rel, 1,
+                          f"no `{FLIGHT_RECORDER}` section")]
+    documented = set(FLIGHT_ROW_RE.findall(body))
+
+    out: List[Violation] = []
+    returned: set = set()
+    for rel in files:
+        for i, line in enumerate(read_lines(root, rel)):
+            for label in FLIGHT_CASE_RE.findall(line):
+                returned.add(label)
+                if label not in documented:
+                    out.append(Violation(
+                        "FLT01", rel, i + 1,
+                        f"flight event `{label}` is not a row of the "
+                        f"event table under `{FLIGHT_RECORDER}`"))
+    out.extend(Violation("FLT01", doc_rel, heading_line,
+                         f"documented flight event `{label}` is not "
+                         "returned by flight_event_kind_name")
+               for label in sorted(documented - returned))
+    return out
+
+
 RULES = {
     "MO01": (check_mo_tags, ["src"]),
     "RAW01": (check_raw, ["src"]),
@@ -428,6 +482,7 @@ RULES = {
     "MET02": (check_metric_registrations, ["src"]),
     "DEAD01": (check_dead_headers, ["src"]),
     "LAYER01": (check_layering, ["src"]),
+    "FLT01": (check_flight_event_docs, ["src"]),
 }
 
 

@@ -354,12 +354,79 @@ def test_layer01_accepts_clean_layers_and_core_itself():
         tree.cleanup()
 
 
+# --- FLT01 ----------------------------------------------------------------
+
+FLIGHT_DOC = """# Observability
+## Query flight recorder
+A routed query's chain reads admit -> solve.
+
+| kind | recorded by |
+|---|---|
+| `admit` | router |
+| `solve` | context |
+## HTTP exporter
+| `ghost` | outside the section |
+"""
+
+FLIGHT_CASES = ('const char* flight_event_kind_name(FlightEventKind kind) {\n'
+                '  switch (kind) {\n'
+                '    case FlightEventKind::kAdmit: return "admit";\n'
+                '    case FlightEventKind::kSolve: return "solve";\n'
+                '  }\n'
+                '  return "?";\n'
+                '}\n')
+
+
+def test_flt01_documented_labels_pass():
+    tree = FixtureTree()
+    try:
+        tree.write("docs/OBSERVABILITY.md", FLIGHT_DOC)
+        rel = tree.write("src/obs/flight_recorder.cpp", FLIGHT_CASES)
+        assert run_rule(tree, "FLT01", [rel]) == []
+    finally:
+        tree.cleanup()
+
+
+def test_flt01_flags_undocumented_and_stale_labels():
+    tree = FixtureTree()
+    try:
+        tree.write("docs/OBSERVABILITY.md", FLIGHT_DOC)
+        # `policy` is returned but not documented; `solve` is documented
+        # but no longer returned.
+        rel = tree.write(
+            "src/obs/flight_recorder.cpp",
+            FLIGHT_CASES.replace('kSolve: return "solve"',
+                                 'kPolicy: return "policy"'))
+        violations = run_rule(tree, "FLT01", [rel])
+        found = sorted((v.path, v.line, v.message.split("`")[1])
+                       for v in violations)
+        assert found == [("docs/OBSERVABILITY.md", 2, "solve"),
+                         ("src/obs/flight_recorder.cpp", 4, "policy")], \
+            violations
+        assert all(v.rule == "FLT01" for v in violations), violations
+    finally:
+        tree.cleanup()
+
+
+def test_flt01_flags_missing_section():
+    tree = FixtureTree()
+    try:
+        tree.write("docs/OBSERVABILITY.md", WHO_DOC)
+        rel = tree.write("src/obs/flight_recorder.cpp", FLIGHT_CASES)
+        violations = run_rule(tree, "FLT01", [rel])
+        assert len(violations) == 1, violations
+        assert "Query flight recorder" in violations[0].message
+    finally:
+        tree.cleanup()
+
+
 # --- end-to-end -----------------------------------------------------------
 
 def test_main_exit_codes():
     tree = FixtureTree()
     try:
-        tree.write("docs/OBSERVABILITY.md", WHO_DOC)
+        tree.write("docs/OBSERVABILITY.md",
+                   WHO_DOC + "## Query flight recorder\nNo events.\n")
         tree.write("src/clean.cpp",
                    'void f() {\n'
                    '  reg.counter("router.admitted");\n'
