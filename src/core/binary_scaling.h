@@ -16,12 +16,31 @@
 //     k = 1 candidate.  The greedy pass computes it on the way.
 //
 // The driver searches the candidates in the closed window [L, greedy T], L
-// the larger lower bound, by selection: each probe is the nth_element
-// median of the live range; a feasible probe keeps only smaller
-// candidates, an infeasible one only larger.  Every
-// probe discards its median, so a solve takes at most ceil(log2 n) + 1
-// resumes for the n candidates in the window, with no IncrementMinCost tail
-// and O(arcs) window work.
+// the larger lower bound.  The live window is, as a multiset, the
+// candidates of rank >= |Q| - 1 (from zero, in sorted order) that lie in
+// [L, greedy T).  While collecting, the driver counts the candidates below
+// the bucket bound B and those at most B:
+//
+//   * at least |Q| at most B (most solves): the |Q|-th smallest is at most
+//     B, so L = B.  Every candidate above B has rank >= |Q|, so one pass
+//     keeps those below the greedy T, plus the copies of B of rank
+//     >= |Q| - 1, which number (at most B) - max(below B, |Q| - 1).
+//   * otherwise the |Q|-th smallest exceeds B and is L; an nth_element at
+//     |Q| - 1 and a partition at the greedy T cut the window.
+//
+// The selection alone would build the same window on every solve; the
+// bucket-bound pass stays because it measured faster end to end
+// (docs/PERFORMANCE.md, "Measured: one selection for every solve").
+//
+// The window is sorted once and bisected by index.  Each probe is the
+// middle element of the live range, the median an nth_element over that
+// range would pick; a feasible probe keeps only the candidates below it
+// (lower_bound), an infeasible one only those above it (upper_bound).  So
+// the probes are those of a selection search over the same multiset.
+// Every probe discards its median, so a solve takes at most
+// ceil(log2 n) + 1 resumes for the n candidates in the window, with no
+// IncrementMinCost tail.  The greedy pass, the collection and the cut are
+// O(arcs); sorting the w live values adds O(w log w).
 //
 // Flow conservation is the paper's: capacities are monotone in t, so an
 // infeasible probe's flow stays valid for every larger t.  Infeasible probes
@@ -82,9 +101,10 @@ class BinaryScalingDriver {
            std::span<const std::int32_t> in_degree, ScalingKernel& kernel,
            SolveResult& result, const char* probe_span);
 
-  /// Retained footprint of the candidate buffer and the greedy schedule.
+  /// Retained footprint of the candidate buffer, the greedy schedule and
+  /// the per-disk next completions.
   std::size_t retained_bytes() const {
-    return candidates_.capacity() * sizeof(double) +
+    return (candidates_.capacity() + next_slot_.capacity()) * sizeof(double) +
            greedy_load_.capacity() * sizeof(std::int64_t) +
            greedy_disk_.capacity() * sizeof(std::int32_t);
   }
@@ -98,8 +118,9 @@ class BinaryScalingDriver {
   /// The greedy schedule: each bucket, in query order, goes to the replica
   /// with the least completion_time(d, load_d + 1); the first-listed
   /// replica wins ties.  The picks are left in greedy_disk_.  The same scan
-  /// takes each bucket's least completion_time(d, 1).  Throws
-  /// std::invalid_argument on a bucket without a replica.
+  /// takes each bucket's least completion_time(d, 1).  The next
+  /// completions are kept per disk, and a pick recomputes only its own
+  /// disk's.  Throws std::invalid_argument on a bucket without a replica.
   GreedyPass greedy_pass(const RetrievalProblem& problem);
 
   /// Trim greedy_disk_ to the capacities of time `lower`: each disk keeps
@@ -112,6 +133,9 @@ class BinaryScalingDriver {
   // the lower bound while trimming.
   std::vector<std::int64_t> greedy_load_;
   std::vector<std::int32_t> greedy_disk_;  // grow-only, one per bucket
+  // Grow-only, one per disk: completion_time(d, load_d + 1) under the
+  // greedy loads so far.
+  std::vector<double> next_slot_;
 };
 
 }  // namespace repflow::core

@@ -88,8 +88,8 @@ void fold_flow_stats(const graph::FlowStats& stats) {
 ExecutionContext::ExecutionContext(ExecutionPolicy policy)
     : policy_(policy), pool_(policy.threads) {}
 
-void ExecutionContext::solve_into(const RetrievalProblem& problem,
-                                  SolverKind kind, SolveResult& result) {
+double ExecutionContext::solve_into(const RetrievalProblem& problem,
+                                    SolverKind kind, SolveResult& result) {
   // Every entry point lands here, so this is the one place a malformed
   // problem (non-finite or non-positive cost, disk id out of range) is
   // turned into std::invalid_argument before any pooled state is touched.
@@ -97,7 +97,7 @@ void ExecutionContext::solve_into(const RetrievalProblem& problem,
   SolverMetrics& metrics = metrics_for(kind);
   obs::ScopedSpan span(metrics.span_name);
   // Manual stopwatch instead of ScopedLatency: the wall time also feeds the
-  // flight recorder's kSolve event below.
+  // flight recorder's kSolve event below and is returned to the caller.
   StopWatch watch;
   watch.start();
   pool_.solve_into(problem, kind, result);
@@ -140,6 +140,7 @@ void ExecutionContext::solve_into(const RetrievalProblem& problem,
     disk.busy_ms.add(problem.system.delay_ms[d] +
                      static_cast<double>(k) * problem.system.cost_ms[d]);
   }
+  return solve_wall_ms;
 }
 
 }  // namespace repflow::core

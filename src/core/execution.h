@@ -55,16 +55,18 @@ class ExecutionContext {
   }
 
   /// Pooled solve with the policy's kind, recording the per-kind run
-  /// metrics.
-  void solve_into(const RetrievalProblem& problem, SolveResult& result) {
-    solve_into(problem, policy_.kind, result);
+  /// metrics.  Returns the solve's wall time in ms, the value recorded in
+  /// `solver.<id>.solve_ms`.
+  double solve_into(const RetrievalProblem& problem, SolveResult& result) {
+    return solve_into(problem, policy_.kind, result);
   }
 
   /// Pooled solve with an explicit kind (still funnelled through the
-  /// per-kind metrics).  Throws std::invalid_argument when
-  /// `problem.validate()` does, before any pooled state is touched.
-  void solve_into(const RetrievalProblem& problem, SolverKind kind,
-                  SolveResult& result);
+  /// per-kind metrics); returns its wall time in ms.  Throws
+  /// std::invalid_argument when `problem.validate()` does, before any
+  /// pooled state is touched.
+  double solve_into(const RetrievalProblem& problem, SolverKind kind,
+                    SolveResult& result);
 
   SolverPool& pool() { return pool_; }
   /// The context's reusable result buffer (capacity survives across

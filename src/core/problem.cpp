@@ -80,7 +80,8 @@ void fill_replica_lists(const decluster::ReplicatedAllocation& allocation,
     if (b < 0 || b >= n * n) {
       throw std::invalid_argument("replica_lists: bucket id out of grid");
     }
-    allocation.replica_disks_unique_into(b / n, b % n, lists[i]);
+    const auto disks = allocation.unique_replicas(b);
+    lists[i].assign(disks.begin(), disks.end());
   }
 }
 

@@ -54,8 +54,9 @@ std::vector<std::vector<DiskId>> replica_lists(
     const decluster::ReplicatedAllocation& allocation,
     const workload::Query& query);
 
-/// replica_lists() into `lists` (one per bucket of `query`), reusing each
-/// list's capacity: a warm call allocates nothing.
+/// replica_lists() into `lists` (one per bucket of `query`): each list is
+/// copied from the allocation's table (unique_replicas) into its own
+/// capacity, so a warm call allocates nothing.
 void fill_replica_lists(const decluster::ReplicatedAllocation& allocation,
                         const workload::Query& query,
                         std::span<std::vector<DiskId>> lists);

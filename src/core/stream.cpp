@@ -9,7 +9,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "support/timing.h"
 
 namespace repflow::core {
 
@@ -113,13 +112,10 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
     own_scope.emplace(obs::FlightRecorder::global().next_query_id());
     active = obs::QueryScope::current();
   }
-  StopWatch solve_watch;
-  solve_watch.start();
   // Pooled solve into the reused scratch buffer: after the first query,
-  // the solver-internal path allocates nothing.
-  exec_.solve_into(problem, exec_.scratch());
+  // the solver-internal path allocates nothing.  The context times it.
+  const double solve_ms = exec_.solve_into(problem, exec_.scratch());
   const SolveResult& result = exec_.scratch();
-  solve_watch.stop();
   // A finite problem can still finish at +inf (two blocks at C = 1e308).
   // That optimum is legal for one query, but as a busy horizon it would
   // fail every later one, so the stream refuses it.
@@ -156,7 +152,7 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   event.response_ms = result.response_time_ms;
   event.completion_ms = arrival_ms + result.response_time_ms;
   event.max_initial_load_ms = max_backlog;
-  event.solve_ms = solve_watch.elapsed_ms();
+  event.solve_ms = solve_ms;
   event.buckets = problem.query_size();
   // Copy (not move): the scratch result keeps its vector capacities for
   // the next query.

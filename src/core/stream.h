@@ -40,7 +40,7 @@ struct StreamEvent {
   double response_ms = 0.0;       ///< optimal response time (incl. waits)
   double completion_ms = 0.0;     ///< arrival + response
   double max_initial_load_ms = 0.0;  ///< busiest disk's backlog at arrival
-  double solve_ms = 0.0;          ///< wall time the solver spent on this query
+  double solve_ms = 0.0;  ///< the solve's wall time, as solver.<id>.solve_ms
   std::int64_t buckets = 0;
   Schedule schedule;
 };

@@ -64,6 +64,21 @@ ReplicatedAllocation::ReplicatedAllocation(std::vector<Allocation> copies,
       throw std::invalid_argument("ReplicatedAllocation: malformed copy");
     }
   }
+  const std::int32_t n = grid_n();
+  const auto buckets = static_cast<std::size_t>(n) * n;
+  unique_begin_.reserve(buckets + 1);
+  unique_disks_.reserve(buckets * copies_.size());
+  unique_begin_.push_back(0);
+  std::vector<DiskId> disks;
+  for (std::int32_t i = 0; i < n; ++i) {
+    for (std::int32_t j = 0; j < n; ++j) {
+      replica_disks_into(i, j, disks);
+      std::sort(disks.begin(), disks.end());
+      disks.erase(std::unique(disks.begin(), disks.end()), disks.end());
+      unique_disks_.insert(unique_disks_.end(), disks.begin(), disks.end());
+      unique_begin_.push_back(unique_disks_.size());
+    }
+  }
 }
 
 std::int32_t ReplicatedAllocation::total_disks() const {
@@ -94,16 +109,8 @@ void ReplicatedAllocation::replica_disks_into(std::int32_t row,
 
 std::vector<DiskId> ReplicatedAllocation::replica_disks_unique(
     std::int32_t row, std::int32_t col) const {
-  std::vector<DiskId> disks;
-  replica_disks_unique_into(row, col, disks);
-  return disks;
-}
-
-void ReplicatedAllocation::replica_disks_unique_into(
-    std::int32_t row, std::int32_t col, std::vector<DiskId>& out) const {
-  replica_disks_into(row, col, out);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  const auto disks = unique_replicas(row * grid_n() + col);
+  return {disks.begin(), disks.end()};
 }
 
 bool ReplicatedAllocation::is_orthogonal() const {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,12 +79,15 @@ class ReplicatedAllocation {
   /// With kSingleSite mapping the ids may repeat if two copies collide on a
   /// disk; replica_disks_unique() deduplicates.
   std::vector<DiskId> replica_disks(std::int32_t row, std::int32_t col) const;
+  /// unique_replicas(row * N + col) as a vector.
   std::vector<DiskId> replica_disks_unique(std::int32_t row,
                                            std::int32_t col) const;
-  /// replica_disks_unique() into `out`, reusing its capacity: no heap
-  /// allocation once `out` has held copies() ids.
-  void replica_disks_unique_into(std::int32_t row, std::int32_t col,
-                                 std::vector<DiskId>& out) const;
+  /// The distinct global disk ids holding `bucket` (row * N + col, within
+  /// the grid), ascending.  Built once by the constructor.
+  std::span<const DiskId> unique_replicas(BucketId bucket) const {
+    return {unique_disks_.data() + unique_begin_[bucket],
+            unique_disks_.data() + unique_begin_[bucket + 1]};
+  }
 
   /// True when each (copy-0 disk, copy-1 disk) pair appears exactly once
   /// across the grid — the defining property of orthogonal allocations.
@@ -97,6 +101,10 @@ class ReplicatedAllocation {
 
   std::vector<Allocation> copies_;
   SiteMapping mapping_;
+  // Bucket b's unique_replicas() are unique_disks_[unique_begin_[b],
+  // unique_begin_[b + 1]).
+  std::vector<std::size_t> unique_begin_;
+  std::vector<DiskId> unique_disks_;
 };
 
 }  // namespace repflow::decluster

@@ -7,7 +7,10 @@
 //   (4) leave a valid flow of value |Q| on its network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "analysis/flow_invariants.h"
 #include "analysis/schedule_invariants.h"
@@ -180,6 +183,82 @@ TEST_P(SingleSiteCopies, MultiCopyRdaAgreesWithReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Copies, SingleSiteCopies, ::testing::Values(2, 3));
+
+// The search window under ties.  On the basic problem (homogeneous disks,
+// D = X = 0) every candidate is a multiple of C and the bucket bound is C.
+// While |Q| is at most the number of loaded disks, the |Q|-th smallest
+// candidate ties with the bound and the window keeps only the copies of C
+// of rank >= |Q| - 1; above that count the |Q|-th smallest exceeds the
+// bound.  Each bucket's first replica is drawn cubed-uniform toward disk 0
+// and 60% of them get a uniform second one, so the greedy stacks buckets
+// on the low disks and the window holds several multiples of C.  On
+// Experiment 5 problems more than |Q| - 1 candidates can lie below the
+// bound.  Each kind's summed probes were recorded with the nth_element
+// selection search; keeping any other number of copies of the bound moves
+// them.
+TEST(SearchWindow, TiesKeepTheSelectionSearchProbes) {
+  constexpr std::int32_t kDisks = 12;
+  Rng rng(2727);
+  workload::SystemConfig basic;
+  basic.num_sites = 1;
+  basic.disks_per_site = kDisks;
+  basic.cost_ms.assign(kDisks, 6.1);
+  basic.delay_ms.assign(kDisks, 0.0);
+  basic.init_load_ms.assign(kDisks, 0.0);
+  basic.model.assign(kDisks, "Cheetah");
+  std::vector<RetrievalProblem> problems;
+  int tied = 0;  // problems whose |Q| is at most their loaded disks
+  for (int trial = 0; trial < 12; ++trial) {
+    for (std::int64_t size = 2; size <= 16; ++size) {
+      RetrievalProblem& p = problems.emplace_back();
+      p.system = basic;
+      for (std::int64_t b = 0; b < size; ++b) {
+        const double u = rng.uniform01();
+        std::vector<DiskId> disks = {static_cast<DiskId>(kDisks * u * u * u)};
+        if (rng.chance(0.6)) {
+          disks.push_back(static_cast<DiskId>(rng.below(kDisks)));
+        }
+        std::sort(disks.begin(), disks.end());
+        disks.erase(std::unique(disks.begin(), disks.end()), disks.end());
+        p.replicas.push_back(std::move(disks));
+      }
+      const auto degree = p.disk_in_degrees();
+      tied += size <= std::count_if(degree.begin(), degree.end(),
+                                    [](std::int32_t k) { return k > 0; });
+    }
+  }
+  EXPECT_GT(tied, 0);
+  EXPECT_LT(tied, static_cast<int>(problems.size()));
+
+  constexpr std::int32_t n = 6;
+  const auto exp5 = workload::make_experiment_system(5, n, rng);
+  const auto orthogonal =
+      make_scheme(Scheme::kOrthogonal, n, SiteMapping::kCopyPerSite, rng);
+  const workload::QueryGenerator gen(n, QueryType::kArbitrary,
+                                     LoadKind::kLoad2);
+  for (int i = 0; i < 8; ++i) {
+    problems.push_back(build_problem(orthogonal, gen.next(rng), exp5));
+  }
+
+  std::vector<double> optimum;
+  for (const RetrievalProblem& problem : problems) {
+    optimum.push_back(ReferenceSolver(problem).solve().response_time_ms);
+  }
+  const std::pair<SolverKind, std::int64_t> want[] = {
+      {SolverKind::kIntegratedMatching, 285},
+      {SolverKind::kPushRelabelBinary, 285},
+      {SolverKind::kBlackBoxBinary, 285}};
+  for (const auto& [kind, want_probes] : want) {
+    std::int64_t probes = 0;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      const SolveResult r = solve(problems[i], kind);
+      EXPECT_EQ(r.response_time_ms, optimum[i])
+          << solver_name(kind) << " problem " << i;
+      probes += r.binary_probes;
+    }
+    EXPECT_EQ(probes, want_probes) << solver_name(kind);
+  }
+}
 
 }  // namespace
 }  // namespace repflow::core

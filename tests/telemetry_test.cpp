@@ -659,8 +659,9 @@ TEST(FlightRecorder, RouterBudgetBreachDumpsFullPipelineChain) {
 }
 
 TEST(ServingPath, RecordsEachFactOnce) {
-  // A routed query's chain is admit -> solve -> schedule, and each serving
-  // histogram gets exactly one observation per query.
+  // A routed query's chain is admit -> solve -> schedule, each serving
+  // histogram gets exactly one observation per query, and the stream
+  // records the solve time the context measured.
   const char* const histograms[] = {
       "router.backlog_ms", "solver.matching.solve_ms", "stream.queue_wait_ms",
       "stream.solve_ms", "stream.response_ms"};
@@ -668,6 +669,11 @@ TEST(ServingPath, RecordsEachFactOnce) {
                            const char* name) -> std::uint64_t {
     const auto it = snapshot.histograms.find(name);
     return it == snapshot.histograms.end() ? 0 : it->second.summary.count;
+  };
+  const auto sum_of = [](const obs::MetricsSnapshot& snapshot,
+                         const char* name) {
+    const auto it = snapshot.histograms.find(name);
+    return it == snapshot.histograms.end() ? 0.0 : it->second.summary.sum;
   };
   const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
 
@@ -698,6 +704,15 @@ TEST(ServingPath, RecordsEachFactOnce) {
               static_cast<std::uint64_t>(kArrivals))
         << name;
   }
+  // One clock pair times each solve: the stream's histogram and the
+  // solver's sum the same 12 values (up to the rounding of each running
+  // sum), where a second stopwatch around the context would add the
+  // context's own work to every stream.solve_ms.
+  EXPECT_NEAR(sum_of(after, "stream.solve_ms") -
+                  sum_of(before, "stream.solve_ms"),
+              sum_of(after, "solver.matching.solve_ms") -
+                  sum_of(before, "solver.matching.solve_ms"),
+              1e-9);
   EXPECT_EQ(after.counters.count("policy.decisions"), 0u);
   EXPECT_EQ(after.counters.count("matching.retained_matching_hits"), 0u);
 }
