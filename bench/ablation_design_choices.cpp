@@ -146,5 +146,6 @@ int main(int argc, char** argv) {
       "scaling;\nAlg6 zero-h = paper's plain zero-height reinit (no exact "
       "heights / gap);\nBB = black-box binary scaling with push-relabel "
       "[12].\n");
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

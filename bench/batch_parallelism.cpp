@@ -82,5 +82,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

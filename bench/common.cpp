@@ -147,7 +147,6 @@ void sweep_n(const SweepConfig& config, const CellSpec& base,
     emit_row(n, run_cell(spec, kinds, config.queries, config.seed,
                          config.threads, config.verify, config.check));
   }
-  maybe_write_metrics_sidecar(config);
 }
 
 void maybe_write_metrics_sidecar(const SweepConfig& config) {

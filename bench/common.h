@@ -97,8 +97,8 @@ void print_banner(const std::string& title, const SweepConfig& config);
 
 /// If `config.metrics_json` is set, snapshot the global obs registry (and
 /// span timeline, when tracing was on) into that file — the metrics sidecar
-/// that rides next to each results/*.txt.  Called automatically at the end
-/// of sweep_n(); benches with custom loops can call it directly.
+/// that rides next to each results/*.txt.  Every bench that parses the
+/// sweep flags calls it once, after its last panel.
 void maybe_write_metrics_sidecar(const SweepConfig& config);
 
 }  // namespace repflow::bench

@@ -61,5 +61,6 @@ int main(int argc, char** argv) {
   run_panel(config, "LOAD 1", QueryType::kArbitrary, LoadKind::kLoad1, csv);
   run_panel(config, "LOAD 2", QueryType::kRange, LoadKind::kLoad2, csv);
   run_panel(config, "LOAD 3", QueryType::kArbitrary, LoadKind::kLoad3, csv);
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

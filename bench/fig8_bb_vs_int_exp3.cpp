@@ -76,5 +76,6 @@ int main(int argc, char** argv) {
   int_table.print(std::cout);
   std::printf("\n--- (c) Execution time ratio (bb/int) ---\n");
   ratio_table.print(std::cout);
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

@@ -67,5 +67,6 @@ int main(int argc, char** argv) {
   run_panel(config, "LOAD 1", LoadKind::kLoad1, csv);
   run_panel(config, "LOAD 2", LoadKind::kLoad2, csv);
   run_panel(config, "LOAD 3", LoadKind::kLoad3, csv);
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

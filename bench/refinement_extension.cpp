@@ -120,5 +120,6 @@ int main(int argc, char** argv) {
                    format_double(speedup, 4)});
   }
   inc_table.print(std::cout);
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

@@ -67,5 +67,6 @@ int main(int argc, char** argv) {
       "\nexpect: every replicated scheme keeps the worst error at <= 1 "
       "(replication's\npromise); the structured schemes retrieve more "
       "queries strictly optimally than RDA.\n");
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

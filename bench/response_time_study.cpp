@@ -86,5 +86,6 @@ int main(int argc, char** argv) {
       "heterogeneous\nexperiments (2-5): the first replica pins every bucket "
       "to site 1, so when site 1\nis the slow site the optimizer's "
       "cross-site choices pay off most.\n");
+  bench::maybe_write_metrics_sidecar(config);
   return 0;
 }

@@ -314,9 +314,6 @@ int main(int argc, char** argv) {
     exporter.stop();
   }
 
-  // stream_throughput drives QueryStreamScheduler directly rather than via
-  // sweep_n(), so the metrics sidecar (workspace.reuse_hits / rebuilds /
-  // retained_bytes among others) must be flushed explicitly.
   bench::maybe_write_metrics_sidecar(config);
   std::printf(
       "\nshape to expect: at low pressure both policies are close (empty "

@@ -18,8 +18,6 @@ const char* flight_event_kind_name(FlightEventKind kind) {
   return "?";
 }
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 namespace {
 
 thread_local ActiveQuery t_active_query;
@@ -28,7 +26,7 @@ thread_local ActiveQuery t_active_query;
 
 QueryScope::QueryScope(std::uint64_t id, double budget_ms)
     : saved_(t_active_query) {
-  t_active_query = ActiveQuery{id, budget_ms};
+  if constexpr (kEnabled) t_active_query = ActiveQuery{id, budget_ms};
 }
 
 QueryScope::~QueryScope() { t_active_query = saved_; }
@@ -41,11 +39,12 @@ FlightRecorder& FlightRecorder::global() {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : slots_(std::max<std::size_t>(1, capacity)),
+    : slots_(kEnabled ? std::max<std::size_t>(1, capacity) : 0),
       epoch_ns_(Clock::now().time_since_epoch().count()) {}
 
 void FlightRecorder::record(std::uint64_t query_id, FlightEventKind kind,
                             double value, std::int32_t detail) {
+  if constexpr (!kEnabled) return;
   // mo: relaxed — the ticket is a bare slot claim; publication of the
   // event payload happens through the slot's seqlock stamp, not head_.
   const std::uint64_t ticket =
@@ -142,6 +141,7 @@ std::vector<FlightEvent> FlightRecorder::query_events(
 
 void FlightRecorder::note_breach(std::uint64_t query_id, double response_ms,
                                  double budget_ms) {
+  if constexpr (!kEnabled) return;
   record(query_id, FlightEventKind::kBreach, response_ms);
   BreachDump dump;
   dump.query_id = query_id;
@@ -174,8 +174,6 @@ void FlightRecorder::clear() {
   epoch_ns_.store(Clock::now().time_since_epoch().count(),
                   std::memory_order_relaxed);
 }
-
-#endif  // REPFLOW_OBS_DISABLED
 
 namespace {
 

@@ -20,20 +20,19 @@
 // tags its solve events with whatever scope is current.  The seam is
 // documented in DESIGN.md ("query-id propagation").
 //
-// Under REPFLOW_OBS_DISABLED everything collapses to inert inline stubs
-// (ids are always 0, record() is a no-op, dumps are empty).
+// With the kill switch off (obs::kEnabled false, kill_switch.h) a QueryScope
+// installs nothing, ids are always 0, the ring has no slots, record() and
+// note_breach() return at once, and dumps are empty.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
 
-#if !defined(REPFLOW_OBS_DISABLED)
-#include <atomic>
-#include <chrono>
-#endif
-
+#include "obs/kill_switch.h"
 #include "support/thread_annotations.h"
 
 namespace repflow::obs {
@@ -70,8 +69,6 @@ struct BreachDump {
   std::vector<FlightEvent> chain;
 };
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 /// The ambient query id + latency budget for the current thread.  id 0
 /// means "no query in flight" (recorders skip tagging).
 struct ActiveQuery {
@@ -102,13 +99,16 @@ class FlightRecorder {
   /// The process-wide recorder (default capacity).
   static FlightRecorder& global();
 
-  /// Standalone recorder for tests; capacity must be >= 1.
+  /// Standalone recorder for tests; a capacity below 1 is raised to 1
+  /// (and every capacity is 0 with the kill switch off).
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Fresh monotonically increasing query id (starts at 1; 0 = none).
+  /// Fresh monotonically increasing query id (starts at 1; 0 = none, the
+  /// only id with the kill switch off).
   // mo: relaxed — the id is a bare ticket; uniqueness comes from RMW
   // atomicity, and the id carries no payload needing ordering.
   std::uint64_t next_query_id() {
+    if constexpr (!kEnabled) return 0;
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
@@ -188,47 +188,8 @@ class FlightRecorder {
   std::deque<BreachDump> breaches_ REPFLOW_GUARDED_BY(breach_mutex_);
 };
 
-#else  // REPFLOW_OBS_DISABLED
-
-struct ActiveQuery {
-  std::uint64_t id = 0;
-  double budget_ms = 0.0;
-};
-
-class QueryScope {
- public:
-  explicit QueryScope(std::uint64_t, double = 0.0) {}
-  QueryScope(const QueryScope&) = delete;
-  QueryScope& operator=(const QueryScope&) = delete;
-  static ActiveQuery current() { return {}; }
-};
-
-class FlightRecorder {
- public:
-  static constexpr std::size_t kDefaultCapacity = 0;
-  static constexpr std::size_t kMaxBreachDumps = 0;
-  static FlightRecorder& global() {
-    static FlightRecorder recorder;
-    return recorder;
-  }
-  explicit FlightRecorder(std::size_t = 0) {}
-  std::uint64_t next_query_id() { return 0; }
-  void record(std::uint64_t, FlightEventKind, double = 0.0,
-              std::int32_t = 0) {}
-  std::vector<FlightEvent> events() const { return {}; }
-  std::vector<FlightEvent> query_events(std::uint64_t) const { return {}; }
-  void note_breach(std::uint64_t, double, double) {}
-  std::vector<BreachDump> breaches() const { return {}; }
-  std::uint64_t recorded() const { return 0; }
-  std::size_t capacity() const { return 0; }
-  void clear() {}
-};
-
-#endif  // REPFLOW_OBS_DISABLED
-
 /// JSON dump of a recorder's ring + breach log, served by the HTTP
-/// exporter's /flightrecorder endpoint and usable standalone.  Available
-/// (empty) in both build modes.
+/// exporter's /flightrecorder endpoint and usable standalone.
 std::string flight_recorder_json(const FlightRecorder& recorder);
 
 }  // namespace repflow::obs

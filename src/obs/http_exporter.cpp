@@ -49,9 +49,7 @@ std::string_view request_target(std::string_view request) {
 }  // namespace
 
 HttpExporter::HttpExporter(HttpExporterOptions options)
-    : options_(std::move(options)),
-      aggregator_(options_.retain),
-      watchdog_(options_.objectives) {}
+    : options_(std::move(options)), watchdog_(options_.objectives) {}
 
 HttpExporter::~HttpExporter() { stop(); }
 

@@ -23,9 +23,9 @@
 //
 // `respond()` renders the full HTTP response to the raw bytes of one
 // request, and `handle()` to a request target, without any socket, so tests,
-// the request fuzzer (fuzz/fuzz_http_request.cpp) and the
-// REPFLOW_OBS_DISABLED build (where snapshots are simply empty) exercise
-// parsing, routing and payloads hermetically.
+// the request fuzzer (fuzz/fuzz_http_request.cpp) and the kill-switch build
+// (obs::kEnabled false, where snapshots are empty) exercise parsing,
+// routing and payloads hermetically.
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,6 @@ namespace repflow::obs {
 struct HttpExporterOptions {
   int port = 0;                      ///< 0 = pick an ephemeral port
   double tick_interval_ms = 1000.0;  ///< window cadence
-  std::size_t retain = 60;           ///< windows kept in the aggregator ring
   std::vector<SloObjective> objectives;
 };
 

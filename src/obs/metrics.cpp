@@ -39,8 +39,6 @@ double percentile_from_buckets(std::span<const double> bucket_bounds,
   return max_clamp;
 }
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 namespace {
 
 /// Atomic max/min for doubles via CAS (std::atomic<double> has no fetch_max).
@@ -78,6 +76,7 @@ double Histogram::bucket_bound(int i) {
 }
 
 void Histogram::observe(double value_ms) {
+  if constexpr (!kEnabled) return;
   // mo: relaxed — each cell is an independent tally; cross-cell skew is an
   // accepted property of lock-free snapshots (summary() may tear).
   buckets_[bucket_index(value_ms)].fetch_add(1, std::memory_order_relaxed);
@@ -95,7 +94,7 @@ void Histogram::observe(double value_ms) {
 }
 
 void Histogram::merge(const HistogramTally& tally) {
-  if (tally.count_ == 0) return;
+  if (!kEnabled || tally.count_ == 0) return;
   // mo: relaxed — the same independent tallies observe() writes; merging
   // is observe() batched, with no ordering beyond each cell's RMW.
   for (int i = 0; i < kBucketCount; ++i) {
@@ -117,6 +116,7 @@ void Histogram::merge(const HistogramTally& tally) {
 }
 
 void HistogramTally::observe(double value_ms) {
+  if constexpr (!kEnabled) return;
   ++buckets_[bucket_index(value_ms)];
   min_ = count_ == 0 ? value_ms : std::min(min_, value_ms);
   max_ = count_ == 0 ? value_ms : std::max(max_, value_ms);
@@ -210,6 +210,7 @@ Histogram& Registry::histogram(std::string_view name) {
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
+  if constexpr (!kEnabled) return snap;
   support::MutexLock lock(mutex_);
   for (const auto& [name, counter] : counters_) {
     snap.counters[name] = counter->value();
@@ -241,14 +242,5 @@ void Registry::reset_values() {
   for (auto& [name, accum] : accumulators_) accum->reset();
   for (auto& [name, hist] : histograms_) hist->reset();
 }
-
-#else
-
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace repflow::obs

@@ -9,9 +9,10 @@
 //    attribution stays in the existing value types (graph::FlowStats,
 //    core::SolveResult, core::StreamStats), which act as *views* over the
 //    same events.
-//  - Compiling with REPFLOW_OBS_DISABLED turns every recording call into an
-//    empty inline function (no atomics, no clock reads) while keeping all
-//    types and the snapshot/export API source-compatible.
+//  - With the kill switch off (obs::kEnabled false, kill_switch.h) every
+//    recording call returns before it touches an atomic or reads a clock,
+//    and snapshot() is empty; the types and the snapshot/export API are
+//    the same in both builds.
 #pragma once
 
 #include <atomic>
@@ -24,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/kill_switch.h"
 #include "support/thread_annotations.h"
 
 namespace repflow::obs {
@@ -70,8 +72,6 @@ double percentile_from_buckets(std::span<const double> bucket_bounds,
                                std::span<const std::uint64_t> bucket_counts,
                                double p, double min_clamp, double max_clamp);
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 class HistogramTally;
 
 /// Monotonic counter.  add() is wait-free; value() is a relaxed load.
@@ -80,7 +80,7 @@ class Counter {
   // mo: relaxed — independent monotonic tally; readers (snapshots) need no
   // cross-metric ordering, only eventual visibility of each atomic RMW.
   void add(std::uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    if constexpr (kEnabled) value_.fetch_add(delta, std::memory_order_relaxed);
   }
   // mo: relaxed — see add(); a snapshot is a statistical read, not an edge.
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -96,7 +96,9 @@ class Gauge {
  public:
   // mo: relaxed — last-write-wins level; no ordering contract with any
   // other memory, so relaxed store/load is the whole protocol.
-  void set(double value) { value_.store(value, std::memory_order_relaxed); }
+  void set(double value) {
+    if constexpr (kEnabled) value_.store(value, std::memory_order_relaxed);
+  }
   // mo: relaxed — see set().
   double value() const { return value_.load(std::memory_order_relaxed); }
   // mo: relaxed — see set().
@@ -113,7 +115,9 @@ class Gauge {
 class Accumulator {
  public:
   // mo: relaxed — same contract as Counter::add (monotonic sum, no edges).
-  void add(double delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  void add(double delta) {
+    if constexpr (kEnabled) value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   // mo: relaxed — statistical snapshot read.
   double value() const { return value_.load(std::memory_order_relaxed); }
   // mo: relaxed — reset is only exact when writers are quiescent.
@@ -162,7 +166,9 @@ class Histogram {
 class HistogramTally {
  public:
   void observe(double value_ms);
-  void clear() { *this = HistogramTally{}; }
+  void clear() {
+    if constexpr (kEnabled) *this = HistogramTally{};
+  }
   std::uint64_t count() const { return count_; }
 
  private:
@@ -188,6 +194,7 @@ class Registry {
   Accumulator& accumulator(std::string_view name) REPFLOW_EXCLUDES(mutex_);
   Histogram& histogram(std::string_view name) REPFLOW_EXCLUDES(mutex_);
 
+  /// Every registered metric's value; empty with the kill switch off.
   MetricsSnapshot snapshot() const REPFLOW_EXCLUDES(mutex_);
 
   /// Zero every metric's value.  Names and handles stay registered (and
@@ -207,17 +214,21 @@ class Registry {
 };
 
 /// RAII latency sample: observes the enclosing scope's wall time into a
-/// histogram.  Unlike ScopedSpan this is always on (two steady_clock reads);
-/// use it at run granularity, not per-operation.
+/// histogram.  Unlike ScopedSpan it has no runtime switch (two
+/// steady_clock reads unless the kill switch is off); use it at run
+/// granularity, not per-operation.
 class ScopedLatency {
  public:
   explicit ScopedLatency(Histogram& histogram)
       : histogram_(histogram),
-        start_(std::chrono::steady_clock::now()) {}
+        start_(kEnabled ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{}) {}
   ~ScopedLatency() {
-    histogram_.observe(std::chrono::duration<double, std::milli>(
-                           std::chrono::steady_clock::now() - start_)
-                           .count());
+    if constexpr (kEnabled) {
+      histogram_.observe(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count());
+    }
   }
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
@@ -226,73 +237,5 @@ class ScopedLatency {
   Histogram& histogram_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // REPFLOW_OBS_DISABLED — every recording call compiles to nothing.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  double value() const { return 0.0; }
-  void reset() {}
-};
-
-class Accumulator {
- public:
-  void add(double) {}
-  double value() const { return 0.0; }
-  void reset() {}
-};
-
-class HistogramTally {
- public:
-  void observe(double) {}
-  void clear() {}
-  std::uint64_t count() const { return 0; }
-};
-
-class Histogram {
- public:
-  static constexpr int kBucketCount = 0;
-  static constexpr double kFirstBoundMs = 0.0;
-  void observe(double) {}
-  void merge(const HistogramTally&) {}
-  HistogramSummary summary() const { return {}; }
-  void reset() {}
-  static double bucket_bound(int) { return 0.0; }
-  std::uint64_t bucket_count(int) const { return 0; }
-};
-
-class ScopedLatency {
- public:
-  explicit ScopedLatency(Histogram&) {}
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-};
-
-class Registry {
- public:
-  static Registry& global();
-  Counter& counter(std::string_view) { return counter_; }
-  Gauge& gauge(std::string_view) { return gauge_; }
-  Accumulator& accumulator(std::string_view) { return accumulator_; }
-  Histogram& histogram(std::string_view) { return histogram_; }
-  MetricsSnapshot snapshot() const { return {}; }
-  void reset_values() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Accumulator accumulator_;
-  Histogram histogram_;
-};
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace repflow::obs

@@ -17,8 +17,6 @@ RouterInstruments& RouterInstruments::global() {
   return instruments;
 }
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 DiskInstruments& DiskInstruments::global() {
   static DiskInstruments instruments;
   return instruments;
@@ -46,7 +44,5 @@ DiskInstrument& DiskInstruments::resolve(std::size_t idx) {
   slots_[idx].store(fresh, std::memory_order_release);
   return *fresh;
 }
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace repflow::obs

@@ -33,16 +33,14 @@
 //   disk.<j>.capacity_steps   counter      sink-capacity bumps the
 //                                          integrated drivers granted disk j
 //
-// Under REPFLOW_OBS_DISABLED every handle degrades to the registry's inert
-// stubs, so the bundles stay source-compatible with the kill switch.
+// With the kill switch off (obs::kEnabled false) the handles record
+// nothing, and DiskInstruments::disk() hands every disk one shared inert
+// bundle without a lookup.
 #pragma once
 
-#include <cstdint>
-
-#if !defined(REPFLOW_OBS_DISABLED)
 #include <atomic>
+#include <cstdint>
 #include <deque>
-#endif
 
 #include "obs/metrics.h"
 #include "support/thread_annotations.h"
@@ -73,8 +71,6 @@ struct DiskInstrument {
   Counter& capacity_steps;
 };
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 /// Lazily resolved per-disk bundles with a lock-free steady-state read
 /// path: the first touch of a disk id takes a mutex and registers the
 /// `disk.<j>.*` metrics; every later touch is one acquire load.  Ids at or
@@ -87,6 +83,7 @@ class DiskInstruments {
   static DiskInstruments& global();
 
   DiskInstrument& disk(std::int32_t j) REPFLOW_EXCLUDES(mutex_) {
+    if constexpr (!kEnabled) return inert_;
     const std::size_t idx =
         j >= 0 && j < kMaxTracked ? static_cast<std::size_t>(j)
                                   : static_cast<std::size_t>(kMaxTracked);
@@ -100,6 +97,12 @@ class DiskInstruments {
  private:
   DiskInstrument& resolve(std::size_t idx) REPFLOW_EXCLUDES(mutex_);
 
+  // With the kill switch off nothing records, so every disk shares these.
+  static inline Accumulator inert_busy_ms_;
+  static inline Counter inert_count_;
+  static inline DiskInstrument inert_{inert_busy_ms_, inert_count_,
+                                      inert_count_};
+
   std::atomic<DiskInstrument*> slots_[kMaxTracked + 1] = {};
   // mutex_ serializes first-touch registration; owned_ grows only under it
   // (compile-time checked).  The published pointers themselves are read
@@ -107,25 +110,5 @@ class DiskInstruments {
   support::Mutex mutex_;
   std::deque<DiskInstrument> owned_ REPFLOW_GUARDED_BY(mutex_);  // stable addresses
 };
-
-#else  // REPFLOW_OBS_DISABLED
-
-class DiskInstruments {
- public:
-  static constexpr std::int32_t kMaxTracked = 0;
-  static DiskInstruments& global() {
-    static DiskInstruments instruments;
-    return instruments;
-  }
-  DiskInstrument& disk(std::int32_t) { return instrument_; }
-
- private:
-  Accumulator busy_ms_;
-  Counter assigned_buckets_;
-  Counter capacity_steps_;
-  DiskInstrument instrument_{busy_ms_, assigned_buckets_, capacity_steps_};
-};
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace repflow::obs

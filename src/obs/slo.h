@@ -12,8 +12,8 @@
 // Objectives intentionally stay declarative (data, not callbacks): they can
 // be listed on /healthz, logged, and round-tripped through tests.
 //
-// Works in both build modes — under REPFLOW_OBS_DISABLED windows are empty
-// so objectives simply never fire (the watchdog reports healthy).
+// Runs unchanged with the kill switch off (obs::kEnabled false): windows are
+// empty there, so objectives never fire and the watchdog reports healthy.
 #pragma once
 
 #include <cstdint>

@@ -2,8 +2,6 @@
 
 namespace repflow::obs {
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 namespace {
 // Dense per-thread index assigned on a thread's first recorded span; -1
 // until then.  Lives outside the Tracer so record() can assign it under the
@@ -40,7 +38,5 @@ void Tracer::clear() {
   spans_.clear();
   epoch_ = clock::now();
 }
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace repflow::obs

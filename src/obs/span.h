@@ -7,8 +7,9 @@
 // vector append at destruction; span names must be string literals (or
 // otherwise outlive the tracer) because only the pointer is stored.
 //
-// Compiling with REPFLOW_OBS_DISABLED reduces ScopedSpan to an empty struct
-// and the tracer to inert stubs, proving hot paths carry zero residue.
+// With the kill switch off (obs::kEnabled false, kill_switch.h) a ScopedSpan
+// tests only the constant: the tracer can never be enabled, no span reads a
+// clock, and spans() stays empty.
 #pragma once
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/kill_switch.h"
 #include "support/thread_annotations.h"
 
 namespace repflow::obs {
@@ -29,8 +31,6 @@ struct SpanRecord {
   double duration_ms = 0.0;
 };
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 class Tracer {
  public:
   using clock = std::chrono::steady_clock;
@@ -40,7 +40,7 @@ class Tracer {
   // mo: relaxed — the enable bit is a pure on/off level; span data is
   // published by mutex_, not by this flag, so no ordering is needed.
   void set_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
+    if constexpr (kEnabled) enabled_.store(enabled, std::memory_order_relaxed);
   }
   // mo: relaxed — see set_enabled().
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
@@ -70,7 +70,7 @@ class Tracer {
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name)
-      : name_(name), active_(Tracer::global().enabled()) {
+      : name_(name), active_(kEnabled && Tracer::global().enabled()) {
     if (active_) start_ = Tracer::clock::now();
   }
   ~ScopedSpan() {
@@ -86,30 +86,5 @@ class ScopedSpan {
   bool active_;
   Tracer::clock::time_point start_{};
 };
-
-#else  // REPFLOW_OBS_DISABLED
-
-class Tracer {
- public:
-  using clock = std::chrono::steady_clock;
-  static Tracer& global() {
-    static Tracer tracer;
-    return tracer;
-  }
-  void set_enabled(bool) {}
-  bool enabled() const { return false; }
-  void record(const char*, clock::time_point, clock::time_point) {}
-  std::vector<SpanRecord> spans() const { return {}; }
-  void clear() {}
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace repflow::obs

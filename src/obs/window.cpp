@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <vector>
 
 namespace repflow::obs {
 
@@ -88,11 +89,6 @@ WindowSnapshot snapshot_diff(const MetricsSnapshot& prev,
   return w;
 }
 
-WindowedAggregator::WindowedAggregator(std::size_t retain)
-    : retain_(std::max<std::size_t>(1, retain)) {
-  ring_.reserve(retain_);
-}
-
 WindowSnapshot WindowedAggregator::tick(const MetricsSnapshot& cur,
                                         double elapsed_ms) {
   support::MutexLock lock(mutex_);
@@ -101,14 +97,8 @@ WindowSnapshot WindowedAggregator::tick(const MetricsSnapshot& cur,
                                                elapsed_ms);
   prev_ = cur;
   has_prev_ = true;
-  w.seq = ++seq_;
-  // Ring semantics: slot seq % retain is overwritten, so after wraparound
-  // the ring holds exactly the `retain_` newest windows.
-  if (ring_.size() < retain_) {
-    ring_.push_back(w);
-  } else {
-    ring_[static_cast<std::size_t>((w.seq - 1) % retain_)] = w;
-  }
+  w.seq = latest_.seq + 1;
+  latest_ = w;
   return w;
 }
 
@@ -129,27 +119,12 @@ WindowSnapshot WindowedAggregator::tick_global() {
 
 WindowSnapshot WindowedAggregator::latest() const {
   support::MutexLock lock(mutex_);
-  if (seq_ == 0) return {};
-  return ring_[static_cast<std::size_t>((seq_ - 1) % retain_)];
-}
-
-std::vector<WindowSnapshot> WindowedAggregator::recent() const {
-  support::MutexLock lock(mutex_);
-  std::vector<WindowSnapshot> out;
-  out.reserve(ring_.size());
-  if (seq_ == 0) return out;
-  const std::uint64_t newest = seq_;
-  const std::uint64_t count =
-      std::min<std::uint64_t>(newest, ring_.size());
-  for (std::uint64_t s = newest - count + 1; s <= newest; ++s) {
-    out.push_back(ring_[static_cast<std::size_t>((s - 1) % retain_)]);
-  }
-  return out;
+  return latest_;
 }
 
 std::uint64_t WindowedAggregator::windows() const {
   support::MutexLock lock(mutex_);
-  return seq_;
+  return latest_.seq;
 }
 
 }  // namespace repflow::obs

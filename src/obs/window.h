@@ -8,9 +8,9 @@
 // result is one WindowSnapshot of *rates* (counter and accumulator deltas
 // per second) and *per-window histogram summaries* (count/sum/mean and
 // interpolated p50/p95/p99 over only the observations that landed inside
-// the window).  `WindowedAggregator` owns the previous-snapshot state and a
-// fixed ring of recent windows, so consumers (the SLO watchdog, /metrics)
-// read a bounded, lock-guarded history.
+// the window).  `WindowedAggregator` owns the previous-snapshot state and
+// the newest window, which consumers (the SLO watchdog, /metrics) read
+// under its lock.
 //
 // Counter resets (Registry::reset_values() between ticks) are handled with
 // Prometheus rate() semantics: a cumulative value that went backwards is
@@ -18,15 +18,14 @@
 // never go negative.
 //
 // Everything here operates on plain MetricsSnapshot data (no atomics), so
-// the module stays fully functional under REPFLOW_OBS_DISABLED — snapshots
-// are simply empty in that configuration.
+// the module runs unchanged with the kill switch off (obs::kEnabled false):
+// Registry::snapshot() is empty there, and so is every window.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 #include "support/thread_annotations.h"
@@ -68,17 +67,14 @@ struct WindowSnapshot {
 WindowSnapshot snapshot_diff(const MetricsSnapshot& prev,
                              const MetricsSnapshot& cur, double window_ms);
 
-/// Owns the previous snapshot and a fixed-size ring of recent windows.
-/// tick() is meant to be called on a background cadence; readers get
-/// copies under the same mutex, so the aggregator is safe to share between
-/// the ticker thread and scrape handlers.
+/// Owns the previous snapshot and the newest window.  tick() is meant to
+/// be called on a background cadence; readers get copies under the same
+/// mutex, so the aggregator is safe to share between the ticker thread and
+/// scrape handlers.
 class WindowedAggregator {
  public:
-  /// `retain` bounds the ring of recent windows (>= 1).
-  explicit WindowedAggregator(std::size_t retain = 60);
-
-  /// Diff `cur` against the previous tick's snapshot over `elapsed_ms` and
-  /// append the window to the ring.  The first tick establishes the
+  /// Diff `cur` against the previous tick's snapshot over `elapsed_ms`; the
+  /// result becomes the newest window.  The first tick establishes the
   /// baseline and yields a window with seq 1 covering everything since
   /// process start (callers that want a clean baseline should tick once at
   /// startup and discard the result).  Returns a copy of the new window.
@@ -93,22 +89,15 @@ class WindowedAggregator {
   /// first tick).
   WindowSnapshot latest() const REPFLOW_EXCLUDES(mutex_);
 
-  /// Up to `retain` most recent windows, oldest first.
-  std::vector<WindowSnapshot> recent() const REPFLOW_EXCLUDES(mutex_);
-
-  /// Windows produced so far (monotonic; not bounded by the ring).
+  /// Windows produced so far (monotonic).
   std::uint64_t windows() const REPFLOW_EXCLUDES(mutex_);
 
  private:
-  // mutex_ guards every mutable member below; retain_ is immutable after
-  // construction, so it stays unguarded (compile-time checked).
+  // mutex_ guards every member below (compile-time checked).
   mutable support::Mutex mutex_;
   MetricsSnapshot prev_ REPFLOW_GUARDED_BY(mutex_);
   bool has_prev_ REPFLOW_GUARDED_BY(mutex_) = false;
-  // Fixed capacity, seq % retain slots.
-  std::vector<WindowSnapshot> ring_ REPFLOW_GUARDED_BY(mutex_);
-  std::size_t retain_;
-  std::uint64_t seq_ REPFLOW_GUARDED_BY(mutex_) = 0;
+  WindowSnapshot latest_ REPFLOW_GUARDED_BY(mutex_);
   std::chrono::steady_clock::time_point last_tick_ REPFLOW_GUARDED_BY(mutex_){};
   bool has_last_tick_ REPFLOW_GUARDED_BY(mutex_) = false;
 };

@@ -1,8 +1,8 @@
 // Tests for the observability layer: metrics registry, span tracer,
 // exporters, and the instrumentation hooks in the stream scheduler and the
 // parallel engine.  Value-level assertions are compiled out under
-// REPFLOW_OBS_DISABLED; a small API-surface test remains so the kill-switch
-// build still exercises every type.
+// REPFLOW_OBS_DISABLED; there Obs.DisabledBuildReportsNothing drives every
+// recording path and asserts that nothing was recorded.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -405,14 +405,42 @@ TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
 
 #else  // REPFLOW_OBS_DISABLED
 
+// Drives every guarded recording path once: each must leave its value at
+// zero, and the registry must report nothing it registered.
 TEST(Obs, DisabledBuildReportsNothing) {
-  Counter& c = Registry::global().counter("obs_test.noop");
+  Registry& registry = Registry::global();
+  Counter& c = registry.counter("obs_test.noop");
   c.add(100);
   EXPECT_EQ(c.value(), 0u);
+  Gauge& g = registry.gauge("obs_test.noop_gauge");
+  g.set(2.5);
+  EXPECT_EQ(g.value(), 0.0);
+  Accumulator& a = registry.accumulator("obs_test.noop_busy_ms");
+  a.add(4.0);
+  EXPECT_EQ(a.value(), 0.0);
+
+  Histogram& h = registry.histogram("obs_test.noop_ms");
+  h.observe(1.0);
+  HistogramTally tally;
+  tally.observe(2.0);
+  EXPECT_EQ(tally.count(), 0u);
+  h.merge(tally);
+  { ScopedLatency latency(h); }
+  EXPECT_EQ(h.summary().count, 0u);
+  for (int i = 0; i < Histogram::kBucketCount; ++i) {
+    EXPECT_EQ(h.bucket_count(i), 0u) << "bucket " << i;
+  }
+
   Tracer::global().set_enabled(true);
+  EXPECT_FALSE(Tracer::global().enabled());
   { ScopedSpan span("obs_test.noop_span"); }
   EXPECT_TRUE(Tracer::global().spans().empty());
-  EXPECT_TRUE(Registry::global().snapshot().counters.empty());
+
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_TRUE(snap.counters.empty());
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.accumulations.empty());
+  EXPECT_TRUE(snap.histograms.empty());
 }
 
 #endif  // REPFLOW_OBS_DISABLED

@@ -101,30 +101,24 @@ TEST(SnapshotDiff, WindowedHistogramPercentilesUseOnlyWindowObservations) {
   EXPECT_LE(wh.p99_ms, 4.0);
 }
 
-TEST(WindowedAggregator, RingWrapsAndKeepsNewestOldestFirst) {
-  obs::WindowedAggregator agg(/*retain=*/3);
+TEST(WindowedAggregator, TicksNumberWindowsAndKeepTheNewest) {
+  obs::WindowedAggregator agg;
+  EXPECT_EQ(agg.windows(), 0u);
+  EXPECT_EQ(agg.latest().seq, 0u);  // no window before the first tick
   for (std::uint64_t i = 1; i <= 7; ++i) {
     // Counter advances 10 per 1-second window: rate 10/s in every window.
     const obs::WindowSnapshot w =
         agg.tick(snap_with_counter("c", 10 * i), 1000.0);
     EXPECT_EQ(w.seq, i);
     EXPECT_DOUBLE_EQ(w.rate("c"), 10.0);
+    EXPECT_EQ(agg.windows(), i);
+    EXPECT_EQ(agg.latest().seq, i);
   }
-  EXPECT_EQ(agg.windows(), 7u);
-  EXPECT_EQ(agg.latest().seq, 7u);
-
-  const std::vector<obs::WindowSnapshot> recent = agg.recent();
-  ASSERT_EQ(recent.size(), 3u);  // wrapped: only the newest retain survive
-  EXPECT_EQ(recent[0].seq, 5u);
-  EXPECT_EQ(recent[1].seq, 6u);
-  EXPECT_EQ(recent[2].seq, 7u);
-  for (const obs::WindowSnapshot& w : recent) {
-    EXPECT_DOUBLE_EQ(w.rate("c"), 10.0);
-  }
+  EXPECT_DOUBLE_EQ(agg.latest().rate("c"), 10.0);
 }
 
 TEST(WindowedAggregator, FirstTickBaselinesFromZero) {
-  obs::WindowedAggregator agg(4);
+  obs::WindowedAggregator agg;
   const obs::WindowSnapshot w = agg.tick(snap_with_counter("c", 50), 500.0);
   EXPECT_EQ(w.seq, 1u);
   EXPECT_DOUBLE_EQ(w.rate("c"), 100.0);  // everything since process start
@@ -802,20 +796,36 @@ TEST(RouterInstruments, AgeFlushSeriesRecorded) {
 #else  // REPFLOW_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
-// Kill-switch builds: every new instrument stays source-compatible and inert.
+// Kill-switch builds: every instrument records nothing.
 
 TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
-  EXPECT_EQ(obs::FlightRecorder::global().next_query_id(), 0u);
-  obs::FlightRecorder::global().record(1, obs::FlightEventKind::kSolve, 2.0);
-  obs::FlightRecorder::global().note_breach(1, 10.0, 1.0);
-  EXPECT_TRUE(obs::FlightRecorder::global().events().empty());
-  EXPECT_TRUE(obs::FlightRecorder::global().breaches().empty());
-  EXPECT_EQ(obs::FlightRecorder::global().recorded(), 0u);
-  EXPECT_NE(obs::flight_recorder_json(obs::FlightRecorder::global())
-                .find("\"events\":[]"),
-            std::string::npos);
+  obs::FlightRecorder& global = obs::FlightRecorder::global();
+  EXPECT_EQ(global.next_query_id(), 0u);
+  global.record(1, obs::FlightEventKind::kSolve, 2.0);
+  global.note_breach(1, 10.0, 1.0);
+  EXPECT_TRUE(global.events().empty());
+  EXPECT_TRUE(global.query_events(1).empty());
+  EXPECT_TRUE(global.breaches().empty());
+  EXPECT_EQ(global.recorded(), 0u);
+  const std::string dump = obs::flight_recorder_json(global);
+  EXPECT_NE(dump.find("\"events\":[]"), std::string::npos);
+  EXPECT_NE(dump.find("\"breaches\":[]"), std::string::npos);
 
-  obs::QueryScope scope(7, 5.0);
+  // A standalone recorder is just as inert, and allocates no ring.
+  obs::FlightRecorder recorder(/*capacity=*/8);
+  EXPECT_EQ(recorder.capacity(), 0u);
+  EXPECT_EQ(recorder.next_query_id(), 0u);
+  recorder.record(3, obs::FlightEventKind::kAdmit, 1.0);
+  recorder.note_breach(3, 4.0, 2.0);
+  EXPECT_TRUE(recorder.events().empty());
+  EXPECT_TRUE(recorder.breaches().empty());
+  EXPECT_EQ(recorder.recorded(), 0u);
+
+  {
+    obs::QueryScope scope(7, 5.0);
+    EXPECT_EQ(obs::QueryScope::current().id, 0u);
+    EXPECT_EQ(obs::QueryScope::current().budget_ms, 0.0);
+  }
   EXPECT_EQ(obs::QueryScope::current().id, 0u);
 
   obs::DiskInstrument& disk = obs::DiskInstruments::global().disk(3);
@@ -823,12 +833,20 @@ TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
   disk.assigned_buckets.add(2);
   disk.capacity_steps.add(1);
   EXPECT_EQ(disk.assigned_buckets.value(), 0u);
+  EXPECT_EQ(disk.capacity_steps.value(), 0u);
   EXPECT_DOUBLE_EQ(disk.busy_ms.value(), 0.0);
+  // No per-disk lookup: every disk, overflow ids included, shares one
+  // inert bundle.
+  EXPECT_EQ(&obs::DiskInstruments::global().disk(4), &disk);
+  EXPECT_EQ(&obs::DiskInstruments::global().disk(100000), &disk);
 
   obs::RouterInstruments& ri = obs::RouterInstruments::global();
   ri.age_flushes.add(1);
   ri.flush_age_ms.observe(5.0);
+  ri.pending.set(3.0);
   EXPECT_EQ(ri.age_flushes.value(), 0u);
+  EXPECT_EQ(ri.flush_age_ms.summary().count, 0u);
+  EXPECT_EQ(ri.pending.value(), 0.0);
 }
 
 TEST(TelemetryDisabled, ServingPipelineStillRunsWithZeroIds) {

@@ -407,7 +407,7 @@ TEST(WorkspaceReuse, InstrumentedSolvePathAllocatesNothingWithExporter) {
   if (serving) exporter.stop();
 }
 
-// Telemetry is compiled out under the obs kill switch; the reuse behaviour
+// Telemetry records nothing under the obs kill switch; the reuse behaviour
 // itself is still covered by the allocation and bit-identity tests above.
 #if !defined(REPFLOW_OBS_DISABLED)
 TEST(WorkspaceReuse, PoolPublishesReuseTelemetry) {

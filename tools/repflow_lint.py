@@ -39,6 +39,11 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         every row there names a returned label — so a deleted event kind
         cannot stay documented, nor a new one go undocumented.  Needs the
         whole src/ tree.
+  OBS01 no preprocessor line under src/ reads REPFLOW_OBS_DISABLED except
+        in src/obs/kill_switch.h, which turns it into the constant
+        obs::kEnabled — so each obs type keeps one definition, and the
+        kill switch stays one `if constexpr` per recording path rather
+        than a second, stub copy of the layer.
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -134,6 +139,11 @@ CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 INCLUDER_DIRS = ["src", "bench", "examples", "fuzz", "perfbench"]
 TEST_ORACLES = {"core/brute_force.h", "core/simulator.h"}
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+
+# OBS01: a directive naming the kill-switch macro, and the one header
+# allowed to read it.
+OBS_DIRECTIVE_RE = re.compile(r"^\s*#.*\bREPFLOW_OBS_DISABLED\b")
+KILL_SWITCH_HEADER = "src/obs/kill_switch.h"
 
 # LAYER01: the source trees that repflow_core links and so must not include
 # back into it.
@@ -474,6 +484,23 @@ def check_flight_event_docs(root: str,
     return out
 
 
+# --- OBS01 ----------------------------------------------------------------
+
+def check_obs_switch(root: str, files: Iterable[str]) -> List[Violation]:
+    out: List[Violation] = []
+    for rel in files:
+        rel = rel.replace(os.sep, "/")
+        if rel == KILL_SWITCH_HEADER:
+            continue
+        for i, line in enumerate(read_lines(root, rel)):
+            if OBS_DIRECTIVE_RE.match(line):
+                out.append(Violation(
+                    "OBS01", rel, i + 1,
+                    "reads REPFLOW_OBS_DISABLED in a directive; test "
+                    f"obs::kEnabled ({KILL_SWITCH_HEADER}) instead"))
+    return out
+
+
 RULES = {
     "MO01": (check_mo_tags, ["src"]),
     "RAW01": (check_raw, ["src"]),
@@ -483,6 +510,7 @@ RULES = {
     "DEAD01": (check_dead_headers, ["src"]),
     "LAYER01": (check_layering, ["src"]),
     "FLT01": (check_flight_event_docs, ["src"]),
+    "OBS01": (check_obs_switch, ["src"]),
 }
 
 

@@ -420,6 +420,49 @@ def test_flt01_flags_missing_section():
         tree.cleanup()
 
 
+# --- OBS01 ----------------------------------------------------------------
+
+def test_obs01_flags_directives_outside_the_switch_header():
+    tree = FixtureTree()
+    try:
+        rel = tree.write("src/obs/metrics.h",
+                         "// REPFLOW_OBS_DISABLED in a comment is fine.\n"
+                         "#if !defined(REPFLOW_OBS_DISABLED)\n"
+                         "class Counter {};\n"
+                         "#else  // REPFLOW_OBS_DISABLED\n"
+                         "class Counter {};\n"
+                         "#endif\n"
+                         "  #  ifdef REPFLOW_OBS_DISABLED\n"
+                         "#endif\n")
+        violations = run_rule(tree, "OBS01", [rel])
+        assert [(v.rule, v.line) for v in violations] == [
+            ("OBS01", 2), ("OBS01", 4), ("OBS01", 7)], violations
+    finally:
+        tree.cleanup()
+
+
+def test_obs01_accepts_the_switch_header_and_the_constant():
+    tree = FixtureTree()
+    try:
+        files = [
+            tree.write(lint.KILL_SWITCH_HEADER,
+                       "#if defined(REPFLOW_OBS_DISABLED)\n"
+                       "inline constexpr bool kEnabled = false;\n"
+                       "#else\n"
+                       "inline constexpr bool kEnabled = true;\n"
+                       "#endif\n"),
+            tree.write("src/obs/metrics.h",
+                       '#include "obs/kill_switch.h"\n'
+                       "// Off under REPFLOW_OBS_DISABLED.\n"
+                       "void add() {\n"
+                       "  if constexpr (kEnabled) ++value;\n"
+                       "}\n"),
+        ]
+        assert run_rule(tree, "OBS01", files) == []
+    finally:
+        tree.cleanup()
+
+
 # --- end-to-end -----------------------------------------------------------
 
 def test_main_exit_codes():
