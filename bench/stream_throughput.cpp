@@ -8,17 +8,14 @@
 // scheduler against a naive "first replica" strategy to show how much the
 // max-flow formulation buys under load.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "core/router.h"
 #include "core/stream.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -65,13 +62,6 @@ int main(int argc, char** argv) {
   extra.define("backlog-ms", "0",
                "router backlog threshold for the admission study; 0 derives "
                "4x the idle response time");
-  extra.define("export-port", "-1",
-               "serve live /metrics (windowed router.* rates, per-disk "
-               "utilization) on 127.0.0.1 during the run; -1 = off, 0 = "
-               "ephemeral port");
-  extra.define("export-linger-ms", "0",
-               "keep the exporter scrapeable this long after the sweep");
-  extra.define("export-tick-ms", "250", "exporter window cadence");
   const bench::SweepConfig config = bench::parse_sweep(
       argc, argv, "stream bench: optimal vs naive under arrival pressure",
       &extra);
@@ -87,26 +77,6 @@ int main(int argc, char** argv) {
       core::ExecutionPolicy::pinned(*stream_kind, config.threads);
   bench::print_banner("Extension: query-stream scheduling under load",
                       config);
-
-  // Optional live telemetry: attach the HTTP exporter so the overload
-  // sweep's windowed router.* rates and disk.<j> utilization series can be
-  // scraped while the bench runs.
-  obs::HttpExporter exporter([&] {
-    obs::HttpExporterOptions eopts;
-    eopts.port = static_cast<int>(extra.get_int("export-port"));
-    eopts.tick_interval_ms = extra.get_double("export-tick-ms");
-    return eopts;
-  }());
-  const bool exporting = extra.get_int("export-port") >= 0;
-  if (exporting) {
-    if (!exporter.start()) {
-      std::fprintf(stderr, "cannot bind --export-port %lld\n",
-                   static_cast<long long>(extra.get_int("export-port")));
-      return 2;
-    }
-    std::printf("exporter listening on 127.0.0.1:%d\n", exporter.port());
-    std::fflush(stdout);
-  }
 
   CsvWriter csv(config.csv);
   csv.write_header({"interarrival_ms", "policy", "mean_resp_ms",
@@ -299,19 +269,6 @@ int main(int argc, char** argv) {
         "it p99) grows\nwith stream length; shedding caps it by dropping "
         "arrivals, coalescing by\nretrieving overlapping buckets of merged "
         "queries once.\n");
-  }
-
-  if (exporting) {
-    const double linger_ms = extra.get_double("export-linger-ms");
-    if (linger_ms > 0.0) {
-      std::printf("lingering %.0f ms for scrapes (127.0.0.1:%d)...\n",
-                  linger_ms, exporter.port());
-      std::fflush(stdout);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(linger_ms));
-    }
-    exporter.tick_now();  // publish one final window before shutdown
-    exporter.stop();
   }
 
   bench::maybe_write_metrics_sidecar(config);

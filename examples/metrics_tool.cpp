@@ -9,8 +9,9 @@
 //      latency histograms and operation counters.
 //   2. Stream replay — the trace's queries arrive back-to-back at a fixed
 //      inter-arrival gap and are scheduled by QueryStreamScheduler in
-//      trace-replay mode, populating the queue-wait / solve-time /
-//      response-time decomposition (stream.* histograms).
+//      trace-replay mode, populating the stream.response_ms histogram and
+//      the scheduler's queue-wait / solve-time / response-time
+//      decomposition (StreamStats).
 //
 // The snapshot is printed as a human-readable digest and optionally dumped
 // as JSON (--json) and CSV (--csv-metrics / --csv-spans):
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "analysis/schedule_invariants.h"
-#include "core/solve.h"
+#include "core/execution.h"
 #include "core/stream.h"
 #include "core/trace.h"
 #include "obs/export_csv.h"
@@ -148,17 +149,19 @@ int main(int argc, char** argv) {
     TablePrinter compare({"solver", "total solve (ms)", "response sum (ms)",
                           "probes", "capacity steps"});
     for (core::SolverKind kind : kinds) {
+      // One context per row.  Its solve_into returns the wall time that
+      // solver.<id>.solve_ms records, so the total reads the same with the
+      // kill switch off.
+      core::ExecutionContext context(
+          core::ExecutionPolicy::pinned(kind, threads));
+      double solve_ms = 0.0;
       double response_sum = 0.0;
       std::int64_t probes = 0;
       std::int64_t steps = 0;
-      const auto& hist_before = obs::Registry::global()
-                                    .histogram(std::string("solver.") +
-                                               core::solver_id(kind) +
-                                               ".solve_ms")
-                                    .summary();
       for (std::size_t qi = 0; qi < trace.queries.size(); ++qi) {
         const auto problem = trace.problem(qi);
-        const auto result = core::solve(problem, kind, threads);
+        core::SolveResult& result = context.scratch();
+        solve_ms += context.solve_into(problem, result);
         if (check) {
           const auto report = analysis::check_solve_result(problem, result);
           if (!report.ok()) {
@@ -173,14 +176,9 @@ int main(int argc, char** argv) {
         probes += result.binary_probes;
         steps += result.capacity_steps;
       }
-      const auto& hist_after = obs::Registry::global()
-                                   .histogram(std::string("solver.") +
-                                              core::solver_id(kind) +
-                                              ".solve_ms")
-                                   .summary();
       compare.begin_row();
       compare.add_cell(core::solver_name(kind));
-      compare.add_cell(hist_after.sum - hist_before.sum, 3);
+      compare.add_cell(solve_ms, 3);
       compare.add_cell(response_sum, 3);
       compare.add_cell(static_cast<long long>(probes));
       compare.add_cell(static_cast<long long>(steps));

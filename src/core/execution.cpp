@@ -16,11 +16,11 @@ namespace {
 // Per-kind observability handles, resolved once per process.  Every solve
 // through an ExecutionContext — and therefore every solve issued by any of
 // the public entry points — passes through this funnel, so run-level
-// metrics (latency histogram, step/probe counters) are recorded exactly
-// once per solve; phase-level spans live inside the individual solvers.
+// metrics (the latency histogram, whose count is the solve count, and the
+// step/probe counters) are recorded exactly once per solve; phase-level
+// spans live inside the individual solvers.
 struct SolverMetrics {
   obs::Histogram& solve_ms;
-  obs::Counter& solves;
   obs::Counter& capacity_steps;
   obs::Counter& binary_probes;
   obs::Counter& maxflow_runs;
@@ -36,7 +36,6 @@ SolverMetrics& metrics_for(SolverKind kind) {
   case SolverKind::k: {                                                     \
     static SolverMetrics metrics = {                                       \
         obs::Registry::global().histogram("solver." id ".solve_ms"),        \
-        obs::Registry::global().counter("solver." id ".solves"),            \
         obs::Registry::global().counter("solver." id ".capacity_steps"),    \
         obs::Registry::global().counter("solver." id ".binary_probes"),     \
         obs::Registry::global().counter("solver." id ".maxflow_runs"),      \
@@ -104,7 +103,6 @@ double ExecutionContext::solve_into(const RetrievalProblem& problem,
   watch.stop();
   const double solve_wall_ms = watch.elapsed_ms();
   metrics.solve_ms.observe(solve_wall_ms);
-  metrics.solves.add(1);
   fold(metrics.capacity_steps,
        static_cast<std::uint64_t>(result.capacity_steps));
   fold(metrics.binary_probes, static_cast<std::uint64_t>(result.binary_probes));
@@ -113,9 +111,9 @@ double ExecutionContext::solve_into(const RetrievalProblem& problem,
 
   // Tag the solve onto the ambient query's flight chain (id 0 = no query
   // in flight, e.g. facade solves outside any serving loop).
-  const obs::ActiveQuery active = obs::QueryScope::current();
-  if (active.id != 0) {
-    obs::FlightRecorder::global().record(active.id,
+  const std::uint64_t query_id = obs::QueryScope::current().id;
+  if (query_id != 0) {
+    obs::FlightRecorder::global().record(query_id,
                                          obs::FlightEventKind::kSolve,
                                          solve_wall_ms,
                                          static_cast<std::int32_t>(kind));

@@ -6,10 +6,44 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "obs/serving.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace repflow::core {
+
+namespace {
+
+// The router's instruments (docs/OBSERVABILITY.md, "Who records what"),
+// resolved once per process: the hot path never takes the registry mutex.
+struct RouterMetrics {
+  obs::Counter& admitted;
+  obs::Counter& shed;
+  obs::Counter& coalesced;
+  obs::Counter& flushes;
+  obs::Counter& age_flushes;
+  obs::Counter& deduped;
+  obs::Histogram& backlog_ms;
+  obs::Histogram& merged_batch;
+  obs::Histogram& flush_age_ms;
+  obs::Gauge& pending;
+};
+
+RouterMetrics& router_metrics() {
+  static RouterMetrics metrics{
+      obs::Registry::global().counter("router.admitted"),
+      obs::Registry::global().counter("router.shed"),
+      obs::Registry::global().counter("router.coalesced"),
+      obs::Registry::global().counter("router.flushes"),
+      obs::Registry::global().counter("router.age_flushes"),
+      obs::Registry::global().counter("router.deduped"),
+      obs::Registry::global().histogram("router.backlog_ms"),
+      obs::Registry::global().histogram("router.merged_batch"),
+      obs::Registry::global().histogram("router.flush_age_ms"),
+      obs::Registry::global().gauge("router.pending")};
+  return metrics;
+}
+
+}  // namespace
 
 QueryRouter::QueryRouter(QueryStreamScheduler& scheduler,
                          RouterOptions options)
@@ -54,14 +88,14 @@ void QueryRouter::buffer(const workload::Query* query,
   // A list the solve seam would reject must not reach the merged problem,
   // where it would sink the whole batch.
   validate_replicas(lists, scheduler_.total_disks());
-  obs::RouterInstruments& ri = obs::RouterInstruments::global();
+  RouterMetrics& metrics = router_metrics();
   for (std::size_t k = 0; k < lists.size(); ++k) {
     if (query != nullptr) {
       // A bucket already waiting in the buffer is retrieved once for every
       // query that asked for it: skip the duplicate arc set.
       if (!pending_buckets_.insert((*query)[k]).second) {
         ++stats_.dedup_hits;
-        ri.deduped.add(1);
+        metrics.deduped.add(1);
         continue;
       }
     }
@@ -93,28 +127,37 @@ RouterOutcome QueryRouter::route(const workload::Query* query,
   // router as it was.
   last_arrival_ms_ = arrival_ms;
   ++stats_.arrivals;
+  // Latency budget: a submission that answered late dumps this arrival's
+  // chain (admit, or coalesce and flush; then solve and schedule) while it
+  // is still in the flight ring.
+  if (outcome.event && options_.latency_budget_ms > 0.0 &&
+      outcome.event->response_ms > options_.latency_budget_ms) {
+    obs::FlightRecorder::global().note_breach(outcome.query_id,
+                                              outcome.event->response_ms,
+                                              options_.latency_budget_ms);
+  }
   return outcome;
 }
 
 RouterOutcome QueryRouter::dispatch(const workload::Query* query,
                                     std::vector<std::vector<DiskId>>* replicas,
                                     double arrival_ms) {
-  obs::RouterInstruments& ri = obs::RouterInstruments::global();
+  RouterMetrics& metrics = router_metrics();
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   RouterOutcome outcome;
   // Every arrival gets a flight-recorder id at the front door; the ambient
-  // scope carries it (plus the latency budget) through the solve and the
-  // schedule (DESIGN.md, "query-id propagation").
+  // scope carries it through the solve and the schedule (DESIGN.md,
+  // "query-id propagation").
   outcome.query_id = recorder.next_query_id();
-  obs::QueryScope scope(outcome.query_id, options_.latency_budget_ms);
+  obs::QueryScope scope(outcome.query_id);
   outcome.backlog_ms = scheduler_.max_backlog_at(arrival_ms);
-  ri.backlog_ms.observe(outcome.backlog_ms);
+  metrics.backlog_ms.observe(outcome.backlog_ms);
 
   const bool overloaded = outcome.backlog_ms > options_.max_backlog_ms;
 
   if (options_.mode == AdmissionMode::kShed && overloaded) {
     obs::ScopedSpan span("router.shed");
-    ri.shed.add(1);
+    metrics.shed.add(1);
     ++stats_.shed;
     recorder.record(outcome.query_id, obs::FlightEventKind::kShed,
                     outcome.backlog_ms);
@@ -122,49 +165,34 @@ RouterOutcome QueryRouter::dispatch(const workload::Query* query,
     return outcome;
   }
 
-  if (options_.mode == AdmissionMode::kCoalesce) {
-    if (overloaded) {
-      // Defer: park the query in the merge buffer until the backlog drains,
-      // the buffer fills, or the oldest buffered query ages out.
-      buffer(query, replicas, outcome.query_id, arrival_ms);
-      ri.coalesced.add(1);
-      ri.pending.set(static_cast<double>(pending_queries_));
-      recorder.record(outcome.query_id, obs::FlightEventKind::kCoalesce,
-                      outcome.backlog_ms);
-      const bool full = pending_queries_ >= options_.max_coalesce;
-      const bool aged = arrival_ms - oldest_pending_arrival_ms_ >=
-                        options_.max_coalesce_age_ms;
-      if (full || aged) {
-        if (aged && !full) {
-          // A time-based flush: the buffer is not full, but its oldest
-          // member has waited past the bound (partial overload would
-          // otherwise strand it indefinitely).
-          ri.age_flushes.add(1);
-          ++stats_.age_flushes;
-        }
-        const std::int64_t batch =
-            static_cast<std::int64_t>(pending_queries_);
-        outcome.decision = RouterDecision::kFlushed;
-        outcome.event = flush_pending(arrival_ms);
-        outcome.merged = batch;
-      } else {
+  if (options_.mode == AdmissionMode::kCoalesce &&
+      (overloaded || pending_queries_ > 0)) {
+    // Park the query in the merge buffer.  It waits there while the backlog
+    // is over the threshold and the buffer is neither full nor aged;
+    // otherwise the whole buffer rides out as one merged problem.
+    buffer(query, replicas, outcome.query_id, arrival_ms);
+    metrics.coalesced.add(1);
+    recorder.record(outcome.query_id, obs::FlightEventKind::kCoalesce,
+                    outcome.backlog_ms);
+    const bool full = pending_queries_ >= options_.max_coalesce;
+    const bool aged = arrival_ms - oldest_pending_arrival_ms_ >=
+                      options_.max_coalesce_age_ms;
+    if (overloaded && !full) {
+      if (!aged) {
+        metrics.pending.set(static_cast<double>(pending_queries_));
         outcome.decision = RouterDecision::kCoalesced;
+        return outcome;
       }
-      return outcome;
+      // A time-based flush: the buffer is not full, but its oldest member
+      // has waited past the bound (partial overload would otherwise strand
+      // it indefinitely).
+      metrics.age_flushes.add(1);
+      ++stats_.age_flushes;
     }
-    if (pending_queries_ > 0) {
-      // Backlog drained with queries waiting: ride them out together with
-      // the incoming query as one merged problem.
-      buffer(query, replicas, outcome.query_id, arrival_ms);
-      ri.coalesced.add(1);
-      recorder.record(outcome.query_id, obs::FlightEventKind::kCoalesce,
-                      outcome.backlog_ms);
-      const std::int64_t batch = static_cast<std::int64_t>(pending_queries_);
-      outcome.decision = RouterDecision::kFlushed;
-      outcome.event = flush_pending(arrival_ms);
-      outcome.merged = batch;
-      return outcome;
-    }
+    outcome.decision = RouterDecision::kFlushed;
+    outcome.merged = static_cast<std::int64_t>(pending_queries_);
+    outcome.event = flush_pending(arrival_ms);
+    return outcome;
   }
 
   // Plain admission (kOff, or an un-overloaded kShed/kCoalesce arrival
@@ -176,7 +204,7 @@ RouterOutcome QueryRouter::dispatch(const workload::Query* query,
       query != nullptr
           ? scheduler_.submit(*query, arrival_ms)
           : scheduler_.submit_replicas(std::move(*replicas), arrival_ms);
-  ri.admitted.add(1);
+  metrics.admitted.add(1);
   ++stats_.admitted;
   outcome.decision = RouterDecision::kAdmitted;
   outcome.merged = 1;
@@ -193,7 +221,7 @@ std::optional<StreamEvent> QueryRouter::flush(double arrival_ms) {
 
 StreamEvent QueryRouter::flush_pending(double arrival_ms) {
   obs::ScopedSpan span("router.flush");
-  obs::RouterInstruments& ri = obs::RouterInstruments::global();
+  RouterMetrics& metrics = router_metrics();
   obs::FlightRecorder& recorder = obs::FlightRecorder::global();
   const double oldest_age_ms = arrival_ms - oldest_pending_arrival_ms_;
   const std::int32_t batch = static_cast<std::int32_t>(pending_queries_);
@@ -209,14 +237,14 @@ StreamEvent QueryRouter::flush_pending(double arrival_ms) {
   pending_buckets_.clear();
   pending_queries_ = 0;
   pending_ids_.clear();
-  ri.pending.set(0.0);
+  metrics.pending.set(0.0);
   // One solve covers the whole batch; the scheduler derives the merged
   // problem's X_j loads from the busy horizon at this instant, so the
   // batch's joint response time is optimized exactly.
   StreamEvent event = scheduler_.submit_replicas(std::move(merged), arrival_ms);
-  ri.flushes.add(1);
-  ri.merged_batch.observe(static_cast<double>(batch));
-  ri.flush_age_ms.observe(oldest_age_ms);
+  metrics.flushes.add(1);
+  metrics.merged_batch.observe(static_cast<double>(batch));
+  metrics.flush_age_ms.observe(oldest_age_ms);
   ++stats_.flushes;
   return event;
 }

@@ -26,8 +26,8 @@
 // blocks, so under sustained overload the merged stream can fall back
 // under the array's capacity while kOff diverges.  (submit_replicas() has
 // no bucket identities to compare, so it concatenates without dedup.)
-// Every decision is recorded in the `router.*` instruments
-// (src/obs/serving.h) and per-decision spans.
+// Every decision is recorded in the `router.*` instruments (router.cpp,
+// docs/OBSERVABILITY.md) and per-decision spans.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +66,12 @@ struct RouterOptions {
   /// (the default) disables the bound.  Age-forced flushes are counted in
   /// `router.age_flushes`; every flush observes `router.flush_age_ms`.
   double max_coalesce_age_ms = std::numeric_limits<double>::infinity();
-  /// Per-query latency budget for the flight recorder: a submission whose
-  /// optimal response time exceeds this triggers a breach dump (the query's
-  /// full admission->solve event chain is copied into the recorder's breach
-  /// log).  0 (the default) or +inf disables breach tracking.
+  /// Per-query latency budget for the flight recorder: when the submission
+  /// an arrival produced (an admit or a flush) has an optimal response time
+  /// above this, the router triggers a breach dump (the arrival's full
+  /// admission->solve event chain is copied into the recorder's breach
+  /// log).  flush() checks no budget.  0 (the default) or +inf disables
+  /// breach tracking.
   double latency_budget_ms = 0.0;
 };
 

@@ -10,16 +10,16 @@ namespace repflow::core {
 namespace {
 
 // Reuse telemetry, resolved once per process (registry lookup takes a
-// mutex; these adds must stay on the lock-free path).
+// mutex; these writes must stay on the lock-free path).  A pooled solve
+// is a rebuild or a reuse, so reuse shows as rebuilds staying flat while
+// solver.<id>.solve_ms counts solves.
 struct PoolMetrics {
-  obs::Counter& reuse_hits;
   obs::Counter& rebuilds;
   obs::Gauge& retained_bytes;
 };
 
 PoolMetrics& pool_metrics() {
   static PoolMetrics metrics{
-      obs::Registry::global().counter("workspace.reuse_hits"),
       obs::Registry::global().counter("workspace.rebuilds"),
       obs::Registry::global().gauge("workspace.retained_bytes")};
   return metrics;
@@ -28,9 +28,7 @@ PoolMetrics& pool_metrics() {
 // Slot accessor: construct on first use (a rebuild), reuse afterwards.
 template <typename T, typename... Args>
 T& slot(std::unique_ptr<T>& shell, Args&&... args) {
-  if (shell) {
-    pool_metrics().reuse_hits.add(1);
-  } else {
+  if (!shell) {
     pool_metrics().rebuilds.add(1);
     shell = std::make_unique<T>(std::forward<Args>(args)...);
   }

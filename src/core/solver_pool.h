@@ -2,8 +2,8 @@
 //
 // The first solve of a kind constructs its shell (counted as a
 // `workspace.rebuilds`); every later solve reuses the shell's retained
-// network, engine, and workspace buffers (`workspace.reuse_hits`), so the
-// steady state performs zero heap allocations on same-footprint problems.
+// network, engine, and workspace buffers, so the steady state performs
+// zero heap allocations on same-footprint problems.
 // The solve() facade, QueryStreamScheduler, and BatchSolver all draw from
 // a pool instead of constructing solvers per query.
 //

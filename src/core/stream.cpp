@@ -106,11 +106,11 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   // Query-id propagation (DESIGN.md): reuse the router-owned ambient
   // scope when one is active, otherwise self-assign an id so direct
   // scheduler use still produces a complete flight chain.
-  obs::ActiveQuery active = obs::QueryScope::current();
+  std::uint64_t query_id = obs::QueryScope::current().id;
   std::optional<obs::QueryScope> own_scope;
-  if (active.id == 0) {
-    own_scope.emplace(obs::FlightRecorder::global().next_query_id());
-    active = obs::QueryScope::current();
+  if (query_id == 0) {
+    query_id = obs::FlightRecorder::global().next_query_id();
+    own_scope.emplace(query_id);
   }
   // Pooled solve into the reused scratch buffer: after the first query,
   // the solver-internal path allocates nothing.  The context times it.
@@ -147,7 +147,7 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   }
 
   StreamEvent event;
-  event.query_id = active.id;
+  event.query_id = query_id;
   event.arrival_ms = arrival_ms;
   event.response_ms = result.response_time_ms;
   event.completion_ms = arrival_ms + result.response_time_ms;
@@ -158,32 +158,18 @@ StreamEvent QueryStreamScheduler::submit_problem(double arrival_ms,
   // the next query.
   event.schedule = result.schedule;
 
-  // Latency decomposition: backlog wait vs. solver cost vs. delivered
-  // response, process-wide (stats() reads this scheduler's from events_).
-  struct GlobalHists {
-    obs::Histogram& queue_wait =
-        obs::Registry::global().histogram("stream.queue_wait_ms");
-    obs::Histogram& solve =
-        obs::Registry::global().histogram("stream.solve_ms");
-    obs::Histogram& response =
-        obs::Registry::global().histogram("stream.response_ms");
-  };
-  static GlobalHists global_hists;
-  global_hists.queue_wait.observe(max_backlog);
-  global_hists.solve.observe(event.solve_ms);
-  global_hists.response.observe(event.response_ms);
+  // The delivered response, process-wide (stats() reads this scheduler's
+  // from events_).  The backlog is the router's to record
+  // (router.backlog_ms) and the solve time the context's
+  // (solver.<id>.solve_ms).
+  static obs::Histogram& response_hist =
+      obs::Registry::global().histogram("stream.response_ms");
+  response_hist.observe(event.response_ms);
 
-  if (active.id != 0) {
-    obs::FlightRecorder::global().record(active.id,
+  if (query_id != 0) {
+    obs::FlightRecorder::global().record(query_id,
                                          obs::FlightEventKind::kSchedule,
                                          event.response_ms, bottleneck_disk);
-    // Budget breach: capture the query's full admission->solve chain while
-    // it is still in the ring (the scope's budget comes from the router's
-    // latency_budget_ms; self-assigned scopes carry no budget).
-    if (active.budget_ms > 0.0 && event.response_ms > active.budget_ms) {
-      obs::FlightRecorder::global().note_breach(active.id, event.response_ms,
-                                                active.budget_ms);
-    }
   }
 
   events_.push_back(event);

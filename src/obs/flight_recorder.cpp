@@ -24,9 +24,8 @@ thread_local ActiveQuery t_active_query;
 
 }  // namespace
 
-QueryScope::QueryScope(std::uint64_t id, double budget_ms)
-    : saved_(t_active_query) {
-  if constexpr (kEnabled) t_active_query = ActiveQuery{id, budget_ms};
+QueryScope::QueryScope(std::uint64_t id) : saved_(t_active_query) {
+  if constexpr (kEnabled) t_active_query = ActiveQuery{id};
 }
 
 QueryScope::~QueryScope() { t_active_query = saved_; }

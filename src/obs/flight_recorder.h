@@ -5,8 +5,9 @@
 // Purpose: when one query blows its latency budget, "which solver ran and
 // how long did each stage take *for that query*" is unanswerable from
 // cumulative metrics.  The recorder keeps the last few thousand events of
-// every query's chain; a budget breach copies the breaching query's chain
-// into a bounded breach log (and `/flightrecorder` serves both).
+// every query's chain; a budget breach (QueryRouter compares each response
+// with its RouterOptions::latency_budget_ms) copies the breaching query's
+// chain into a bounded breach log (and `/flightrecorder` serves both).
 //
 // Write path (the only part touching hot code): one fetch_add for a ticket,
 // one CAS to claim the ticket's slot, and a seqlock-stamped payload write —
@@ -69,18 +70,17 @@ struct BreachDump {
   std::vector<FlightEvent> chain;
 };
 
-/// The ambient query id + latency budget for the current thread.  id 0
-/// means "no query in flight" (recorders skip tagging).
+/// The ambient query id for the current thread.  id 0 means "no query in
+/// flight" (recorders skip tagging).
 struct ActiveQuery {
   std::uint64_t id = 0;
-  double budget_ms = 0.0;  ///< 0 or +inf = no budget
 };
 
 /// RAII ambient scope: nests and restores on destruction, so a router-owned
 /// scope survives inner self-assigned ones.
 class QueryScope {
  public:
-  explicit QueryScope(std::uint64_t id, double budget_ms = 0.0);
+  explicit QueryScope(std::uint64_t id);
   ~QueryScope();
   QueryScope(const QueryScope&) = delete;
   QueryScope& operator=(const QueryScope&) = delete;

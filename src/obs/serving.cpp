@@ -2,21 +2,6 @@
 
 namespace repflow::obs {
 
-RouterInstruments& RouterInstruments::global() {
-  static RouterInstruments instruments{
-      Registry::global().counter("router.admitted"),
-      Registry::global().counter("router.shed"),
-      Registry::global().counter("router.coalesced"),
-      Registry::global().counter("router.flushes"),
-      Registry::global().counter("router.age_flushes"),
-      Registry::global().counter("router.deduped"),
-      Registry::global().histogram("router.backlog_ms"),
-      Registry::global().histogram("router.merged_batch"),
-      Registry::global().histogram("router.flush_age_ms"),
-      Registry::global().gauge("router.pending")};
-  return instruments;
-}
-
 DiskInstruments& DiskInstruments::global() {
   static DiskInstruments instruments;
   return instruments;

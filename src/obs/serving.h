@@ -1,30 +1,10 @@
-// Instrument bundles for the serving layer (query router + per-disk
-// accounting).  The serving spine records a metric on every query
-// decision, so the handles are resolved once per process and cached here —
-// the hot path never takes the registry mutex.  The metric names are part
-// of the observability contract (docs/OBSERVABILITY.md):
-//
-//   router.admitted             counter  queries passed straight through
-//   router.shed                 counter  queries dropped under overload
-//   router.coalesced            counter  queries deferred into the pending
-//                                        merge buffer
-//   router.flushes              counter  merged problems submitted
-//   router.age_flushes          counter  flushes forced because the oldest
-//                                        buffered query aged past the
-//                                        max_coalesce_age_ms bound
-//   router.deduped              counter  buckets dropped from a merge
-//                                        because an identical bucket was
-//                                        already buffered
-//   router.backlog_ms           histogram max outstanding X_j horizon seen
-//                                        at each arrival
-//   router.merged_batch         histogram queries per flushed merge
-//   router.flush_age_ms         histogram age of the oldest buffered query
-//                                        at each flush
-//   router.pending              gauge    current pending (coalesced) queries
-//
-// Per-disk utilization accounting (the live series the workload-feedback
-// placement direction consumes; recorded at the schedule-application seam
-// in ExecutionContext and at CapacityIncrementer::bump):
+// Per-disk utilization accounting, shared by the two core modules that
+// fold work onto disks: ExecutionContext (the schedule-application seam)
+// and CapacityIncrementer::bump.  Every solve records it, so each disk's
+// handles are resolved once and cached here — the hot path never takes
+// the registry mutex.  The metric names are part of the observability
+// contract (docs/OBSERVABILITY.md); they are the live series the
+// workload-feedback placement direction consumes:
 //
 //   disk.<j>.busy_ms          accumulator  service time scheduled onto disk
 //                                          j (D_j + k*C_j per solve using it);
@@ -46,23 +26,6 @@
 #include "support/thread_annotations.h"
 
 namespace repflow::obs {
-
-/// Cached handles for the QueryRouter admission path.
-struct RouterInstruments {
-  Counter& admitted;
-  Counter& shed;
-  Counter& coalesced;
-  Counter& flushes;
-  Counter& age_flushes;
-  Counter& deduped;
-  Histogram& backlog_ms;
-  Histogram& merged_batch;
-  Histogram& flush_age_ms;
-  Gauge& pending;
-
-  /// Process-wide bundle (handles resolved on first use).
-  static RouterInstruments& global();
-};
 
 /// Cached handles for one disk's utilization series.
 struct DiskInstrument {

@@ -1,8 +1,9 @@
 // Tests for the observability layer: metrics registry, span tracer,
 // exporters, and the instrumentation hooks in the stream scheduler and the
-// parallel engine.  Value-level assertions are compiled out under
-// REPFLOW_OBS_DISABLED; there Obs.DisabledBuildReportsNothing drives every
-// recording path and asserts that nothing was recorded.
+// parallel engine.  Every test compiles in both builds.  Value-level tests
+// skip when the kill switch is off (obs::kEnabled false); there
+// Obs.DisabledBuildReportsNothing drives every recording path and asserts
+// that nothing was recorded.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -50,8 +51,6 @@ TEST(Obs, ApiSurfaceIsAlwaysAvailable) {
   EXPECT_EQ(json.back(), '\n');
 }
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream os;
@@ -60,6 +59,7 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(Counter, AddAndReset) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -70,6 +70,7 @@ TEST(Counter, AddAndReset) {
 }
 
 TEST(Gauge, LastWriteWins) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Gauge g;
   g.set(2.5);
   g.set(-1.0);
@@ -88,6 +89,7 @@ TEST(Histogram, BucketBoundsAreGeometric) {
 }
 
 TEST(Histogram, PlacesValuesInCoveringBuckets) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Histogram h;
   h.observe(0.5 * Histogram::kFirstBoundMs);  // underflow bucket 0
   h.observe(Histogram::kFirstBoundMs);        // inclusive upper bound -> 0
@@ -99,6 +101,7 @@ TEST(Histogram, PlacesValuesInCoveringBuckets) {
 }
 
 TEST(Histogram, SummaryStatistics) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Histogram h;
   for (int i = 0; i < 100; ++i) h.observe(1.0);
   const HistogramSummary s = h.summary();
@@ -114,6 +117,7 @@ TEST(Histogram, SummaryStatistics) {
 }
 
 TEST(Histogram, PercentilesSeparateBimodalData) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Histogram h;
   for (int i = 0; i < 90; ++i) h.observe(0.01);
   for (int i = 0; i < 10; ++i) h.observe(100.0);
@@ -131,6 +135,7 @@ TEST(Histogram, PercentilesSeparateBimodalData) {
 // A tally merged once lands exactly where observing its values one by one
 // would: every bucket, count, sum, min and max.
 TEST(Histogram, MergeEqualsObservingEachValue) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   const double values[] = {5.0, 1.0, 0.5 * Histogram::kFirstBoundMs, 3.0,
                            1e12, 1.0, 7.0, Histogram::kFirstBoundMs};
   Histogram observed;
@@ -166,6 +171,7 @@ TEST(Histogram, MergeEqualsObservingEachValue) {
 }
 
 TEST(Registry, HandlesAreStableAndNamed) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Registry& reg = Registry::global();
   Counter& a = reg.counter("obs_test.stable");
   Counter& b = reg.counter("obs_test.stable");
@@ -178,6 +184,7 @@ TEST(Registry, HandlesAreStableAndNamed) {
 }
 
 TEST(Registry, ResetValuesKeepsHandlesValid) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Registry& reg = Registry::global();
   Counter& c = reg.counter("obs_test.reset_me");
   Histogram& h = reg.histogram("obs_test.reset_hist");
@@ -191,6 +198,7 @@ TEST(Registry, ResetValuesKeepsHandlesValid) {
 }
 
 TEST(Tracer, RecordsSpansWhenEnabled) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Tracer& tracer = Tracer::global();
   tracer.set_enabled(true);
   tracer.clear();
@@ -216,6 +224,7 @@ TEST(Tracer, DisabledSpansCostNothingAndRecordNothing) {
 }
 
 TEST(Tracer, ThreadsGetDenseIndices) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Tracer& tracer = Tracer::global();
   tracer.set_enabled(true);
   tracer.clear();
@@ -271,6 +280,7 @@ TEST(ExportCsv, LongFormatRoundTrip) {
 }
 
 TEST(ExportJson, DumpGlobalSnapshotIsValid) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Registry::global().counter("obs_test.dump").add();
   const std::string path = testing::TempDir() + "obs_dump.json";
   ASSERT_TRUE(dump_global_metrics_json(path));
@@ -280,6 +290,7 @@ TEST(ExportJson, DumpGlobalSnapshotIsValid) {
 }
 
 TEST(Instrumentation, SolveFacadeFeedsPerSolverMetrics) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   core::RetrievalProblem p;
   p.system.num_sites = 1;
   p.system.disks_per_site = 2;
@@ -291,18 +302,16 @@ TEST(Instrumentation, SolveFacadeFeedsPerSolverMetrics) {
   p.validate();
   Histogram& solve_hist =
       Registry::global().histogram("solver.alg6.solve_ms");
-  Counter& solves = Registry::global().counter("solver.alg6.solves");
   const std::uint64_t count_before = solve_hist.summary().count;
-  const std::uint64_t solves_before = solves.value();
   core::solve(p, core::SolverKind::kPushRelabelBinary);
   EXPECT_EQ(solve_hist.summary().count, count_before + 1);
-  EXPECT_EQ(solves.value(), solves_before + 1);
 }
 
 TEST(Instrumentation, EveryCatalogKindPublishesSolveMetrics) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   // metrics_for() is generated from REPFLOW_SOLVER_CATALOG, so every kind
   // — including ones added later — must land its solve in the
-  // solver.<id>.solve_ms histogram and bump solver.<id>.solves.
+  // solver.<id>.solve_ms histogram, whose count is the kind's solve count.
   core::RetrievalProblem p;
   p.system.num_sites = 1;
   p.system.disks_per_site = 3;
@@ -315,17 +324,15 @@ TEST(Instrumentation, EveryCatalogKindPublishesSolveMetrics) {
   for (core::SolverKind kind : core::kAllSolverKinds) {
     const std::string prefix = std::string("solver.") + core::solver_id(kind);
     Histogram& hist = Registry::global().histogram(prefix + ".solve_ms");
-    Counter& solves = Registry::global().counter(prefix + ".solves");
     const std::uint64_t count_before = hist.summary().count;
-    const std::uint64_t solves_before = solves.value();
     core::solve(p, kind, 2);
     EXPECT_EQ(hist.summary().count, count_before + 1)
         << core::solver_id(kind);
-    EXPECT_EQ(solves.value(), solves_before + 1) << core::solver_id(kind);
   }
 }
 
 TEST(Instrumentation, MatchingKernelPublishesPhaseTelemetry) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   // The greedy sends buckets 0 and 1 to disk 0, which has one slot under
   // the lower bound 1, so the seed leaves bucket 1 unassigned and the probe
   // at 1 needs a phase: 1 -> disk 0 -> 0 -> disk 1 -> 2 -> disk 2.
@@ -350,6 +357,7 @@ TEST(Instrumentation, MatchingKernelPublishesPhaseTelemetry) {
 // nothing: after k solves the path-length histogram holds one observation
 // per augmentation and phase_count grew by the phases the solves report.
 TEST(Instrumentation, MatchingFoldsOncePerSolve) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   Histogram& path_len =
       Registry::global().histogram("matching.augmenting_path_len");
   Counter& phases = Registry::global().counter("matching.phase_count");
@@ -381,6 +389,7 @@ TEST(Instrumentation, MatchingFoldsOncePerSolve) {
 }
 
 TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
+  if constexpr (!kEnabled) GTEST_SKIP() << "kill switch: nothing records";
   // The greedy puts buckets 0 and 1 on disk 0, which has one slot under the
   // lower bound 1: the seed leaves bucket 1 for the engine to route.
   core::RetrievalProblem p;
@@ -403,11 +412,10 @@ TEST(Instrumentation, ParallelEngineExportsPerThreadCounters) {
   EXPECT_TRUE(snap.gauges.contains("parallel.last_run_queue_yields"));
 }
 
-#else  // REPFLOW_OBS_DISABLED
-
 // Drives every guarded recording path once: each must leave its value at
 // zero, and the registry must report nothing it registered.
 TEST(Obs, DisabledBuildReportsNothing) {
+  if constexpr (kEnabled) GTEST_SKIP() << "kill switch is on";
   Registry& registry = Registry::global();
   Counter& c = registry.counter("obs_test.noop");
   c.add(100);
@@ -442,8 +450,6 @@ TEST(Obs, DisabledBuildReportsNothing) {
   EXPECT_TRUE(snap.accumulations.empty());
   EXPECT_TRUE(snap.histograms.empty());
 }
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace
 }  // namespace repflow::obs

@@ -22,7 +22,7 @@
 #include "core/solve.h"
 #include "core/stream.h"
 #include "decluster/schemes.h"
-#include "obs/serving.h"
+#include "obs/metrics.h"
 #include "support/rng.h"
 #include "workload/experiments.h"
 #include "workload/query_load.h"
@@ -177,7 +177,6 @@ TEST(ExecutionContext, OpenSessionMatchesOneShotSolve) {
             solve(p, SolverKind::kPushRelabelBinary).response_time_ms);
 }
 
-#if !defined(REPFLOW_OBS_DISABLED)
 std::uint64_t counter_in_snapshot(const char* name) {
   const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
   const auto it = snapshot.counters.find(name);
@@ -185,6 +184,7 @@ std::uint64_t counter_in_snapshot(const char* name) {
 }
 
 TEST(ExecutionContext, LiveSnapshotSeesEngineWork) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no series";
   // graph.* is folded once per solve, so a scrape taken while the context
   // and its pooled engines are alive already holds every operation.
   const char* const names[] = {"graph.augmentations", "graph.pushes",
@@ -225,6 +225,7 @@ TEST(ExecutionContext, LiveSnapshotSeesEngineWork) {
 }
 
 TEST(SolveFacade, SequentialKindsKeepThePooledParallelEngine) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no series";
   // The thread count only configures the parallel kind: alternating it
   // with a sequential kind must not tear down and rebuild the pooled
   // Hong & He engine (and its worker threads) on every call.
@@ -239,7 +240,6 @@ TEST(SolveFacade, SequentialKindsKeepThePooledParallelEngine) {
   // One shell per kind.
   EXPECT_EQ(counter_in_snapshot("workspace.rebuilds") - before, 2u);
 }
-#endif
 
 TEST(CapacityIncrementer, TieHeavyInstancesStayExact) {
   // Uniform systems make every capacity step a full tie: all disks admit
@@ -343,10 +343,8 @@ TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
   options.mode = AdmissionMode::kShed;
   options.max_backlog_ms = 10.0;
   QueryRouter router(scheduler, options);
-#if !defined(REPFLOW_OBS_DISABLED)
-  const std::uint64_t shed_before =
-      obs::RouterInstruments::global().shed.value();
-#endif
+  obs::Counter& shed_counter = obs::Registry::global().counter("router.shed");
+  const std::uint64_t shed_before = shed_counter.value();
   // Everything arrives at t=0: the first queries build backlog past the
   // threshold, after which arrivals must be dropped.
   std::int64_t shed = 0;
@@ -363,10 +361,9 @@ TEST(QueryRouter, ShedDropsUnderBacklogAndRecords) {
   EXPECT_EQ(router.stats().admitted + shed, 30);
   EXPECT_EQ(scheduler.events().size(),
             static_cast<std::size_t>(router.stats().admitted));
-#if !defined(REPFLOW_OBS_DISABLED)
-  EXPECT_EQ(obs::RouterInstruments::global().shed.value() - shed_before,
-            static_cast<std::uint64_t>(shed));
-#endif
+  // With the kill switch off the router counts nothing.
+  EXPECT_EQ(shed_counter.value() - shed_before,
+            obs::kEnabled ? static_cast<std::uint64_t>(shed) : 0u);
 }
 
 TEST(QueryRouter, CoalescedBatchMatchesDirectMergedSubmission) {

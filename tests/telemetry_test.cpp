@@ -2,10 +2,11 @@
 // the query flight recorder, the Prometheus serializer, the SLO watchdog,
 // the HTTP exporter, and the router's time-based flush.
 //
-// The window / SLO / serializer tests run on constructed snapshot data, so
-// they execute identically under REPFLOW_OBS_DISABLED; tests that read the
-// live global registry or the flight-recorder ring are guarded, with a
-// kill-switch API-surface test covering that configuration.
+// Every test compiles in both builds.  The window / SLO / serializer tests
+// run on constructed snapshot data, so they execute identically with the
+// kill switch off; tests that read the live global registry or the
+// flight-recorder ring skip there (obs::kEnabled false), and the
+// TelemetryDisabled tests run only there.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include "core/execution.h"
 #include "core/router.h"
 #include "core/stream.h"
 #include "obs/export_prom.h"
@@ -198,7 +201,7 @@ TEST(SloWatchdog, RatioObjectiveAndHealthFlip) {
 obs::MetricsSnapshot golden_snapshot() {
   obs::MetricsSnapshot s;
   s.counters["router.admitted"] = 3;
-  s.counters["solver.alg6.solves"] = 2;
+  s.counters["solver.alg6.binary_probes"] = 2;
   s.accumulations["disk.0.busy_ms"] = 12.5;
   s.gauges["router.pending"] = 2.0;
   obs::MetricsSnapshot::HistogramData h;
@@ -500,12 +503,11 @@ TEST(RouterAgeFlush, WithoutAgeBoundPartialOverloadStrandsTheBuffer) {
   EXPECT_EQ(router.pending(), 0u);
 }
 
-#if !defined(REPFLOW_OBS_DISABLED)
-
 // ---------------------------------------------------------------------------
-// Flight recorder (normal builds: live ring semantics)
+// Flight recorder (live ring semantics)
 
 TEST(FlightRecorder, RingOverwriteKeepsNewestInRecordOrder) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no ring";
   obs::FlightRecorder recorder(/*capacity=*/8);
   for (std::uint64_t i = 0; i < 20; ++i) {
     recorder.record(/*query_id=*/i, obs::FlightEventKind::kAdmit,
@@ -529,11 +531,11 @@ TEST(FlightRecorder, RingOverwriteKeepsNewestInRecordOrder) {
 }
 
 TEST(FlightRecorder, QueryScopesNestAndRestore) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no scopes";
   EXPECT_EQ(obs::QueryScope::current().id, 0u);
   {
-    obs::QueryScope outer(41, /*budget_ms=*/100.0);
+    obs::QueryScope outer(41);
     EXPECT_EQ(obs::QueryScope::current().id, 41u);
-    EXPECT_DOUBLE_EQ(obs::QueryScope::current().budget_ms, 100.0);
     {
       obs::QueryScope inner(42);
       EXPECT_EQ(obs::QueryScope::current().id, 42u);
@@ -544,6 +546,7 @@ TEST(FlightRecorder, QueryScopesNestAndRestore) {
 }
 
 TEST(FlightRecorder, BreachCopiesTheQueryChain) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no ring";
   obs::FlightRecorder recorder(64);
   recorder.record(7, obs::FlightEventKind::kAdmit, 1.0);
   recorder.record(8, obs::FlightEventKind::kAdmit, 2.0);  // other traffic
@@ -575,6 +578,7 @@ TEST(FlightRecorder, BreachCopiesTheQueryChain) {
 // record() while the main thread repeatedly clear()s; every writer tags
 // `detail` with its own query id, so a mixed event shows as a mismatch.
 TEST(FlightRecorder, ConcurrentClearAndRecordStayRaceFree) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no ring";
 #if defined(REPFLOW_TSAN)
   constexpr int kEventsPerThread = 2000;
 #else
@@ -623,6 +627,7 @@ TEST(FlightRecorder, ConcurrentClearAndRecordStayRaceFree) {
 }
 
 TEST(FlightRecorder, RouterBudgetBreachDumpsFullPipelineChain) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no ring";
   core::QueryStreamScheduler sched(two_disk_system(),
                                    core::ExecutionPolicy{});
   core::RouterOptions opts;
@@ -652,35 +657,148 @@ TEST(FlightRecorder, RouterBudgetBreachDumpsFullPipelineChain) {
   EXPECT_EQ(kinds, want);
 }
 
-TEST(ServingPath, RecordsEachFactOnce) {
-  // A routed query's chain is admit -> solve -> schedule, each serving
-  // histogram gets exactly one observation per query, and the stream
-  // records the solve time the context measured.
-  const char* const histograms[] = {
-      "router.backlog_ms", "solver.matching.solve_ms", "stream.queue_wait_ms",
-      "stream.solve_ms", "stream.response_ms"};
-  const auto count_of = [](const obs::MetricsSnapshot& snapshot,
-                           const char* name) -> std::uint64_t {
-    const auto it = snapshot.histograms.find(name);
-    return it == snapshot.histograms.end() ? 0 : it->second.summary.count;
-  };
-  const auto sum_of = [](const obs::MetricsSnapshot& snapshot,
-                         const char* name) {
-    const auto it = snapshot.histograms.find(name);
-    return it == snapshot.histograms.end() ? 0.0 : it->second.summary.sum;
-  };
-  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
-
+TEST(FlightRecorder, RouterBudgetBreachOnFlushDumpsMergedChain) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no ring";
   core::QueryStreamScheduler sched(two_disk_system(),
                                    core::ExecutionPolicy{});
+  core::RouterOptions opts;
+  opts.mode = core::AdmissionMode::kCoalesce;
+  opts.max_backlog_ms = 10.0;
+  opts.max_coalesce = 100;
+  opts.max_coalesce_age_ms = 20.0;
+  opts.latency_budget_ms = 1e-6;  // every real response breaches
+  core::QueryRouter router(sched, opts);
+  obs::FlightRecorder& recorder = obs::FlightRecorder::global();
+
+  router.submit_replicas(both_disk_query(200), 0.0);  // admitted, breaches
+  const std::size_t breaches_before = recorder.breaches().size();
+  const core::RouterOutcome parked =
+      router.submit_replicas(both_disk_query(2), 5.0);
+  ASSERT_EQ(parked.decision, core::RouterDecision::kCoalesced);
+  EXPECT_EQ(recorder.breaches().size(), breaches_before);  // nothing served
+
+  // The age flush serves the buffer; the arrival that triggered it breaches
+  // with its whole merged chain.
+  const core::RouterOutcome out =
+      router.submit_replicas(both_disk_query(2), 30.0);
+  ASSERT_EQ(out.decision, core::RouterDecision::kFlushed);
+  const std::vector<obs::BreachDump> breaches = recorder.breaches();
+  ASSERT_EQ(breaches.size(), breaches_before + 1);
+  EXPECT_EQ(breaches.back().query_id, out.query_id);
+  std::vector<obs::FlightEventKind> kinds;
+  for (const obs::FlightEvent& e : breaches.back().chain) {
+    kinds.push_back(e.kind);
+  }
+  const std::vector<obs::FlightEventKind> want = {
+      obs::FlightEventKind::kCoalesce, obs::FlightEventKind::kFlush,
+      obs::FlightEventKind::kSolve, obs::FlightEventKind::kSchedule,
+      obs::FlightEventKind::kBreach};
+  EXPECT_EQ(kinds, want);
+
+  // flush() at the end of a stream checks no budget.
+  ASSERT_EQ(router.submit_replicas(both_disk_query(2), 35.0).decision,
+            core::RouterDecision::kCoalesced);
+  ASSERT_TRUE(router.flush(40.0).has_value());
+  EXPECT_EQ(recorder.breaches().size(), breaches_before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// One recorder per serving fact: which registry series a solve moves, and
+// by how much.
+
+// Three unit-cost disks.  The greedy seed sends buckets 0 and 1 of
+// augmenting_query() to disk 0, which has one slot under the lower bound,
+// so every solve has a path to augment (or flow to push).
+workload::SystemConfig three_disk_system() {
+  workload::SystemConfig sys;
+  sys.num_sites = 1;
+  sys.disks_per_site = 3;
+  sys.cost_ms = {1.0, 1.0, 1.0};
+  sys.delay_ms = {0.0, 0.0, 0.0};
+  sys.init_load_ms = {0.0, 0.0, 0.0};
+  sys.model = {"A", "A", "A"};
+  return sys;
+}
+
+std::vector<std::vector<core::DiskId>> augmenting_query() {
+  return {{0, 1}, {0}, {1, 2}};
+}
+
+// The nonzero counter deltas and histogram count and sum deltas between
+// two snapshots of the global registry.
+struct RegistryMoves {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::uint64_t> histogram_counts;
+  std::map<std::string, double> histogram_sums;
+};
+
+RegistryMoves registry_moves(const obs::MetricsSnapshot& before,
+                             const obs::MetricsSnapshot& after) {
+  RegistryMoves moves;
+  for (const auto& [name, value] : after.counters) {
+    const auto it = before.counters.find(name);
+    const std::uint64_t delta =
+        value - (it == before.counters.end() ? 0 : it->second);
+    if (delta != 0) moves.counters[name] = delta;
+  }
+  for (const auto& [name, data] : after.histograms) {
+    const auto it = before.histograms.find(name);
+    const bool seen = it != before.histograms.end();
+    const std::uint64_t count =
+        data.summary.count - (seen ? it->second.summary.count : 0);
+    if (count == 0) continue;
+    moves.histogram_counts[name] = count;
+    moves.histogram_sums[name] =
+        data.summary.sum - (seen ? it->second.summary.sum : 0.0);
+  }
+  return moves;
+}
+
+// Removes `name` from `counters` and returns its delta (0 when it did not
+// move).
+std::uint64_t take(std::map<std::string, std::uint64_t>& counters,
+                   const std::string& name) {
+  const auto node = counters.extract(name);
+  return node.empty() ? 0 : node.mapped();
+}
+
+// Series that restated another series' fact; nothing registers them.
+void expect_no_shadow_series(const obs::MetricsSnapshot& snapshot) {
+  for (const char* name : {"stream.queue_wait_ms", "stream.solve_ms"}) {
+    EXPECT_EQ(snapshot.histograms.count(name), 0u) << name;
+  }
+  for (const char* name : {"workspace.reuse_hits", "policy.decisions",
+                           "matching.retained_matching_hits"}) {
+    EXPECT_EQ(snapshot.counters.count(name), 0u) << name;
+  }
+  for (const core::SolverKind kind : core::kAllSolverKinds) {
+    const std::string name =
+        std::string("solver.") + core::solver_id(kind) + ".solves";
+    EXPECT_EQ(snapshot.counters.count(name), 0u) << name;
+  }
+}
+
+TEST(ServingPath, RecordsEachFactOnce) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no series";
+  // Twelve kOff arrivals through the router and the stream, served by the
+  // matching kernel.  Each fact a routed query produces moves exactly one
+  // series: the backlog, the solve time (its count is the solve count) and
+  // the response; a pooled reuse moves nothing, and the first solve one
+  // rebuild.
+  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+  core::QueryStreamScheduler sched(three_disk_system(),
+                                   core::ExecutionPolicy{});
   core::QueryRouter router(sched, core::RouterOptions{});
-  constexpr int kArrivals = 12;
-  for (int i = 0; i < kArrivals; ++i) {
+  constexpr std::uint64_t kArrivals = 12;
+  double event_solve_ms = 0.0;
+  std::uint64_t buckets = 0;
+  for (std::uint64_t i = 0; i < kArrivals; ++i) {
     const core::RouterOutcome out = router.submit_replicas(
-        both_disk_query(1 + static_cast<std::size_t>(i % 5)),
-        static_cast<double>(i));
+        augmenting_query(), 0.5 * static_cast<double>(i));
     ASSERT_EQ(out.decision, core::RouterDecision::kAdmitted);
-    ASSERT_NE(out.query_id, 0u);
+    ASSERT_TRUE(out.event.has_value());
+    event_solve_ms += out.event->solve_ms;
+    buckets += static_cast<std::uint64_t>(out.event->buckets);
     std::vector<obs::FlightEventKind> kinds;
     for (const obs::FlightEvent& e :
          obs::FlightRecorder::global().query_events(out.query_id)) {
@@ -691,30 +809,100 @@ TEST(ServingPath, RecordsEachFactOnce) {
         obs::FlightEventKind::kSchedule};
     EXPECT_EQ(kinds, want) << "arrival " << i;
   }
+  const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
+  expect_no_shadow_series(after);
+  RegistryMoves moves = registry_moves(before, after);
+
+  const std::uint64_t augmentations =
+      take(moves.counters, "graph.augmentations");
+  ASSERT_GT(augmentations, 0u);
+  const std::map<std::string, std::uint64_t> want_histograms = {
+      {"matching.augmenting_path_len", augmentations},
+      {"router.backlog_ms", kArrivals},
+      {"solver.matching.solve_ms", kArrivals},
+      {"stream.response_ms", kArrivals}};
+  EXPECT_EQ(moves.histogram_counts, want_histograms);
+  // One clock pair times each solve: the events carry the values the
+  // solver's histogram summed (up to the rounding of its running sum).
+  EXPECT_NEAR(moves.histogram_sums["solver.matching.solve_ms"],
+              event_solve_ms, 1e-9);
+
+  EXPECT_EQ(take(moves.counters, "router.admitted"), kArrivals);
+  EXPECT_EQ(take(moves.counters, "workspace.rebuilds"), 1u);
+  EXPECT_GE(take(moves.counters, "solver.matching.binary_probes"),
+            kArrivals);
+  // The kernel's own counters equal the matching part of graph.*.
+  EXPECT_EQ(take(moves.counters, "matching.phase_count"),
+            take(moves.counters, "graph.global_relabels"));
+  EXPECT_EQ(take(moves.counters, "matching.visits"),
+            take(moves.counters, "graph.dfs_visits"));
+  std::uint64_t assigned = 0;
+  for (int disk = 0; disk < 3; ++disk) {
+    assigned += take(moves.counters,
+                     "disk." + std::to_string(disk) + ".assigned_buckets");
+  }
+  EXPECT_EQ(assigned, buckets);
+  // Nothing else counted.
+  EXPECT_EQ(moves.counters, (std::map<std::string, std::uint64_t>{}));
+}
+
+TEST(ServingPath, Alg6ContextRecordsEachFactOnce) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no series";
+  // The seam each BatchSolver worker solves through: a context pinned to
+  // Algorithm 6.  Every counter it moves is a sum of the results' own
+  // counts, and its one histogram gains one observation per solve.
+  const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+  core::ExecutionContext context(
+      core::ExecutionPolicy::pinned(core::SolverKind::kPushRelabelBinary));
+  core::RetrievalProblem problem{.replicas = augmenting_query(),
+                                 .system = three_disk_system()};
+  constexpr std::uint64_t kSolves = 12;
+  double solve_ms = 0.0;
+  std::map<std::string, std::uint64_t> want_counters = {
+      {"workspace.rebuilds", 1}};
+  const auto count = [&want_counters](const std::string& name,
+                                      std::int64_t value) {
+    want_counters[name] += static_cast<std::uint64_t>(value);
+  };
+  for (std::uint64_t i = 0; i < kSolves; ++i) {
+    problem.system.init_load_ms[i % 3] = 0.25 * static_cast<double>(i);
+    core::SolveResult& result = context.scratch();
+    solve_ms += context.solve_into(problem, result);
+    count("solver.alg6.binary_probes", result.binary_probes);
+    count("solver.alg6.capacity_steps", result.capacity_steps);
+    count("solver.alg6.maxflow_runs", result.maxflow_runs);
+    const graph::FlowStats& work = result.flow_stats;
+    count("graph.augmentations", work.augmentations);
+    count("graph.pushes", work.pushes);
+    count("graph.relabels", work.relabels);
+    count("graph.global_relabels", work.global_relabels);
+    count("graph.gap_jumps", work.gap_jumps);
+    count("graph.dfs_visits", work.dfs_visits);
+    for (int disk = 0; disk < 3; ++disk) {
+      count("disk." + std::to_string(disk) + ".assigned_buckets",
+            result.schedule.per_disk_count[static_cast<std::size_t>(disk)]);
+    }
+  }
+  std::erase_if(want_counters,
+                [](const auto& entry) { return entry.second == 0; });
+  ASSERT_TRUE(want_counters.contains("graph.pushes"));
 
   const obs::MetricsSnapshot after = obs::Registry::global().snapshot();
-  for (const char* name : histograms) {
-    EXPECT_EQ(count_of(after, name) - count_of(before, name),
-              static_cast<std::uint64_t>(kArrivals))
-        << name;
-  }
-  // One clock pair times each solve: the stream's histogram and the
-  // solver's sum the same 12 values (up to the rounding of each running
-  // sum), where a second stopwatch around the context would add the
-  // context's own work to every stream.solve_ms.
-  EXPECT_NEAR(sum_of(after, "stream.solve_ms") -
-                  sum_of(before, "stream.solve_ms"),
-              sum_of(after, "solver.matching.solve_ms") -
-                  sum_of(before, "solver.matching.solve_ms"),
+  expect_no_shadow_series(after);
+  const RegistryMoves moves = registry_moves(before, after);
+  EXPECT_EQ(moves.histogram_counts,
+            (std::map<std::string, std::uint64_t>{
+                {"solver.alg6.solve_ms", kSolves}}));
+  EXPECT_NEAR(moves.histogram_sums.at("solver.alg6.solve_ms"), solve_ms,
               1e-9);
-  EXPECT_EQ(after.counters.count("policy.decisions"), 0u);
-  EXPECT_EQ(after.counters.count("matching.retained_matching_hits"), 0u);
+  EXPECT_EQ(moves.counters, want_counters);
 }
 
 // ---------------------------------------------------------------------------
 // Per-disk utilization accounting (live registry)
 
 TEST(DiskAccounting, SolveFoldsServiceTimeIntoPerDiskSeries) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no series";
   const workload::SystemConfig sys =
       two_disk_system(/*cost0=*/1.0, /*cost1=*/2.0, /*delay0=*/0.5,
                       /*delay1=*/0.25);
@@ -757,6 +945,7 @@ TEST(DiskAccounting, SolveFoldsServiceTimeIntoPerDiskSeries) {
 }
 
 TEST(DiskAccounting, OutOfRangeDiskIdsShareTheOverflowBundle) {
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: one bundle";
   obs::DiskInstruments& di = obs::DiskInstruments::global();
   obs::DiskInstrument& overflow = di.disk(obs::DiskInstruments::kMaxTracked);
   EXPECT_EQ(&di.disk(obs::DiskInstruments::kMaxTracked + 1000), &overflow);
@@ -767,8 +956,10 @@ TEST(DiskAccounting, OutOfRangeDiskIdsShareTheOverflowBundle) {
 }
 
 TEST(RouterInstruments, AgeFlushSeriesRecorded) {
-  obs::RouterInstruments& ri = obs::RouterInstruments::global();
-  const std::uint64_t age_before = ri.age_flushes.value();
+  if constexpr (!obs::kEnabled) GTEST_SKIP() << "kill switch: no series";
+  obs::Counter& age_flushes =
+      obs::Registry::global().counter("router.age_flushes");
+  const std::uint64_t age_before = age_flushes.value();
   const std::uint64_t hist_before =
       obs::Registry::global().histogram("router.flush_age_ms").summary().count;
 
@@ -784,7 +975,7 @@ TEST(RouterInstruments, AgeFlushSeriesRecorded) {
   router.submit_replicas(both_disk_query(2), 5.0);
   router.submit_replicas(both_disk_query(2), 30.0);
 
-  EXPECT_EQ(ri.age_flushes.value(), age_before + 1);
+  EXPECT_EQ(age_flushes.value(), age_before + 1);
   const obs::HistogramSummary ages =
       obs::Registry::global().histogram("router.flush_age_ms").summary();
   EXPECT_EQ(ages.count, hist_before + 1);
@@ -793,12 +984,11 @@ TEST(RouterInstruments, AgeFlushSeriesRecorded) {
   EXPECT_GE(ages.max, 25.0);
 }
 
-#else  // REPFLOW_OBS_DISABLED
-
 // ---------------------------------------------------------------------------
 // Kill-switch builds: every instrument records nothing.
 
 TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
+  if constexpr (obs::kEnabled) GTEST_SKIP() << "kill switch is on";
   obs::FlightRecorder& global = obs::FlightRecorder::global();
   EXPECT_EQ(global.next_query_id(), 0u);
   global.record(1, obs::FlightEventKind::kSolve, 2.0);
@@ -822,9 +1012,8 @@ TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
   EXPECT_EQ(recorder.recorded(), 0u);
 
   {
-    obs::QueryScope scope(7, 5.0);
+    obs::QueryScope scope(7);
     EXPECT_EQ(obs::QueryScope::current().id, 0u);
-    EXPECT_EQ(obs::QueryScope::current().budget_ms, 0.0);
   }
   EXPECT_EQ(obs::QueryScope::current().id, 0u);
 
@@ -840,16 +1029,10 @@ TEST(TelemetryDisabled, NewInstrumentSurfacesAreInert) {
   EXPECT_EQ(&obs::DiskInstruments::global().disk(4), &disk);
   EXPECT_EQ(&obs::DiskInstruments::global().disk(100000), &disk);
 
-  obs::RouterInstruments& ri = obs::RouterInstruments::global();
-  ri.age_flushes.add(1);
-  ri.flush_age_ms.observe(5.0);
-  ri.pending.set(3.0);
-  EXPECT_EQ(ri.age_flushes.value(), 0u);
-  EXPECT_EQ(ri.flush_age_ms.summary().count, 0u);
-  EXPECT_EQ(ri.pending.value(), 0.0);
 }
 
 TEST(TelemetryDisabled, ServingPipelineStillRunsWithZeroIds) {
+  if constexpr (obs::kEnabled) GTEST_SKIP() << "kill switch is on";
   core::QueryStreamScheduler sched(two_disk_system(),
                                    core::ExecutionPolicy{});
   core::RouterOptions opts;
@@ -878,9 +1061,13 @@ TEST(TelemetryDisabled, ServingPipelineStillRunsWithZeroIds) {
             std::string::npos);
   EXPECT_NE(exporter.handle("/healthz").find("\"healthy\":true"),
             std::string::npos);
+  // The router recorded into its series, and none of them moved.
+  const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
+  EXPECT_TRUE(snapshot.counters.empty());
+  EXPECT_TRUE(snapshot.histograms.empty());
+  EXPECT_EQ(obs::Registry::global().counter("router.age_flushes").value(), 0u);
+  EXPECT_EQ(obs::Registry::global().gauge("router.pending").value(), 0.0);
 }
-
-#endif  // REPFLOW_OBS_DISABLED
 
 }  // namespace
 }  // namespace repflow

@@ -21,7 +21,7 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         (`router.{admitted,shed}`) and `<...>` wildcards (`disk.<j>.busy_ms`).
   MET02 the converse: every exact metric name listed under "Who records
         what" in docs/OBSERVABILITY.md must be registered somewhere in src/,
-        as a literal or through a string paste (`"solver." id ".solves"`)
+        as a literal or through a string paste (`"solver." id ".solve_ms"`)
         whose prefix and suffix bracket it — so a deleted mechanism cannot
         leave its metric lines behind.  Needs the whole src/ tree.
   DEAD01 every header under src/ must be #included by some file under
@@ -39,11 +39,13 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         every row there names a returned label — so a deleted event kind
         cannot stay documented, nor a new one go undocumented.  Needs the
         whole src/ tree.
-  OBS01 no preprocessor line under src/ reads REPFLOW_OBS_DISABLED except
-        in src/obs/kill_switch.h, which turns it into the constant
-        obs::kEnabled — so each obs type keeps one definition, and the
-        kill switch stays one `if constexpr` per recording path rather
-        than a second, stub copy of the layer.
+  OBS01 no preprocessor line under src/ or tests/ reads
+        REPFLOW_OBS_DISABLED except in src/obs/kill_switch.h, which turns
+        it into the constant obs::kEnabled — so each obs type keeps one
+        definition, the kill switch stays one `if constexpr` per recording
+        path rather than a second, stub copy of the layer, and every test
+        compiles in both builds (one that needs a build skips at run
+        time).
 
 Exit status: 0 when clean, 1 when any violation is reported, 2 on usage
 errors.  Run from anywhere inside the repo:
@@ -117,7 +119,7 @@ METRIC_CALL_RE = re.compile(
 METRIC_PREFIX_CALL_RE = re.compile(
     r"\b(?:counter|gauge|accumulator|histogram)\s*\(\s*prefix\s*\+\s*"
     r"\"(\.[a-z0-9_.]+)\"")
-# Compile-time paste `counter("solver." id ".solves")`: (prefix, suffix).
+# Compile-time paste `histogram("solver." id ".solve_ms")`: (prefix, suffix).
 METRIC_PASTE_CALL_RE = re.compile(
     r"\b(?:counter|gauge|accumulator|histogram)\s*\(\s*\"([a-z0-9_.]+\.)\""
     r"\s*[A-Za-z_]\w*\s*\"(\.[a-z0-9_.]+)\"")
@@ -510,7 +512,7 @@ RULES = {
     "DEAD01": (check_dead_headers, ["src"]),
     "LAYER01": (check_layering, ["src"]),
     "FLT01": (check_flight_event_docs, ["src"]),
-    "OBS01": (check_obs_switch, ["src"]),
+    "OBS01": (check_obs_switch, ["src", "tests"]),
 }
 
 

@@ -425,18 +425,26 @@ def test_flt01_flags_missing_section():
 def test_obs01_flags_directives_outside_the_switch_header():
     tree = FixtureTree()
     try:
-        rel = tree.write("src/obs/metrics.h",
-                         "// REPFLOW_OBS_DISABLED in a comment is fine.\n"
-                         "#if !defined(REPFLOW_OBS_DISABLED)\n"
-                         "class Counter {};\n"
-                         "#else  // REPFLOW_OBS_DISABLED\n"
-                         "class Counter {};\n"
-                         "#endif\n"
-                         "  #  ifdef REPFLOW_OBS_DISABLED\n"
-                         "#endif\n")
-        violations = run_rule(tree, "OBS01", [rel])
-        assert [(v.rule, v.line) for v in violations] == [
-            ("OBS01", 2), ("OBS01", 4), ("OBS01", 7)], violations
+        files = [
+            tree.write("src/obs/metrics.h",
+                       "// REPFLOW_OBS_DISABLED in a comment is fine.\n"
+                       "#if !defined(REPFLOW_OBS_DISABLED)\n"
+                       "class Counter {};\n"
+                       "#else  // REPFLOW_OBS_DISABLED\n"
+                       "class Counter {};\n"
+                       "#endif\n"
+                       "  #  ifdef REPFLOW_OBS_DISABLED\n"
+                       "#endif\n"),
+            tree.write("tests/obs_test.cpp",
+                       "#if !defined(REPFLOW_OBS_DISABLED)\n"
+                       "TEST(Counter, Adds) {}\n"
+                       "#endif  // REPFLOW_OBS_DISABLED\n"),
+        ]
+        violations = run_rule(tree, "OBS01", files)
+        assert [(v.rule, v.path, v.line) for v in violations] == [
+            ("OBS01", files[0], 2), ("OBS01", files[0], 4),
+            ("OBS01", files[0], 7), ("OBS01", files[1], 1),
+            ("OBS01", files[1], 3)], violations
     finally:
         tree.cleanup()
 
@@ -457,8 +465,25 @@ def test_obs01_accepts_the_switch_header_and_the_constant():
                        "void add() {\n"
                        "  if constexpr (kEnabled) ++value;\n"
                        "}\n"),
+            tree.write("tests/obs_test.cpp",
+                       "// Skips under REPFLOW_OBS_DISABLED.\n"
+                       "TEST(Counter, Adds) {\n"
+                       "  if constexpr (!obs::kEnabled) GTEST_SKIP();\n"
+                       "}\n"),
         ]
         assert run_rule(tree, "OBS01", files) == []
+    finally:
+        tree.cleanup()
+
+
+def test_obs01_lints_tests_by_default():
+    tree = FixtureTree()
+    try:
+        tree.write("src/clean.cpp", "int f() { return 0; }\n")
+        assert lint.main(["--root", tree.root, "--rule", "OBS01"]) == 0
+        tree.write("tests/obs_test.cpp",
+                   "#ifdef REPFLOW_OBS_DISABLED\n#endif\n")
+        assert lint.main(["--root", tree.root, "--rule", "OBS01"]) == 1
     finally:
         tree.cleanup()
 
