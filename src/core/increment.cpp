@@ -13,26 +13,18 @@ CapacityIncrementer::CapacityIncrementer(RetrievalNetwork& network) {
 }
 
 void CapacityIncrementer::rebind(RetrievalNetwork& network) {
-  rebind(network.net(), network.problem().system, network.sink_arcs(),
-         network.in_degrees());
-}
-
-void CapacityIncrementer::rebind(graph::FlowNetwork& net,
-                                 const workload::SystemConfig& system,
-                                 std::span<const graph::ArcId> sink_arcs,
-                                 std::span<const std::int32_t> in_degrees) {
-  net_ = &net;
-  system_ = &system;
-  sink_arcs_ = sink_arcs;
-  in_degrees_ = in_degrees;
+  net_ = &network.net();
+  system_ = &network.problem().system;
+  sink_arcs_ = network.sink_arcs();
+  in_degrees_ = network.in_degrees();
   caps_.clear();
-  caps_.reserve(sink_arcs.size());
+  caps_.reserve(sink_arcs_.size());
   live_.clear();
-  for (std::size_t d = 0; d < sink_arcs.size(); ++d) {
-    caps_.push_back(net.capacity(sink_arcs[d]));
+  for (std::size_t d = 0; d < sink_arcs_.size(); ++d) {
+    caps_.push_back(net_->capacity(sink_arcs_[d]));
     // A disk already saturated by its in-degree never joins the live set
     // (Algorithm 3 lines 3-5 would delete it on the first step anyway).
-    if (in_degrees[d] > caps_.back()) live_.push_back(static_cast<DiskId>(d));
+    if (in_degrees_[d] > caps_.back()) live_.push_back(static_cast<DiskId>(d));
   }
   steps_ = 0;
   total_increments_ = 0;

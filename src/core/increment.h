@@ -32,14 +32,6 @@ class CapacityIncrementer {
   /// same-footprint network performs no heap allocation.
   void rebind(RetrievalNetwork& network);
 
-  /// The same on any flow network whose disk d drains into the sink over
-  /// `sink_arcs[d]`, priced by `system` and bounded by `in_degrees[d]`
-  /// (IncrementalQuerySession's network).  The spans must stay valid, and
-  /// the in-degrees fixed, until the next rebind.
-  void rebind(graph::FlowNetwork& net, const workload::SystemConfig& system,
-              std::span<const graph::ArcId> sink_arcs,
-              std::span<const std::int32_t> in_degrees);
-
   /// One IncrementMinCost step.  Returns the minimum next-completion cost
   /// (the candidate response time just admitted).  Throws std::logic_error
   /// if no live edge remains (the caller exceeded total capacity c*|Q|).

@@ -2,7 +2,7 @@
 // This is the primary public API entry point (see examples/quickstart.cpp).
 // Internally it delegates to a thread_local ExecutionContext
 // (docs/SERVING.md), the same spine the stream scheduler and the batch
-// solver run on.  Incremental sessions keep their own network and engine.
+// solver run on.
 #pragma once
 
 #include "core/execution.h"

@@ -119,38 +119,6 @@ ReplicatedAllocation make_orthogonal(std::int32_t n, SiteMapping mapping) {
   return ReplicatedAllocation({std::move(first), std::move(second)}, mapping);
 }
 
-ReplicatedAllocation make_orthogonal_multi(std::int32_t n,
-                                           std::int32_t copies,
-                                           SiteMapping mapping) {
-  if (copies < 2) {
-    throw std::invalid_argument("make_orthogonal_multi: copies < 2");
-  }
-  // Mutual orthogonality of f_k and f_l requires the coefficient difference
-  // (k - l) to be invertible mod N.
-  for (std::int32_t k = 1; k < copies; ++k) {
-    if (n > 1 && std::gcd(k, n) != 1) {
-      throw std::invalid_argument(
-          "make_orthogonal_multi: copies " + std::to_string(copies) +
-          " not pairwise orthogonal for N = " + std::to_string(n) +
-          " (gcd(" + std::to_string(k) + ", N) != 1)");
-    }
-  }
-  std::vector<Allocation> allocs;
-  allocs.reserve(static_cast<std::size_t>(copies));
-  for (std::int32_t k = 0; k < copies; ++k) {
-    Allocation a(n, n);
-    for (std::int32_t i = 0; i < n; ++i) {
-      for (std::int32_t j = 0; j < n; ++j) {
-        a.set_disk(i, j,
-                   static_cast<DiskId>(
-                       (i + static_cast<std::int64_t>(k + 1) * j) % n));
-      }
-    }
-    allocs.push_back(std::move(a));
-  }
-  return ReplicatedAllocation(std::move(allocs), mapping);
-}
-
 ReplicatedAllocation make_dependent(std::int32_t n, SiteMapping mapping,
                                     std::int32_t shift) {
   if (shift < 1 || shift >= std::max(n, 2)) {

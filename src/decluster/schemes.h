@@ -46,15 +46,6 @@ ReplicatedAllocation make_rda(std::int32_t n, std::int32_t copies,
 /// defining orthogonality property ([23], [39]).
 ReplicatedAllocation make_orthogonal(std::int32_t n, SiteMapping mapping);
 
-/// c-copy orthogonal family: copy k is f_k(i,j) = (i + (k+1)*j) mod N for
-/// k = 0..copies-1 (the 2-copy case reduces to make_orthogonal).  Copies
-/// k and l are mutually orthogonal iff gcd(k - l, N) = 1; the constructor
-/// throws unless every pair qualifies (e.g. any `copies` when N is a prime
-/// larger than `copies`).
-ReplicatedAllocation make_orthogonal_multi(std::int32_t n,
-                                           std::int32_t copies,
-                                           SiteMapping mapping);
-
 /// Dependent periodic allocation: copy 0 is the best periodic allocation
 /// f(i,j) = (i + a2*j) mod N; copy 1 the shifted g = (f + shift) mod N with
 /// 1 <= shift <= N-1 ([11], [46]).

@@ -14,11 +14,6 @@ constexpr std::size_t kMaxArcs =
     static_cast<std::size_t>(std::numeric_limits<ArcId>::max());
 }  // namespace
 
-Vertex FlowNetwork::add_vertex() {
-  add_vertices(1);
-  return num_vertices() - 1;
-}
-
 void FlowNetwork::add_vertices(Vertex count) {
   if (count < 0) throw std::invalid_argument("add_vertices: negative count");
   const std::size_t total =

@@ -38,7 +38,6 @@ class FlowNetwork {
     add_vertices(initial_vertices);
   }
 
-  Vertex add_vertex();
   void add_vertices(Vertex count);
 
   /// Create the forward/reverse arc pair (tail -> head) with capacity `cap`.
@@ -90,7 +89,7 @@ class FlowNetwork {
 
   /// Arc ids leaving `v` (both forward and reverse slots), in insertion
   /// order, as one contiguous CSR range.  The span is invalidated by the
-  /// next topology edit (add_vertex/add_arc/reset).
+  /// next topology edit (add_vertices/add_arc/reset).
   std::span<const ArcId> out_arcs(Vertex v) const {
     if (csr_dirty_) rebuild_csr();
     return {out_arcs_.data() + first_out_[static_cast<std::size_t>(v)],

@@ -1,7 +1,6 @@
 #include "support/rng.h"
 
 #include <bit>
-#include <cmath>
 
 namespace repflow {
 
@@ -69,26 +68,6 @@ bool Rng::chance(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform01() < p;
-}
-
-std::size_t Rng::weighted_index(std::span<const double> weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    if (w < 0.0 || !std::isfinite(w)) {
-      throw std::invalid_argument("Rng::weighted_index: bad weight");
-    }
-    total += w;
-  }
-  if (total <= 0.0) {
-    throw std::invalid_argument("Rng::weighted_index: zero total weight");
-  }
-  double pick = uniform01() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (pick < acc) return i;
-  }
-  return weights.size() - 1;  // guard against floating-point round-off
 }
 
 std::vector<std::uint32_t> Rng::sample_without_replacement(std::uint32_t n,

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -55,19 +54,6 @@ class Rng {
 
   /// Bernoulli draw with success probability p.
   bool chance(double p);
-
-  /// Sample an index according to non-negative weights (need not sum to 1).
-  /// Throws std::invalid_argument if all weights are zero or any is negative.
-  std::size_t weighted_index(std::span<const double> weights);
-
-  /// Fisher-Yates shuffle of a vector.
-  template <typename T>
-  void shuffle(std::vector<T>& items) {
-    for (std::size_t i = items.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(below(i));
-      std::swap(items[i - 1], items[j]);
-    }
-  }
 
   /// k distinct values from [0, n) in sampling order (Floyd's algorithm for
   /// small k, partial shuffle otherwise).

@@ -83,18 +83,6 @@ Summary summarize(std::span<const double> samples) {
   return s;
 }
 
-double geometric_mean(std::span<const double> samples) {
-  if (samples.empty()) return 0.0;
-  double log_sum = 0.0;
-  for (double x : samples) {
-    if (x <= 0.0) {
-      throw std::invalid_argument("geometric_mean: non-positive sample");
-    }
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(samples.size()));
-}
-
 std::string Summary::to_string() const {
   std::ostringstream os;
   os << "n=" << count << " mean=" << mean << " sd=" << stddev

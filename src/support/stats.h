@@ -56,7 +56,4 @@ Summary summarize(std::span<const double> samples);
 /// Linear-interpolated percentile of a *sorted* sample span, q in [0, 1].
 double percentile_sorted(std::span<const double> sorted, double q);
 
-/// Geometric mean of strictly positive samples (0 if empty).
-double geometric_mean(std::span<const double> samples);
-
 }  // namespace repflow

@@ -13,7 +13,6 @@
 #include "core/ford_fulkerson_basic.h"
 #include "core/ford_fulkerson_incremental.h"
 #include "core/increment.h"
-#include "core/incremental_session.h"
 #include "core/network.h"
 #include "core/problem.h"
 #include "core/push_relabel_binary.h"
@@ -205,9 +204,6 @@ TEST(Increment, TiesAreExactAtTinyMagnitudes) {
     EXPECT_EQ(r.response_time_ms, optimum) << solver_name(kind);
     EXPECT_EQ(r.schedule.per_disk_count[0], 4) << solver_name(kind);
   }
-  IncrementalQuerySession session(p.system);
-  for (const auto& replicas : p.replicas) session.add_bucket(replicas);
-  EXPECT_EQ(session.reoptimize(), optimum);
 }
 
 /// A kernel whose flow reaches |Q| exactly at t >= `optimum`; it records

@@ -17,7 +17,6 @@
 
 #include "core/batch.h"
 #include "core/execution.h"
-#include "core/incremental_session.h"
 #include "core/router.h"
 #include "core/solve.h"
 #include "core/stream.h"
@@ -167,15 +166,6 @@ INSTANTIATE_TEST_SUITE_P(Catalog, InvalidInput,
                          [](const ::testing::TestParamInfo<SolverKind>& info) {
                            return std::string(solver_id(info.param));
                          });
-
-TEST(ExecutionContext, OpenSessionMatchesOneShotSolve) {
-  const RetrievalProblem p = sparse_problem();
-  IncrementalQuerySession session(p.system);
-  for (const auto& replicas : p.replicas) session.add_bucket(replicas);
-  const double incremental = session.reoptimize();
-  EXPECT_EQ(incremental,
-            solve(p, SolverKind::kPushRelabelBinary).response_time_ms);
-}
 
 std::uint64_t counter_in_snapshot(const char* name) {
   const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();

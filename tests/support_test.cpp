@@ -71,25 +71,6 @@ TEST(Rng, ChanceExtremes) {
   EXPECT_TRUE(rng.chance(1.0));
 }
 
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng rng(17);
-  const double weights[] = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 4000; ++i) {
-    ++counts[rng.weighted_index(weights)];
-  }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.5);
-}
-
-TEST(Rng, WeightedIndexRejectsBadInput) {
-  Rng rng(1);
-  const double zeros[] = {0.0, 0.0};
-  EXPECT_THROW(rng.weighted_index(zeros), std::invalid_argument);
-  const double negative[] = {1.0, -1.0};
-  EXPECT_THROW(rng.weighted_index(negative), std::invalid_argument);
-}
-
 TEST(Rng, SampleWithoutReplacementDistinctAndInRange) {
   Rng rng(23);
   for (std::uint32_t n : {5u, 50u, 500u}) {
@@ -189,15 +170,6 @@ TEST(Percentile, Interpolates) {
   EXPECT_DOUBLE_EQ(percentile_sorted(xs, 0.5), 15.0);
   EXPECT_DOUBLE_EQ(percentile_sorted(xs, 1.0), 20.0);
   EXPECT_THROW(percentile_sorted(xs, 1.5), std::invalid_argument);
-}
-
-TEST(GeometricMean, Basics) {
-  const std::vector<double> xs = {1.0, 4.0, 16.0};
-  EXPECT_NEAR(geometric_mean(xs), 4.0, 1e-12);
-  const std::vector<double> empty;
-  EXPECT_EQ(geometric_mean(empty), 0.0);
-  const std::vector<double> bad = {1.0, 0.0};
-  EXPECT_THROW(geometric_mean(bad), std::invalid_argument);
 }
 
 TEST(TablePrinter, AlignsAndRenders) {

@@ -19,7 +19,6 @@
 
 #include "analysis/check.h"
 #include "core/execution.h"
-#include "core/incremental_session.h"
 #include "core/router.h"
 #include "core/solve.h"
 #include "core/solver_pool.h"
@@ -106,7 +105,6 @@ static_assert(kPinned<core::PushRelabelIncrementalSolver>);
 static_assert(kPinned<core::PushRelabelBinarySolver>);
 static_assert(kPinned<core::ParallelPushRelabelBinarySolver>);
 static_assert(kPinned<core::BlackBoxBinarySolver>);
-static_assert(kPinned<core::IncrementalQuerySession>);
 
 // The whole catalog (generated from REPFLOW_SOLVER_CATALOG), so any new
 // kind is automatically held to the zero-allocation and bit-identity bars.

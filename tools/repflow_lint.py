@@ -26,8 +26,15 @@ Rules (each has a stable id; docs/ANALYSIS.md carries the catalog):
         leave its metric lines behind.  Needs the whole src/ tree.
   DEAD01 every header under src/ must be #included by some file under
         src/, bench/, examples/, fuzz/ or perfbench/ other than its own
-        .cpp — code that only its own tests reach is dead.  The test
-        oracles (TEST_ORACLES) are exempt: tests compare against them.
+        .cpp — code that only its own tests reach is dead.  The main file
+        of a bench/ or examples/ target (`repflow_bench(x)`,
+        `repflow_example(x)` or `add_executable(x ...)` in that
+        directory's CMakeLists.txt) counts only when
+        .github/workflows/ci.yml names the target outside a comment, so a
+        bench no CI step runs keeps nothing alive; a missing ci.yml is a
+        violation.  Other files there (the bench library) count as they
+        are.  The test oracles (TEST_ORACLES) are exempt: tests compare
+        against them.
   LAYER01 no file under the layers below core (LOWER_LAYERS: src/support,
         src/obs, src/graph, src/decluster, src/workload, src/parallel)
         includes a `core/` header, so dependencies run one way
@@ -137,8 +144,16 @@ FLIGHT_CASE_RE = re.compile(
 CPP_EXTENSIONS = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
 # DEAD01: the trees whose #includes keep a src/ header alive (tests/ does
-# not count), and the headers kept for the tests alone.
+# not count), the trees whose targets count only when the CI workflow names
+# them, and the headers kept for the tests alone.
 INCLUDER_DIRS = ["src", "bench", "examples", "fuzz", "perfbench"]
+TARGET_DIRS = ["bench", "examples"]
+CI_WORKFLOW = ".github/workflows/ci.yml"
+# `repflow_bench(name)` / `repflow_example(name)` build name.cpp;
+# `add_executable(name a.cpp ...)` lists its sources.
+TARGET_RE = re.compile(
+    r"\b(?:repflow_bench|repflow_example|add_executable)\s*\(\s*(\w+)"
+    r"([^)]*)\)")
 TEST_ORACLES = {"core/brute_force.h", "core/simulator.h"}
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
@@ -405,12 +420,42 @@ def check_metric_registrations(root: str,
 
 # --- DEAD01 ---------------------------------------------------------------
 
+def unrun_target_files(root: str, ci_text: str) -> set:
+    """Main files of the bench/ and examples/ targets that `ci_text`
+    never names."""
+    out: set = set()
+    for sub in TARGET_DIRS:
+        cmake = os.path.join(root, sub, "CMakeLists.txt")
+        if not os.path.isfile(cmake):
+            continue
+        with open(cmake, encoding="utf-8") as f:
+            targets = TARGET_RE.findall(f.read())
+        for name, args in targets:
+            if re.search(r"\b" + re.escape(name) + r"\b", ci_text):
+                continue
+            sources = re.findall(r"[\w./-]+\.cpp", args) or [name + ".cpp"]
+            out.update(f"{sub}/{src}" for src in sources)
+    return out
+
+
 def check_dead_headers(root: str, files: Iterable[str]) -> List[Violation]:
+    ci_path = os.path.join(root, CI_WORKFLOW)
+    if not os.path.isfile(ci_path):
+        return [Violation("DEAD01", CI_WORKFLOW, 1,
+                          f"missing {CI_WORKFLOW} (which bench and example "
+                          "targets CI runs)")]
+    with open(ci_path, encoding="utf-8") as f:
+        ci_text = "\n".join(line for line in f.read().splitlines()
+                            if not line.lstrip().startswith("#"))
+    unrun = unrun_target_files(root, ci_text)
+
     # src/ is the include root: `#include "core/x.h"` names src/core/x.h.
     includers: dict = {}  # include path -> set of including files
     for rel in iter_cpp_files(root, [d for d in INCLUDER_DIRS
                                      if os.path.isdir(os.path.join(root, d))]):
         rel = rel.replace(os.sep, "/")
+        if rel in unrun:
+            continue
         for line in read_lines(root, rel):
             m = INCLUDE_RE.match(line)
             if m:
@@ -429,8 +474,8 @@ def check_dead_headers(root: str, files: Iterable[str]) -> List[Violation]:
             continue
         out.append(Violation(
             "DEAD01", rel, 1,
-            "header is not #included outside tests/ and its own .cpp; "
-            "delete it or add it to TEST_ORACLES"))
+            "header is not #included outside tests/, its own .cpp and "
+            "targets CI never runs; delete it or add it to TEST_ORACLES"))
     return out
 
 

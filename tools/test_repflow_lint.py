@@ -290,6 +290,7 @@ def test_met02_flags_missing_section():
 
 def _dead01_tree():
     tree = FixtureTree()
+    tree.write(lint.CI_WORKFLOW, "jobs: {}\n")
     # Reached only by its own .cpp and a test: dead.
     tree.write("src/workload/gen.h", "int gen();\n")
     tree.write("src/workload/gen.cpp", '#include "workload/gen.h"\n')
@@ -317,6 +318,72 @@ def test_dead01_flags_header_only_tests_reach():
         # One includer outside tests/ and the header's own .cpp revives it.
         tree.write("examples/tool.cpp", '#include "workload/gen.h"\n')
         assert run_rule(tree, "DEAD01", headers) == []
+    finally:
+        tree.cleanup()
+
+
+def test_dead01_flags_missing_ci_workflow():
+    tree = _dead01_tree()
+    try:
+        os.remove(os.path.join(tree.root, lint.CI_WORKFLOW))
+        violations = run_rule(tree, "DEAD01", ["src/core/live.h"])
+        assert [(v.path, v.line) for v in violations] == \
+            [(lint.CI_WORKFLOW, 1)], violations
+    finally:
+        tree.cleanup()
+
+
+DEAD01_TARGET_HEADERS = ["src/core/live.h", "src/decluster/extra.h",
+                         "src/graph/fast.h", "src/workload/demo.h"]
+
+
+def _dead01_targets_tree(ci):
+    tree = FixtureTree()
+    tree.write(lint.CI_WORKFLOW, ci)
+    tree.write("bench/CMakeLists.txt",
+               "add_library(bench_common STATIC common.cpp)\n"
+               "function(repflow_bench name)\n"
+               "  add_executable(${name} ${name}.cpp)\n"
+               "endfunction()\n"
+               "repflow_bench(extension_study)\n"
+               "add_executable(micro micro.cpp)\n")
+    tree.write("examples/CMakeLists.txt", "repflow_example(demo)\n")
+    # Each reached only by the main file of one target.
+    tree.write("src/decluster/extra.h", "int extra();\n")
+    tree.write("bench/extension_study.cpp", '#include "decluster/extra.h"\n')
+    tree.write("src/graph/fast.h", "int fast();\n")
+    tree.write("bench/micro.cpp", '#include "graph/fast.h"\n')
+    tree.write("src/workload/demo.h", "int demo();\n")
+    tree.write("examples/demo.cpp", '#include "workload/demo.h"\n')
+    # Reached by the bench library, which is no target: alive.
+    tree.write("src/core/live.h", "int live();\n")
+    tree.write("bench/common.cpp", '#include "core/live.h"\n')
+    return tree
+
+
+def test_dead01_ignores_targets_ci_never_names():
+    # CI runs micro; demo appears only in a comment.
+    tree = _dead01_targets_tree("jobs:\n"
+                                "  smoke:\n"
+                                "    # demo is not run here\n"
+                                "    run: ./build/bench/micro\n")
+    try:
+        violations = run_rule(tree, "DEAD01", DEAD01_TARGET_HEADERS)
+        assert sorted(v.path for v in violations) == \
+            ["src/decluster/extra.h", "src/workload/demo.h"], violations
+    finally:
+        tree.cleanup()
+
+
+def test_dead01_counts_targets_ci_names():
+    tree = _dead01_targets_tree("jobs:\n"
+                                "  smoke:\n"
+                                "    run: |\n"
+                                "      ./build/bench/micro\n"
+                                "      ./build/bench/extension_study\n"
+                                "      ./build/examples/demo\n")
+    try:
+        assert run_rule(tree, "DEAD01", DEAD01_TARGET_HEADERS) == []
     finally:
         tree.cleanup()
 
@@ -495,6 +562,7 @@ def test_main_exit_codes():
     try:
         tree.write("docs/OBSERVABILITY.md",
                    WHO_DOC + "## Query flight recorder\nNo events.\n")
+        tree.write(lint.CI_WORKFLOW, "jobs: {}\n")
         tree.write("src/clean.cpp",
                    'void f() {\n'
                    '  reg.counter("router.admitted");\n'
